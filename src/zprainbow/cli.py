@@ -3,14 +3,16 @@
 The configuration is one JSON file with nested sections mirroring the
 domain types (crystal, detector, couplings, sweep, ...); every physical
 constant, including the default crystal's Sellmeier data, lives there.
-All validation happens at load time with field-level diagnostics.
+All validation happens at load time with field-level diagnostics; an
+unknown key is an error, so a misspelt field never runs on its default.
 
 Output files are written to a temporary name and atomically renamed, so
 a failed run never leaves a partial table behind.  CSV numbers carry 17
 significant digits and round-trip exactly.
 
 Exit codes: 0 success, 2 invalid configuration, 3 no phase-matching
-solution / empty band, 4 unmet statistical precondition.
+solution / empty band / a wavelength outside the transparency window,
+4 unmet statistical precondition.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from importlib import resources
 
 from . import coupling as cp
 from . import dispersion as dp
-from .detection import (DetectorSpec, dark_rate_curve, ratio_down, ratio_up)
-from .errors import (BandError, ConfigError, InvalidArgumentError,
+from .detection import (ChannelRate, DetectorSpec, dark_rate_curve,
+                        ratio_down, ratio_up)
+from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
                      NoSolutionError, StatisticalError, UndefinedRatioError,
                      ZpRainbowError)
-from .rainbow import (Couplings, POINT_FIELDS, mc_mean_intensities,
-                      pdc_system, puc_system, satellite_summary, sweep)
-from .zpf import Mode, ORDINARY, sample_vacuum, vacuum_state
+from .rainbow import (Couplings, POINT_FIELDS, mean_intensities, pdc_system,
+                      puc_system, satellite_summary, sweep)
+from .zpf import Mode, ORDINARY, sample_vacuum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,10 +64,18 @@ def default_config_path() -> str:
     return str(resources.files("zprainbow").joinpath("configs/default.json"))
 
 
-def _section(raw, name, expected=dict):
-    value = raw.get(name)
-    if not isinstance(value, expected):
-        raise ConfigError(name, f"missing or not a {expected.__name__}")
+def _reject_unknown(section, path, known):
+    """A misspelt key must fail, not leave its field on the default."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+
+
+def _section(raw, name, known, optional=False):
+    value = raw.get(name, {} if optional else None)
+    if not isinstance(value, dict):
+        raise ConfigError(name, "missing or not a dict")
+    _reject_unknown(value, name, known)
     return value
 
 
@@ -98,8 +109,15 @@ def load_config(path: str | None = None) -> RunConfig:
         raise ConfigError("config", f"cannot read {cfg_path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError("config", f"invalid JSON in {cfg_path}: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config", "top level must be an object")
+    _reject_unknown(raw, "", ("crystal", "detector", "engine", "trials",
+                              "seed", "workers", "sweep", "couplings",
+                              "ratios", "darkrate", "output"))
 
-    c = _section(raw, "crystal")
+    c = _section(raw, "crystal", (
+        "sellmeier_o", "sellmeier_e", "cut_angle_deg", "length_mm",
+        "pump_wavelength_nm", "gain_per_mm", "pump_polarization", "window_um"))
     try:
         crystal = dp.CrystalSpec(
             sellmeier_o=_sellmeier(c, "crystal", "sellmeier_o"),
@@ -120,7 +138,7 @@ def load_config(path: str | None = None) -> RunConfig:
     except InvalidArgumentError as e:
         raise ConfigError("crystal", str(e)) from None
 
-    d = _section(raw, "detector")
+    d = _section(raw, "detector", ("threshold", "window_samples", "efficiency"))
     try:
         detector = DetectorSpec(
             threshold=float(_field(d, "detector", "threshold", (int, float),
@@ -144,7 +162,7 @@ def load_config(path: str | None = None) -> RunConfig:
     if workers < 1:
         raise ConfigError("workers", "must be >= 1")
 
-    s = _section(raw, "sweep")
+    s = _section(raw, "sweep", ("omega_min", "omega_max", "steps"))
     band = (float(_field(s, "sweep", "omega_min", (int, float), required=True)),
             float(_field(s, "sweep", "omega_max", (int, float), required=True)),
             int(_field(s, "sweep", "steps", int, required=True)))
@@ -158,6 +176,7 @@ def load_config(path: str | None = None) -> RunConfig:
         k = {}
     if not isinstance(k, dict):
         raise ConfigError("couplings", "must be a section or \"auto\"")
+    _reject_unknown(k, "couplings", ("g_down", "g_up", "phi_down", "phi_up"))
 
     def opt_g(name):
         v = k.get(name)
@@ -174,21 +193,21 @@ def load_config(path: str | None = None) -> RunConfig:
         phi_up=float(_field(k, "couplings", "phi_up", (int, float),
                             default=0.0)))
 
-    r = raw.get("ratios", {})
+    r = _section(raw, "ratios", ("omega", "trials"), optional=True)
     ratios_omega = float(_field(r, "ratios", "omega", (int, float),
                                 default=0.5))
     ratios_trials = int(_field(r, "ratios", "trials", int, default=trials))
     if not 0.0 < ratios_omega < 1.0:
         raise ConfigError("ratios.omega", "must lie in (0, 1)")
 
-    dk = raw.get("darkrate", {})
+    dk = _section(raw, "darkrate", ("windows",), optional=True)
     windows = tuple(_field(dk, "darkrate", "windows", list,
                            default=[1, 10, 100]))
     if not windows or any((isinstance(w, bool) or not isinstance(w, int)
                            or w < 1) for w in windows):
         raise ConfigError("darkrate.windows", "must be positive integers")
 
-    o = raw.get("output", {})
+    o = _section(raw, "output", ("path", "format"), optional=True)
     out_path = _field(o, "output", "path", str, default="zprainbow_out.csv")
     out_format = _field(o, "output", "format", str, default="csv")
     if out_format not in ("csv", "json"):
@@ -300,15 +319,10 @@ def forced_angle_report(config: RunConfig, theta_low_deg: float,
     modes = (Mode(0.5, th_lo, th_lo, ORDINARY, "input"),
              Mode(0.5, -th_hi, -th_hi, ORDINARY, "signal"))
     t = cp.squeeze_pair(gl, config.couplings.phi_down)
-    if config.engine == "covariance":
-        state = cp.propagate_covariance(t, vacuum_state(2))
-        means = [state.mode_intensity(i) for i in range(2)]
-    else:
-        means = [float(v) for v in mc_mean_intensities(
-            [t], config.ratios_trials, config.seed, config.workers)[0]]
-    from .rainbow import _rate_from_mean
-    rate_lo = _rate_from_mean(modes[0], means[0])
-    rate_hi = _rate_from_mean(modes[1], means[1])
+    means = mean_intensities([t], config.engine, config.ratios_trials,
+                             config.seed, config.workers)[0]
+    rate_lo = ChannelRate.from_mean(modes[0], means[0])
+    rate_hi = ChannelRate.from_mean(modes[1], means[1])
     return {
         "theta_low_deg": theta_low_deg,
         "theta_high_deg": theta_high_deg,
@@ -328,26 +342,16 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
     """
     nan = float("nan")
     system_a = pdc_system(config.crystal, omega, config.couplings)
-    pair_only = cp.ThreeWaveSystem(
-        g_down=system_a.g_down, g_up=0.0, phi_down=system_a.phi_down,
-        phi_up=0.0, dk_down=system_a.dk_down, dk_up=0.0,
-        length_mm=system_a.length_mm, modes=system_a.modes)
     try:
         system_b = puc_system(config.crystal, omega, config.couplings)
     except (NoSolutionError, BandError):
         system_b = None
-    transforms = [cp.integrate_three_wave(pair_only)]
+    transforms = [cp.integrate_three_wave(system_a.pair_only())]
     if system_b is not None:
         transforms.append(cp.integrate_three_wave(system_b))
-
-    from .rainbow import _rate_from_mean
-    if config.engine == "covariance":
-        means = [[cp.propagate_covariance(t, vacuum_state(3)).mode_intensity(i)
-                  for i in range(3)] for t in transforms]
-    else:
-        means = mc_mean_intensities(transforms, config.ratios_trials,
-                                    config.seed, config.workers)
-    pair_rates = [_rate_from_mean(system_a.modes[i], means[0][i])
+    means = mean_intensities(transforms, config.engine, config.ratios_trials,
+                             config.seed, config.workers)
+    pair_rates = [ChannelRate.from_mean(system_a.modes[i], means[0][i])
                   for i in range(2)]
 
     report = {
@@ -364,7 +368,7 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
         "eq2_ratio": nan,
     }
     if system_b is not None:
-        puc_rates = [_rate_from_mean(system_b.modes[i], means[1][i])
+        puc_rates = [ChannelRate.from_mean(system_b.modes[i], means[1][i])
                      for i in range(3)]
         report.update(
             lower_above_zeropoint=puc_rates[0].above_zeropoint,
@@ -511,7 +515,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoSolutionError, BandError) as e:
+    except (NoSolutionError, DomainError) as e:
         print(f"no solution: {e}", file=sys.stderr)
         return EXIT_NO_SOLUTION
     except (StatisticalError,) as e:

@@ -18,21 +18,25 @@ undepleted classical pump:
     d a_u  / dz =  g_u e^{i phi_u} e^{+i dk_u z} a_w
 
 with s = w0-w, u = w0+w; dk_* are longitudinal wavevector mismatches.
-Each z-slice generator is a valid Bogoliubov generator (the passive part
-is anti-Hermitian, the pair part symmetric), so the exact flow is
-symplectic for every mismatch; with dk = 0 the up leg reduces to the
-convert_pair closed form and the down leg to squeeze_pair.  A variant
-coupling model would plug in here as a different generator; everything
-downstream only consumes the resulting transform.
+The mismatch phases are the only z-dependence, so in a frame rotating
+with them the generator is constant and integrate_three_wave builds the
+exact transform from one matrix exponential, with no step count.  The
+generator is a valid Bogoliubov generator (the passive part is
+anti-Hermitian, the pair part symmetric), so the map is symplectic for
+every mismatch; with dk = 0 the up leg reduces to the convert_pair closed
+form and the down leg to squeeze_pair.  perturbative_transform sums the
+Dyson series in the lab frame as an independent low-gain cross-check.
+A variant coupling model would plug in here as a different generator;
+everything downstream only consumes the resulting transform.
 
 Lengths are millimetres at the interface (matching CrystalSpec) and
-mismatches 1/um; the integrator works in micrometres internally.
+mismatches 1/um.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,10 +92,6 @@ class BogoliubovTransform:
         top = np.hstack([u.conj().T, -v.T])
         bot = np.hstack([-v.conj().T, u.T])
         return BogoliubovTransform(np.vstack([top, bot]))
-
-    def then(self, other: "BogoliubovTransform") -> "BogoliubovTransform":
-        """This transform followed by `other`."""
-        return BogoliubovTransform(other.matrix @ self.matrix)
 
 
 def _from_blocks(u, v) -> BogoliubovTransform:
@@ -164,6 +164,10 @@ class ThreeWaveSystem:
     def length_um(self) -> float:
         return self.length_mm * 1e3
 
+    def pair_only(self) -> "ThreeWaveSystem":
+        """The same triple with the up-conversion leg switched off."""
+        return replace(self, g_up=0.0, phi_up=0.0, dk_up=0.0)
+
 
 def _term_matrices(system: ThreeWaveSystem):
     """The generator as sum_c C_c e^{i k_c z} over constant 6x6 matrices.
@@ -196,55 +200,45 @@ def _term_matrices(system: ThreeWaveSystem):
     return terms
 
 
-def _generator(system: ThreeWaveSystem):
-    terms = _term_matrices(system)
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring of a truncated Taylor series.
 
-    def s_of_z(z_um):
-        s = np.zeros((6, 6), dtype=complex)
-        for k, m in terms:
-            s += m * np.exp(1j * k * z_um)
-        return s
-
-    return s_of_z
-
-
-def min_steps(system: ThreeWaveSystem) -> int:
-    """Smallest legal step count: 20 samples per fastest mismatch period."""
-    phase = max(abs(system.dk_down), abs(system.dk_up)) * system.length_um
-    return max(1, math.ceil(20.0 * phase / (2.0 * math.pi)))
-
-
-def _auto_steps(system: ThreeWaveSystem) -> int:
-    # calibrated so the symplectic defect stays below ~1e-11 up to
-    # dk L = 100 pi at gL ~ 0.1 (RK4 phase error ~ (dk h)^4 per period)
-    phase = max(abs(system.dk_down), abs(system.dk_up)) * system.length_um
-    return max(2000, math.ceil(16.0 * phase ** 1.25))
-
-
-def integrate_three_wave(system: ThreeWaveSystem,
-                         n_steps: int | None = None) -> BogoliubovTransform:
-    """Integrate the coupled three-wave evolution with fixed-step RK4.
-
-    Returns the full-crystal transform.  n_steps below 20 samples per
-    mismatch period is rejected; by default the step count is chosen so
-    the symplectic condition holds to better than 1e-10.
+    a is scaled by 2^-s so its 1-norm is below 1, where 20 Taylor terms
+    leave a remainder under 1e-19; s squarings then undo the scaling.
     """
-    if n_steps is None:
-        n_steps = _auto_steps(system)
-    elif n_steps < min_steps(system):
-        raise InvalidArgumentError(
-            f"n_steps={n_steps} cannot resolve the mismatch oscillation; "
-            f"need at least {min_steps(system)}")
-    s_of_z = _generator(system)
-    h = system.length_um / n_steps
-    m = np.eye(6, dtype=complex)
-    for i in range(n_steps):
-        z = i * h
-        k1 = s_of_z(z) @ m
-        k2 = s_of_z(z + 0.5 * h) @ (m + 0.5 * h * k1)
-        k3 = s_of_z(z + 0.5 * h) @ (m + 0.5 * h * k2)
-        k4 = s_of_z(z + h) @ (m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    squarings = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1])
+    a = a / 2.0 ** squarings
+    term = result = np.eye(len(a), dtype=complex)
+    for k in range(1, 21):
+        term = term @ a / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def integrate_three_wave(system: ThreeWaveSystem) -> BogoliubovTransform:
+    """Exact full-crystal transform of the coupled three-wave evolution.
+
+    (a_w, a_s*, a_u) evolve among themselves.  In the rotating frame
+    b = a e^{i r z}, with frame frequencies r = (0, dk_d, -dk_u) + c,
+    their generator is constant, so the map is one 3x3 exponential
+    followed by the frame phases e^{-i r L}; (a_w*, a_s, a_u*) follow by
+    conjugation.
+    """
+    gd = system.g_down * system.length_mm * np.exp(1j * system.phi_down)
+    gu = system.g_up * system.length_mm * np.exp(1j * system.phi_up)
+    # r L; the common frequency c is free, and centring r keeps the
+    # exponent's norm, hence the number of squarings, smallest
+    rl = np.array([0.0, system.dk_down, -system.dk_up]) * system.length_um
+    rl -= 0.5 * (rl.max() + rl.min())
+    a = np.array([[1j * rl[0], gd, -np.conj(gu)],
+                  [np.conj(gd), 1j * rl[1], 0.0],
+                  [gu, 0.0, 1j * rl[2]]])
+    e = np.exp(-1j * rl)[:, None] * _expm(a)
+    m = np.zeros((6, 6), dtype=complex)
+    m[np.ix_([0, 4, 2], [0, 4, 2])] = e          # (a_w, a_s*, a_u)
+    m[np.ix_([3, 1, 5], [3, 1, 5])] = e.conj()   # their conjugates
     return BogoliubovTransform(m)
 
 

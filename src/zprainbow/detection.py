@@ -55,6 +55,15 @@ class ChannelRate:
     photon_rate: float
     detected: bool
 
+    @classmethod
+    def from_mean(cls, mode: Mode, mean_intensity: float) -> "ChannelRate":
+        """Summary of a channel with the given mean |alpha|^2."""
+        mean = float(mean_intensity)
+        above = mean - ZEROPOINT
+        return cls(mode=mode, mean_intensity=mean, above_zeropoint=above,
+                   photon_rate=max(above, 0.0) / math.cos(mode.theta_external),
+                   detected=above > 0.0)
+
     @property
     def signed_rate(self) -> float:
         """Unclamped above-zeropoint flux, negative below the vacuum."""
@@ -77,10 +86,7 @@ def channel_rate(source, mode: Mode, index: int | None = None) -> ChannelRate:
         mean = source.mode_intensity(index)
     else:
         raise InvalidArgumentError(f"unsupported source {type(source).__name__}")
-    above = mean - ZEROPOINT
-    rate = max(above, 0.0) / math.cos(mode.theta_external)
-    return ChannelRate(mode=mode, mean_intensity=mean, above_zeropoint=above,
-                       photon_rate=rate, detected=above > 0.0)
+    return ChannelRate.from_mean(mode, mean)
 
 
 def ratio_down(rate_low: ChannelRate, rate_high: ChannelRate) -> float:

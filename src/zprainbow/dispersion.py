@@ -390,18 +390,3 @@ def match_up(omega: float, spec: CrystalSpec, branch: int = 0) -> PhaseMatchSolu
         residual_dk=fn(theta_in),
     )
 
-
-def modes_down(spec: CrystalSpec, omega: float,
-               sol: PhaseMatchSolution) -> tuple[Mode, Mode]:
-    """(input, conjugate) ordinary modes of a down-conversion solution."""
-    return (make_mode(spec, omega, sol.theta_in_internal, ORDINARY, "input"),
-            make_mode(spec, 1.0 - omega, sol.theta_out_internal, ORDINARY,
-                      "signal"))
-
-
-def modes_up(spec: CrystalSpec, omega: float,
-             sol: PhaseMatchSolution) -> tuple[Mode, Mode]:
-    """(input, up-converted) modes of an up-conversion solution."""
-    return (make_mode(spec, omega, sol.theta_in_internal, ORDINARY, "input"),
-            make_mode(spec, 1.0 + omega, sol.theta_out_internal, EXTRAORDINARY,
-                      "signal"))

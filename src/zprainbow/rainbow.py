@@ -35,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import coupling as cp
 from . import dispersion as dp
-from .detection import ChannelRate, DetectorSpec, channel_rate, ratio_down, ratio_up
+from .detection import ChannelRate, DetectorSpec, ratio_down, ratio_up
 from .errors import (BandError, DomainError, InvalidArgumentError,
                      NoSolutionError, UndefinedRatioError)
 from .zpf import block_amplitudes, trial_blocks, vacuum_state
@@ -191,40 +191,36 @@ def mc_mean_intensities(transforms, trials: int, seed: int,
     return [s / trials for s in sums]
 
 
-def _channel_rates(system, engine, trials, seed, n_steps=None, workers=1):
-    """Rates of the (w, w0-w, w0+w) channels plus the pair-only pair rates."""
-    t_full = cp.integrate_three_wave(system, n_steps)
-    pair_only = cp.ThreeWaveSystem(
-        g_down=system.g_down, g_up=0.0, phi_down=system.phi_down,
-        phi_up=0.0, dk_down=system.dk_down, dk_up=0.0,
-        length_mm=system.length_mm, modes=system.modes)
-    t_pair = cp.integrate_three_wave(pair_only, n_steps)
-    modes = system.modes
+def mean_intensities(transforms, engine: str, trials: int, seed: int,
+                     workers: int = 1) -> list:
+    """Mean |alpha|^2 per mode after each transform acts on the vacuum.
+
+    `covariance` propagates the exact state; `montecarlo` runs
+    mc_mean_intensities (trials, seed and workers apply to it only).
+    """
     if engine == "covariance":
-        full = cp.propagate_covariance(t_full, vacuum_state(3))
-        pair = cp.propagate_covariance(t_pair, vacuum_state(3))
-        full_rates = [channel_rate(full, modes[i], index=i) for i in range(3)]
-        pair_rates = [channel_rate(pair, modes[i], index=i) for i in range(2)]
-    else:
-        means_full, means_pair = mc_mean_intensities(
-            [t_full, t_pair], trials, seed, workers)
-        full_rates = [_rate_from_mean(modes[i], means_full[i]) for i in range(3)]
-        pair_rates = [_rate_from_mean(modes[i], means_pair[i]) for i in range(2)]
-    return full_rates, pair_rates
+        n = transforms[0].n_modes
+        return [[cp.propagate_covariance(t, vacuum_state(n)).mode_intensity(i)
+                 for i in range(n)] for t in transforms]
+    return mc_mean_intensities(transforms, trials, seed, workers)
 
 
-def _rate_from_mean(mode, mean_intensity):
-    above = float(mean_intensity) - 0.5
-    return ChannelRate(mode=mode, mean_intensity=float(mean_intensity),
-                       above_zeropoint=above,
-                       photon_rate=max(above, 0.0) / math.cos(mode.theta_external),
-                       detected=above > 0.0)
+def _channel_rates(system, engine, trials, seed, workers=1):
+    """Rates of the (w, w0-w, w0+w) channels plus the pair-only pair rates."""
+    transforms = [cp.integrate_three_wave(system),
+                  cp.integrate_three_wave(system.pair_only())]
+    means_full, means_pair = mean_intensities(transforms, engine, trials,
+                                              seed, workers)
+    return ([ChannelRate.from_mean(m, v)
+             for m, v in zip(system.modes, means_full)],
+            [ChannelRate.from_mean(m, v)
+             for m, v in zip(system.modes[:2], means_pair)])
 
 
 def sweep(omega_min: float, omega_max: float, steps: int,
           crystal: dp.CrystalSpec, detector: DetectorSpec,
           engine: str = "covariance", trials: int = 100_000, seed: int = 0,
-          couplings: Couplings = Couplings(), n_steps: int | None = None,
+          couplings: Couplings = Couplings(),
           workers: int = 1) -> RainbowTable:
     """Sample the matched band and synthesize both rainbows.
 
@@ -260,8 +256,7 @@ def sweep(omega_min: float, omega_max: float, steps: int,
         if system_a is not None:
             theta_d = sol_d.theta_in_external
             (r_w, r_s, _), (p_w, p_s) = _channel_rates(
-                system_a, engine, trials, _point_seed(seed, i, 0), n_steps,
-                workers)
+                system_a, engine, trials, _point_seed(seed, i, 0), workers)
             main, conj = r_w.photon_rate, r_s.photon_rate
             try:
                 eq1 = ratio_down(p_w, p_s)
@@ -280,8 +275,7 @@ def sweep(omega_min: float, omega_max: float, steps: int,
             if system_b is not None:
                 theta_u = sol_u.theta_in_external
                 (q_w, _, q_u), _ = _channel_rates(
-                    system_b, engine, trials, _point_seed(seed, i, 1), n_steps,
-                    workers)
+                    system_b, engine, trials, _point_seed(seed, i, 1), workers)
                 sat = q_w.photon_rate
                 upper = q_u.above_zeropoint
                 try:

@@ -103,9 +103,6 @@ class GaussianState:
         return 0.5 * (self.covariance[i, i] + self.covariance[j, j]
                       + self.mean[i] ** 2 + self.mean[j] ** 2)
 
-    def is_positive_semidefinite(self, tol: float = 1e-10) -> bool:
-        return bool(np.linalg.eigvalsh(self.covariance).min() >= -tol)
-
 
 def vacuum_state(n_modes: int) -> GaussianState:
     """The M-mode vacuum: zero mean, covariance (1/2) * identity."""

@@ -66,6 +66,25 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_top_level_must_be_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("key,value", [
+        ("detector", {"treshold": 0.6}),
+        ("crystal.gain_per_mmm", 1.0),
+        ("couplings.g_dwn", 0.5),
+        ("output.fromat", "csv"),
+        ("n_steps", 100),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, key, value):
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert "unknown key" in str(err.value)
+
 
 class TestExitCodes:
     def test_config_error_exit(self, tmp_path):
@@ -80,6 +99,22 @@ class TestExitCodes:
         out = str(tmp_path / "x.csv")
         assert main(["--config", path, "angles", "--output", out]) \
             == EXIT_NO_SOLUTION
+
+    def test_misspelt_key_exit(self, tmp_path):
+        path = write_config(tmp_path, detector={"treshold": 0.6})
+        out = str(tmp_path / "rb.csv")
+        assert main(["--config", path, "rainbow", "--engine", "covariance",
+                     "--output", out]) == EXIT_CONFIG
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["ratios", "--engine", "covariance", "--omega", "0.3"],
+        ["simulate", "--omega", "0.9", "--trials", "100"],
+    ])
+    def test_outside_transparency_window_exit(self, tmp_path, argv):
+        out = str(tmp_path / "x.csv")
+        assert main(argv + ["--output", out]) == EXIT_NO_SOLUTION
+        assert not os.path.exists(out)
 
     def test_success_exit(self, tmp_path):
         out = str(tmp_path / "ang.csv")

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
 from zprainbow.coupling import (BogoliubovTransform, ThreeWaveSystem, apply,
                                 convert_pair, identity_transform,
-                                integrate_three_wave, min_steps,
-                                perturbative_transform, propagate_covariance,
-                                quadrature_matrix, squeeze_pair, _int_exp,
-                                _int_nested)
+                                integrate_three_wave, perturbative_transform,
+                                propagate_covariance, quadrature_matrix,
+                                squeeze_pair, _int_exp, _int_nested,
+                                _term_matrices)
 from zprainbow.errors import InvalidArgumentError
 from zprainbow.zpf import Mode, mean_intensity, sample_vacuum, vacuum_state
 
@@ -31,8 +32,10 @@ def generic_system(**overrides):
 def rotating_frame_oracle(system):
     """Exact transform via a constant-coefficient rotating frame.
 
-    Independent of the RK4 path: absorb the mismatch phases into frame
-    rotations, exponentiate the constant generator, rotate back.
+    Absorbs the mismatch phases into frame rotations of all six stacked
+    amplitudes, exponentiates the constant 6x6 generator with scipy and
+    rotates back: none of the production code's 3x3 reduction, centred
+    frame or exponential.
     """
     gd = system.g_down * 1e-3 * np.exp(1j * system.phi_down)
     gu = system.g_up * 1e-3 * np.exp(1j * system.phi_up)
@@ -53,6 +56,54 @@ def rotating_frame_oracle(system):
     frame_back = np.diag(np.exp(1j * np.array([0.0, kd, ku, 0.0, -kd, -ku])
                                 * length))
     return BogoliubovTransform(frame_back @ expm(a * length))
+
+
+def rk4_oracle(system, n_steps=2000):
+    """Full-crystal transform by fixed-step RK4 in the lab frame.
+
+    Integrates the z-dependent 6x6 generator sum_c C_c e^{i k_c z}
+    directly, so unlike the production transform and
+    rotating_frame_oracle it never uses the rotating frame.
+    """
+    terms = _term_matrices(system)
+
+    def s_of_z(z_um):
+        return sum(m * np.exp(1j * k * z_um) for k, m in terms)
+
+    h = system.length_um / n_steps
+    m = np.eye(6, dtype=complex)
+    for i in range(n_steps):
+        z = i * h
+        k1 = s_of_z(z) @ m
+        k2 = s_of_z(z + 0.5 * h) @ (m + 0.5 * h * k1)
+        k3 = s_of_z(z + 0.5 * h) @ (m + 0.5 * h * k2)
+        k4 = s_of_z(z + h) @ (m + h * k3)
+        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return BogoliubovTransform(m)
+
+
+# one fixed (derandomized) example set per test keeps the suite reproducible
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+PHASE = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def systems(draw, max_gl, min_gl=0.0):
+    """Random ThreeWaveSystem with g_* L <= max_gl and |dk_*| L <= 1200.
+
+    The larger of the two gains times L lies in [min_gl, max_gl].
+    """
+    length_mm = draw(st.floats(0.01, 1.0))
+    g_max_l = draw(st.floats(min_gl, max_gl))
+    other_l = draw(st.floats(0.0, 1.0)) * g_max_l
+    gl_down, gl_up = draw(st.permutations([g_max_l, other_l]))
+    dkl = st.floats(-1200.0, 1200.0)
+    return ThreeWaveSystem(
+        g_down=gl_down / length_mm, g_up=gl_up / length_mm,
+        phi_down=draw(PHASE), phi_up=draw(PHASE),
+        dk_down=draw(dkl) / (1e3 * length_mm),
+        dk_up=draw(dkl) / (1e3 * length_mm), length_mm=length_mm)
 
 
 class TestClosedForms:
@@ -127,6 +178,12 @@ class TestIntegrator:
         ref = rotating_frame_oracle(system)
         assert np.max(np.abs(t.matrix - ref.matrix)) < 1e-10
 
+    def test_agrees_with_lab_frame_rk4(self):
+        system = generic_system()
+        t = integrate_three_wave(system)
+        ref = rk4_oracle(system)
+        assert np.max(np.abs(t.matrix - ref.matrix)) < 1e-10
+
     def test_order2_agreement_at_small_gain(self):
         # gL = 1e-2: the integrator and the order-2 series differ at (gL)^3
         system = generic_system(g_down=0.1, g_up=0.12, length_mm=0.1)
@@ -142,22 +199,34 @@ class TestIntegrator:
         assert t.symplectic_defect() < 1e-10
         assert t.conjugation_defect() < 1e-12
 
-    def test_symplectic_after_ten_thousand_steps(self):
-        system = generic_system(dk_down=0.5)
-        t = integrate_three_wave(system, n_steps=10_000)
-        assert t.symplectic_defect() < 1e-10
-
-    def test_underresolved_steps_rejected(self):
-        system = generic_system(dk_down=10.0)
-        needed = min_steps(system)
-        with pytest.raises(InvalidArgumentError):
-            integrate_three_wave(system, n_steps=needed - 1)
-
     def test_invalid_system_rejected(self):
         with pytest.raises(InvalidArgumentError):
             generic_system(g_down=-1.0)
         with pytest.raises(InvalidArgumentError):
             generic_system(length_mm=0.0)
+
+
+class TestTransformProperties:
+    @PROPERTY
+    @given(systems(max_gl=4.0))
+    # high gain with one leg far from phase matching: the most squarings
+    # at the largest transform entries
+    @example(ThreeWaveSystem(g_down=400.0, g_up=200.0, phi_down=0.3,
+                             phi_up=1.1, dk_down=0.0, dk_up=120.0,
+                             length_mm=0.01))
+    def test_symplectic_and_conjugate(self, system):
+        t = integrate_three_wave(system)
+        assert t.symplectic_defect() < 1e-10
+        assert t.conjugation_defect() == 0.0
+
+    @PROPERTY
+    @given(systems(max_gl=0.05, min_gl=1e-3))
+    def test_order2_series_at_small_gain(self, system):
+        # the series truncation error is third order in the gain
+        gl = max(system.g_down, system.g_up) * system.length_mm
+        t = integrate_three_wave(system)
+        p2 = perturbative_transform(system, 2)
+        assert np.max(np.abs(t.matrix - p2.matrix)) < gl ** 3
 
 
 class TestPerturbative:
