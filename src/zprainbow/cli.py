@@ -4,7 +4,8 @@ The configuration is one JSON file with nested sections mirroring the
 domain types (crystal, detector, couplings, sweep, ...); every physical
 constant, including the default crystal's Sellmeier data, lives there.
 All validation happens at load time with field-level diagnostics; an
-unknown key is an error, so a misspelt field never runs on its default.
+unknown key is an error, so a misspelt field never runs on its default,
+and so is a NaN, infinite or beyond-float-range number.
 
 Output files are written to a temporary name and atomically renamed, so
 a failed run never leaves a partial table behind.  CSV numbers carry 17
@@ -99,12 +100,21 @@ def _sellmeier(section, path, name):
         raise ConfigError(f"{path}.{name}", str(e)) from None
 
 
+def _finite(text, kind=float):
+    """JSON number hook: NaN, Infinity and numbers beyond float range
+    are errors."""
+    if not math.isfinite(float(text)):
+        raise ConfigError("config", f"number out of range: {text[:20]}")
+    return kind(text)
+
+
 def load_config(path: str | None = None) -> RunConfig:
     """Parse and fully validate a configuration file."""
     cfg_path = path or default_config_path()
     try:
         with open(cfg_path, "rb") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite,
+                            parse_int=lambda text: _finite(text, int))
     except OSError as e:
         raise ConfigError("config", f"cannot read {cfg_path}: {e}") from None
     except json.JSONDecodeError as e:
@@ -323,11 +333,15 @@ def forced_angle_report(config: RunConfig, theta_low_deg: float,
                              config.seed, config.workers)[0]
     rate_lo = ChannelRate.from_mean(modes[0], means[0])
     rate_hi = ChannelRate.from_mean(modes[1], means[1])
+    try:
+        rate_ratio = ratio_down(rate_lo, rate_hi)
+    except UndefinedRatioError:
+        rate_ratio = float("nan")
     return {
         "theta_low_deg": theta_low_deg,
         "theta_high_deg": theta_high_deg,
         "engine": config.engine,
-        "rate_ratio": ratio_down(rate_lo, rate_hi),
+        "rate_ratio": rate_ratio,
         "cosine_ratio": math.cos(th_hi) / math.cos(th_lo),
         "photon_theory_ratio": 1.0,
     }
@@ -353,11 +367,15 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
                              config.seed, config.workers)
     pair_rates = [ChannelRate.from_mean(system_a.modes[i], means[0][i])
                   for i in range(2)]
+    try:
+        eq1 = ratio_down(pair_rates[0], pair_rates[1])
+    except UndefinedRatioError:
+        eq1 = nan
 
     report = {
         "omega": omega,
         "engine": config.engine,
-        "eq1_ratio": ratio_down(pair_rates[0], pair_rates[1]),
+        "eq1_ratio": eq1,
         "eq1_cosine_ratio": (math.cos(system_a.modes[1].theta_external)
                              / math.cos(system_a.modes[0].theta_external)),
         "photon_theory_ratio": 1.0,
@@ -403,11 +421,8 @@ def cmd_ratios(config: RunConfig, omega: float, out_path: str, fmt: str,
 
 
 def cmd_darkrate(config: RunConfig, windows, out_path: str, fmt: str) -> int:
-    spec = config.detector
-    if spec.threshold <= 0.5:
-        raise ConfigError("detector.threshold",
-                          "dark-rate runs need threshold > 1/2")
-    rows = dark_rate_curve(spec, windows, config.trials, config.seed)
+    rows = dark_rate_curve(config.detector, windows, config.trials,
+                           config.seed)
     write_table(out_path, fmt, ("window_samples", "dark_probability",
                                 "standard_error"), rows)
     for m, p, err in rows:

@@ -78,7 +78,12 @@ class CrystalSpec:
             raise InvalidArgumentError("length_mm must be > 0")
         if self.gain_per_mm < 0:
             raise InvalidArgumentError("gain_per_mm must be >= 0")
-        lo, hi = self.window_um
+        try:
+            lo, hi = (float(w) for w in self.window_um)
+        except (TypeError, ValueError):
+            raise InvalidArgumentError("window_um must be two numbers "
+                                       "(lo, hi)") from None
+        object.__setattr__(self, "window_um", (lo, hi))
         if not 0 < lo < hi:
             raise InvalidArgumentError("window_um must satisfy 0 < lo < hi")
         if not lo <= self.pump_wavelength_nm * 1e-3 <= hi:

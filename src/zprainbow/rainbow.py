@@ -16,10 +16,11 @@ off) so it reflects the pure geometric cosine asymmetry; main_rate and
 conjugate_rate keep the full three-wave physics.
 
 Frequencies whose phase matching has no solution are marked absent (NaN
-fields), never extrapolated.  Both engines share the same geometry code:
-`covariance` propagates the exact Gaussian state, `montecarlo` pushes a
-sampled vacuum ensemble through the same transforms with per-point seeds
-derived from the master seed.
+fields), never extrapolated.  Both engines share the same geometry code
+and the same propagation: `covariance` propagates the exact vacuum state,
+`montecarlo` reduces a sampled vacuum (per-point seeds derived from the
+master seed) to its raw second moments and propagates those through the
+same transforms, which gives exactly the trial means of |T alpha|^2.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from . import dispersion as dp
 from .detection import ChannelRate, DetectorSpec, ratio_down, ratio_up
 from .errors import (BandError, DomainError, InvalidArgumentError,
                      NoSolutionError, UndefinedRatioError)
-from .zpf import block_amplitudes, trial_blocks, vacuum_state
+from .zpf import (GaussianState, block_amplitudes, trial_blocks,
+                  vacuum_state)
 
 ENGINES = ("covariance", "montecarlo")
 
@@ -158,50 +160,64 @@ def _system_at(crystal, omega, theta_in, couplings, force_dk_down_zero=False):
         length_mm=crystal.length_mm, modes=(m_in, m_conj, m_up))
 
 
+def _state_means(transforms, state) -> list[np.ndarray]:
+    """Mean |alpha|^2 per mode after each transform acts on `state`."""
+    outputs = [cp.propagate_covariance(t, state) for t in transforms]
+    return [np.array([out.mode_intensity(i) for i in range(out.n_modes)])
+            for out in outputs]
+
+
 def mc_mean_intensities(transforms, trials: int, seed: int,
                         workers: int = 1) -> list[np.ndarray]:
     """Monte Carlo mean |alpha|^2 per mode for several transforms at once.
 
-    Streams the vacuum over the sampler's fixed trial blocks, so memory
-    stays bounded and the result is bit-identical for any worker count
-    (partial sums are combined in block order).
+    Each of the sampler's fixed trial blocks is reduced to one real
+    product x^T x of its (Re, Im)-interleaved amplitudes; the summed
+    products, reordered to xxpp and scaled, are the raw sample second
+    moments of the vacuum as a zero-mean GaussianState.  A transform's
+    means are then exactly the sample means of |T alpha|^2, read through
+    propagate_covariance as in the covariance engine, so the reduction
+    costs the same however many transforms share the vacuum.
+    Memory stays bounded and the result is bit-identical for any worker
+    count (partials are combined in block order).
     """
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
     n_modes = transforms[0].n_modes
-    blocks = trial_blocks(trials)
 
     def one_block(task):
         b, start, stop = task
-        amp = block_amplitudes(n_modes, seed, b, stop - start)
-        conj = amp.conj()
-        return [np.sum(np.abs(amp @ t.u.T + conj @ t.v.T) ** 2, axis=0)
-                for t in transforms]
+        x = block_amplitudes(n_modes, seed, b, stop - start).view(np.float64)
+        return x.T @ x
 
+    blocks = trial_blocks(trials)
     if workers == 1:
         partials = [one_block(task) for task in blocks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(one_block, blocks))
 
-    sums = [np.zeros(n_modes) for _ in transforms]
+    moments = np.zeros((2 * n_modes, 2 * n_modes))
     for part in partials:
-        for acc, p in zip(sums, part):
-            acc += p
-    return [s / trials for s in sums]
+        moments += part
+    # columns (Re a_1, Im a_1, ...) -> xxpp; x = sqrt(2) Re a, so the
+    # quadrature moments are twice the amplitude-part moments
+    xxpp = np.r_[0:2 * n_modes:2, 1:2 * n_modes:2]
+    state = GaussianState(np.zeros(2 * n_modes),
+                          moments[np.ix_(xxpp, xxpp)] * (2.0 / trials))
+    return _state_means(transforms, state)
 
 
 def mean_intensities(transforms, engine: str, trials: int, seed: int,
-                     workers: int = 1) -> list:
+                     workers: int = 1) -> list[np.ndarray]:
     """Mean |alpha|^2 per mode after each transform acts on the vacuum.
 
-    `covariance` propagates the exact state; `montecarlo` runs
-    mc_mean_intensities (trials, seed and workers apply to it only).
+    `covariance` propagates the exact vacuum state; `montecarlo` runs
+    mc_mean_intensities (trials, seed and workers apply to it only),
+    which propagates the sampled vacuum's second moments the same way.
     """
     if engine == "covariance":
-        n = transforms[0].n_modes
-        return [[cp.propagate_covariance(t, vacuum_state(n)).mode_intensity(i)
-                 for i in range(n)] for t in transforms]
+        return _state_means(transforms, vacuum_state(transforms[0].n_modes))
     return mc_mean_intensities(transforms, trials, seed, workers)
 
 

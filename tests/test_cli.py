@@ -1,11 +1,14 @@
+import copy
 import csv
 import json
 import math
 import os
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from zprainbow.cli import (EXIT_CONFIG, EXIT_NO_SOLUTION, default_config_path,
+from zprainbow.cli import (EXIT_CONFIG, EXIT_NO_SOLUTION, EXIT_OK,
+                           EXIT_STATISTICAL, default_config_path,
                            forced_angle_report, load_config, main,
                            physical_ratio_report)
 from zprainbow.errors import ConfigError
@@ -115,6 +118,27 @@ class TestExitCodes:
         out = str(tmp_path / "x.csv")
         assert main(argv + ["--output", out]) == EXIT_NO_SOLUTION
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key,value", [
+        ("crystal.window_um", [1.0]),
+        ("crystal.window_um", [[0.2, 1.0]]),
+        ("crystal.gain_per_mm", math.nan),
+        ("crystal.length_mm", math.inf),
+        ("detector.efficiency", 10 ** 400),
+    ])
+    def test_malformed_value_exit(self, tmp_path, key, value):
+        path = write_config(tmp_path, **{key: value})
+        out = str(tmp_path / "x.csv")
+        assert main(["--config", path, "angles", "--output", out]) \
+            == EXIT_CONFIG
+
+    def test_zero_gain_ratio_absent(self, tmp_path):
+        # nothing rises above the zeropoint, so eq1 is undefined, not a crash
+        path = write_config(tmp_path, **{"crystal.gain_per_mm": 0.0})
+        out = str(tmp_path / "r.csv")
+        assert main(["--config", path, "ratios", "--engine", "covariance",
+                     "--output", out]) == EXIT_OK
+        assert read_csv(out)[0]["eq1_ratio"] == ""
 
     def test_success_exit(self, tmp_path):
         out = str(tmp_path / "ang.csv")
@@ -306,3 +330,72 @@ class TestAtomicWrites:
             write_table(str(out), "csv", ("a", "b"), exploding_rows())
         assert not out.exists()
         assert [p for p in os.listdir(tmp_path) if p.endswith(".part")] == []
+
+
+with open(default_config_path()) as _fh:
+    SHIPPED = json.load(_fh)
+# every key of the shipped config, one level deep, plus two unknown ones
+KEY_PATHS = ([(key,) for key in SHIPPED] + [("extra",), ("crystal", "extra")]
+             + [(key, name) for key, section in SHIPPED.items()
+                if isinstance(section, dict) for name in section])
+ODD_VALUES = st.sampled_from([
+    None, True, 0, -1, 3, 0.5, -0.5, 2.5, 1e300, math.nan, math.inf,
+    10 ** 400, "x", "", [], [1.0], [[1.0, 2.0]], {}])
+MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(KEY_PATHS), ODD_VALUES),
+    st.tuples(st.just("scale"), st.sampled_from(KEY_PATHS),
+              st.floats(-3.0, 3.0)),
+    st.tuples(st.just("delete"), st.sampled_from(KEY_PATHS), st.none())),
+    min_size=1, max_size=3)
+
+
+def mutate(raw, mutations):
+    """Apply (op, key path, value) edits; edits under a non-dict are skipped."""
+    raw = copy.deepcopy(raw)
+    for op, path, value in mutations:
+        parent = raw if len(path) == 1 else raw.get(path[0])
+        if not isinstance(parent, dict):
+            continue
+        key = path[-1]
+        if op == "set":
+            parent[key] = value
+        elif op == "delete":
+            parent.pop(key, None)
+        elif isinstance(parent.get(key), (int, float)) \
+                and not isinstance(parent.get(key), bool):
+            old = parent[key]
+            parent[key] = (int(round(old * value)) if isinstance(old, int)
+                           else old * value)
+    return raw
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestExitCodeProperty:
+    """Any config or --omega maps to a documented exit code, never a
+    traceback."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(MUTATIONS, st.sampled_from(["angles", "ratios"]),
+           st.one_of(st.none(), st.floats()))
+    @example([("delete", ("engine",), None)], "ratios", math.nan)
+    def test_documented_exit_codes(self, fuzz_dir, mutations, command,
+                                   omega):
+        path = fuzz_dir / "cfg.json"
+        path.write_text(json.dumps(mutate(SHIPPED, mutations)))
+        argv = ["--config", str(path), command,
+                "--output", str(fuzz_dir / "out.csv")]
+        if command == "ratios":
+            argv += ["--engine", "covariance"]
+            if omega is not None:
+                argv.append(f"--omega={omega!r}")
+        try:
+            code = main(argv)
+        except SystemExit as e:   # argparse usage errors
+            code = e.code
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NO_SOLUTION,
+                        EXIT_STATISTICAL)
