@@ -10,13 +10,13 @@ from .coupling import (BogoliubovTransform, ThreeWaveSystem, apply,
                        convert_pair, integrate_three_wave,
                        perturbative_transform, propagate_covariance,
                        squeeze_pair)
-from .detection import ChannelRate, DetectorSpec, channel_rate, dark_rate_curve
+from .detection import ChannelRate, DetectorSpec, dark_rate_curve
 from .dispersion import (CrystalSpec, PhaseMatchSolution,
                          SellmeierCoefficients, match_down, match_up,
                          refractive_index, wavevector)
 from .rainbow import Couplings, RainbowPoint, RainbowTable, satellite_summary, sweep
 from .zpf import (GaussianState, Mode, VacuumEnsemble, mean_intensity,
-                  sample_vacuum, vacuum_state)
+                  sample_vacuum, sampled_state, vacuum_state)
 
 __version__ = "0.1.0"
 
@@ -24,10 +24,10 @@ __all__ = [
     "BogoliubovTransform", "ChannelRate", "Couplings", "CrystalSpec",
     "DetectorSpec", "GaussianState", "Mode", "PhaseMatchSolution",
     "RainbowPoint", "RainbowTable", "SellmeierCoefficients",
-    "ThreeWaveSystem", "VacuumEnsemble", "apply", "channel_rate",
-    "convert_pair", "dark_rate_curve", "integrate_three_wave", "match_down",
-    "match_up", "mean_intensity", "perturbative_transform",
-    "propagate_covariance", "refractive_index", "sample_vacuum",
+    "ThreeWaveSystem", "VacuumEnsemble", "apply", "convert_pair",
+    "dark_rate_curve", "integrate_three_wave", "match_down", "match_up",
+    "mean_intensity", "perturbative_transform", "propagate_covariance",
+    "refractive_index", "sample_vacuum", "sampled_state",
     "satellite_summary", "squeeze_pair", "sweep", "vacuum_state",
     "wavevector",
 ]

@@ -5,7 +5,8 @@ domain types (crystal, detector, couplings, sweep, ...); every physical
 constant, including the default crystal's Sellmeier data, lives there.
 All validation happens at load time with field-level diagnostics; an
 unknown key is an error, so a misspelt field never runs on its default,
-and so is a NaN, infinite or beyond-float-range number.
+and so is a NaN, infinite or beyond-float-range number, or a pair gain
+whose amplified vacuum over the crystal length would leave float range.
 
 Output files are written to a temporary name and atomically renamed, so
 a failed run never leaves a partial table behind.  CSV numbers carry 17
@@ -34,8 +35,8 @@ from .detection import (ChannelRate, DetectorSpec, dark_rate_curve,
 from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
                      NoSolutionError, StatisticalError, UndefinedRatioError,
                      ZpRainbowError)
-from .rainbow import (Couplings, POINT_FIELDS, mean_intensities, pdc_system,
-                      puc_system, satellite_summary, sweep)
+from .rainbow import (Couplings, POINT_FIELDS, channel_rates, mean_intensities,
+                      pdc_system, puc_system, satellite_summary, sweep)
 from .zpf import Mode, ORDINARY, sample_vacuum
 
 EXIT_OK = 0
@@ -202,6 +203,15 @@ def load_config(path: str | None = None) -> RunConfig:
                               default=0.0)),
         phi_up=float(_field(k, "couplings", "phi_up", (int, float),
                             default=0.0)))
+    # the pair gain amplifies the vacuum intensity like exp(2 g L); a
+    # quarter of the float exponent range keeps intensities, their
+    # products and sampled vacuum fluctuations finite
+    max_gain_length = math.log(sys.float_info.max) / 4
+    for name, g in (("crystal.gain_per_mm", crystal.gain_per_mm),
+                    ("couplings.g_down", couplings.g_down)):
+        if g is not None and g * crystal.length_mm > max_gain_length:
+            raise ConfigError(name, f"times crystal.length_mm must not "
+                                    f"exceed {max_gain_length:.6g}")
 
     r = _section(raw, "ratios", ("omega", "trials"), optional=True)
     ratios_omega = float(_field(r, "ratios", "omega", (int, float),
@@ -356,19 +366,15 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
     """
     nan = float("nan")
     system_a = pdc_system(config.crystal, omega, config.couplings)
+    systems = [system_a.pair_only()]
     try:
-        system_b = puc_system(config.crystal, omega, config.couplings)
-    except (NoSolutionError, BandError):
-        system_b = None
-    transforms = [cp.integrate_three_wave(system_a.pair_only())]
-    if system_b is not None:
-        transforms.append(cp.integrate_three_wave(system_b))
-    means = mean_intensities(transforms, config.engine, config.ratios_trials,
-                             config.seed, config.workers)
-    pair_rates = [ChannelRate.from_mean(system_a.modes[i], means[0][i])
-                  for i in range(2)]
+        systems.append(puc_system(config.crystal, omega, config.couplings))
+    except (NoSolutionError, DomainError):
+        pass
+    pair, *puc = channel_rates(systems, config.engine, config.ratios_trials,
+                               config.seed, config.workers)
     try:
-        eq1 = ratio_down(pair_rates[0], pair_rates[1])
+        eq1 = ratio_down(pair[0], pair[1])
     except UndefinedRatioError:
         eq1 = nan
 
@@ -385,19 +391,18 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
         "eq2_cosine_ratio": nan,
         "eq2_ratio": nan,
     }
-    if system_b is not None:
-        puc_rates = [ChannelRate.from_mean(system_b.modes[i], means[1][i])
-                     for i in range(3)]
+    if puc:
+        lower, _, upper = puc[0]
+        theta_upper = upper.mode.theta_external
         report.update(
-            lower_above_zeropoint=puc_rates[0].above_zeropoint,
-            upper_above_zeropoint=puc_rates[2].above_zeropoint,
-            upper_clamped_rate=puc_rates[2].photon_rate,
-            eq2_cosine_ratio=-(math.cos(system_b.modes[2].theta_external)
-                               / math.cos(system_b.modes[0].theta_external)))
+            lower_above_zeropoint=lower.above_zeropoint,
+            upper_above_zeropoint=upper.above_zeropoint,
+            upper_clamped_rate=upper.photon_rate,
+            eq2_cosine_ratio=-(math.cos(theta_upper)
+                               / math.cos(lower.mode.theta_external)))
         try:
-            report["eq2_ratio"] = ratio_up(
-                puc_rates[0], puc_rates[2].above_zeropoint,
-                system_b.modes[2].theta_external)
+            report["eq2_ratio"] = ratio_up(lower, upper.above_zeropoint,
+                                           theta_upper)
         except UndefinedRatioError:
             pass
     return report

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidArgumentError, StatisticalError,
                      UndefinedRatioError)
-from .zpf import GaussianState, Mode, VacuumEnsemble
+from .zpf import Mode, VacuumEnsemble
 
 ZEROPOINT = 0.5
 
@@ -68,25 +68,6 @@ class ChannelRate:
     def signed_rate(self) -> float:
         """Unclamped above-zeropoint flux, negative below the vacuum."""
         return self.above_zeropoint / math.cos(self.mode.theta_external)
-
-
-def channel_rate(source, mode: Mode, index: int | None = None) -> ChannelRate:
-    """Channel summary from a Monte Carlo ensemble or an exact state.
-
-    For a GaussianState the caller must say which mode index the Mode
-    labels; ensembles carry their own mode list.
-    """
-    if isinstance(source, VacuumEnsemble):
-        idx = source.index_of(mode) if index is None else index
-        mean = float(np.mean(source.intensities(idx)))
-    elif isinstance(source, GaussianState):
-        if index is None:
-            raise InvalidArgumentError(
-                "channel_rate from a GaussianState needs the mode index")
-        mean = source.mode_intensity(index)
-    else:
-        raise InvalidArgumentError(f"unsupported source {type(source).__name__}")
-    return ChannelRate.from_mean(mode, mean)
 
 
 def ratio_down(rate_low: ChannelRate, rate_high: ChannelRate) -> float:

@@ -17,10 +17,13 @@ conjugate_rate keep the full three-wave physics.
 
 Frequencies whose phase matching has no solution are marked absent (NaN
 fields), never extrapolated.  Both engines share the same geometry code
-and the same propagation: `covariance` propagates the exact vacuum state,
-`montecarlo` reduces a sampled vacuum (per-point seeds derived from the
-master seed) to its raw second moments and propagates those through the
-same transforms, which gives exactly the trial means of |T alpha|^2.
+(pdc_system, puc_system) and one path from the vacuum to the rates,
+channel_rates: `covariance` propagates the exact vacuum state
+(zpf.vacuum_state), `montecarlo` propagates the raw second moments of a
+sampled vacuum (zpf.sampled_state, per-point seeds derived from the master
+seed) through the same transforms, which gives the trial means of
+|T alpha|^2 up to rounding.  The CLI's ratios report goes through
+channel_rates too.
 """
 
 from __future__ import annotations
@@ -32,15 +35,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from concurrent.futures import ThreadPoolExecutor
-
 from . import coupling as cp
 from . import dispersion as dp
 from .detection import ChannelRate, DetectorSpec, ratio_down, ratio_up
 from .errors import (BandError, DomainError, InvalidArgumentError,
                      NoSolutionError, UndefinedRatioError)
-from .zpf import (GaussianState, block_amplitudes, trial_blocks,
-                  vacuum_state)
+from .zpf import sampled_state, vacuum_state
 
 ENGINES = ("covariance", "montecarlo")
 
@@ -126,6 +126,14 @@ def puc_system(crystal: dp.CrystalSpec, omega: float, couplings: Couplings,
                       force_dk_down_zero)
 
 
+def _matched(geometry, crystal, omega, couplings):
+    """geometry(crystal, omega, couplings), or None where it cannot match."""
+    try:
+        return geometry(crystal, omega, couplings)
+    except (NoSolutionError, DomainError):
+        return None
+
+
 def _system_at(crystal, omega, theta_in, couplings, force_dk_down_zero=False):
     """Assemble the (w, w0-w, w0+w) triple for an input at theta_in.
 
@@ -171,41 +179,13 @@ def mc_mean_intensities(transforms, trials: int, seed: int,
                         workers: int = 1) -> list[np.ndarray]:
     """Monte Carlo mean |alpha|^2 per mode for several transforms at once.
 
-    Each of the sampler's fixed trial blocks is reduced to one real
-    product x^T x of its (Re, Im)-interleaved amplitudes; the summed
-    products, reordered to xxpp and scaled, are the raw sample second
-    moments of the vacuum as a zero-mean GaussianState.  A transform's
-    means are then exactly the sample means of |T alpha|^2, read through
-    propagate_covariance as in the covariance engine, so the reduction
-    costs the same however many transforms share the vacuum.
-    Memory stays bounded and the result is bit-identical for any worker
-    count (partials are combined in block order).
+    The transforms act on one sampled vacuum, zpf.sampled_state: its raw
+    second moments are propagated exactly like the covariance engine's
+    vacuum state, which gives the trial means of |T alpha|^2, at a
+    reduction cost that does not grow with the number of transforms.
     """
-    if trials < 1:
-        raise InvalidArgumentError("trials must be >= 1")
-    n_modes = transforms[0].n_modes
-
-    def one_block(task):
-        b, start, stop = task
-        x = block_amplitudes(n_modes, seed, b, stop - start).view(np.float64)
-        return x.T @ x
-
-    blocks = trial_blocks(trials)
-    if workers == 1:
-        partials = [one_block(task) for task in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_block, blocks))
-
-    moments = np.zeros((2 * n_modes, 2 * n_modes))
-    for part in partials:
-        moments += part
-    # columns (Re a_1, Im a_1, ...) -> xxpp; x = sqrt(2) Re a, so the
-    # quadrature moments are twice the amplitude-part moments
-    xxpp = np.r_[0:2 * n_modes:2, 1:2 * n_modes:2]
-    state = GaussianState(np.zeros(2 * n_modes),
-                          moments[np.ix_(xxpp, xxpp)] * (2.0 / trials))
-    return _state_means(transforms, state)
+    return _state_means(transforms, sampled_state(transforms[0].n_modes,
+                                                  trials, seed, workers))
 
 
 def mean_intensities(transforms, engine: str, trials: int, seed: int,
@@ -221,16 +201,13 @@ def mean_intensities(transforms, engine: str, trials: int, seed: int,
     return mc_mean_intensities(transforms, trials, seed, workers)
 
 
-def _channel_rates(system, engine, trials, seed, workers=1):
-    """Rates of the (w, w0-w, w0+w) channels plus the pair-only pair rates."""
-    transforms = [cp.integrate_three_wave(system),
-                  cp.integrate_three_wave(system.pair_only())]
-    means_full, means_pair = mean_intensities(transforms, engine, trials,
-                                              seed, workers)
-    return ([ChannelRate.from_mean(m, v)
-             for m, v in zip(system.modes, means_full)],
-            [ChannelRate.from_mean(m, v)
-             for m, v in zip(system.modes[:2], means_pair)])
+def channel_rates(systems, engine: str, trials: int, seed: int,
+                  workers: int = 1) -> list[list[ChannelRate]]:
+    """Every mode's ChannelRate for each system, all systems on one vacuum."""
+    means = mean_intensities([cp.integrate_three_wave(s) for s in systems],
+                             engine, trials, seed, workers)
+    return [[ChannelRate.from_mean(m, v) for m, v in zip(s.modes, mean)]
+            for s, mean in zip(systems, means)]
 
 
 def sweep(omega_min: float, omega_max: float, steps: int,
@@ -258,47 +235,36 @@ def sweep(omega_min: float, omega_max: float, steps: int,
         crystal=crystal, detector=detector, engine=engine,
         trials=trials, seed=seed, couplings=couplings))
 
+    # without an up-conversion coupling there is no satellite process
+    satellites = couplings.resolve(crystal).g_up != 0.0
     points = []
     for i, omega in enumerate(np.linspace(omega_min, omega_max, steps)):
         omega = float(omega)
         nan = float("nan")
         theta_d = theta_u = main = conj = sat = upper = eq1 = eq2 = nan
-        try:
-            sol_d = dp.match_down(omega, crystal)
-            system_a = _system_at(crystal, omega, sol_d.theta_in_internal,
-                                  couplings)
-        except (NoSolutionError, DomainError):
-            system_a = None
+        system_a = _matched(pdc_system, crystal, omega, couplings)
+        system_b = (_matched(puc_system, crystal, omega, couplings)
+                    if system_a is not None and satellites else None)
         if system_a is not None:
-            theta_d = sol_d.theta_in_external
-            (r_w, r_s, _), (p_w, p_s) = _channel_rates(
-                system_a, engine, trials, _point_seed(seed, i, 0), workers)
+            theta_d = system_a.modes[0].theta_external
+            (r_w, r_s, _), (p_w, p_s, _) = channel_rates(
+                [system_a, system_a.pair_only()], engine, trials,
+                _point_seed(seed, i, 0), workers)
             main, conj = r_w.photon_rate, r_s.photon_rate
             try:
                 eq1 = ratio_down(p_w, p_s)
             except UndefinedRatioError:
                 pass
-            # without an up-conversion coupling there is no satellite process
-            if couplings.resolve(crystal).g_up == 0.0:
-                system_b = None
-            else:
-                try:
-                    sol_u = dp.match_up(omega, crystal)
-                    system_b = _system_at(crystal, omega,
-                                          sol_u.theta_in_internal, couplings)
-                except (NoSolutionError, DomainError):
-                    system_b = None
-            if system_b is not None:
-                theta_u = sol_u.theta_in_external
-                (q_w, _, q_u), _ = _channel_rates(
-                    system_b, engine, trials, _point_seed(seed, i, 1), workers)
-                sat = q_w.photon_rate
-                upper = q_u.above_zeropoint
-                try:
-                    eq2 = ratio_up(q_w, upper,
-                                   system_b.modes[2].theta_external)
-                except UndefinedRatioError:
-                    pass
+        if system_b is not None:
+            theta_u = system_b.modes[0].theta_external
+            [(q_w, _, q_u)] = channel_rates(
+                [system_b], engine, trials, _point_seed(seed, i, 1), workers)
+            sat = q_w.photon_rate
+            upper = q_u.above_zeropoint
+            try:
+                eq2 = ratio_up(q_w, upper, system_b.modes[2].theta_external)
+            except UndefinedRatioError:
+                pass
         points.append(RainbowPoint(
             omega=omega, theta_d_ext=theta_d, theta_u_ext=theta_u,
             main_rate=main, conjugate_rate=conj, satellite_rate=sat,

@@ -17,7 +17,10 @@ Monte Carlo sampling uses one counter-based Philox stream per
 (mode, trial-block) pair, every stream keyed from the master seed.  Trials
 are tiled into fixed blocks of 2**16, so the amplitude table depends only on
 (seed, mode list, n_trials) - never on scheduling, worker count, or the
-order in which blocks are filled.
+order in which blocks are filled.  One block pass serves both Monte Carlo
+products: sample_vacuum keeps the amplitude table, sampled_state reduces
+each block to its second moments and returns them as a GaussianState, the
+sampled twin of vacuum_state.
 """
 
 from __future__ import annotations
@@ -166,21 +169,39 @@ def block_amplitudes(n_modes: int, seed: int, block_index: int,
     monolithic sampling see identical numbers.
     """
     out = np.empty((length, n_modes), dtype=np.complex128)
+    parts = out.view(np.float64)
     for m in range(n_modes):
         bits = np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(m, block_index)))
         # interleaved draws keep each trial at a fixed stream position,
         # so a short final block is a prefix of the full block
-        z = np.random.Generator(bits).standard_normal((length, 2))
-        # Re/Im std 1/2 <=> quadrature variance 1/2
-        out[:, m] = 0.5 * (z[:, 0] + 1j * z[:, 1])
+        parts[:, 2 * m:2 * m + 2] = \
+            np.random.Generator(bits).standard_normal((length, 2))
+    # Re/Im std 1/2 <=> quadrature variance 1/2
+    parts *= 0.5
     return out
 
 
 def trial_blocks(n_trials: int):
     """The fixed block grid: (block_index, start, stop) triples."""
+    if n_trials < 1:
+        raise InvalidArgumentError("n_trials must be >= 1")
     return [(b, start, min(start + _BLOCK, n_trials))
             for b, start in enumerate(range(0, n_trials, _BLOCK))]
+
+
+def _block_map(fn, blocks, workers: int) -> list:
+    """fn(block_index, start, stop) for every block, results in block order.
+
+    `workers` threads share the blocks; since each block's numbers depend
+    only on its index, the results are identical for any worker count.
+    """
+    if workers < 1:
+        raise InvalidArgumentError("workers must be >= 1")
+    if workers == 1:
+        return [fn(*block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda block: fn(*block), blocks))
 
 
 def sample_vacuum(modes, n_trials: int, seed: int, workers: int = 1) -> VacuumEnsemble:
@@ -193,27 +214,41 @@ def sample_vacuum(modes, n_trials: int, seed: int, workers: int = 1) -> VacuumEn
     modes = tuple(modes)
     if not modes:
         raise InvalidArgumentError("mode list must be non-empty")
-    if n_trials < 1:
-        raise InvalidArgumentError("n_trials must be >= 1")
-    if workers < 1:
-        raise InvalidArgumentError("workers must be >= 1")
-
+    blocks = trial_blocks(n_trials)
     table = np.empty((n_trials, len(modes)), dtype=np.complex128)
 
-    def fill(task):
-        b, start, stop = task
+    def fill(b, start, stop):
         table[start:stop, :] = block_amplitudes(len(modes), seed, b, stop - start)
 
-    tasks = trial_blocks(n_trials)
-    if workers == 1:
-        for task in tasks:
-            fill(task)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(fill, tasks):
-                pass
-
+    _block_map(fill, blocks, workers)
     return VacuumEnsemble(modes, n_trials, seed, table)
+
+
+def sampled_state(n_modes: int, trials: int, seed: int,
+                  workers: int = 1) -> GaussianState:
+    """Monte Carlo twin of vacuum_state: the sampled vacuum's raw moments.
+
+    Draws the same amplitudes as sample_vacuum(modes, trials, seed) for
+    n_modes modes, but reduces each trial block to one real product x^T x
+    of its (Re, Im)-interleaved amplitudes and never holds the table.
+    The summed products, reordered to xxpp and scaled, form a zero-mean
+    GaussianState whose covariance is the raw sample second moment of the
+    quadratures, so propagate_covariance(t, state).mode_intensity(i) is
+    the trial mean of |(T alpha)_i|^2 up to rounding.  Partials are summed
+    in block order, so the state is bit-identical for any worker count.
+    """
+    def moments(b, start, stop):
+        x = block_amplitudes(n_modes, seed, b, stop - start).view(np.float64)
+        return x.T @ x
+
+    total = np.zeros((2 * n_modes, 2 * n_modes))
+    for part in _block_map(moments, trial_blocks(trials), workers):
+        total += part
+    # columns (Re a_1, Im a_1, ...) -> xxpp; x = sqrt(2) Re a, so the
+    # quadrature moments are twice the amplitude-part moments
+    xxpp = np.r_[0:2 * n_modes:2, 1:2 * n_modes:2]
+    return GaussianState(np.zeros(2 * n_modes),
+                         total[np.ix_(xxpp, xxpp)] * (2.0 / trials))
 
 
 def mean_intensity(ensemble: VacuumEnsemble, mode: Mode) -> float:

@@ -140,6 +140,44 @@ class TestExitCodes:
                      "--output", out]) == EXIT_OK
         assert read_csv(out)[0]["eq1_ratio"] == ""
 
+    def test_ratios_absent_where_sweep_is(self, tmp_path):
+        # with the window edge at 0.27 um the w0 + w wave of the upper band
+        # is absorbed: ratios must exit 3 exactly where the sweep point is
+        # absent and read its up-conversion fields absent where the
+        # satellite is
+        path = write_config(tmp_path, **{"crystal.window_um": [0.27, 1.02]})
+        table = str(tmp_path / "rb.csv")
+        assert main(["--config", path, "rainbow", "--engine", "covariance",
+                     "--output", table]) == EXIT_OK
+        rows = read_csv(table)
+        assert {bool(r["theta_d_ext"]) for r in rows} == {True, False}
+        for row in rows:
+            out = str(tmp_path / "r.csv")
+            code = main(["--config", path, "ratios", "--engine", "covariance",
+                         f"--omega={row['omega']}", "--output", out])
+            if not row["theta_d_ext"]:
+                assert code == EXIT_NO_SOLUTION
+                continue
+            assert code == EXIT_OK
+            report = read_csv(out)[0]
+            assert bool(report["upper_above_zeropoint"]) \
+                == bool(row["theta_u_ext"])
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("crystal.gain_per_mm", 2e4, "crystal.gain_per_mm"),
+        ("crystal.gain_per_mm", 1e300, "crystal.gain_per_mm"),
+        ("couplings", {"g_down": 1e300}, "couplings.g_down"),
+    ])
+    @pytest.mark.parametrize("forced", [
+        [], ["--theta-low-deg", "10", "--theta-high-deg", "12"]])
+    def test_gain_length_beyond_float_range_exit(self, tmp_path, capsys, key,
+                                                 value, field, forced):
+        path = write_config(tmp_path, **{key: value})
+        out = str(tmp_path / "r.csv")
+        assert main(["--config", path, "ratios", "--engine", "covariance",
+                     *forced, "--output", out]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_success_exit(self, tmp_path):
         out = str(tmp_path / "ang.csv")
         assert main(["angles", "--output", out]) == 0
@@ -380,19 +418,21 @@ class TestExitCodeProperty:
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)
-    @given(MUTATIONS, st.sampled_from(["angles", "ratios"]),
+    @given(MUTATIONS, st.sampled_from(["angles", "ratios", "forced"]),
            st.one_of(st.none(), st.floats()))
     @example([("delete", ("engine",), None)], "ratios", math.nan)
     def test_documented_exit_codes(self, fuzz_dir, mutations, command,
                                    omega):
         path = fuzz_dir / "cfg.json"
         path.write_text(json.dumps(mutate(SHIPPED, mutations)))
-        argv = ["--config", str(path), command,
+        argv = ["--config", str(path), command.replace("forced", "ratios"),
                 "--output", str(fuzz_dir / "out.csv")]
-        if command == "ratios":
+        if command != "angles":
             argv += ["--engine", "covariance"]
-            if omega is not None:
-                argv.append(f"--omega={omega!r}")
+        if command == "forced":
+            argv += ["--theta-low-deg", "10", "--theta-high-deg", "12"]
+        elif command == "ratios" and omega is not None:
+            argv.append(f"--omega={omega!r}")
         try:
             code = main(argv)
         except SystemExit as e:   # argparse usage errors

@@ -5,12 +5,11 @@ import pytest
 from scipy.special import gammaincc
 
 from zprainbow.coupling import propagate_covariance, squeeze_pair
-from zprainbow.detection import (ChannelRate, DetectorSpec, channel_rate,
-                                 dark_rate_curve, ratio_down, ratio_up,
-                                 threshold_counts)
+from zprainbow.detection import (ChannelRate, DetectorSpec, dark_rate_curve,
+                                 ratio_down, ratio_up, threshold_counts)
 from zprainbow.errors import (ConfigError, InvalidArgumentError,
                               NotFoundError, UndefinedRatioError)
-from zprainbow.zpf import Mode, sample_vacuum, vacuum_state
+from zprainbow.zpf import Mode, mean_intensity, sample_vacuum, vacuum_state
 
 PROBE = Mode(0.5, 0.0, 0.0, "ordinary", "input")
 
@@ -35,7 +34,7 @@ def gamma_tail(m, threshold):
 
 class TestChannelRate:
     def test_vacuum_state_is_dark(self):
-        rate = channel_rate(vacuum_state(1), PROBE, index=0)
+        rate = ChannelRate.from_mean(PROBE, vacuum_state(1).mode_intensity(0))
         assert rate.photon_rate == 0.0
         assert not rate.detected
         assert rate.above_zeropoint == 0.0
@@ -60,19 +59,15 @@ class TestChannelRate:
         from zprainbow.coupling import apply
         modes = (mode_at(4.0), mode_at(-6.0))
         ens = apply(t, sample_vacuum(modes, 10 ** 6, seed=5))
-        exact = channel_rate(state, modes[0], index=0)
-        sampled = channel_rate(ens, modes[0])
+        exact = ChannelRate.from_mean(modes[0], state.mode_intensity(0))
+        sampled = ChannelRate.from_mean(modes[0], mean_intensity(ens, modes[0]))
         sigma = exact.mean_intensity / 1000.0
         assert abs(sampled.mean_intensity - exact.mean_intensity) < 5 * sigma
 
     def test_unknown_mode(self):
         ens = sample_vacuum((PROBE,), 10, seed=0)
         with pytest.raises(NotFoundError):
-            channel_rate(ens, mode_at(3.0))
-
-    def test_state_needs_index(self):
-        with pytest.raises(InvalidArgumentError):
-            channel_rate(vacuum_state(1), PROBE)
+            mean_intensity(ens, mode_at(3.0))
 
 
 def channel_rate_from_mean(mean, theta_deg):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from zprainbow.cli import physical_ratio_report
 from zprainbow.errors import BandError, InvalidArgumentError
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
                                mc_mean_intensities, pdc_system, puc_system,
@@ -152,6 +154,21 @@ class TestMonteCarloReducer:
             amp = cp.apply(t, vacuum).amplitudes
             ref = np.mean(amp.real ** 2 + amp.imag ** 2, axis=0)
             assert np.max(np.abs(m - ref)) <= 1e-12
+
+
+class TestRatiosReport:
+    def test_sweep_and_report_agree(self, config, default_table):
+        # both read the same geometries through the same rates, so every
+        # shared column is exactly equal, absent (NaN) ones included
+        config = dataclasses.replace(config, engine="covariance")
+        for p in default_table.points:
+            if not p.has_main:
+                continue
+            report = physical_ratio_report(config, p.omega)
+            for name in ("eq1_ratio", "upper_above_zeropoint", "eq2_ratio"):
+                got, want = report[name], getattr(p, name)
+                assert got == want or (math.isnan(got) and math.isnan(want))
+        assert any(p.has_satellite for p in default_table.points)
 
 
 class TestSatelliteSummary:

@@ -5,8 +5,8 @@ import pytest
 
 from zprainbow.coupling import apply, squeeze_pair
 from zprainbow.errors import InvalidArgumentError, NotFoundError
-from zprainbow.zpf import (GaussianState, Mode, mean_intensity, sample_vacuum,
-                           vacuum_state)
+from zprainbow.zpf import (GaussianState, Mode, block_amplitudes,
+                           mean_intensity, sample_vacuum, vacuum_state)
 
 MODES = (Mode(0.5, 0.10, 0.06, "ordinary", "input"),
          Mode(0.5, -0.10, -0.06, "ordinary", "signal"))
@@ -95,6 +95,21 @@ class TestSampleVacuum:
         target = vacuum_state(2).covariance
         bound = 5 * 0.5 * math.sqrt(2.0 / 400_000)
         assert np.max(np.abs(sample_cov - target)) < bound
+
+
+class TestBlockAmplitudes:
+    @pytest.mark.parametrize("length", [1 << 16, 1234])
+    def test_vacuum_stream_contract(self, length):
+        # mode m of block b is 0.5 * (z0 + i z1) of its own Philox stream,
+        # bit for bit, in a full and in a short final block
+        seed, b = 17, 3
+        amp = block_amplitudes(3, seed, b, length)
+        for m in range(3):
+            z = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+                seed, spawn_key=(m, b)))).standard_normal((length, 2))
+            ref = 0.5 * (z[:, 0] + 1j * z[:, 1])
+            got = np.ascontiguousarray(amp[:, m])
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestMeanIntensity:
