@@ -10,7 +10,12 @@ whose amplified vacuum over the crystal length would leave float range.
 
 Output files are written to a temporary name and atomically renamed, so
 a failed run never leaves a partial table behind.  CSV numbers carry 17
-significant digits and round-trip exactly.
+significant digits and round-trip exactly.  Tables are written block by
+block (_BLOCK_ROWS rows), CSV and JSON alike, so memory stays bounded at
+any trial count.  A numeric table given as numpy columns (the `simulate`
+dump) formats each finite block with one %-operation on a repeated line
+template; the bytes are those of the per-cell rule (_fmt, or json.dump
+of the whole table).
 
 Exit codes: 0 success, 2 invalid configuration, 3 no phase-matching
 solution / empty band / a wavelength outside the transparency window,
@@ -27,6 +32,9 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import islice
+
+import numpy as np
 
 from . import coupling as cp
 from . import dispersion as dp
@@ -253,22 +261,73 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_BLOCK_ROWS = 8192
+# '%d' and '%.17g' write what _fmt writes for an int and a finite float
+_CELL_FORMATS = {"i": "%d", "f": "%.17g"}
+
+
+def _row_blocks(rows):
+    """Yield (template, block) per block of at most _BLOCK_ROWS rows.
+
+    A block is a sequence of rows.  For a column table it is a 2-D object
+    array of Python ints and floats (one array, not a list per row, keeps
+    the block's memory small), and template is the line format of one
+    row, or None when a cell is not finite; any other table yields lists
+    of rows and no template, so every cell goes through _fmt.
+    """
+    if not (isinstance(rows, tuple) and rows
+            and all(isinstance(c, np.ndarray) for c in rows)):
+        it = iter(rows)
+        while block := list(islice(it, _BLOCK_ROWS)):
+            yield None, block
+        return
+    columns = [c[:, None] if c.ndim == 1 else c for c in rows]
+    template = ",".join(_CELL_FORMATS[c.dtype.kind]
+                        for c in columns for _ in range(c.shape[1])) + "\n"
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        parts = [c[start:start + _BLOCK_ROWS] for c in columns]
+        finite = all(np.isfinite(p).all() for p in parts)
+        block = np.concatenate(parts, axis=1, dtype=object)
+        yield (template if finite else None), block
+
+
+def _write_json(fh, header, blocks) -> None:
+    """json.dump(rows as dicts, indent=2, sort_keys=True), one block at a
+    time; NaN cells become null."""
+    sep = "\n"
+    fh.write("[")
+    for _, block in blocks:
+        payload = [{k: (None if isinstance(v, float) and math.isnan(v)
+                        else v)
+                    for k, v in zip(header, row)} for row in block]
+        # strip the block's own "[\n" and "\n]"
+        fh.write(sep + json.dumps(payload, indent=2, sort_keys=True)[2:-2])
+        sep = ",\n"
+    fh.write("]\n" if sep == "\n" else "\n]\n")
+
+
 def write_table(path: str, fmt: str, header, rows) -> None:
-    """Serialize a table atomically (temp file + rename)."""
+    """Serialize a table atomically (temp file + rename).
+
+    `rows` is an iterable of rows, or a tuple of integer and float numpy
+    arrays holding the columns side by side (a 1-D array is one column, a
+    2-D array one column per array column).  Both give the same bytes.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             if fmt == "csv":
                 fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+                for template, block in _row_blocks(rows):
+                    if template is None:
+                        fh.writelines(",".join(_fmt(v) for v in row) + "\n"
+                                      for row in block)
+                    else:
+                        fh.write(template * len(block)
+                                 % tuple(block.ravel().tolist()))
             else:
-                payload = [{k: (None if isinstance(v, float) and math.isnan(v)
-                                else v)
-                            for k, v in zip(header, row)} for row in rows]
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                _write_json(fh, header, _row_blocks(rows))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -278,7 +337,6 @@ def write_table(path: str, fmt: str, header, rows) -> None:
 
 def cmd_angles(config: RunConfig, out_path: str, fmt: str) -> int:
     """Dispersion-only table of matching angles and solver residuals."""
-    import numpy as np
     lo, hi, steps = config.sweep_band
     header = ("omega", "theta_d_int", "theta_d_ext", "theta_u_int",
               "theta_u_ext", "residual_down", "residual_up")
@@ -445,11 +503,11 @@ def cmd_simulate(config: RunConfig, omega: float, out_path: str, fmt: str,
     if not raw_vacuum:
         ensemble = cp.apply(cp.integrate_three_wave(system), ensemble)
     header = ("trial", "w_re", "w_im", "s_re", "s_im", "u_re", "u_im")
-    amp = ensemble.amplitudes
-    rows = ([i, amp[i, 0].real, amp[i, 0].imag, amp[i, 1].real,
-             amp[i, 1].imag, amp[i, 2].real, amp[i, 2].imag]
-            for i in range(ensemble.n_trials))
-    write_table(out_path, fmt, header, rows)
+    # the float view of the (trials x 3) complex table is its re, im
+    # columns in header order, with no copy
+    write_table(out_path, fmt, header,
+                (np.arange(ensemble.n_trials),
+                 ensemble.amplitudes.view(np.float64)))
     print(f"simulate: {ensemble.n_trials} trials -> {out_path}")
     return EXIT_OK
 

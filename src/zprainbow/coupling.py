@@ -232,6 +232,13 @@ def integrate_three_wave(system: ThreeWaveSystem) -> BogoliubovTransform:
     # exponent's norm, hence the number of squarings, smallest
     rl = np.array([0.0, system.dk_down, -system.dk_up]) * system.length_um
     rl -= 0.5 * (rl.max() + rl.min())
+    # beyond 2**53 rad the frame phases e^{-i r L} keep no significant
+    # bit; a zero-gain crystal reaches this where no gain check can see it
+    phase = np.abs(rl).max()
+    if not phase <= 2.0 ** 53:
+        raise InvalidArgumentError(
+            f"crystal.length_mm: mismatch phase {phase:.3g} rad over the "
+            f"crystal exceeds 2**53 rad")
     a = np.array([[1j * rl[0], gd, -np.conj(gu)],
                   [np.conj(gd), 1j * rl[1], 0.0],
                   [gu, 0.0, 1j * rl[2]]])

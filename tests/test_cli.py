@@ -4,14 +4,19 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zprainbow.cli import (EXIT_CONFIG, EXIT_NO_SOLUTION, EXIT_OK,
-                           EXIT_STATISTICAL, default_config_path,
-                           forced_angle_report, load_config, main,
-                           physical_ratio_report)
+                           EXIT_STATISTICAL, _BLOCK_ROWS, _fmt,
+                           default_config_path, forced_angle_report,
+                           load_config, main, physical_ratio_report,
+                           write_table)
+from zprainbow.coupling import apply, integrate_three_wave
 from zprainbow.errors import ConfigError
+from zprainbow.rainbow import pdc_system
+from zprainbow.zpf import sample_vacuum
 
 
 def read_csv(path):
@@ -178,6 +183,20 @@ class TestExitCodes:
                      *forced, "--output", out]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length_mm",
+                             [1e30, 1e40, 1e60, 1e100, 1e200, 1e300])
+    def test_zero_gain_length_beyond_phase_range_exit(self, tmp_path, capsys,
+                                                      length_mm):
+        # gL = 0 passes the gain check, but the mismatch phase over the
+        # crystal has no significant bit left
+        path = write_config(tmp_path, **{"crystal.gain_per_mm": 0.0,
+                                         "crystal.length_mm": length_mm})
+        out = str(tmp_path / "r.csv")
+        assert main(["--config", path, "ratios", "--engine", "covariance",
+                     "--output", out]) == EXIT_CONFIG
+        assert "crystal.length_mm" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_success_exit(self, tmp_path):
         out = str(tmp_path / "ang.csv")
         assert main(["angles", "--output", out]) == 0
@@ -325,7 +344,70 @@ class TestDarkrateCommand:
                      "--output", out]) == EXIT_CONFIG
 
 
+SIMULATE_HEADER = ("trial", "w_re", "w_im", "s_re", "s_im", "u_re", "u_im")
+
+
+def simulate_reference_rows(config, raw_vacuum):
+    """The simulate table rebuilt one numpy scalar at a time."""
+    system = pdc_system(config.crystal, config.ratios_omega,
+                        config.couplings)
+    ensemble = sample_vacuum(system.modes, config.trials, config.seed)
+    if not raw_vacuum:
+        ensemble = apply(integrate_three_wave(system), ensemble)
+    amp = ensemble.amplitudes
+    return [[i, amp[i, 0].real, amp[i, 0].imag, amp[i, 1].real,
+             amp[i, 1].imag, amp[i, 2].real, amp[i, 2].imag]
+            for i in range(ensemble.n_trials)]
+
+
+def expected_table(fmt, header, rows):
+    """The per-cell CSV rule, or json.dump of the whole table."""
+    if fmt == "csv":
+        return "".join([",".join(header) + "\n"]
+                       + [",".join(_fmt(v) for v in row) + "\n"
+                          for row in rows])
+    return json.dumps([{k: (None if isinstance(v, float) and math.isnan(v)
+                            else v) for k, v in zip(header, row)}
+                       for row in rows], indent=2, sort_keys=True) + "\n"
+
+
+def assert_same_text(actual, expected):
+    """Equal texts; a mismatch names its first line, since a full diff of
+    megabyte texts takes minutes."""
+    if actual != expected:
+        pairs = zip(actual.splitlines(), expected.splitlines())
+        line = next((n for n, (a, e) in enumerate(pairs) if a != e), None)
+        pytest.fail(f"texts differ from line {line}"
+                    if line is not None else "texts differ in length")
+
+
 class TestSimulateCommand:
+    # more than one block, and not a whole number of blocks
+    TRIALS = 2 * _BLOCK_ROWS + 3
+
+    @pytest.mark.parametrize("raw", [[], ["--raw-vacuum"]])
+    def test_csv_bytes_match_per_cell_rule(self, tmp_path, raw):
+        path = write_config(tmp_path, trials=self.TRIALS)
+        out = tmp_path / "sim.csv"
+        assert main(["--config", path, "simulate", *raw,
+                     "--output", str(out)]) == EXIT_OK
+        rows = simulate_reference_rows(load_config(path), bool(raw))
+        assert_same_text(out.read_bytes().decode(),
+                         expected_table("csv", SIMULATE_HEADER, rows))
+
+    @pytest.mark.parametrize("raw", [[], ["--raw-vacuum"]])
+    def test_json_bytes_match_whole_dump(self, tmp_path, raw):
+        path = write_config(tmp_path, trials=self.TRIALS)
+        out = tmp_path / "sim.json"
+        assert main(["--config", path, "simulate", *raw, "--format", "json",
+                     "--output", str(out)]) == EXIT_OK
+        rows = simulate_reference_rows(load_config(path), bool(raw))
+        text = out.read_bytes().decode()
+        assert_same_text(text, expected_table("json", SIMULATE_HEADER, rows))
+        trials = [row["trial"] for row in json.loads(text)]
+        assert trials == list(range(self.TRIALS))
+        assert all(type(t) is int for t in trials)
+
     def test_dump(self, tmp_path):
         path = write_config(tmp_path, trials=500)
         out = str(tmp_path / "sim.csv")
@@ -355,19 +437,58 @@ class TestStatisticalExit:
                      "--output", out]) == EXIT_STATISTICAL
 
 
+class ExplodingColumn(np.ndarray):
+    """A column whose every block after the first fails to read."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and key.start:
+            raise RuntimeError("mid-write failure")
+        return super().__getitem__(key)
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("cell", [
+        -0.0, 5e-324, 1.7976931348623157e308, math.nan, 2 ** 63 - 1])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_match_per_cell_rule(self, tmp_path, cell, fmt):
+        # the cell sits in an int or a float column beside a regular one
+        rows = ([[cell, 0.25], [3, -1.5]] if isinstance(cell, int)
+                else [[7, cell], [3, -1.5]])
+        for name, table in (("rows", rows),
+                            ("columns", tuple(map(np.array, zip(*rows))))):
+            out = tmp_path / name
+            write_table(str(out), fmt, ("a", "b"), table)
+            assert out.read_bytes().decode() \
+                == expected_table(fmt, ("a", "b"), rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_tables(self, tmp_path, fmt):
+        for name, table in (("rows", []),
+                            ("columns", (np.zeros(0, int), np.zeros(0)))):
+            out = tmp_path / name
+            write_table(str(out), fmt, ("a", "b"), table)
+            assert out.read_bytes().decode() \
+                == expected_table(fmt, ("a", "b"), [])
+
+
 class TestAtomicWrites:
     def test_failure_leaves_no_file(self, tmp_path):
-        from zprainbow.cli import write_table
-
         def exploding_rows():
-            yield [1.0, 2.0]
+            yield [1.0, 2.0, 3.0]
             raise RuntimeError("mid-write failure")
 
+        def exploding_columns():
+            n = 2 * _BLOCK_ROWS
+            return (np.arange(n), np.zeros((n, 2)).view(ExplodingColumn))
+
         out = tmp_path / "table.csv"
-        with pytest.raises(RuntimeError):
-            write_table(str(out), "csv", ("a", "b"), exploding_rows())
-        assert not out.exists()
-        assert [p for p in os.listdir(tmp_path) if p.endswith(".part")] == []
+        for table in (exploding_rows, exploding_columns):
+            for fmt in ("csv", "json"):
+                with pytest.raises(RuntimeError):
+                    write_table(str(out), fmt, ("a", "b", "c"), table())
+                assert not out.exists()
+                assert [p for p in os.listdir(tmp_path)
+                        if p.endswith(".part")] == []
 
 
 with open(default_config_path()) as _fh:
