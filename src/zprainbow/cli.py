@@ -156,6 +156,10 @@ def load_config(path: str | None = None) -> RunConfig:
         )
     except InvalidArgumentError as e:
         raise ConfigError("crystal", str(e)) from None
+    if not math.isfinite(crystal.length_um):
+        raise ConfigError("crystal.length_mm",
+                          f"{crystal.length_mm:g} mm exceeds the float range "
+                          f"in micrometres")
 
     d = _section(raw, "detector", ("threshold", "window_samples", "efficiency"))
     try:

@@ -13,11 +13,16 @@ internal to the crystal and signed by their transverse direction.  External
 angles follow Snell's law at a flat exit face, sin(theta_ext) =
 n * sin(theta_int).  Walk-off is ignored throughout.
 
-Down conversion splits a pump photon's wavevector across a conjugate pair
-(the two transverse components have opposite signs, Fig. 2 geometry); up
-conversion adds the input to the pump (input and output on the same side).
-Both solvers run a bracketed 1-D search on the internal input angle and
-report the longitudinal wavevector residual in 1/um.
+An ordinary input at frequency omega and internal angle theta fixes both
+legs of its (omega, 1 - omega, 1 + omega) triple.  conjugate_leg gives the
+ordinary conjugate of down conversion, which splits a pump photon's
+wavevector across the pair (opposite transverse sides, Fig. 2 geometry);
+up_leg gives the extraordinary output of up conversion, which adds the
+input to the pump (same side).  Each balances the transverse momentum
+exactly and returns the output angle and the longitudinal mismatch in
+1/um, as arrays over theta.  match_down and match_up find the smallest
+input angle at which a leg's mismatch vanishes: one scan of the angle
+range brackets every sign change, and all brackets are refined together.
 """
 
 from __future__ import annotations
@@ -156,26 +161,27 @@ def refractive_index(wavelength_um: float, pol: str, spec: CrystalSpec) -> float
 
 
 def extraordinary_index(wavelength_um, psi, spec: CrystalSpec):
-    """Extraordinary index at angle psi from the optic axis."""
+    """Extraordinary index at angle psi (array) from the optic axis."""
     _check_window(wavelength_um, spec)
     no2 = spec.sellmeier_o.n_squared(wavelength_um)
     ne2 = spec.sellmeier_e.n_squared(wavelength_um)
     c, s = np.cos(psi), np.sin(psi)
-    n = 1.0 / np.sqrt(c * c / no2 + s * s / ne2)
-    return float(n) if np.isscalar(psi) or np.ndim(n) == 0 else n
+    return 1.0 / np.sqrt(c * c / no2 + s * s / ne2)
 
 
-def effective_index(omega: float, theta_internal: float, pol: str,
-                    spec: CrystalSpec) -> float:
-    """Index seen by a wave at internal angle theta from the pump axis."""
+def effective_index(omega: float, theta_internal, pol: str,
+                    spec: CrystalSpec):
+    """Index seen by a wave at internal angle theta (array) from the pump axis."""
     lam = wavelength_um(omega, spec)
     if pol == ORDINARY:
         return refractive_index(lam, ORDINARY, spec)
     return extraordinary_index(lam, spec.cut_angle_rad + theta_internal, spec)
 
 
-def pump_index(spec: CrystalSpec) -> float:
-    return effective_index(1.0, 0.0, spec.pump_polarization, spec)
+def _wavenumber(omega, theta_internal, pol, spec):
+    """|k| in 1/um of a wave at internal angle theta (array)."""
+    return (2.0 * math.pi * effective_index(omega, theta_internal, pol, spec)
+            / wavelength_um(omega, spec))
 
 
 def external_angle(theta_internal: float, n: float) -> float:
@@ -202,8 +208,7 @@ def pump_mode(spec: CrystalSpec) -> Mode:
 
 def wavevector(mode: Mode, spec: CrystalSpec) -> tuple[float, float]:
     """(k_transverse, k_longitudinal) in 1/um for one mode."""
-    n = effective_index(mode.omega, mode.theta_internal, mode.polarization, spec)
-    k = 2.0 * math.pi * n / wavelength_um(mode.omega, spec)
+    k = _wavenumber(mode.omega, mode.theta_internal, mode.polarization, spec)
     return k * math.sin(mode.theta_internal), k * math.cos(mode.theta_internal)
 
 
@@ -221,119 +226,112 @@ def mismatch(modes_in, modes_out, spec: CrystalSpec) -> tuple[float, float]:
     return dkt, dkz
 
 
-def _k_ordinary(omega, spec):
-    lam = wavelength_um(omega, spec)
-    return 2.0 * math.pi * refractive_index(lam, ORDINARY, spec) / lam
+def conjugate_leg(omega: float, theta, spec: CrystalSpec):
+    """The ordinary conjugate at 1 - omega of an input at internal angle theta.
 
-
-def _k_pump(spec):
-    return 2.0 * math.pi * pump_index(spec) / spec.pump_wavelength_um
-
-
-def _k_up(omega_up, theta, spec):
-    """|k| of the extraordinary up-converted wave at internal angle theta."""
-    lam = wavelength_um(omega_up, spec)
-    return 2.0 * math.pi * extraordinary_index(
-        lam, spec.cut_angle_rad + theta, spec) / lam
-
-
-def _up_output_angle(omega_up, k_trans, spec):
-    """Solve k_up(theta) sin(theta) = k_trans for the output angle.
-
-    The extraordinary index varies slowly with angle, so fixed-point
-    iteration on theta = asin(k_trans / k_up(theta)) converges fast.
-    Accepts scalar or array k_trans; NaN where the up-converted wave
-    cannot carry the requested transverse momentum.
+    Returns (theta_conj, dk_z), arrays shaped like theta: the conjugate's
+    angle, on the opposite side with the transverse momentum balanced, and
+    the longitudinal mismatch k_p - k_z(omega) - k_z(1 - omega) in 1/um.
+    Both are NaN where the conjugate cannot carry the transverse momentum.
     """
-    theta = np.zeros_like(np.asarray(k_trans, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    k_in = _wavenumber(omega, theta, ORDINARY, spec)
+    k_conj = _wavenumber(1.0 - omega, 0.0, ORDINARY, spec)  # angle-free index
+    with np.errstate(invalid="ignore"):
+        theta_conj = -np.arcsin(k_in * np.sin(theta) / k_conj)
+    return theta_conj, (_wavenumber(1.0, 0.0, spec.pump_polarization, spec)
+                        - k_in * np.cos(theta) - k_conj * np.cos(theta_conj))
+
+
+def up_leg(omega: float, theta, spec: CrystalSpec):
+    """The extraordinary up-converted wave at 1 + omega of an input at theta.
+
+    Returns (theta_up, dk_z), arrays shaped like theta: the output angle,
+    on the input's side with the transverse momentum balanced, and the
+    longitudinal mismatch k_p + k_z(omega) - k_z(1 + omega) in 1/um.  Both
+    are NaN where the up-converted wave cannot carry the transverse
+    momentum.
+    """
+    theta = np.asarray(theta, dtype=float)
+    k_in = _wavenumber(omega, theta, ORDINARY, spec)
+    kt = k_in * np.sin(theta)
+    # the extraordinary index varies slowly with angle, so the fixed point
+    # theta_up = asin(kt / k_up(theta_up)) converges in a few steps
+    theta_up = np.zeros_like(kt)
     with np.errstate(invalid="ignore"):
         for _ in range(80):
-            k = _k_up(omega_up, np.where(np.isnan(theta), 0.0, theta), spec)
-            new = np.arcsin(np.asarray(k_trans) / k)
-            if np.allclose(new, theta, rtol=0.0, atol=1e-15, equal_nan=True):
-                theta = new
+            k_up = _wavenumber(1.0 + omega,
+                               np.where(np.isnan(theta_up), 0.0, theta_up),
+                               EXTRAORDINARY, spec)
+            new = np.arcsin(kt / k_up)
+            converged = np.allclose(new, theta_up, rtol=0.0, atol=1e-15,
+                                    equal_nan=True)
+            theta_up = new
+            if converged:
                 break
-            theta = new
-    return float(theta) if np.ndim(theta) == 0 else theta
+    k_up = _wavenumber(1.0 + omega, theta_up, EXTRAORDINARY, spec)
+    return theta_up, (_wavenumber(1.0, 0.0, spec.pump_polarization, spec)
+                      + k_in * np.cos(theta) - k_up * np.cos(theta_up))
 
 
-def _delta_kz_down(theta, omega, spec):
-    """Longitudinal mismatch k_p - k(omega) - k(1-omega) at input angle theta.
+def _roots(fn, theta_max):
+    """Every sign-change root of fn on [0, theta_max), in ascending order.
 
-    NaN where the conjugate cannot balance the transverse momentum.
-    Accepts scalar or array theta.
-    """
-    k_f = _k_ordinary(omega, spec)
-    k_s = _k_ordinary(1.0 - omega, spec)
-    kt = k_f * np.sin(theta)
-    with np.errstate(invalid="ignore"):
-        out = (_k_pump(spec) - k_f * np.cos(theta)
-               - np.sqrt(k_s * k_s - kt * kt))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _delta_kz_up(theta, omega, spec):
-    """Longitudinal mismatch k_p + k(omega) - k(1+omega) at input angle theta.
-
-    NaN where the up-converted wave cannot balance the transverse momentum.
-    """
-    k_f = _k_ordinary(omega, spec)
-    kt = k_f * np.sin(theta)
-    theta_out = _up_output_angle(1.0 + omega, kt, spec)
-    safe = np.where(np.isnan(theta_out), 0.0, theta_out)
-    k_u = _k_up(1.0 + omega, safe, spec)
-    out = np.where(np.isnan(theta_out), np.nan,
-                   _k_pump(spec) + k_f * np.cos(theta) - k_u * np.cos(theta_out))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _bracketed_root(fn, lo, hi, f_lo, f_hi):
-    """Secant refinement safeguarded by bisection inside [lo, hi]."""
-    for _ in range(_MAX_ITER):
-        if hi - lo < _ANGLE_TOL:
-            break
-        if f_hi != f_lo:
-            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
-        else:
-            x = 0.5 * (lo + hi)
-        fx = fn(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, fx
-        else:
-            hi, f_hi = x, fx
-    return 0.5 * (lo + hi)
-
-
-def _scan_roots(fn, theta_max):
-    """All sign-change roots of fn on [0, theta_max), sorted by |theta|.
-
-    A collinear tangency (dispersionless media) counts as a root at zero.
+    fn maps an array of angles to values, NaN where undefined.  Each sign
+    change on a _SCAN_POINTS grid brackets a root, and all brackets are
+    refined together by a secant step safeguarded by bisection.  A
+    collinear tangency (dispersionless media) counts as a root at zero.
     """
     grid = np.linspace(0.0, theta_max, _SCAN_POINTS)
-    vals = np.asarray(fn(grid))
-    roots = []
+    vals = fn(grid)
+    i = np.flatnonzero(~np.isnan(vals[:-1]) & ~np.isnan(vals[1:])
+                       & ((vals[:-1] < 0.0) != (vals[1:] < 0.0)))
+    lo, hi, f_lo, f_hi = grid[i], grid[i + 1], vals[i], vals[i + 1]
+    exact = np.full(len(i), np.nan)     # brackets whose secant hit f == 0
+    for _ in range(_MAX_ITER):
+        j = np.flatnonzero(np.isnan(exact) & (hi - lo >= _ANGLE_TOL))
+        if not len(j):
+            break
+        a, b, fa, fb = lo[j], hi[j], f_lo[j], f_hi[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = b - fb * (b - a) / (fb - fa)
+        x = np.where((fb != fa) & (a < x) & (x < b), x, 0.5 * (a + b))
+        fx = fn(x)
+        exact[j] = np.where(fx == 0.0, x, np.nan)
+        low = (fx < 0.0) == (fa < 0.0)
+        lo[j], f_lo[j] = np.where(low, x, a), np.where(low, fx, fa)
+        hi[j], f_hi[j] = np.where(low, b, x), np.where(low, fb, fx)
+    roots = np.where(np.isnan(exact), 0.5 * (lo + hi), exact)
     if abs(vals[0]) < 1e-12:
-        roots.append(0.0)
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if math.isnan(a) or math.isnan(b):
-            continue
-        if (a < 0.0) != (b < 0.0):
-            roots.append(_bracketed_root(fn, grid[i], grid[i + 1], a, b))
-    return sorted(roots)
+        roots = np.append(roots, 0.0)
+    return np.sort(roots)
 
 
-def _max_input_angle(omega, spec):
-    """Largest internal input angle that still refracts out of the crystal."""
-    n = refractive_index(wavelength_um(omega, spec), ORDINARY, spec)
-    return 0.999 * math.asin(min(1.0, 1.0 / n))
+def _match(process, leg, omega, omega_out, pol_out,
+           spec) -> PhaseMatchSolution:
+    """The smallest input angle at which leg's dk_z vanishes; the leg's
+    output wave has frequency omega_out and polarization pol_out."""
+    n_in = effective_index(omega, 0.0, ORDINARY, spec)
+    # up to the largest input angle that still refracts out of the crystal
+    roots = _roots(lambda t: leg(omega, t, spec)[1],
+                   0.999 * math.asin(min(1.0, 1.0 / n_in)))
+    if not len(roots):
+        raise NoSolutionError(
+            f"no {process}-conversion phase match at omega={omega:g}")
+    theta_in = float(roots[0])
+    theta_out, residual = (float(x) for x in leg(omega, theta_in, spec))
+    return PhaseMatchSolution(
+        branch=process,
+        theta_in_internal=theta_in,
+        theta_in_external=external_angle(theta_in, n_in),
+        theta_out_internal=theta_out,
+        theta_out_external=external_angle(
+            theta_out, effective_index(omega_out, theta_out, pol_out, spec)),
+        residual_dk=residual,
+    )
 
 
-def match_down(omega: float, spec: CrystalSpec, branch: int = 0) -> PhaseMatchSolution:
+def match_down(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
     """Phase-match parametric down conversion at frequency omega.
 
     Finds the input angle theta such that the pump wavevector equals the
@@ -342,30 +340,10 @@ def match_down(omega: float, spec: CrystalSpec, branch: int = 0) -> PhaseMatchSo
     """
     if not 0.0 < omega < 1.0:
         raise InvalidArgumentError("down conversion needs 0 < omega < 1")
-    fn = lambda t: _delta_kz_down(t, omega, spec)
-    roots = _scan_roots(fn, _max_input_angle(omega, spec))
-    if branch >= len(roots):
-        raise NoSolutionError(
-            f"no down-conversion phase match at omega={omega:g} "
-            f"(branch {branch}, {len(roots)} found)")
-    theta_in = roots[branch]
-    k_f = _k_ordinary(omega, spec)
-    k_s = _k_ordinary(1.0 - omega, spec)
-    # conjugate on the opposite side, transverse balance exact
-    theta_out = -math.asin(k_f * math.sin(theta_in) / k_s)
-    n_in = refractive_index(wavelength_um(omega, spec), ORDINARY, spec)
-    n_out = refractive_index(wavelength_um(1.0 - omega, spec), ORDINARY, spec)
-    return PhaseMatchSolution(
-        branch="down",
-        theta_in_internal=theta_in,
-        theta_in_external=external_angle(theta_in, n_in),
-        theta_out_internal=theta_out,
-        theta_out_external=external_angle(theta_out, n_out),
-        residual_dk=fn(theta_in),
-    )
+    return _match("down", conjugate_leg, omega, 1.0 - omega, ORDINARY, spec)
 
 
-def match_up(omega: float, spec: CrystalSpec, branch: int = 0) -> PhaseMatchSolution:
+def match_up(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
     """Phase-match parametric up conversion at frequency omega.
 
     Finds the input angle such that pump plus input match the extraordinary
@@ -373,25 +351,4 @@ def match_up(omega: float, spec: CrystalSpec, branch: int = 0) -> PhaseMatchSolu
     """
     if omega <= 0.0:
         raise InvalidArgumentError("up conversion needs omega > 0")
-    _check_window(wavelength_um(1.0 + omega, spec), spec)
-    fn = lambda t: _delta_kz_up(t, omega, spec)
-    roots = _scan_roots(fn, _max_input_angle(omega, spec))
-    if branch >= len(roots):
-        raise NoSolutionError(
-            f"no up-conversion phase match at omega={omega:g} "
-            f"(branch {branch}, {len(roots)} found)")
-    theta_in = roots[branch]
-    k_f = _k_ordinary(omega, spec)
-    theta_out = _up_output_angle(1.0 + omega, k_f * math.sin(theta_in), spec)
-    n_in = refractive_index(wavelength_um(omega, spec), ORDINARY, spec)
-    n_out = extraordinary_index(wavelength_um(1.0 + omega, spec),
-                                spec.cut_angle_rad + theta_out, spec)
-    return PhaseMatchSolution(
-        branch="up",
-        theta_in_internal=theta_in,
-        theta_in_external=external_angle(theta_in, n_in),
-        theta_out_internal=theta_out,
-        theta_out_external=external_angle(theta_out, n_out),
-        residual_dk=fn(theta_in),
-    )
-
+    return _match("up", up_leg, omega, 1.0 + omega, EXTRAORDINARY, spec)

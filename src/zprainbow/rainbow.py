@@ -110,20 +110,18 @@ def _point_seed(seed: int, index: int, slot: int) -> int:
         seed, spawn_key=(index, slot)).generate_state(1, np.uint64)[0])
 
 
-def pdc_system(crystal: dp.CrystalSpec, omega: float, couplings: Couplings,
-               force_dk_down_zero: bool = False) -> cp.ThreeWaveSystem:
+def pdc_system(crystal: dp.CrystalSpec, omega: float,
+               couplings: Couplings) -> cp.ThreeWaveSystem:
     """Three-wave system at the down-conversion-matched geometry."""
     sol = dp.match_down(omega, crystal)
-    return _system_at(crystal, omega, sol.theta_in_internal, couplings,
-                      force_dk_down_zero)
+    return _system_at(crystal, omega, sol.theta_in_internal, couplings)
 
 
-def puc_system(crystal: dp.CrystalSpec, omega: float, couplings: Couplings,
-               force_dk_down_zero: bool = False) -> cp.ThreeWaveSystem:
+def puc_system(crystal: dp.CrystalSpec, omega: float,
+               couplings: Couplings) -> cp.ThreeWaveSystem:
     """Three-wave system at the up-conversion-matched geometry."""
     sol = dp.match_up(omega, crystal)
-    return _system_at(crystal, omega, sol.theta_in_internal, couplings,
-                      force_dk_down_zero)
+    return _system_at(crystal, omega, sol.theta_in_internal, couplings)
 
 
 def _matched(geometry, crystal, omega, couplings):
@@ -134,7 +132,7 @@ def _matched(geometry, crystal, omega, couplings):
         return None
 
 
-def _system_at(crystal, omega, theta_in, couplings, force_dk_down_zero=False):
+def _system_at(crystal, omega, theta_in, couplings):
     """Assemble the (w, w0-w, w0+w) triple for an input at theta_in.
 
     The conjugate and up-converted directions balance the input's
@@ -142,30 +140,22 @@ def _system_at(crystal, omega, theta_in, couplings, force_dk_down_zero=False):
     the geometry leaves over.
     """
     c = couplings.resolve(crystal)
-    pump = dp.pump_mode(crystal)
-    m_in = dp.make_mode(crystal, omega, theta_in, dp.ORDINARY, "input")
-    kt, _ = dp.wavevector(m_in, crystal)
-
-    k_s = dp._k_ordinary(1.0 - omega, crystal)
-    if abs(kt) > k_s:
-        raise NoSolutionError("conjugate cannot balance transverse momentum")
-    m_conj = dp.make_mode(crystal, 1.0 - omega, -math.asin(kt / k_s),
-                          dp.ORDINARY, "signal")
-    _, dk_down = dp.mismatch([pump], [m_in, m_conj], crystal)
-
-    theta_up = dp._up_output_angle(1.0 + omega, kt, crystal)
-    if math.isnan(theta_up):
-        raise NoSolutionError("up-converted wave cannot balance "
-                              "transverse momentum")
-    m_up = dp.make_mode(crystal, 1.0 + omega, theta_up,
-                        dp.EXTRAORDINARY, "signal")
-    _, dk_up = dp.mismatch([pump, m_in], [m_up], crystal)
-
+    theta_conj, dk_down = dp.conjugate_leg(omega, theta_in, crystal)
+    theta_up, dk_up = dp.up_leg(omega, theta_in, crystal)
+    if math.isnan(theta_conj) or math.isnan(theta_up):
+        raise NoSolutionError("the conjugate or the up-converted wave "
+                              "cannot balance the transverse momentum")
+    modes = (
+        dp.make_mode(crystal, omega, theta_in, dp.ORDINARY, "input"),
+        dp.make_mode(crystal, 1.0 - omega, float(theta_conj), dp.ORDINARY,
+                     "signal"),
+        dp.make_mode(crystal, 1.0 + omega, float(theta_up), dp.EXTRAORDINARY,
+                     "signal"))
     return cp.ThreeWaveSystem(
         g_down=c.g_down, g_up=c.g_up,
         phi_down=c.phi_down, phi_up=c.phi_up,
-        dk_down=0.0 if force_dk_down_zero else dk_down, dk_up=dk_up,
-        length_mm=crystal.length_mm, modes=(m_in, m_conj, m_up))
+        dk_down=float(dk_down), dk_up=float(dk_up),
+        length_mm=crystal.length_mm, modes=modes)
 
 
 def _state_means(transforms, state) -> list[np.ndarray]:

@@ -183,7 +183,7 @@ def test_criterion_7_satellite_intensity(default_sweep, crystal, couplings):
     assert 0.01 <= mean_ratio <= 0.10
 
     natural = puc_system(crystal, 0.54, couplings)
-    forced = puc_system(crystal, 0.54, couplings, force_dk_down_zero=True)
+    forced = replace(natural, dk_down=0.0)
     main = math.sinh(crystal.gain_per_mm * crystal.length_mm) ** 2
     sat_nat = cp.propagate_covariance(
         cp.integrate_three_wave(natural), vacuum_state(3)).mode_intensity(0) - 0.5

@@ -184,7 +184,7 @@ class TestExitCodes:
         assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("length_mm",
-                             [1e30, 1e40, 1e60, 1e100, 1e200, 1e300])
+                             [1e30, 1e40, 1e60, 1e100, 1e200, 1e300, 1e308])
     def test_zero_gain_length_beyond_phase_range_exit(self, tmp_path, capsys,
                                                       length_mm):
         # gL = 0 passes the gain check, but the mismatch phase over the

@@ -1,15 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zprainbow.dispersion import (CrystalSpec, SellmeierCoefficients,
-                                  external_angle, make_mode, match_down,
-                                  match_up, mismatch, pump_mode,
-                                  refractive_index, wavevector)
+from zprainbow.dispersion import (CrystalSpec, SellmeierCoefficients, _roots,
+                                  conjugate_leg, effective_index,
+                                  external_angle, extraordinary_index,
+                                  make_mode, match_down, match_up, mismatch,
+                                  pump_mode, refractive_index, up_leg,
+                                  wavelength_um, wavevector)
 from zprainbow.errors import (DomainError, InvalidArgumentError,
                               NoSolutionError)
-from zprainbow.zpf import ORDINARY
+from zprainbow.zpf import EXTRAORDINARY, ORDINARY, Mode
 
 
 def flat_crystal():
@@ -220,3 +224,153 @@ class TestContinuity:
         jumps = np.abs(np.diff(thetas))
         slope = np.median(jumps)
         assert np.max(jumps) < 10.0 * max(slope, 1e-9)
+
+
+# The scalar phase-matching solver that the array root scan replaced, kept
+# as its oracle: the grid scan, then one bracket at a time refined with one
+# angle per call.
+
+_SCAN_POINTS = 600
+_ANGLE_TOL = 1e-12
+_MAX_ITER = 200
+
+
+def _k_ordinary(omega, spec):
+    lam = wavelength_um(omega, spec)
+    return 2.0 * math.pi * refractive_index(lam, ORDINARY, spec) / lam
+
+
+def _k_pump(spec):
+    return (2.0 * math.pi * effective_index(1.0, 0.0, spec.pump_polarization,
+                                            spec) / spec.pump_wavelength_um)
+
+
+def _k_up(omega_up, theta, spec):
+    lam = wavelength_um(omega_up, spec)
+    return 2.0 * math.pi * extraordinary_index(
+        lam, spec.cut_angle_rad + theta, spec) / lam
+
+
+def _up_output_angle(omega_up, k_trans, spec):
+    theta = np.zeros_like(np.asarray(k_trans, dtype=float))
+    with np.errstate(invalid="ignore"):
+        for _ in range(80):
+            k = _k_up(omega_up, np.where(np.isnan(theta), 0.0, theta), spec)
+            new = np.arcsin(np.asarray(k_trans) / k)
+            if np.allclose(new, theta, rtol=0.0, atol=1e-15, equal_nan=True):
+                theta = new
+                break
+            theta = new
+    return float(theta) if np.ndim(theta) == 0 else theta
+
+
+def _delta_kz_down(theta, omega, spec):
+    k_f = _k_ordinary(omega, spec)
+    k_s = _k_ordinary(1.0 - omega, spec)
+    kt = k_f * np.sin(theta)
+    with np.errstate(invalid="ignore"):
+        out = (_k_pump(spec) - k_f * np.cos(theta)
+               - np.sqrt(k_s * k_s - kt * kt))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _delta_kz_up(theta, omega, spec):
+    k_f = _k_ordinary(omega, spec)
+    kt = k_f * np.sin(theta)
+    theta_out = _up_output_angle(1.0 + omega, kt, spec)
+    safe = np.where(np.isnan(theta_out), 0.0, theta_out)
+    k_u = _k_up(1.0 + omega, safe, spec)
+    out = np.where(np.isnan(theta_out), np.nan,
+                   _k_pump(spec) + k_f * np.cos(theta) - k_u * np.cos(theta_out))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _bracketed_root(fn, lo, hi, f_lo, f_hi):
+    for _ in range(_MAX_ITER):
+        if hi - lo < _ANGLE_TOL:
+            break
+        if f_hi != f_lo:
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+        else:
+            x = 0.5 * (lo + hi)
+        fx = fn(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo, f_lo = x, fx
+        else:
+            hi, f_hi = x, fx
+    return 0.5 * (lo + hi)
+
+
+def _scan_roots(fn, theta_max):
+    grid = np.linspace(0.0, theta_max, _SCAN_POINTS)
+    vals = np.asarray(fn(grid))
+    roots = []
+    if abs(vals[0]) < 1e-12:
+        roots.append(0.0)
+    for i in range(len(grid) - 1):
+        a, b = vals[i], vals[i + 1]
+        if math.isnan(a) or math.isnan(b):
+            continue
+        if (a < 0.0) != (b < 0.0):
+            roots.append(_bracketed_root(fn, grid[i], grid[i + 1], a, b))
+    return sorted(roots)
+
+
+def _max_input_angle(omega, spec):
+    n = refractive_index(wavelength_um(omega, spec), ORDINARY, spec)
+    return 0.999 * math.asin(min(1.0, 1.0 / n))
+
+
+# (solver, leg, oracle mismatch, output frequency, output polarization,
+# incoming and outgoing modes from (pump, input, output))
+PROCESSES = {
+    "down": (match_down, conjugate_leg, _delta_kz_down, lambda w: 1.0 - w,
+             ORDINARY, lambda p, i, o: ([p], [i, o])),
+    "up": (match_up, up_leg, _delta_kz_up, lambda w: 1.0 + w,
+           EXTRAORDINARY, lambda p, i, o: ([p, i], [o])),
+}
+
+
+class TestGeometryProperties:
+    """The array root scan against the scalar oracle, across cut angle,
+    pump wavelength and frequency."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(cut_deg=st.floats(6.0, 14.0), pump_nm=st.floats(380.0, 420.0),
+           omega=st.floats(0.40, 0.62), process=st.sampled_from(["down", "up"]))
+    def test_roots_agree_with_scalar_oracle(self, crystal, cut_deg, pump_nm,
+                                            omega, process):
+        spec = replace(crystal, cut_angle_deg=cut_deg,
+                       pump_wavelength_nm=pump_nm)
+        match, leg, oracle, omega_out, pol_out, sides = PROCESSES[process]
+        try:
+            theta_max = _max_input_angle(omega, spec)
+            want = _scan_roots(lambda t: oracle(t, omega, spec), theta_max)
+        except DomainError:
+            with pytest.raises(DomainError):
+                match(omega, spec)
+            return
+        got = _roots(lambda t: leg(omega, t, spec)[1], theta_max)
+        assert len(got) == len(want)
+        assert np.all(np.abs(got - np.array(want)) <= 1e-11)
+        if not len(got):
+            with pytest.raises(NoSolutionError):
+                match(omega, spec)
+            return
+        sol = match(omega, spec)
+        assert sol.theta_in_internal == got[0]
+        assert abs(sol.residual_dk) < 1e-9
+        for theta in got:
+            theta_out, dk = leg(omega, theta, spec)
+            assert abs(dk) < 1e-9
+            m_in = Mode(omega, 0.0, float(theta), ORDINARY, "input")
+            m_out = Mode(omega_out(omega), 0.0, float(theta_out), pol_out,
+                         "signal")
+            dkt, dkz = mismatch(*sides(pump_mode(spec), m_in, m_out), spec)
+            assert abs(dkt) < 1e-9
+            assert abs(dkz) < 1e-9

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from zprainbow.cli import physical_ratio_report
-from zprainbow.errors import BandError, InvalidArgumentError
+from zprainbow.dispersion import mismatch, pump_mode
+from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
+                              NoSolutionError)
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
                                mc_mean_intensities, pdc_system, puc_system,
                                satellite_summary, sweep)
@@ -188,7 +190,7 @@ class TestSatelliteSummary:
         # satellite channel must recover the full pair gain
         from zprainbow.zpf import vacuum_state
         natural = puc_system(crystal, 0.54, couplings)
-        forced = puc_system(crystal, 0.54, couplings, force_dk_down_zero=True)
+        forced = dataclasses.replace(natural, dk_down=0.0)
         sat_nat = cp.propagate_covariance(
             cp.integrate_three_wave(natural),
             vacuum_state(3)).mode_intensity(0) - 0.5
@@ -217,6 +219,27 @@ class TestThreeWaveGeometry:
         b = puc_system(crystal, 0.54, couplings)
         assert abs(b.dk_up) < 1e-9
         assert abs(b.dk_down) > 1e-2
+
+    @pytest.mark.parametrize("geometry", [pdc_system, puc_system])
+    def test_legs_match_per_mode_mismatch(self, crystal, couplings, geometry):
+        # the legs' mismatches against the wavevector sums of the system's
+        # own modes, at every matched point of the shipped band
+        pump = pump_mode(crystal)
+        built = 0
+        for omega in np.linspace(0.44, 0.58, 15):
+            try:
+                system = geometry(crystal, float(omega), couplings)
+            except (NoSolutionError, DomainError):
+                continue
+            m_in, m_conj, m_up = system.modes
+            dkt, dkz = mismatch([pump], [m_in, m_conj], crystal)
+            assert abs(dkt) < 1e-12
+            assert abs(system.dk_down - dkz) <= 1e-12
+            dkt, dkz = mismatch([pump, m_in], [m_up], crystal)
+            assert abs(dkt) < 1e-12
+            assert abs(system.dk_up - dkz) <= 1e-12
+            built += 1
+        assert built >= 4
 
     def test_sweep_angles_match_solver(self, crystal, default_table):
         from zprainbow.dispersion import match_down
