@@ -41,8 +41,7 @@ from . import dispersion as dp
 from .detection import (ChannelRate, DetectorSpec, dark_rate_curve,
                         ratio_down, ratio_up)
 from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
-                     NoSolutionError, StatisticalError, UndefinedRatioError,
-                     ZpRainbowError)
+                     NoSolutionError, StatisticalError, UndefinedRatioError)
 from .rainbow import (Couplings, POINT_FIELDS, channel_rates, mean_intensities,
                       pdc_system, puc_system, satellite_summary, sweep)
 from .zpf import Mode, ORDINARY, sample_vacuum
@@ -344,23 +343,19 @@ def cmd_angles(config: RunConfig, out_path: str, fmt: str) -> int:
     lo, hi, steps = config.sweep_band
     header = ("omega", "theta_d_int", "theta_d_ext", "theta_u_int",
               "theta_u_ext", "residual_down", "residual_up")
+    omegas = np.linspace(lo, hi, steps)
     rows, n_down = [], 0
-    for omega in np.linspace(lo, hi, steps):
-        omega = float(omega)
+    for omega, down, up in zip(omegas.tolist(),
+                               dp.match_band("down", omegas, config.crystal),
+                               dp.match_band("up", omegas, config.crystal)):
         row = [omega] + [float("nan")] * 6
-        try:
-            sol = dp.match_down(omega, config.crystal)
-            row[1:3] = [sol.theta_in_internal, sol.theta_in_external]
-            row[5] = sol.residual_dk
+        if isinstance(down, dp.PhaseMatchSolution):
+            row[1:3] = [down.theta_in_internal, down.theta_in_external]
+            row[5] = down.residual_dk
             n_down += 1
-        except ZpRainbowError:
-            pass
-        try:
-            sol = dp.match_up(omega, config.crystal)
-            row[3:5] = [sol.theta_in_internal, sol.theta_in_external]
-            row[6] = sol.residual_dk
-        except ZpRainbowError:
-            pass
+        if isinstance(up, dp.PhaseMatchSolution):
+            row[3:5] = [up.theta_in_internal, up.theta_in_external]
+            row[6] = up.residual_dk
         rows.append(row)
     if n_down == 0:
         raise BandError("no frequency in the sweep band phase matches")

@@ -20,9 +20,17 @@ wavevector across the pair (opposite transverse sides, Fig. 2 geometry);
 up_leg gives the extraordinary output of up conversion, which adds the
 input to the pump (same side).  Each balances the transverse momentum
 exactly and returns the output angle and the longitudinal mismatch in
-1/um, as arrays over theta.  match_down and match_up find the smallest
-input angle at which a leg's mismatch vanishes: one scan of the angle
-range brackets every sign change, and all brackets are refined together.
+1/um, broadcast over arrays of omega and theta; both are NaN where a
+wavelength of the leg is outside the transparency window or the output
+cannot carry the transverse momentum.  The up wave's extraordinary index
+depends on its own angle, so its balance is a quadratic in tan(theta_up),
+solved in closed form.
+
+match_band phase-matches a whole band of frequencies in one pass: an
+(omega x theta) grid brackets each frequency's smallest matched input
+angle, and all brackets are refined together.  Each frequency gets a
+PhaseMatchSolution or the error that says why it has none.  match_down and
+match_up are its one-frequency calls.
 """
 
 from __future__ import annotations
@@ -32,10 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, InvalidArgumentError, NoSolutionError)
+from .errors import (DomainError, InvalidArgumentError, NoSolutionError,
+                     present)
 from .zpf import EXTRAORDINARY, ORDINARY, Mode
 
 _SCAN_POINTS = 600
+_CHUNK_ROWS = 8
 _ANGLE_TOL = 1e-12
 _MAX_ITER = 200
 
@@ -136,50 +146,75 @@ class PhaseMatchSolution:
     residual_dk: float
 
 
-def wavelength_um(omega: float, spec: CrystalSpec) -> float:
-    """Vacuum wavelength of a mode at frequency omega (fraction of pump)."""
-    if omega <= 0:
+def wavelength_um(omega, spec: CrystalSpec):
+    """Vacuum wavelength at frequency omega (fraction of pump, array)."""
+    if np.any(np.asarray(omega) <= 0):
         raise InvalidArgumentError("omega must be > 0")
     return spec.pump_wavelength_um / omega
 
 
-def _check_window(wavelength, spec):
+def _in_window(wavelength, spec):
     lo, hi = spec.window_um
-    w = np.asarray(wavelength)
-    if np.any(w < lo) or np.any(w > hi):
+    return (lo <= wavelength) & (wavelength <= hi)
+
+
+def check_window(wavelength, spec: CrystalSpec) -> None:
+    """Raise DomainError naming the first wavelength outside the window."""
+    w = np.ravel(wavelength)
+    outside = w[~_in_window(w, spec)]
+    if len(outside):
+        lo, hi = spec.window_um
         raise DomainError(
-            f"wavelength {np.min(w):.4f} um outside window [{lo}, {hi}] um")
+            f"wavelength {outside[0]:.4f} um outside window [{lo}, {hi}] um")
 
 
 def refractive_index(wavelength_um: float, pol: str, spec: CrystalSpec) -> float:
     """Principal refractive index from the Sellmeier form."""
-    _check_window(wavelength_um, spec)
+    check_window(wavelength_um, spec)
     sell = spec.sellmeier_o if pol == ORDINARY else spec.sellmeier_e
     if pol not in (ORDINARY, EXTRAORDINARY):
         raise InvalidArgumentError(f"unknown polarization {pol!r}")
     return float(np.sqrt(sell.n_squared(wavelength_um)))
 
 
-def extraordinary_index(wavelength_um, psi, spec: CrystalSpec):
-    """Extraordinary index at angle psi (array) from the optic axis."""
-    _check_window(wavelength_um, spec)
-    no2 = spec.sellmeier_o.n_squared(wavelength_um)
-    ne2 = spec.sellmeier_e.n_squared(wavelength_um)
+def _ellipse_index(no2, ne2, psi):
     c, s = np.cos(psi), np.sin(psi)
     return 1.0 / np.sqrt(c * c / no2 + s * s / ne2)
 
 
-def effective_index(omega: float, theta_internal, pol: str,
-                    spec: CrystalSpec):
-    """Index seen by a wave at internal angle theta (array) from the pump axis."""
+def extraordinary_index(wavelength_um, psi, spec: CrystalSpec):
+    """Extraordinary index at angle psi (array) from the optic axis."""
+    check_window(wavelength_um, spec)
+    return _ellipse_index(spec.sellmeier_o.n_squared(wavelength_um),
+                          spec.sellmeier_e.n_squared(wavelength_um), psi)
+
+
+def _index_squares(omega, spec):
+    """(n_o^2, n_e^2) at frequency omega (array), NaN outside the window."""
     lam = wavelength_um(omega, spec)
+    inside = _in_window(lam, spec)
+    # outside the window the Sellmeier sums are taken at the pump
+    # wavelength, off their poles, and then dropped
+    lam = np.where(inside, lam, spec.pump_wavelength_um)
+    mask = np.where(inside, 1.0, np.nan)
+    return (spec.sellmeier_o.n_squared(lam) * mask,
+            spec.sellmeier_e.n_squared(lam) * mask)
+
+
+def effective_index(omega, theta_internal, pol: str, spec: CrystalSpec):
+    """Index seen by a wave at internal angle theta from the pump axis.
+
+    omega and theta broadcast; NaN where the wavelength is outside the
+    window.
+    """
+    no2, ne2 = _index_squares(omega, spec)
     if pol == ORDINARY:
-        return refractive_index(lam, ORDINARY, spec)
-    return extraordinary_index(lam, spec.cut_angle_rad + theta_internal, spec)
+        return np.sqrt(no2)
+    return _ellipse_index(no2, ne2, spec.cut_angle_rad + theta_internal)
 
 
 def _wavenumber(omega, theta_internal, pol, spec):
-    """|k| in 1/um of a wave at internal angle theta (array)."""
+    """|k| in 1/um of a wave at internal angle theta (arrays)."""
     return (2.0 * math.pi * effective_index(omega, theta_internal, pol, spec)
             / wavelength_um(omega, spec))
 
@@ -196,7 +231,8 @@ def external_angle(theta_internal: float, n: float) -> float:
 def make_mode(spec: CrystalSpec, omega: float, theta_internal: float,
               pol: str, role: str) -> Mode:
     """Build a Mode with its external angle filled in by refraction."""
-    n = effective_index(omega, theta_internal, pol, spec)
+    check_window(wavelength_um(omega, spec), spec)
+    n = float(effective_index(omega, theta_internal, pol, spec))
     return Mode(omega=omega, theta_external=external_angle(theta_internal, n),
                 theta_internal=theta_internal, polarization=pol, role=role)
 
@@ -226,13 +262,14 @@ def mismatch(modes_in, modes_out, spec: CrystalSpec) -> tuple[float, float]:
     return dkt, dkz
 
 
-def conjugate_leg(omega: float, theta, spec: CrystalSpec):
+def conjugate_leg(omega, theta, spec: CrystalSpec):
     """The ordinary conjugate at 1 - omega of an input at internal angle theta.
 
-    Returns (theta_conj, dk_z), arrays shaped like theta: the conjugate's
+    omega and theta broadcast.  Returns (theta_conj, dk_z): the conjugate's
     angle, on the opposite side with the transverse momentum balanced, and
     the longitudinal mismatch k_p - k_z(omega) - k_z(1 - omega) in 1/um.
-    Both are NaN where the conjugate cannot carry the transverse momentum.
+    Both are NaN where the conjugate cannot carry the transverse momentum
+    or a wavelength of the leg is outside the window.
     """
     theta = np.asarray(theta, dtype=float)
     k_in = _wavenumber(omega, theta, ORDINARY, spec)
@@ -243,51 +280,76 @@ def conjugate_leg(omega: float, theta, spec: CrystalSpec):
                         - k_in * np.cos(theta) - k_conj * np.cos(theta_conj))
 
 
-def up_leg(omega: float, theta, spec: CrystalSpec):
+def up_leg(omega, theta, spec: CrystalSpec):
     """The extraordinary up-converted wave at 1 + omega of an input at theta.
 
-    Returns (theta_up, dk_z), arrays shaped like theta: the output angle,
+    omega and theta broadcast.  Returns (theta_up, dk_z): the output angle,
     on the input's side with the transverse momentum balanced, and the
     longitudinal mismatch k_p + k_z(omega) - k_z(1 + omega) in 1/um.  Both
     are NaN where the up-converted wave cannot carry the transverse
-    momentum.
+    momentum or a wavelength of the leg is outside the window.
+
+    The balance sin(t) k_e(t) = k_t, with 1/n_e(t)^2 = cos(cut + t)^2/n_o^2
+    + sin(cut + t)^2/n_e^2, is a homogeneous quadratic in (cos t, sin t),
+    so a quadratic a tan(t)^2 + b tan(t) + c = 0 with c <= 0.  Of its roots
+    on the input's side the one nearest the pump axis is taken, from the
+    stable form of the quadratic formula: where a > 0 there is one root on
+    each side; where a < 0 (the up wave's index falls fast towards grazing
+    incidence) both lie on one side, or there are none.
     """
     theta = np.asarray(theta, dtype=float)
     k_in = _wavenumber(omega, theta, ORDINARY, spec)
     kt = k_in * np.sin(theta)
-    # the extraordinary index varies slowly with angle, so the fixed point
-    # theta_up = asin(kt / k_up(theta_up)) converges in a few steps
-    theta_up = np.zeros_like(kt)
-    with np.errstate(invalid="ignore"):
-        for _ in range(80):
-            k_up = _wavenumber(1.0 + omega,
-                               np.where(np.isnan(theta_up), 0.0, theta_up),
-                               EXTRAORDINARY, spec)
-            new = np.arcsin(kt / k_up)
-            converged = np.allclose(new, theta_up, rtol=0.0, atol=1e-15,
-                                    equal_nan=True)
-            theta_up = new
-            if converged:
-                break
+    no2, ne2 = _index_squares(1.0 + omega, spec)
+    k0 = 2.0 * math.pi / wavelength_um(1.0 + omega, spec)
+    c, s = math.cos(spec.cut_angle_rad), math.sin(spec.cut_angle_rad)
+    kt2 = kt * kt
+    qa = k0 * k0 - kt2 * (s * s / no2 + c * c / ne2)
+    qb = 2.0 * kt2 * c * s * (1.0 / no2 - 1.0 / ne2)
+    qc = -kt2 * (c * c / no2 + s * s / ne2)
+    side = np.sign(kt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        near, far = qc / q, q / qa
+    # k_t = 0 gives q = 0: then near is NaN and far is the root 0
+    theta_up = np.arctan(np.where(side * near > 0.0, near,
+                                  np.where(qa > 0.0, far, np.nan)))
     k_up = _wavenumber(1.0 + omega, theta_up, EXTRAORDINARY, spec)
     return theta_up, (_wavenumber(1.0, 0.0, spec.pump_polarization, spec)
                       + k_in * np.cos(theta) - k_up * np.cos(theta_up))
 
 
-def _roots(fn, theta_max):
-    """Every sign-change root of fn on [0, theta_max), in ascending order.
+def _first_roots(leg, omega, theta_max, spec):
+    """The smallest root of leg's dk_z on [0, theta_max) for each omega.
 
-    fn maps an array of angles to values, NaN where undefined.  Each sign
-    change on a _SCAN_POINTS grid brackets a root, and all brackets are
-    refined together by a secant step safeguarded by bisection.  A
-    collinear tangency (dispersionless media) counts as a root at zero.
+    Each row of an (omega x theta) grid of _SCAN_POINTS angles is scanned
+    for its first sign change, _CHUNK_ROWS rows at a time so that every
+    temporary stays small, and all brackets are refined together by a
+    secant step safeguarded by bisection.  A collinear tangency
+    (dispersionless media) is a root at zero.  NaN where there is none.
     """
-    grid = np.linspace(0.0, theta_max, _SCAN_POINTS)
-    vals = fn(grid)
-    i = np.flatnonzero(~np.isnan(vals[:-1]) & ~np.isnan(vals[1:])
-                       & ((vals[:-1] < 0.0) != (vals[1:] < 0.0)))
-    lo, hi, f_lo, f_hi = grid[i], grid[i + 1], vals[i], vals[i + 1]
-    exact = np.full(len(i), np.nan)     # brackets whose secant hit f == 0
+    roots = np.full(len(omega), np.nan)
+    if not len(omega):
+        return roots
+    rows, lo, hi, f_lo, f_hi = [], [], [], [], []
+    for start in range(0, len(omega), _CHUNK_ROWS):
+        span = slice(start, start + _CHUNK_ROWS)
+        grid = np.linspace(0.0, theta_max[span], _SCAN_POINTS, axis=-1)
+        vals = leg(omega[span, None], grid, spec)[1]
+        change = (~np.isnan(vals[:, :-1]) & ~np.isnan(vals[:, 1:])
+                  & ((vals[:, :-1] < 0.0) != (vals[:, 1:] < 0.0)))
+        tangent = np.abs(vals[:, 0]) < 1e-12
+        r = np.flatnonzero(change.any(axis=1) & ~tangent)
+        i = change[r].argmax(axis=1)
+        roots[start + np.flatnonzero(tangent)] = 0.0
+        rows.append(start + r)
+        lo.append(grid[r, i])
+        hi.append(grid[r, i + 1])
+        f_lo.append(vals[r, i])
+        f_hi.append(vals[r, i + 1])
+    rows, lo, hi, f_lo, f_hi = (np.concatenate(x)
+                                for x in (rows, lo, hi, f_lo, f_hi))
+    exact = np.full(len(rows), np.nan)  # brackets whose secant hit f == 0
     for _ in range(_MAX_ITER):
         j = np.flatnonzero(np.isnan(exact) & (hi - lo >= _ANGLE_TOL))
         if not len(j):
@@ -296,39 +358,66 @@ def _roots(fn, theta_max):
         with np.errstate(divide="ignore", invalid="ignore"):
             x = b - fb * (b - a) / (fb - fa)
         x = np.where((fb != fa) & (a < x) & (x < b), x, 0.5 * (a + b))
-        fx = fn(x)
+        fx = leg(omega[rows[j]], x, spec)[1]
         exact[j] = np.where(fx == 0.0, x, np.nan)
         low = (fx < 0.0) == (fa < 0.0)
         lo[j], f_lo[j] = np.where(low, x, a), np.where(low, fx, fa)
         hi[j], f_hi[j] = np.where(low, b, x), np.where(low, fb, fx)
-    roots = np.where(np.isnan(exact), 0.5 * (lo + hi), exact)
-    if abs(vals[0]) < 1e-12:
-        roots = np.append(roots, 0.0)
-    return np.sort(roots)
+    roots[rows] = np.where(np.isnan(exact), 0.5 * (lo + hi), exact)
+    return roots
 
 
-def _match(process, leg, omega, omega_out, pol_out,
-           spec) -> PhaseMatchSolution:
-    """The smallest input angle at which leg's dk_z vanishes; the leg's
-    output wave has frequency omega_out and polarization pol_out."""
+# process -> (leg, output frequency, output polarization)
+_PROCESSES = {
+    "down": (conjugate_leg, lambda w: 1.0 - w, ORDINARY),
+    "up": (up_leg, lambda w: 1.0 + w, EXTRAORDINARY),
+}
+
+
+def match_band(process: str, omega, spec: CrystalSpec) -> list:
+    """Phase-match `process` ("down" or "up") at every frequency of omega.
+
+    One pass over an (omega x theta) grid finds each frequency's smallest
+    input angle at which the process's leg has no mismatch, up to the
+    largest input angle that still refracts out of the crystal.  Returns,
+    per frequency, a PhaseMatchSolution or the error that says why there is
+    none: DomainError where a wavelength of the leg is outside the window,
+    NoSolutionError where no angle matches or an output is totally
+    internally reflected.
+    """
+    leg, out_of, pol_out = _PROCESSES[process]
+    omega = np.asarray(omega, dtype=float)
+    omega_out = out_of(omega)
     n_in = effective_index(omega, 0.0, ORDINARY, spec)
-    # up to the largest input angle that still refracts out of the crystal
-    roots = _roots(lambda t: leg(omega, t, spec)[1],
-                   0.999 * math.asin(min(1.0, 1.0 / n_in)))
-    if not len(roots):
-        raise NoSolutionError(
-            f"no {process}-conversion phase match at omega={omega:g}")
-    theta_in = float(roots[0])
-    theta_out, residual = (float(x) for x in leg(omega, theta_in, spec))
-    return PhaseMatchSolution(
-        branch=process,
-        theta_in_internal=theta_in,
-        theta_in_external=external_angle(theta_in, n_in),
-        theta_out_internal=theta_out,
-        theta_out_external=external_angle(
-            theta_out, effective_index(omega_out, theta_out, pol_out, spec)),
-        residual_dk=residual,
-    )
+    inside = ~np.isnan(n_in) & _in_window(wavelength_um(omega_out, spec), spec)
+    at = np.flatnonzero(inside)
+    theta_in = np.full(len(omega), np.nan)
+    theta_in[at] = _first_roots(
+        leg, omega[at], 0.999 * np.arcsin(np.minimum(1.0, 1.0 / n_in[at])),
+        spec)
+    theta_out, residual = leg(omega, theta_in, spec)
+    n_out = effective_index(omega_out, theta_out, pol_out, spec)
+    found = []
+    for k, w in enumerate(omega.tolist()):
+        try:
+            if not inside[k]:
+                check_window(wavelength_um(np.array([w, omega_out[k]]), spec),
+                             spec)
+            if math.isnan(theta_in[k]):
+                raise NoSolutionError(
+                    f"no {process}-conversion phase match at omega={w:g}")
+            found.append(PhaseMatchSolution(
+                branch=process,
+                theta_in_internal=float(theta_in[k]),
+                theta_in_external=external_angle(theta_in[k], n_in[k]),
+                theta_out_internal=float(theta_out[k]),
+                theta_out_external=external_angle(theta_out[k], n_out[k]),
+                residual_dk=float(residual[k])))
+        except (DomainError, NoSolutionError) as err:
+            # without its traceback, which would tie this frame (and its
+            # arrays) into a cycle through `found` until the next gc pass
+            found.append(err.with_traceback(None))
+    return found
 
 
 def match_down(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
@@ -336,11 +425,11 @@ def match_down(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
 
     Finds the input angle theta such that the pump wavevector equals the
     sum over the conjugate pair (omega, 1 - omega), the conjugate emerging
-    on the opposite transverse side.
+    on the opposite transverse side.  One frequency of match_band.
     """
     if not 0.0 < omega < 1.0:
         raise InvalidArgumentError("down conversion needs 0 < omega < 1")
-    return _match("down", conjugate_leg, omega, 1.0 - omega, ORDINARY, spec)
+    return present(match_band("down", [omega], spec)[0])
 
 
 def match_up(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
@@ -348,7 +437,8 @@ def match_up(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
 
     Finds the input angle such that pump plus input match the extraordinary
     output at 1 + omega, whose transverse component keeps the input's sign.
+    One frequency of match_band.
     """
     if omega <= 0.0:
         raise InvalidArgumentError("up conversion needs omega > 0")
-    return _match("up", up_leg, omega, 1.0 + omega, EXTRAORDINARY, spec)
+    return present(match_band("up", [omega], spec)[0])

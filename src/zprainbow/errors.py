@@ -49,3 +49,10 @@ class UndefinedRatioError(ZpRainbowError, ZeroDivisionError):
 
 class StatisticalError(ZpRainbowError, RuntimeError):
     """A statistical precondition (trial count, window size) is unmet."""
+
+
+def present(result):
+    """result, unless it is the error that says why it is absent: raise that."""
+    if isinstance(result, ZpRainbowError):
+        raise result
+    return result

@@ -3,14 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from zprainbow.dispersion import (CrystalSpec, SellmeierCoefficients, _roots,
+from zprainbow.dispersion import (CrystalSpec, SellmeierCoefficients,
                                   conjugate_leg, effective_index,
                                   external_angle, extraordinary_index,
-                                  make_mode, match_down, match_up, mismatch,
-                                  pump_mode, refractive_index, up_leg,
-                                  wavelength_um, wavevector)
+                                  make_mode, match_band, match_down, match_up,
+                                  mismatch, pump_mode, refractive_index,
+                                  up_leg, wavelength_um, wavevector)
 from zprainbow.errors import (DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.zpf import EXTRAORDINARY, ORDINARY, Mode
@@ -226,9 +226,10 @@ class TestContinuity:
         assert np.max(jumps) < 10.0 * max(slope, 1e-9)
 
 
-# The scalar phase-matching solver that the array root scan replaced, kept
-# as its oracle: the grid scan, then one bracket at a time refined with one
-# angle per call.
+# The scalar phase-matching solver that the band matcher replaced, kept as
+# its oracle: the grid scan, then one bracket at a time refined with one
+# angle per call.  Its up leg is the fixed point that the closed-form up
+# angle replaced.
 
 _SCAN_POINTS = 600
 _ANGLE_TOL = 1e-12
@@ -336,8 +337,8 @@ PROCESSES = {
 
 
 class TestGeometryProperties:
-    """The array root scan against the scalar oracle, across cut angle,
-    pump wavelength and frequency."""
+    """The band matcher against the scalar oracle, across cut angle, pump
+    wavelength and frequency."""
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)
@@ -355,17 +356,14 @@ class TestGeometryProperties:
             with pytest.raises(DomainError):
                 match(omega, spec)
             return
-        got = _roots(lambda t: leg(omega, t, spec)[1], theta_max)
-        assert len(got) == len(want)
-        assert np.all(np.abs(got - np.array(want)) <= 1e-11)
-        if not len(got):
+        if not want:
             with pytest.raises(NoSolutionError):
                 match(omega, spec)
             return
         sol = match(omega, spec)
-        assert sol.theta_in_internal == got[0]
+        assert abs(sol.theta_in_internal - want[0]) <= 1e-11
         assert abs(sol.residual_dk) < 1e-9
-        for theta in got:
+        for theta in [sol.theta_in_internal] + want:
             theta_out, dk = leg(omega, theta, spec)
             assert abs(dk) < 1e-9
             m_in = Mode(omega, 0.0, float(theta), ORDINARY, "input")
@@ -374,3 +372,108 @@ class TestGeometryProperties:
             dkt, dkz = mismatch(*sides(pump_mode(spec), m_in, m_out), spec)
             assert abs(dkt) < 1e-9
             assert abs(dkz) < 1e-9
+
+    def test_band_is_one_frequency_at_a_time(self, crystal):
+        # rows of one band pass do not depend on one another
+        omegas = np.linspace(0.40, 0.62, 41)
+        for process, match in (("down", match_down), ("up", match_up)):
+            for omega, got in zip(omegas, match_band(process, omegas,
+                                                     crystal)):
+                try:
+                    want = match(float(omega), crystal)
+                except (DomainError, NoSolutionError) as err:
+                    assert type(got) is type(err)
+                    assert str(got) == str(err)
+                    continue
+                assert got == want
+
+
+def birefringent_crystal(crystal):
+    """n_o near 3 and a vacuum-like n_e: at large input angles no
+    up-converted wave can carry the input's transverse momentum."""
+    return replace(crystal,
+                   sellmeier_o=SellmeierCoefficients(((8.0, 0.0001),)),
+                   sellmeier_e=SellmeierCoefficients(((0.0, 0.01),)),
+                   window_um=(0.2, 1.2))
+
+
+MATERIALS = {
+    "shipped": lambda crystal: crystal,
+    # n_o == n_e: the linear coefficient of the quadratic in tan vanishes
+    "isotropic": lambda crystal: replace(crystal,
+                                         sellmeier_e=crystal.sellmeier_o),
+    "birefringent": birefringent_crystal,
+}
+
+
+def assert_up_angles_match_fixed_point(omega, theta, spec):
+    """up_leg's closed-form angles equal the fixed point's: the same NaN
+    mask (a wavelength outside the window makes the whole row NaN) and
+    angles within 1e-14 rad."""
+    got = up_leg(omega, theta, spec)[0]
+    try:
+        want = _up_output_angle(1.0 + omega,
+                                _k_ordinary(omega, spec) * np.sin(theta), spec)
+    except DomainError:
+        assert np.all(np.isnan(got))
+        return
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.nanmax(np.abs(got - want), initial=0.0) <= 1e-14
+
+
+class TestClosedFormUpAngle:
+    """The closed-form up angle against the fixed point it replaced."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(material=st.sampled_from(["shipped", "isotropic"]),
+           cut_deg=st.floats(0.0, 30.0), omega=st.floats(0.35, 0.62),
+           theta=st.floats(-1.2, 1.2))
+    @example(material="shipped", cut_deg=10.166, omega=0.54, theta=0.0)
+    @example(material="isotropic", cut_deg=10.166, omega=0.54, theta=0.3)
+    @example(material="isotropic", cut_deg=10.166, omega=0.54, theta=-0.3)
+    @example(material="birefringent", cut_deg=10.0, omega=0.6, theta=0.3)
+    @example(material="birefringent", cut_deg=10.0, omega=0.6, theta=1.4)
+    @example(material="shipped", cut_deg=10.166, omega=0.3, theta=0.2)
+    def test_matches_fixed_point(self, crystal, material, cut_deg, omega,
+                                 theta):
+        spec = replace(MATERIALS[material](crystal), cut_angle_deg=cut_deg)
+        assert_up_angles_match_fixed_point(omega, np.array([theta]), spec)
+
+    def test_nan_examples_are_nan(self, crystal):
+        # the NaN examples above: no transverse balance, and an input
+        # wavelength (1.33 um) outside the window
+        spec = replace(birefringent_crystal(crystal), cut_angle_deg=10.0)
+        assert np.all(np.isnan(up_leg(0.6, 1.4, spec)))
+        assert not np.any(np.isnan(up_leg(0.6, 0.3, spec)))
+        assert np.all(np.isnan(up_leg(0.3, 0.2, crystal)))
+        assert up_leg(0.54, 0.0, crystal)[0] == 0.0
+
+    @pytest.mark.parametrize("material", ["shipped", "isotropic"])
+    def test_dense_grid(self, crystal, material):
+        spec = MATERIALS[material](crystal)
+        theta = np.linspace(-1.5, 1.5, 601)
+        for omega in np.linspace(0.34, 0.62, 57):
+            assert_up_angles_match_fixed_point(float(omega), theta, spec)
+
+    def test_balance_where_fixed_point_stalls(self, crystal):
+        # in the birefringent crystal the fixed point stalls near grazing
+        # and cycles where there is no root, so check the closed form
+        # directly: exact balance where it returns an angle, and NaN only
+        # where the input's transverse momentum exceeds every up wave's
+        spec = birefringent_crystal(crystal)
+        theta = np.linspace(-1.5, 1.5, 601)
+        t_up = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 20001)
+        absent = 0
+        for omega in np.linspace(0.40, 0.62, 23):
+            got = up_leg(omega, theta, spec)[0]
+            kt = _k_ordinary(omega, spec) * np.sin(theta)
+            balance = (np.sin(got) * _k_up(1.0 + omega, got, spec) - kt)
+            assert np.nanmax(np.abs(balance)) <= 1e-12 * np.max(np.abs(kt))
+            reach = np.sin(t_up) * _k_up(1.0 + omega, t_up, spec)
+            side_max = np.where(kt >= 0.0, reach.max(), -reach.min())
+            assert np.all(np.abs(kt[np.isnan(got)]) > side_max[np.isnan(got)])
+            assert np.all(np.abs(kt[~np.isnan(got)])
+                          <= side_max[~np.isnan(got)] * (1.0 + 1e-9))
+            absent += np.isnan(got).sum()
+        assert 0 < absent < 23 * len(theta)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zprainbow.cli import physical_ratio_report
 from zprainbow.dispersion import mismatch, pump_mode
@@ -246,6 +247,50 @@ class TestThreeWaveGeometry:
         mid = min(default_table.points, key=lambda p: abs(p.omega - 0.5))
         sol = match_down(mid.omega, crystal)
         assert mid.theta_d_ext == sol.theta_in_external
+
+
+class TestBandMatchesOnePoint:
+    """sweep's one band pass per process against one frequency at a time."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(cut_deg=st.floats(8.0, 12.0), pump_nm=st.floats(390.0, 410.0),
+           window_lo=st.floats(0.2, 0.3), window_hi=st.floats(0.9, 1.2),
+           omega_min=st.floats(0.30, 0.50), omega_max=st.floats(0.52, 0.70),
+           steps=st.integers(2, 9))
+    @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.27, window_hi=1.02,
+             omega_min=0.44, omega_max=0.58, steps=15)
+    @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.215, window_hi=1.02,
+             omega_min=0.38, omega_max=0.64, steps=9)
+    def test_sweep_equals_per_point_systems(self, crystal, detector,
+                                            couplings, cut_deg, pump_nm,
+                                            window_lo, window_hi, omega_min,
+                                            omega_max, steps):
+        spec = dataclasses.replace(crystal, cut_angle_deg=cut_deg,
+                                   pump_wavelength_nm=pump_nm,
+                                   window_um=(window_lo, window_hi))
+        omegas = np.linspace(omega_min, omega_max, steps).tolist()
+        want = []
+        for omega in omegas:
+            angles = [float("nan")] * 2
+            for k, geometry in enumerate((pdc_system, puc_system)):
+                try:
+                    system = geometry(spec, omega, couplings)
+                except (NoSolutionError, DomainError):
+                    break
+                angles[k] = system.modes[0].theta_external
+            want.append(angles)
+        try:
+            table = sweep(omega_min, omega_max, steps, spec, detector,
+                          engine="covariance", couplings=couplings)
+        except BandError:
+            assert all(math.isnan(d) for d, _ in want)
+            return
+        for p, (theta_d, theta_u) in zip(table.points, want):
+            for got, expected in ((p.theta_d_ext, theta_d),
+                                  (p.theta_u_ext, theta_u)):
+                assert got == expected or (math.isnan(got)
+                                           and math.isnan(expected))
 
 
 class TestCrossEngineEqOne:
