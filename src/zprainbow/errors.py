@@ -52,7 +52,7 @@ class StatisticalError(ZpRainbowError, RuntimeError):
 
 
 def present(result):
-    """result, unless it is the error that says why it is absent: raise that."""
+    """result, or raise it when it is the error saying why it is absent."""
     if isinstance(result, ZpRainbowError):
         raise result
     return result

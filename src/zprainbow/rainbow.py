@@ -23,8 +23,8 @@ and one path from the vacuum to the rates, channel_rates: `covariance`
 propagates the exact vacuum state (zpf.vacuum_state), `montecarlo`
 propagates the raw second moments of a sampled vacuum (zpf.sampled_state,
 per-point seeds derived from the master seed) through the same
-transforms, which gives the trial means of |T alpha|^2 up to rounding.  The CLI's ratios report goes through
-channel_rates too.
+transforms, which gives the trial means of |T alpha|^2 up to rounding.
+The CLI's ratios report goes through channel_rates too.
 """
 
 from __future__ import annotations
