@@ -68,6 +68,15 @@ class RunConfig:
     output_path: str
     output_format: str
 
+    def __post_init__(self):
+        # dataclasses.replace runs this again for the command-line flags
+        for name, value, least in (("trials", self.trials, 1),
+                                   ("seed", self.seed, 0),
+                                   ("workers", self.workers, 1),
+                                   ("ratios.trials", self.ratios_trials, 1)):
+            if value < least:
+                raise ConfigError(name, f"must be >= {least}")
+
 
 def default_config_path() -> str:
     return str(resources.files("zprainbow").joinpath("configs/default.json"))
@@ -179,10 +188,6 @@ def load_config(path: str | None = None) -> RunConfig:
     trials = _field(raw, "", "trials", int, default=100_000)
     seed = _field(raw, "", "seed", int, default=0)
     workers = _field(raw, "", "workers", int, default=1)
-    if trials < 1:
-        raise ConfigError("trials", "must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers", "must be >= 1")
 
     s = _section(raw, "sweep", ("omega_min", "omega_max", "steps"))
     band = (float(_field(s, "sweep", "omega_min", (int, float), required=True)),
@@ -547,32 +552,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("trials", "must be >= 1")
-        updates["trials"] = args.trials
-        updates["ratios_trials"] = args.trials
-    if args.engine is not None:
-        updates["engine"] = args.engine
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("workers", "must be >= 1")
-        updates["workers"] = args.workers
-    if args.output is not None:
-        updates["output_path"] = args.output
-    if args.format is not None:
-        updates["output_format"] = args.format
-    return replace(config, **updates) if updates else config
+# RunConfig field -> the command-line flag that overrides it
+_OVERRIDES = (("seed", "seed"), ("trials", "trials"), ("workers", "workers"),
+              ("ratios_trials", "trials"), ("engine", "engine"),
+              ("output_path", "output"), ("output_format", "format"))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = replace(load_config(args.config),
+                         **{name: getattr(args, flag)
+                            for name, flag in _OVERRIDES
+                            if getattr(args, flag) is not None})
         out, fmt = config.output_path, config.output_format
         if args.command == "angles":
             return cmd_angles(config, out, fmt)

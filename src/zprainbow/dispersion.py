@@ -30,7 +30,8 @@ match_band phase-matches a whole band of frequencies in one pass: an
 (omega x theta) grid brackets each frequency's smallest matched input
 angle, and all brackets are refined together.  Each frequency gets a
 PhaseMatchSolution or the error that says why it has none.  match_down and
-match_up are its one-frequency calls.
+match_up are its one-frequency calls.  triples adds the other leg to each
+match: the refracted triple and both mismatches, or why there is none.
 """
 
 from __future__ import annotations
@@ -417,6 +418,47 @@ def match_band(process: str, omega, spec: CrystalSpec) -> list:
             # without its traceback, which would tie this frame (and its
             # arrays) into a cycle through `found` until the next gc pass
             found.append(err.with_traceback(None))
+    return found
+
+
+def triples(process: str, omega, spec: CrystalSpec) -> list:
+    """Per frequency of omega, the `process`-matched triple (modes,
+    dk_down, dk_up), or the DomainError or NoSolutionError that says why
+    there is none.  The modes (ordinary input at omega, ordinary 1 - omega,
+    extraordinary 1 + omega) are refracted; dk_* are in 1/um.  The input
+    and the process's own leg come from match_band, the other leg from one
+    pass over the matched frequencies."""
+    omega = np.asarray(omega, dtype=float)
+    found = match_band(process, omega, spec)
+    at = [k for k, sol in enumerate(found)
+          if isinstance(sol, PhaseMatchSolution)]
+    other = "up" if process == "down" else "down"
+    leg, out_of, pol = _PROCESSES[other]
+    w = omega[at]
+    theta, dk = leg(w, np.array([found[k].theta_in_internal for k in at]),
+                    spec)
+    n = effective_index(out_of(w), theta, pol, spec)
+    for k, w_k, theta_k, dk_k, n_k in zip(at, w.tolist(), theta.tolist(),
+                                          dk.tolist(), n.tolist()):
+        sol = found[k]
+        try:
+            if math.isnan(theta_k):
+                check_window(wavelength_um(out_of(w_k), spec), spec)
+                raise NoSolutionError(
+                    "the conjugate or the up-converted wave cannot balance "
+                    "the transverse momentum")
+            # (internal angle, external angle, mismatch) of each leg
+            legs = {process: (sol.theta_out_internal, sol.theta_out_external,
+                              sol.residual_dk),
+                    other: (theta_k, external_angle(theta_k, n_k), dk_k)}
+            (t_d, e_d, dk_down), (t_u, e_u, dk_up) = legs["down"], legs["up"]
+            found[k] = ((Mode(w_k, sol.theta_in_external,
+                              sol.theta_in_internal, ORDINARY, "input"),
+                         Mode(1.0 - w_k, e_d, t_d, ORDINARY, "signal"),
+                         Mode(1.0 + w_k, e_u, t_u, EXTRAORDINARY, "signal")),
+                        dk_down, dk_up)
+        except (DomainError, NoSolutionError) as err:
+            found[k] = err.with_traceback(None)
     return found
 
 

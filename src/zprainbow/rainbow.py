@@ -15,16 +15,16 @@ The eq1_ratio column isolates the pair process (up-conversion coupling
 off) so it reflects the pure geometric cosine asymmetry; main_rate and
 conjugate_rate keep the full three-wave physics.
 
-Frequencies whose phase matching has no solution are marked absent (NaN
-fields), never extrapolated.  The sweep phase-matches the whole band in
-one pass per process (dispersion.match_band); pdc_system and puc_system
-are the same code for one frequency.  Both engines share that geometry
-and one path from the vacuum to the rates, channel_rates: `covariance`
-propagates the exact vacuum state (zpf.vacuum_state), `montecarlo`
-propagates the raw second moments of a sampled vacuum (zpf.sampled_state,
-per-point seeds derived from the master seed) through the same
-transforms, which gives the trial means of |T alpha|^2 up to rounding.
-The CLI's ratios report goes through channel_rates too.
+dispersion.triples builds the band's matched triples, or says why one is
+missing: that point is absent (NaN fields), never extrapolated.  This
+module only attaches the couplings; pdc_system and puc_system are the
+one-frequency calls.
+Both engines share one path from the vacuum to the rates, channel_rates:
+`covariance` propagates the exact vacuum state (zpf.vacuum_state),
+`montecarlo` the raw second moments of a sampled vacuum
+(zpf.sampled_state, per-point seeds derived from the master seed) through
+the same transforms, which gives the trial means of |T alpha|^2 up to
+rounding.  The CLI's ratios report goes through channel_rates too.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 from . import coupling as cp
 from . import dispersion as dp
 from .detection import ChannelRate, DetectorSpec, ratio_down, ratio_up
-from .errors import (BandError, DomainError, InvalidArgumentError,
-                     NoSolutionError, UndefinedRatioError, present)
+from .errors import (BandError, InvalidArgumentError, UndefinedRatioError,
+                     present)
 from .zpf import sampled_state, vacuum_state
 
 ENGINES = ("covariance", "montecarlo")
@@ -124,54 +124,19 @@ def puc_system(crystal: dp.CrystalSpec, omega: float,
 
 
 def _systems(process, crystal, omegas, couplings) -> list:
-    """The three-wave system at the `process`-matched geometry of each omega.
-
-    One dp.match_band pass finds the matched input angles, and one pass
-    of each leg at those angles gives the rest of every triple.  Where
-    there is no system, its entry is the NoSolutionError or DomainError
-    that says why.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    found = dp.match_band(process, omegas, crystal)
-    at = [i for i, sol in enumerate(found)
-          if isinstance(sol, dp.PhaseMatchSolution)]
-    theta_in = np.array([found[i].theta_in_internal for i in at])
-    legs = zip(*dp.conjugate_leg(omegas[at], theta_in, crystal),
-               *dp.up_leg(omegas[at], theta_in, crystal))
-    for i, theta, geometry in zip(at, theta_in.tolist(), legs):
-        try:
-            found[i] = _system_at(crystal, float(omegas[i]), theta,
-                                  *(float(x) for x in geometry), couplings)
-        except (NoSolutionError, DomainError) as err:
-            found[i] = err.with_traceback(None)
-    return found
-
-
-def _system_at(crystal, omega, theta_in, theta_conj, dk_down, theta_up,
-               dk_up, couplings):
-    """Assemble the (w, w0-w, w0+w) triple for an input at theta_in.
-
-    theta_conj, dk_down and theta_up, dk_up are the two legs at theta_in:
-    the conjugate and up-converted directions balance the input's
-    transverse momentum exactly, and the longitudinal mismatches are
-    whatever the geometry leaves over.
-    """
-    if math.isnan(theta_conj) or math.isnan(theta_up):
-        dp.check_window(dp.wavelength_um(np.array([1.0 - omega, 1.0 + omega]),
-                                         crystal), crystal)
-        raise NoSolutionError("the conjugate or the up-converted wave "
-                              "cannot balance the transverse momentum")
+    """dp.triples with the resolved couplings and the crystal length
+    attached: each omega's three-wave system, or why there is none."""
     c = couplings.resolve(crystal)
-    modes = (
-        dp.make_mode(crystal, omega, theta_in, dp.ORDINARY, "input"),
-        dp.make_mode(crystal, 1.0 - omega, theta_conj, dp.ORDINARY, "signal"),
-        dp.make_mode(crystal, 1.0 + omega, theta_up, dp.EXTRAORDINARY,
-                     "signal"))
-    return cp.ThreeWaveSystem(
-        g_down=c.g_down, g_up=c.g_up,
-        phi_down=c.phi_down, phi_up=c.phi_up,
-        dk_down=dk_down, dk_up=dk_up,
-        length_mm=crystal.length_mm, modes=modes)
+    found = dp.triples(process, omegas, crystal)
+    for i, triple in enumerate(found):
+        if isinstance(triple, tuple):
+            modes, dk_down, dk_up = triple
+            found[i] = cp.ThreeWaveSystem(
+                g_down=c.g_down, g_up=c.g_up,
+                phi_down=c.phi_down, phi_up=c.phi_up,
+                dk_down=dk_down, dk_up=dk_up,
+                length_mm=crystal.length_mm, modes=modes)
+    return found
 
 
 def _state_means(transforms, state) -> list[np.ndarray]:
@@ -246,11 +211,7 @@ def sweep(omega_min: float, omega_max: float, steps: int,
     satellites = [None] * steps
     # without an up-conversion coupling there is no satellite process
     if couplings.resolve(crystal).g_up != 0.0:
-        at = [i for i, system in enumerate(mains)
-              if isinstance(system, cp.ThreeWaveSystem)]
-        for i, system in zip(at, _systems("up", crystal, omegas[at],
-                                          couplings)):
-            satellites[i] = system
+        satellites = _systems("up", crystal, omegas, couplings)
     points = []
     for i, (omega, system_a, system_b) in enumerate(
             zip(omegas.tolist(), mains, satellites)):
@@ -266,7 +227,8 @@ def sweep(omega_min: float, omega_max: float, steps: int,
                 eq1 = ratio_down(p_w, p_s)
             except UndefinedRatioError:
                 pass
-        if isinstance(system_b, cp.ThreeWaveSystem):
+        if (isinstance(system_a, cp.ThreeWaveSystem)
+                and isinstance(system_b, cp.ThreeWaveSystem)):
             theta_u = system_b.modes[0].theta_external
             [(q_w, _, q_u)] = channel_rates(
                 [system_b], engine, trials, _point_seed(seed, i, 1), workers)

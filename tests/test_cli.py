@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -182,6 +183,28 @@ class TestExitCodes:
         assert main(["--config", path, "ratios", "--engine", "covariance",
                      *forced, "--output", out]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,argv,field", [
+        ({"seed": -1}, ["rainbow", "--engine", "covariance"], "seed"),
+        ({"seed": -1}, ["rainbow", "--trials", "1000"], "seed"),
+        ({"seed": -1}, ["simulate", "--trials", "100"], "seed"),
+        ({"seed": -1}, ["darkrate", "--trials", "1000"], "seed"),
+        ({"seed": -1}, ["ratios", "--engine", "montecarlo",
+                        "--trials", "1000"], "seed"),
+        ({}, ["rainbow", "--engine", "covariance", "--seed", "-1"], "seed"),
+        ({}, ["angles", "--trials", "0"], "trials"),
+        ({}, ["angles", "--workers", "0"], "workers"),
+        ({"ratios.trials": 0}, ["ratios", "--engine", "covariance"],
+         "ratios.trials"),
+    ])
+    def test_run_setting_out_of_range_exit(self, tmp_path, capsys, overrides,
+                                           argv, field):
+        path = write_config(tmp_path, **overrides)
+        out = str(tmp_path / "x.csv")
+        assert main(["--config", path, *argv, "--output", out]) \
+            == EXIT_CONFIG
+        assert f"config error: {field}: must be >= " in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("length_mm",
                              [1e30, 1e40, 1e60, 1e100, 1e200, 1e300, 1e308])
@@ -523,8 +546,9 @@ def mutate(raw, mutations):
         elif isinstance(parent.get(key), (int, float)) \
                 and not isinstance(parent.get(key), bool):
             old = parent[key]
-            parent[key] = (int(round(old * value)) if isinstance(old, int)
-                           else old * value)
+            # exact for ints beyond float range, such as 10 ** 400
+            parent[key] = (round(old * Fraction(value))
+                           if isinstance(old, int) else old * value)
     return raw
 
 
@@ -539,9 +563,11 @@ class TestExitCodeProperty:
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               database=None)
-    @given(MUTATIONS, st.sampled_from(["angles", "ratios", "forced"]),
+    @given(MUTATIONS,
+           st.sampled_from(["angles", "ratios", "forced", "rainbow"]),
            st.one_of(st.none(), st.floats()))
     @example([("delete", ("engine",), None)], "ratios", math.nan)
+    @example([("set", ("seed",), -1)], "rainbow", None)
     def test_documented_exit_codes(self, fuzz_dir, mutations, command,
                                    omega):
         path = fuzz_dir / "cfg.json"

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zprainbow.dispersion import (CrystalSpec, SellmeierCoefficients,
-                                  conjugate_leg, effective_index,
-                                  external_angle, extraordinary_index,
-                                  make_mode, match_band, match_down, match_up,
-                                  mismatch, pump_mode, refractive_index,
-                                  up_leg, wavelength_um, wavevector)
+from zprainbow.dispersion import (CrystalSpec, PhaseMatchSolution,
+                                  SellmeierCoefficients, conjugate_leg,
+                                  effective_index, external_angle,
+                                  extraordinary_index, make_mode, match_band,
+                                  match_down, match_up, mismatch, pump_mode,
+                                  refractive_index, triples, up_leg,
+                                  wavelength_um, wavevector)
 from zprainbow.errors import (DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.zpf import EXTRAORDINARY, ORDINARY, Mode
@@ -374,18 +375,33 @@ class TestGeometryProperties:
             assert abs(dkz) < 1e-9
 
     def test_band_is_one_frequency_at_a_time(self, crystal):
-        # rows of one band pass do not depend on one another
+        # rows of one band pass do not depend on one another, so an error
+        # or a triple stored at the wrong frequency shows; the narrow
+        # window absorbs the w0 + w wave of the upper band and the
+        # w0 - w wave of its top
         omegas = np.linspace(0.40, 0.62, 41)
-        for process, match in (("down", match_down), ("up", match_up)):
-            for omega, got in zip(omegas, match_band(process, omegas,
-                                                     crystal)):
-                try:
-                    want = match(float(omega), crystal)
-                except (DomainError, NoSolutionError) as err:
-                    assert type(got) is type(err)
-                    assert str(got) == str(err)
-                    continue
-                assert got == want
+        kinds = set()
+        for window in (crystal.window_um, (0.27, 1.02)):
+            spec = replace(crystal, window_um=window)
+            for process, match in (("down", match_down), ("up", match_up)):
+                for omega, got, triple in zip(
+                        omegas, match_band(process, omegas, spec),
+                        triples(process, omegas, spec)):
+                    try:
+                        want = match(float(omega), spec)
+                    except (DomainError, NoSolutionError) as err:
+                        want = err
+                    for band, one in ((got, want),
+                                      (triple, triples(process, [omega],
+                                                       spec)[0])):
+                        kinds.add(type(band))
+                        if isinstance(one, Exception):
+                            assert type(band) is type(one)
+                            assert str(band) == str(one)
+                        else:
+                            assert band == one
+        assert {DomainError, NoSolutionError, PhaseMatchSolution,
+                tuple} <= kinds
 
 
 def birefringent_crystal(crystal):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zprainbow.cli import physical_ratio_report
-from zprainbow.dispersion import mismatch, pump_mode
+from zprainbow.dispersion import make_mode, mismatch, pump_mode
 from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
@@ -233,6 +233,10 @@ class TestThreeWaveGeometry:
             except (NoSolutionError, DomainError):
                 continue
             m_in, m_conj, m_up = system.modes
+            # and the refraction against the one-mode reference
+            assert system.modes == tuple(
+                make_mode(crystal, m.omega, m.theta_internal,
+                          m.polarization, m.role) for m in system.modes)
             dkt, dkz = mismatch([pump], [m_in, m_conj], crystal)
             assert abs(dkt) < 1e-12
             assert abs(system.dk_down - dkz) <= 1e-12

@@ -32,11 +32,30 @@ class TestVacuumState:
         with pytest.raises(InvalidArgumentError):
             vacuum_state(0)
 
-    def test_asymmetric_covariance_rejected(self):
+    @staticmethod
+    def covariance(upper, lower):
         cov = 0.5 * np.eye(2)
-        cov[0, 1] = 1e-6
+        cov[0, 1], cov[1, 0] = upper, lower
+        return cov
+
+    # the tolerance is np.allclose(C, C.T, atol=1e-12, rtol=0)'s
+    @pytest.mark.parametrize("upper,lower", [
+        (1e-6, 0.0), (2e-12, 0.0), (math.nan, math.nan), (math.inf, 1.0),
+        (math.inf, -math.inf)], ids=["1e-06", "2e-12", "nan", "inf-finite",
+                                     "inf-minus-inf"])
+    def test_asymmetric_covariance_rejected(self, upper, lower):
         with pytest.raises(InvalidArgumentError):
-            GaussianState(np.zeros(2), cov)
+            GaussianState(np.zeros(2), self.covariance(upper, lower))
+
+    @pytest.mark.parametrize("upper,lower", [
+        (0.25, 0.25), (1e-12, 0.0), (math.inf, math.inf),
+        (-math.inf, -math.inf)], ids=["exact", "1e-12", "inf", "minus-inf"])
+    def test_symmetric_covariance_accepted(self, upper, lower):
+        cov = self.covariance(upper, lower)
+        assert np.array_equal(GaussianState(np.zeros(2), cov).covariance, cov)
+
+    def test_zero_mode_state_accepted(self):
+        assert GaussianState(np.zeros(0), np.zeros((0, 0))).n_modes == 0
 
 
 class TestSampleVacuum:
