@@ -41,7 +41,7 @@ from . import dispersion as dp
 from .detection import (ChannelRate, DetectorSpec, dark_rate_curve,
                         ratio_down, ratio_up)
 from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
-                     NoSolutionError, StatisticalError, UndefinedRatioError)
+                     NoSolutionError, StatisticalError)
 from .rainbow import (Couplings, POINT_FIELDS, channel_rates, mean_intensities,
                       pdc_system, puc_system, satellite_summary, sweep)
 from .zpf import Mode, ORDINARY, sample_vacuum
@@ -76,6 +76,12 @@ class RunConfig:
                                    ("ratios.trials", self.ratios_trials, 1)):
             if value < least:
                 raise ConfigError(name, f"must be >= {least}")
+        if not 0.0 < self.ratios_omega < 1.0:
+            raise ConfigError("ratios.omega", "must lie in (0, 1)")
+        if not self.darkrate_windows or any(
+                isinstance(w, bool) or not isinstance(w, int) or w < 1
+                for w in self.darkrate_windows):
+            raise ConfigError("darkrate.windows", "must be integers >= 1")
 
 
 def default_config_path() -> str:
@@ -233,15 +239,10 @@ def load_config(path: str | None = None) -> RunConfig:
     ratios_omega = float(_field(r, "ratios", "omega", (int, float),
                                 default=0.5))
     ratios_trials = int(_field(r, "ratios", "trials", int, default=trials))
-    if not 0.0 < ratios_omega < 1.0:
-        raise ConfigError("ratios.omega", "must lie in (0, 1)")
 
     dk = _section(raw, "darkrate", ("windows",), optional=True)
     windows = tuple(_field(dk, "darkrate", "windows", list,
                            default=[1, 10, 100]))
-    if not windows or any((isinstance(w, bool) or not isinstance(w, int)
-                           or w < 1) for w in windows):
-        raise ConfigError("darkrate.windows", "must be positive integers")
 
     o = _section(raw, "output", ("path", "format"), optional=True)
     out_path = _field(o, "output", "path", str, default="zprainbow_out.csv")
@@ -405,15 +406,11 @@ def forced_angle_report(config: RunConfig, theta_low_deg: float,
                              config.seed, config.workers)[0]
     rate_lo = ChannelRate.from_mean(modes[0], means[0])
     rate_hi = ChannelRate.from_mean(modes[1], means[1])
-    try:
-        rate_ratio = ratio_down(rate_lo, rate_hi)
-    except UndefinedRatioError:
-        rate_ratio = float("nan")
     return {
         "theta_low_deg": theta_low_deg,
         "theta_high_deg": theta_high_deg,
         "engine": config.engine,
-        "rate_ratio": rate_ratio,
+        "rate_ratio": ratio_down(rate_lo, rate_hi),
         "cosine_ratio": math.cos(th_hi) / math.cos(th_lo),
         "photon_theory_ratio": 1.0,
     }
@@ -435,15 +432,10 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
         pass
     pair, *puc = channel_rates(systems, config.engine, config.ratios_trials,
                                config.seed, config.workers)
-    try:
-        eq1 = ratio_down(pair[0], pair[1])
-    except UndefinedRatioError:
-        eq1 = nan
-
     report = {
         "omega": omega,
         "engine": config.engine,
-        "eq1_ratio": eq1,
+        "eq1_ratio": ratio_down(pair[0], pair[1]),
         "eq1_cosine_ratio": (math.cos(system_a.modes[1].theta_external)
                              / math.cos(system_a.modes[0].theta_external)),
         "photon_theory_ratio": 1.0,
@@ -461,12 +453,8 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
             upper_above_zeropoint=upper.above_zeropoint,
             upper_clamped_rate=upper.photon_rate,
             eq2_cosine_ratio=-(math.cos(theta_upper)
-                               / math.cos(lower.mode.theta_external)))
-        try:
-            report["eq2_ratio"] = ratio_up(lower, upper.above_zeropoint,
-                                           theta_upper)
-        except UndefinedRatioError:
-            pass
+                               / math.cos(lower.mode.theta_external)),
+            eq2_ratio=ratio_up(lower, upper))
     return report
 
 
@@ -554,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # RunConfig field -> the command-line flag that overrides it
 _OVERRIDES = (("seed", "seed"), ("trials", "trials"), ("workers", "workers"),
-              ("ratios_trials", "trials"), ("engine", "engine"),
+              ("ratios_trials", "trials"), ("ratios_omega", "omega"),
+              ("darkrate_windows", "windows"), ("engine", "engine"),
               ("output_path", "output"), ("output_format", "format"))
 
 
@@ -564,22 +553,21 @@ def main(argv=None) -> int:
         config = replace(load_config(args.config),
                          **{name: getattr(args, flag)
                             for name, flag in _OVERRIDES
-                            if getattr(args, flag) is not None})
+                            # only some commands define --omega, --windows
+                            if getattr(args, flag, None) is not None})
         out, fmt = config.output_path, config.output_format
         if args.command == "angles":
             return cmd_angles(config, out, fmt)
         if args.command == "rainbow":
             return cmd_rainbow(config, out, fmt)
         if args.command == "ratios":
-            omega = args.omega if args.omega is not None else config.ratios_omega
-            return cmd_ratios(config, omega, out, fmt,
+            return cmd_ratios(config, config.ratios_omega, out, fmt,
                               args.theta_low_deg, args.theta_high_deg)
         if args.command == "darkrate":
-            windows = args.windows or list(config.darkrate_windows)
-            return cmd_darkrate(config, windows, out, fmt)
+            return cmd_darkrate(config, config.darkrate_windows, out, fmt)
         if args.command == "simulate":
-            omega = args.omega if args.omega is not None else config.ratios_omega
-            return cmd_simulate(config, omega, out, fmt, args.raw_vacuum)
+            return cmd_simulate(config, config.ratios_omega, out, fmt,
+                                args.raw_vacuum)
         raise ConfigError("command", f"unknown command {args.command!r}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

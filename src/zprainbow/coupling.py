@@ -317,10 +317,13 @@ def quadrature_matrix(t: BogoliubovTransform) -> np.ndarray:
 
 def propagate_covariance(t: BogoliubovTransform,
                          state: GaussianState) -> GaussianState:
-    """Exact Gaussian-state update: mean -> S mean, cov -> S cov S^T."""
+    """Exact Gaussian-state update, cov -> S cov S^T (symmetrised).
+
+    S is linear with no displacement, so the state stays zero-mean.
+    """
     if t.n_modes != state.n_modes:
         raise InvalidArgumentError(
             f"transform has {t.n_modes} modes, state {state.n_modes}")
     s = quadrature_matrix(t)
     cov = s @ state.covariance @ s.T
-    return GaussianState(s @ state.mean, 0.5 * (cov + cov.T))
+    return GaussianState(0.5 * (cov + cov.T))

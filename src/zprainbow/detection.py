@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, InvalidArgumentError, StatisticalError,
-                     UndefinedRatioError)
-from .zpf import Mode, VacuumEnsemble
+from .errors import ConfigError, InvalidArgumentError, StatisticalError
+from .zpf import Mode, VacuumEnsemble, sample_vacuum
 
 ZEROPOINT = 0.5
 
@@ -75,23 +74,23 @@ def ratio_down(rate_low: ChannelRate, rate_high: ChannelRate) -> float:
 
     For equal above-zeropoint intensities this equals
     cos(theta_high) / cos(theta_low): the rate asymmetry is pure geometry.
+    NaN unless both channels are detected.
     """
     if not (rate_low.detected and rate_high.detected):
-        raise UndefinedRatioError("both channels must be detected")
+        return math.nan
     return rate_low.photon_rate / rate_high.photon_rate
 
 
-def ratio_up(rate_low: ChannelRate, upper_above_zeropoint: float,
-             theta_upper_external: float) -> float:
+def ratio_up(rate_low: ChannelRate, rate_high: ChannelRate) -> float:
     """Signed up-conversion rate ratio, lower channel over upper.
 
-    The upper channel uses its raw (unclamped) above-zeropoint value, so
-    the ratio carries the sign of the upper channel's excess.
+    Both channels use their unclamped rates, so the ratio carries the sign
+    of the upper channel's excess.  NaN where the upper channel sits
+    exactly at the zeropoint.
     """
-    if upper_above_zeropoint == 0.0:
-        raise UndefinedRatioError("upper channel sits exactly at zeropoint")
-    upper = upper_above_zeropoint / math.cos(theta_upper_external)
-    return rate_low.signed_rate / upper
+    if rate_high.above_zeropoint == 0.0:
+        return math.nan
+    return rate_low.signed_rate / rate_high.signed_rate
 
 
 def threshold_counts(ensemble: VacuumEnsemble, mode: Mode, spec: DetectorSpec,
@@ -140,7 +139,6 @@ def dark_rate_curve(spec_base: DetectorSpec, window_list, trials: int,
     if trials < max(window_list):
         raise StatisticalError(
             f"{trials} trials cannot fill a window of {max(window_list)}")
-    from .zpf import sample_vacuum
     probe = Mode(omega=0.5, theta_external=0.0, theta_internal=0.0,
                  polarization="ordinary", role="input")
     ensemble = sample_vacuum((probe,), trials, seed)

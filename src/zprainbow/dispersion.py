@@ -139,7 +139,6 @@ class PhaseMatchSolution:
     (transverse balance is exact by construction).
     """
 
-    branch: str
     theta_in_internal: float
     theta_in_external: float
     theta_out_internal: float
@@ -408,7 +407,6 @@ def match_band(process: str, omega, spec: CrystalSpec) -> list:
                 raise NoSolutionError(
                     f"no {process}-conversion phase match at omega={w:g}")
             found.append(PhaseMatchSolution(
-                branch=process,
                 theta_in_internal=float(theta_in[k]),
                 theta_in_external=external_angle(theta_in[k], n_in[k]),
                 theta_out_internal=float(theta_out[k]),

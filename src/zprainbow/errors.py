@@ -43,10 +43,6 @@ class BandError(NoSolutionError):
     """A frequency sweep found no matched points at all."""
 
 
-class UndefinedRatioError(ZpRainbowError, ZeroDivisionError):
-    """A photon-rate ratio was requested where its denominator vanishes."""
-
-
 class StatisticalError(ZpRainbowError, RuntimeError):
     """A statistical precondition (trial count, window size) is unmet."""
 

@@ -39,8 +39,7 @@ import numpy as np
 from . import coupling as cp
 from . import dispersion as dp
 from .detection import ChannelRate, DetectorSpec, ratio_down, ratio_up
-from .errors import (BandError, InvalidArgumentError, UndefinedRatioError,
-                     present)
+from .errors import BandError, InvalidArgumentError, present
 from .zpf import sampled_state, vacuum_state
 
 ENGINES = ("covariance", "montecarlo")
@@ -223,21 +222,14 @@ def sweep(omega_min: float, omega_max: float, steps: int,
                 [system_a, system_a.pair_only()], engine, trials,
                 _point_seed(seed, i, 0), workers)
             main, conj = r_w.photon_rate, r_s.photon_rate
-            try:
-                eq1 = ratio_down(p_w, p_s)
-            except UndefinedRatioError:
-                pass
+            eq1 = ratio_down(p_w, p_s)
         if (isinstance(system_a, cp.ThreeWaveSystem)
                 and isinstance(system_b, cp.ThreeWaveSystem)):
             theta_u = system_b.modes[0].theta_external
             [(q_w, _, q_u)] = channel_rates(
                 [system_b], engine, trials, _point_seed(seed, i, 1), workers)
-            sat = q_w.photon_rate
-            upper = q_u.above_zeropoint
-            try:
-                eq2 = ratio_up(q_w, upper, system_b.modes[2].theta_external)
-            except UndefinedRatioError:
-                pass
+            sat, upper = q_w.photon_rate, q_u.above_zeropoint
+            eq2 = ratio_up(q_w, q_u)
         points.append(RainbowPoint(
             omega=omega, theta_d_ext=theta_d, theta_u_ext=theta_u,
             main_rate=main, conjugate_rate=conj, satellite_rate=sat,

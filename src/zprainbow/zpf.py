@@ -9,8 +9,10 @@ x = sqrt(2) Re(alpha), p = sqrt(2) Im(alpha), so the vacuum has
 
 All intensities in the package are |alpha|^2 in these zeropoint units: the
 mean vacuum intensity per mode is exactly 1/2.  Exact Gaussian states store
-the quadrature mean vector and covariance matrix in xxpp ordering
-(x_1..x_M, p_1..p_M); the M-mode vacuum is zero mean with covariance
+only the quadrature covariance matrix, in xxpp ordering (x_1..x_M,
+p_1..p_M): every state is zero-mean, because the vacuum is, the crystal
+maps are linear and carry no displacement, and a sampled state keeps raw
+second moments about zero.  The M-mode vacuum has covariance
 (1/2) * identity.
 
 Monte Carlo sampling uses one counter-based Philox stream per
@@ -75,22 +77,18 @@ class Mode:
 
 @dataclass
 class GaussianState:
-    """Exact Gaussian (Wigner) state: quadrature mean and covariance.
+    """Exact zero-mean Gaussian (Wigner) state: the quadrature covariance.
 
     xxpp ordering; the vacuum covariance is (1/2) * identity.
     """
 
-    mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        if self.mean.ndim != 1 or self.covariance.shape != (self.mean.size,) * 2:
-            raise InvalidArgumentError("mean/covariance dimensions disagree")
-        if self.mean.size % 2:
-            raise InvalidArgumentError("state dimension must be 2 * n_modes")
-        c = self.covariance
+        c = self.covariance = np.asarray(self.covariance, dtype=float)
+        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2:
+            raise InvalidArgumentError(
+                f"covariance must be square of even size, got {c.shape}")
         # np.allclose(c, c.T, atol=1e-12, rtol=0) at a fifth of its cost
         with np.errstate(invalid="ignore"):  # inf - inf, passed by c == c.T
             symmetric = ((c == c.T) | (np.abs(c - c.T) <= 1e-12)).all()
@@ -99,7 +97,7 @@ class GaussianState:
 
     @property
     def n_modes(self) -> int:
-        return self.mean.size // 2
+        return self.covariance.shape[0] // 2
 
     def mode_intensity(self, index: int) -> float:
         """Mean |alpha|^2 of one mode, (<x^2> + <p^2>) / 2."""
@@ -107,15 +105,14 @@ class GaussianState:
         if not 0 <= index < m:
             raise NotFoundError(f"mode index {index} out of range")
         i, j = index, m + index
-        return 0.5 * (self.covariance[i, i] + self.covariance[j, j]
-                      + self.mean[i] ** 2 + self.mean[j] ** 2)
+        return 0.5 * (self.covariance[i, i] + self.covariance[j, j])
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
-    """The M-mode vacuum: zero mean, covariance (1/2) * identity."""
+    """The M-mode vacuum: covariance (1/2) * identity."""
     if n_modes < 1:
         raise InvalidArgumentError("n_modes must be >= 1")
-    return GaussianState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes))
+    return GaussianState(0.5 * np.eye(2 * n_modes))
 
 
 @dataclass
@@ -251,8 +248,7 @@ def sampled_state(n_modes: int, trials: int, seed: int,
     # columns (Re a_1, Im a_1, ...) -> xxpp; x = sqrt(2) Re a, so the
     # quadrature moments are twice the amplitude-part moments
     xxpp = np.r_[0:2 * n_modes:2, 1:2 * n_modes:2]
-    return GaussianState(np.zeros(2 * n_modes),
-                         total[np.ix_(xxpp, xxpp)] * (2.0 / trials))
+    return GaussianState(total[np.ix_(xxpp, xxpp)] * (2.0 / trials))
 
 
 def mean_intensity(ensemble: VacuumEnsemble, mode: Mode) -> float:

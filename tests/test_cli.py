@@ -138,13 +138,23 @@ class TestExitCodes:
         assert main(["--config", path, "angles", "--output", out]) \
             == EXIT_CONFIG
 
-    def test_zero_gain_ratio_absent(self, tmp_path):
-        # nothing rises above the zeropoint, so eq1 is undefined, not a crash
+    @pytest.mark.parametrize("argv,columns", [
+        (["ratios"], ["eq1_ratio"]),
+        (["rainbow"], ["eq1_ratio", "eq2_ratio"]),
+        (["ratios", "--theta-low-deg", "10", "--theta-high-deg", "12"],
+         ["rate_ratio"]),
+    ], ids=["ratios", "rainbow", "forced"])
+    def test_zero_gain_ratio_absent(self, tmp_path, argv, columns):
+        # nothing rises above the zeropoint, so every ratio is undefined,
+        # an empty cell, not a crash
         path = write_config(tmp_path, **{"crystal.gain_per_mm": 0.0})
         out = str(tmp_path / "r.csv")
-        assert main(["--config", path, "ratios", "--engine", "covariance",
+        assert main(["--config", path, *argv, "--engine", "covariance",
                      "--output", out]) == EXIT_OK
-        assert read_csv(out)[0]["eq1_ratio"] == ""
+        rows = read_csv(out)
+        assert rows
+        for row in rows:
+            assert [row[c] for c in columns] == [""] * len(columns)
 
     def test_ratios_absent_where_sweep_is(self, tmp_path):
         # with the window edge at 0.27 um the w0 + w wave of the upper band
@@ -205,6 +215,40 @@ class TestExitCodes:
             == EXIT_CONFIG
         assert f"config error: {field}: must be >= " in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["ratios", "--engine", "covariance", "--omega=nan"],
+         "ratios.omega: must lie in (0, 1)"),
+        (["ratios", "--engine", "covariance", "--omega", "1.5"],
+         "ratios.omega: must lie in (0, 1)"),
+        (["ratios", "--engine", "covariance", "--omega", "0"],
+         "ratios.omega: must lie in (0, 1)"),
+        (["simulate", "--trials", "100", "--omega=nan"],
+         "ratios.omega: must lie in (0, 1)"),
+        (["darkrate", "--trials", "1000", "--windows", "0"],
+         "darkrate.windows: must be integers >= 1"),
+    ], ids=["ratios-nan", "ratios-1.5", "ratios-0", "simulate-nan",
+            "darkrate-0"])
+    def test_flag_out_of_range_exit(self, tmp_path, capsys, argv, message):
+        out = str(tmp_path / "x.csv")
+        assert main([*argv, "--output", out]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv,flag,key,value", [
+        (["ratios", "--engine", "covariance"], ["--omega", "0.52"],
+         "ratios.omega", 0.52),
+        (["darkrate", "--trials", "2000"], ["--windows", "1", "10"],
+         "darkrate.windows", [1, 10]),
+    ], ids=["omega", "windows"])
+    def test_flag_matches_config(self, tmp_path, argv, flag, key, value):
+        by_flag, by_config = tmp_path / "flag.csv", tmp_path / "cfg.csv"
+        assert main([*argv, *flag, "--output", str(by_flag)]) == EXIT_OK
+        path = write_config(tmp_path, **{key: value})
+        assert main(["--config", path, *argv,
+                     "--output", str(by_config)]) == EXIT_OK
+        with open(by_flag, "rb") as a, open(by_config, "rb") as b:
+            assert a.read() == b.read()
 
     @pytest.mark.parametrize("length_mm",
                              [1e30, 1e40, 1e60, 1e100, 1e200, 1e300, 1e308])

@@ -7,8 +7,7 @@ from scipy.special import gammaincc
 from zprainbow.coupling import propagate_covariance, squeeze_pair
 from zprainbow.detection import (ChannelRate, DetectorSpec, dark_rate_curve,
                                  ratio_down, ratio_up, threshold_counts)
-from zprainbow.errors import (ConfigError, InvalidArgumentError,
-                              NotFoundError, UndefinedRatioError)
+from zprainbow.errors import ConfigError, InvalidArgumentError, NotFoundError
 from zprainbow.zpf import Mode, mean_intensity, sample_vacuum, vacuum_state
 
 PROBE = Mode(0.5, 0.0, 0.0, "ordinary", "input")
@@ -88,27 +87,27 @@ class TestRatioDown:
         assert ratio_down(a, b) == pytest.approx(expect, abs=1e-15)
         assert ratio_down(a, b) == pytest.approx(0.9932371, abs=1e-7)
 
-    def test_undetected_channel_rejected(self):
-        with pytest.raises(UndefinedRatioError):
-            ratio_down(fixed_rate(10.0, 0.51), fixed_rate(12.0, 0.499))
+    def test_undetected_channel_is_nan(self):
+        assert math.isnan(
+            ratio_down(fixed_rate(10.0, 0.51), fixed_rate(12.0, 0.499)))
 
 
 class TestRatioUp:
     def test_negative_when_upper_below_zeropoint(self):
         low = fixed_rate(10.0, 0.51)
-        assert ratio_up(low, -0.005, math.radians(25.0)) < 0.0
+        assert ratio_up(low, fixed_rate(25.0, 0.495)) < 0.0
 
     def test_sign_bookkeeping(self):
         low = fixed_rate(10.0, 0.51)
-        assert ratio_up(low, 0.005, math.radians(25.0)) > 0.0
+        assert ratio_up(low, fixed_rate(25.0, 0.505)) > 0.0
 
-    def test_zeropoint_denominator_rejected(self):
-        with pytest.raises(UndefinedRatioError):
-            ratio_up(fixed_rate(10.0, 0.5), 0.0, 0.3)
+    def test_zeropoint_denominator_is_nan(self):
+        assert math.isnan(ratio_up(fixed_rate(10.0, 0.5),
+                                   fixed_rate(math.degrees(0.3), 0.5)))
 
     def test_value(self):
         low = fixed_rate(0.0, 0.51)
-        got = ratio_up(low, -0.01, 0.0)
+        got = ratio_up(low, fixed_rate(0.0, 0.49))
         assert got == pytest.approx(-1.0, abs=1e-12)
 
 

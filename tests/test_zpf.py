@@ -17,7 +17,6 @@ SINH2_01 = math.sinh(0.1) ** 2  # 0.010033377809537924
 class TestVacuumState:
     def test_single_mode(self):
         st = vacuum_state(1)
-        assert np.array_equal(st.mean, np.zeros(2))
         assert np.array_equal(st.covariance, 0.5 * np.eye(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
@@ -45,17 +44,24 @@ class TestVacuumState:
                                      "inf-minus-inf"])
     def test_asymmetric_covariance_rejected(self, upper, lower):
         with pytest.raises(InvalidArgumentError):
-            GaussianState(np.zeros(2), self.covariance(upper, lower))
+            GaussianState(self.covariance(upper, lower))
 
     @pytest.mark.parametrize("upper,lower", [
         (0.25, 0.25), (1e-12, 0.0), (math.inf, math.inf),
         (-math.inf, -math.inf)], ids=["exact", "1e-12", "inf", "minus-inf"])
     def test_symmetric_covariance_accepted(self, upper, lower):
         cov = self.covariance(upper, lower)
-        assert np.array_equal(GaussianState(np.zeros(2), cov).covariance, cov)
+        assert np.array_equal(GaussianState(cov).covariance, cov)
+
+    @pytest.mark.parametrize("covariance", [
+        np.zeros(2), np.zeros((2, 3)), np.zeros((3, 3))],
+        ids=["1-d", "2x3", "3x3"])
+    def test_bad_shape_rejected(self, covariance):
+        with pytest.raises(InvalidArgumentError):
+            GaussianState(covariance)
 
     def test_zero_mode_state_accepted(self):
-        assert GaussianState(np.zeros(0), np.zeros((0, 0))).n_modes == 0
+        assert GaussianState(np.zeros((0, 0))).n_modes == 0
 
 
 class TestSampleVacuum:
