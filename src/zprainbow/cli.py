@@ -402,8 +402,9 @@ def forced_angle_report(config: RunConfig, theta_low_deg: float,
     modes = (Mode(0.5, th_lo, th_lo, ORDINARY, "input"),
              Mode(0.5, -th_hi, -th_hi, ORDINARY, "signal"))
     t = cp.squeeze_pair(gl, config.couplings.phi_down)
-    means = mean_intensities([t], config.engine, config.ratios_trials,
-                             config.seed, config.workers)[0]
+    means = mean_intensities(t.matrix[None], config.engine,
+                             config.ratios_trials, config.seed,
+                             config.workers)[0]
     rate_lo = ChannelRate.from_mean(modes[0], means[0])
     rate_hi = ChannelRate.from_mean(modes[1], means[1])
     return {

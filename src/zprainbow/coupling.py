@@ -19,10 +19,15 @@ undepleted classical pump:
 
 with s = w0-w, u = w0+w; dk_* are longitudinal wavevector mismatches.
 The mismatch phases are the only z-dependence, so in a frame rotating
-with them the generator is constant and integrate_three_wave builds the
-exact transform from one matrix exponential, with no step count.  The
-generator is a valid Bogoliubov generator (the passive part is
-anti-Hermitian, the pair part symmetric), so the map is symplectic for
+with them the generator is constant and the exact transform is one
+matrix exponential, with no step count.  three_wave_matrices builds the
+transforms of many systems (a whole band) in one array pass, over one
+stacked exponential in which every item keeps its own number of
+squarings; integrate_three_wave is its one-system call.  Likewise
+propagate_covariances moves one Gaussian state through a whole stack of
+transforms in one product, and propagate_covariance is its one-transform
+call.  The generator is a valid Bogoliubov generator (the passive part
+is anti-Hermitian, the pair part symmetric), so the map is symplectic for
 every mismatch; with dk = 0 the up leg reduces to the convert_pair closed
 form and the down leg to squeeze_pair.  perturbative_transform sums the
 Dyson series in the lab frame as an independent low-gain cross-check.
@@ -41,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .zpf import GaussianState, VacuumEnsemble
+from .zpf import GaussianState, VacuumEnsemble, check_symmetric
 
 _SERIES_CUT = 0.5  # |k L| below which oscillatory integrals switch to series
 
@@ -201,52 +206,71 @@ def _term_matrices(system: ThreeWaveSystem):
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring of a truncated Taylor series.
+    """exp(a) of every matrix of an (N, n, n) stack by scaling and squaring
+    of a truncated Taylor series.
 
-    a is scaled by 2^-s so its 1-norm is below 1, where 20 Taylor terms
-    leave a remainder under 1e-19; s squarings then undo the scaling.
+    Each a is scaled by its own 2^-s so that its 1-norm is below 1, where
+    20 Taylor terms leave a remainder under 1e-19; squaring step k then
+    acts only on the items with s > k, so every item gets exactly its own
+    s squarings, as if it were exponentiated alone.
     """
-    squarings = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1])
-    a = a / 2.0 ** squarings
-    term = result = np.eye(len(a), dtype=complex)
+    squarings = np.maximum(0, np.frexp(np.abs(a).sum(axis=1).max(axis=1))[1])
+    a = a / (2.0 ** squarings)[:, None, None]
+    term = result = np.broadcast_to(np.eye(a.shape[1], dtype=complex), a.shape)
     for k in range(1, 21):
         term = term @ a / k
         result = result + term
-    for _ in range(squarings):
-        result = result @ result
+    for k in range(squarings.max(initial=0)):
+        active = squarings > k
+        result[active] = result[active] @ result[active]
     return result
 
 
-def integrate_three_wave(system: ThreeWaveSystem) -> BogoliubovTransform:
-    """Exact full-crystal transform of the coupled three-wave evolution.
+def three_wave_matrices(systems) -> np.ndarray:
+    """Exact full-crystal transforms of several three-wave systems, as an
+    (N, 6, 6) stack of matrices built in one array pass.
 
     (a_w, a_s*, a_u) evolve among themselves.  In the rotating frame
     b = a e^{i r z}, with frame frequencies r = (0, dk_d, -dk_u) + c,
-    their generator is constant, so the map is one 3x3 exponential
+    their generator is constant, so each map is one 3x3 exponential
     followed by the frame phases e^{-i r L}; (a_w*, a_s, a_u*) follow by
-    conjugation.
+    conjugation.  Item i is bit for bit integrate_three_wave(systems[i]).
     """
-    gd = system.g_down * system.length_mm * np.exp(1j * system.phi_down)
-    gu = system.g_up * system.length_mm * np.exp(1j * system.phi_up)
+    def column(name):
+        return np.array([getattr(s, name) for s in systems], dtype=float)
+
+    length_mm = column("length_mm")
+    gd = column("g_down") * length_mm * np.exp(1j * column("phi_down"))
+    gu = column("g_up") * length_mm * np.exp(1j * column("phi_up"))
     # r L; the common frequency c is free, and centring r keeps the
     # exponent's norm, hence the number of squarings, smallest
-    rl = np.array([0.0, system.dk_down, -system.dk_up]) * system.length_um
-    rl -= 0.5 * (rl.max() + rl.min())
+    rl = (np.stack([np.zeros(len(systems)), column("dk_down"),
+                    -column("dk_up")], axis=1) * column("length_um")[:, None])
+    rl -= 0.5 * (rl.max(axis=1) + rl.min(axis=1))[:, None]
     # beyond 2**53 rad the frame phases e^{-i r L} keep no significant
     # bit; a zero-gain crystal reaches this where no gain check can see it
-    phase = np.abs(rl).max()
-    if not phase <= 2.0 ** 53:
+    phase = np.abs(rl).max(axis=1)
+    beyond = ~(phase <= 2.0 ** 53)
+    if beyond.any():
         raise InvalidArgumentError(
-            f"crystal.length_mm: mismatch phase {phase:.3g} rad over the "
-            f"crystal exceeds 2**53 rad")
-    a = np.array([[1j * rl[0], gd, -np.conj(gu)],
-                  [np.conj(gd), 1j * rl[1], 0.0],
-                  [gu, 0.0, 1j * rl[2]]])
-    e = np.exp(-1j * rl)[:, None] * _expm(a)
-    m = np.zeros((6, 6), dtype=complex)
-    m[np.ix_([0, 4, 2], [0, 4, 2])] = e          # (a_w, a_s*, a_u)
-    m[np.ix_([3, 1, 5], [3, 1, 5])] = e.conj()   # their conjugates
-    return BogoliubovTransform(m)
+            f"crystal.length_mm: mismatch phase {phase[beyond][0]:.3g} rad "
+            f"over the crystal exceeds 2**53 rad")
+    a = np.zeros((len(systems), 3, 3), dtype=complex)
+    a[:, [0, 1, 2], [0, 1, 2]] = 1j * rl
+    a[:, 0, 1], a[:, 0, 2] = gd, -np.conj(gu)
+    a[:, 1, 0], a[:, 2, 0] = np.conj(gd), gu
+    e = np.exp(-1j * rl)[:, :, None] * _expm(a)
+    m = np.zeros((len(systems), 6, 6), dtype=complex)
+    w_s_u, conjugates = np.array([0, 4, 2]), np.array([3, 1, 5])
+    m[:, w_s_u[:, None], w_s_u] = e
+    m[:, conjugates[:, None], conjugates] = e.conj()
+    return m
+
+
+def integrate_three_wave(system: ThreeWaveSystem) -> BogoliubovTransform:
+    """Exact full-crystal transform of the coupled three-wave evolution:
+    the one-system call of three_wave_matrices."""
+    return BogoliubovTransform(three_wave_matrices([system])[0])
 
 
 def _int_exp(k, length):
@@ -308,22 +332,41 @@ def apply(t: BogoliubovTransform, ensemble: VacuumEnsemble) -> VacuumEnsemble:
     return ensemble.replace_amplitudes(out)
 
 
+def quadrature_matrices(matrices: np.ndarray) -> np.ndarray:
+    """Real symplectic matrices, xxpp ordering, of an (N, 2M, 2M) stack of
+    transform matrices."""
+    m = matrices.shape[-1] // 2
+    u, v = matrices[:, :m, :m], matrices[:, :m, m:]
+    s = np.empty(matrices.shape)
+    s[:, :m, :m], s[:, :m, m:] = (u + v).real, -(u - v).imag
+    s[:, m:, :m], s[:, m:, m:] = (u + v).imag, (u - v).real
+    return s
+
+
 def quadrature_matrix(t: BogoliubovTransform) -> np.ndarray:
     """Real symplectic matrix of the transform in xxpp ordering."""
-    u, v = t.u, t.v
-    return np.block([[(u + v).real, -(u - v).imag],
-                     [(u + v).imag, (u - v).real]])
+    return quadrature_matrices(t.matrix[None])[0]
+
+
+def propagate_covariances(matrices: np.ndarray,
+                          state: GaussianState) -> np.ndarray:
+    """Exact Gaussian-state update of one state through each of an
+    (N, 2M, 2M) stack of transform matrices: the (N, 2M, 2M) covariances
+    S cov S^T (symmetrised), in one stacked product.
+
+    S is linear with no displacement, so the states stay zero-mean.
+    """
+    if matrices.shape[-1] != 2 * state.n_modes:
+        raise InvalidArgumentError(
+            f"transform has {matrices.shape[-1] // 2} modes, "
+            f"state {state.n_modes}")
+    s = quadrature_matrices(matrices)
+    cov = s @ state.covariance @ s.transpose(0, 2, 1)
+    return check_symmetric(0.5 * (cov + cov.transpose(0, 2, 1)))
 
 
 def propagate_covariance(t: BogoliubovTransform,
                          state: GaussianState) -> GaussianState:
-    """Exact Gaussian-state update, cov -> S cov S^T (symmetrised).
-
-    S is linear with no displacement, so the state stays zero-mean.
-    """
-    if t.n_modes != state.n_modes:
-        raise InvalidArgumentError(
-            f"transform has {t.n_modes} modes, state {state.n_modes}")
-    s = quadrature_matrix(t)
-    cov = s @ state.covariance @ s.T
-    return GaussianState(0.5 * (cov + cov.T))
+    """Exact Gaussian-state update, cov -> S cov S^T (symmetrised): the
+    one-transform call of propagate_covariances."""
+    return GaussianState(propagate_covariances(t.matrix[None], state)[0])

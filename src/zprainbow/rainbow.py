@@ -19,12 +19,17 @@ dispersion.triples builds the band's matched triples, or says why one is
 missing: that point is absent (NaN fields), never extrapolated.  This
 module only attaches the couplings; pdc_system and puc_system are the
 one-frequency calls.
-Both engines share one path from the vacuum to the rates, channel_rates:
-`covariance` propagates the exact vacuum state (zpf.vacuum_state),
-`montecarlo` the raw second moments of a sampled vacuum
-(zpf.sampled_state, per-point seeds derived from the master seed) through
-the same transforms, which gives the trial means of |T alpha|^2 up to
-rounding.  The CLI's ratios report goes through channel_rates too.
+Both engines share one path from the vacuum to the rates, channel_rates,
+which builds the transforms of all its systems (the sweep's whole band)
+in one stacked pass, coupling.three_wave_matrices.  `covariance`
+propagates the exact vacuum state (zpf.vacuum_state) through the whole
+stack in one product; `montecarlo` propagates, once per sampled vacuum,
+the raw second moments of that vacuum (zpf.sampled_state) through the
+transforms that share it, which gives the trial means of |T alpha|^2 up
+to rounding.  At a sweep point the main and pair-only systems share one
+vacuum and the satellite has its own, each drawn from a per-point seed
+derived from the master seed; seeds are derived only where a vacuum is
+sampled.  The CLI's ratios report goes through channel_rates too.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from . import coupling as cp
 from . import dispersion as dp
 from .detection import ChannelRate, DetectorSpec, ratio_down, ratio_up
 from .errors import BandError, InvalidArgumentError, present
-from .zpf import sampled_state, vacuum_state
+from .zpf import mode_intensities, sampled_state, vacuum_state
 
 ENGINES = ("covariance", "montecarlo")
 
@@ -138,11 +143,10 @@ def _systems(process, crystal, omegas, couplings) -> list:
     return found
 
 
-def _state_means(transforms, state) -> list[np.ndarray]:
-    """Mean |alpha|^2 per mode after each transform acts on `state`."""
-    outputs = [cp.propagate_covariance(t, state) for t in transforms]
-    return [np.array([out.mode_intensity(i) for i in range(out.n_modes)])
-            for out in outputs]
+def _state_means(matrices, state) -> np.ndarray:
+    """(N, M) mean |alpha|^2 per mode after each of an (N, 2M, 2M) stack of
+    transform matrices acts on `state`: one stacked propagation."""
+    return mode_intensities(cp.propagate_covariances(matrices, state))
 
 
 def mc_mean_intensities(transforms, trials: int, seed: int,
@@ -154,28 +158,44 @@ def mc_mean_intensities(transforms, trials: int, seed: int,
     vacuum state, which gives the trial means of |T alpha|^2, at a
     reduction cost that does not grow with the number of transforms.
     """
-    return _state_means(transforms, sampled_state(transforms[0].n_modes,
-                                                  trials, seed, workers))
+    matrices = np.array([t.matrix for t in transforms])
+    return list(_state_means(matrices, sampled_state(
+        transforms[0].n_modes, trials, seed, workers)))
 
 
-def mean_intensities(transforms, engine: str, trials: int, seed: int,
-                     workers: int = 1) -> list[np.ndarray]:
-    """Mean |alpha|^2 per mode after each transform acts on the vacuum.
+def mean_intensities(matrices, engine: str, trials: int, seed: int,
+                     workers: int = 1, vacua=None) -> np.ndarray:
+    """(N, M) mean |alpha|^2 per mode after each of an (N, 2M, 2M) stack of
+    transform matrices acts on the vacuum.
 
-    `covariance` propagates the exact vacuum state; `montecarlo` runs
-    mc_mean_intensities (trials, seed and workers apply to it only),
-    which propagates the sampled vacuum's second moments the same way.
+    `covariance` propagates the exact vacuum state through the whole stack
+    at once.  `montecarlo` runs mc_mean_intensities (trials, seed and
+    workers apply to it only) once per sampled vacuum: vacua[i] names the
+    vacuum of transform i, a point key (index, slot) whose vacuum is drawn
+    from the per-point seed _point_seed(seed, index, slot); transforms
+    with equal keys share one vacuum.  Without vacua every transform
+    shares the vacuum drawn from `seed` itself.
     """
     if engine == "covariance":
-        return _state_means(transforms, vacuum_state(transforms[0].n_modes))
-    return mc_mean_intensities(transforms, trials, seed, workers)
+        return _state_means(matrices, vacuum_state(matrices.shape[-1] // 2))
+    groups = {}
+    for i, key in enumerate(vacua or [None] * len(matrices)):
+        groups.setdefault(key, []).append(i)
+    means = np.empty((len(matrices), matrices.shape[-1] // 2))
+    for key, items in groups.items():
+        means[items] = mc_mean_intensities(
+            [cp.BogoliubovTransform(matrices[i]) for i in items], trials,
+            seed if key is None else _point_seed(seed, *key), workers)
+    return means
 
 
 def channel_rates(systems, engine: str, trials: int, seed: int,
-                  workers: int = 1) -> list[list[ChannelRate]]:
-    """Every mode's ChannelRate for each system, all systems on one vacuum."""
-    means = mean_intensities([cp.integrate_three_wave(s) for s in systems],
-                             engine, trials, seed, workers)
+                  workers: int = 1, vacua=None) -> list[list[ChannelRate]]:
+    """Every mode's ChannelRate for each system, all transforms built in
+    one stacked pass; vacua groups the systems by the Monte Carlo vacuum
+    they act on, as in mean_intensities (by default all share one)."""
+    means = mean_intensities(cp.three_wave_matrices(systems), engine, trials,
+                             seed, workers, vacua)
     return [[ChannelRate.from_mean(m, v) for m, v in zip(s.modes, mean)]
             for s, mean in zip(systems, means)]
 
@@ -211,25 +231,30 @@ def sweep(omega_min: float, omega_max: float, steps: int,
     # without an up-conversion coupling there is no satellite process
     if couplings.resolve(crystal).g_up != 0.0:
         satellites = _systems("up", crystal, omegas, couplings)
+    # main and pair-only share a point's vacuum, the satellite has its own
+    systems, vacua = [], []
+    for i, (system_a, system_b) in enumerate(zip(mains, satellites)):
+        if isinstance(system_a, cp.ThreeWaveSystem):
+            systems += [system_a, system_a.pair_only()]
+            vacua += [(i, 0), (i, 0)]
+            if isinstance(system_b, cp.ThreeWaveSystem):
+                systems.append(system_b)
+                vacua.append((i, 1))
+    rates = iter(channel_rates(systems, engine, trials, seed, workers, vacua))
     points = []
-    for i, (omega, system_a, system_b) in enumerate(
-            zip(omegas.tolist(), mains, satellites)):
+    for omega, system_a, system_b in zip(omegas.tolist(), mains, satellites):
         nan = float("nan")
         theta_d = theta_u = main = conj = sat = upper = eq1 = eq2 = nan
         if isinstance(system_a, cp.ThreeWaveSystem):
             theta_d = system_a.modes[0].theta_external
-            (r_w, r_s, _), (p_w, p_s, _) = channel_rates(
-                [system_a, system_a.pair_only()], engine, trials,
-                _point_seed(seed, i, 0), workers)
+            (r_w, r_s, _), (p_w, p_s, _) = next(rates), next(rates)
             main, conj = r_w.photon_rate, r_s.photon_rate
             eq1 = ratio_down(p_w, p_s)
-        if (isinstance(system_a, cp.ThreeWaveSystem)
-                and isinstance(system_b, cp.ThreeWaveSystem)):
-            theta_u = system_b.modes[0].theta_external
-            [(q_w, _, q_u)] = channel_rates(
-                [system_b], engine, trials, _point_seed(seed, i, 1), workers)
-            sat, upper = q_w.photon_rate, q_u.above_zeropoint
-            eq2 = ratio_up(q_w, q_u)
+            if isinstance(system_b, cp.ThreeWaveSystem):
+                theta_u = system_b.modes[0].theta_external
+                q_w, _, q_u = next(rates)
+                sat, upper = q_w.photon_rate, q_u.above_zeropoint
+                eq2 = ratio_up(q_w, q_u)
         points.append(RainbowPoint(
             omega=omega, theta_d_ext=theta_d, theta_u_ext=theta_u,
             main_rate=main, conjugate_rate=conj, satellite_rate=sat,

@@ -89,11 +89,7 @@ class GaussianState:
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] % 2:
             raise InvalidArgumentError(
                 f"covariance must be square of even size, got {c.shape}")
-        # np.allclose(c, c.T, atol=1e-12, rtol=0) at a fifth of its cost
-        with np.errstate(invalid="ignore"):  # inf - inf, passed by c == c.T
-            symmetric = ((c == c.T) | (np.abs(c - c.T) <= 1e-12)).all()
-        if not symmetric:
-            raise InvalidArgumentError("covariance must be symmetric to 1e-12")
+        check_symmetric(c)
 
     @property
     def n_modes(self) -> int:
@@ -104,8 +100,27 @@ class GaussianState:
         m = self.n_modes
         if not 0 <= index < m:
             raise NotFoundError(f"mode index {index} out of range")
-        i, j = index, m + index
-        return 0.5 * (self.covariance[i, i] + self.covariance[j, j])
+        return mode_intensities(self.covariance)[index]
+
+
+def check_symmetric(covariances: np.ndarray) -> np.ndarray:
+    """The covariance matrix, or stack of them along the leading axes,
+    unchanged; InvalidArgumentError unless each is symmetric to 1e-12."""
+    c, ct = covariances, np.swapaxes(covariances, -1, -2)
+    # np.allclose(c, c.T, atol=1e-12, rtol=0) at a fifth of its cost
+    with np.errstate(invalid="ignore"):  # inf - inf, passed by c == c.T
+        symmetric = ((c == ct) | (np.abs(c - ct) <= 1e-12)).all()
+    if not symmetric:
+        raise InvalidArgumentError("covariance must be symmetric to 1e-12")
+    return covariances
+
+
+def mode_intensities(covariances: np.ndarray) -> np.ndarray:
+    """Mean |alpha|^2 of every mode, (<x^2> + <p^2>) / 2, of a covariance
+    matrix or of each of a stack of them: shape (..., M)."""
+    d = np.diagonal(covariances, axis1=-2, axis2=-1)
+    m = d.shape[-1] // 2
+    return 0.5 * (d[..., :m] + d[..., m:])
 
 
 def vacuum_state(n_modes: int) -> GaussianState:
@@ -170,15 +185,16 @@ def block_amplitudes(n_modes: int, seed: int, block_index: int,
     monolithic sampling see identical numbers.
     """
     out = np.empty((length, n_modes), dtype=np.complex128)
-    parts = out.view(np.float64)
     for m in range(n_modes):
         bits = np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(m, block_index)))
         # interleaved draws keep each trial at a fixed stream position,
-        # so a short final block is a prefix of the full block
-        parts[:, 2 * m:2 * m + 2] = \
-            np.random.Generator(bits).standard_normal((length, 2))
+        # so a short final block is a prefix of the full block; each
+        # (Re, Im) row is one complex, so the column is one strided copy
+        rng = np.random.Generator(bits)
+        out[:, m] = rng.standard_normal((length, 2)).view(np.complex128)[:, 0]
     # Re/Im std 1/2 <=> quadrature variance 1/2
+    parts = out.view(np.float64)
     parts *= 0.5
     return out
 

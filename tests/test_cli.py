@@ -258,11 +258,13 @@ class TestExitCodes:
         # crystal has no significant bit left
         path = write_config(tmp_path, **{"crystal.gain_per_mm": 0.0,
                                          "crystal.length_mm": length_mm})
-        out = str(tmp_path / "r.csv")
-        assert main(["--config", path, "ratios", "--engine", "covariance",
-                     "--output", out]) == EXIT_CONFIG
-        assert "crystal.length_mm" in capsys.readouterr().err
-        assert not os.path.exists(out)
+        # the ratios report builds one point, the rainbow sweep the band
+        for command in ("ratios", "rainbow"):
+            out = str(tmp_path / f"{command}.csv")
+            assert main(["--config", path, command, "--engine", "covariance",
+                         "--output", out]) == EXIT_CONFIG
+            assert "crystal.length_mm" in capsys.readouterr().err
+            assert not os.path.exists(out)
 
     def test_success_exit(self, tmp_path):
         out = str(tmp_path / "ang.csv")

@@ -9,11 +9,13 @@ from scipy.linalg import expm
 from zprainbow.coupling import (BogoliubovTransform, ThreeWaveSystem, apply,
                                 convert_pair, identity_transform,
                                 integrate_three_wave, perturbative_transform,
-                                propagate_covariance, quadrature_matrix,
-                                squeeze_pair, _int_exp, _int_nested,
+                                propagate_covariance, propagate_covariances,
+                                quadrature_matrix, squeeze_pair,
+                                three_wave_matrices, _int_exp, _int_nested,
                                 _term_matrices)
 from zprainbow.errors import InvalidArgumentError
-from zprainbow.zpf import Mode, mean_intensity, sample_vacuum, vacuum_state
+from zprainbow.zpf import (Mode, mean_intensity, mode_intensities,
+                           sample_vacuum, sampled_state, vacuum_state)
 
 SINH2_01 = math.sinh(0.1) ** 2
 
@@ -227,6 +229,51 @@ class TestTransformProperties:
         t = integrate_three_wave(system)
         p2 = perturbative_transform(system, 2)
         assert np.max(np.abs(t.matrix - p2.matrix)) < gl ** 3
+
+
+@st.composite
+def wide_systems(draw):
+    """ThreeWaveSystem with gains up to 30 /mm, some without an up leg, and
+    mismatch phases dk L up to 100 pi: within a stack of these the
+    exponentials need different numbers of squarings."""
+    length_mm = draw(st.floats(0.01, 1.0))
+    phase = st.floats(-100.0 * math.pi, 100.0 * math.pi)
+    return ThreeWaveSystem(
+        g_down=draw(st.floats(0.0, 30.0)),
+        g_up=draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0))),
+        phi_down=draw(PHASE), phi_up=draw(PHASE),
+        dk_down=draw(phase) / (1e3 * length_mm),
+        dk_up=draw(phase) / (1e3 * length_mm), length_mm=length_mm)
+
+
+SAMPLED3 = sampled_state(3, 1000, seed=4)
+
+
+class TestTransformStack:
+    @PROPERTY
+    @given(stack=st.lists(wide_systems(), max_size=12),
+           beyond_at=st.integers(0, 12))
+    @example(stack=[], beyond_at=0)
+    def test_stack_equals_one_system_calls(self, stack, beyond_at):
+        matrices = three_wave_matrices(stack)
+        assert matrices.shape == (len(stack), 6, 6)
+        singles = [integrate_three_wave(system) for system in stack]
+        for matrix, t in zip(matrices, singles):
+            assert np.array_equal(matrix, t.matrix)
+        for state in (vacuum_state(3), SAMPLED3):
+            means = mode_intensities(propagate_covariances(matrices, state))
+            assert means.shape == (len(stack), 3)
+            for t, mean in zip(singles, means):
+                one = propagate_covariance(t, state)
+                assert np.array_equal(
+                    mean, [one.mode_intensity(i) for i in range(3)])
+        # a zero-gain crystal whose mismatch phase has no significant bit
+        beyond = ThreeWaveSystem(g_down=0.0, g_up=0.0, phi_down=0.0,
+                                 phi_up=0.0, dk_down=0.1, dk_up=0.0,
+                                 length_mm=1e20)
+        at = min(beyond_at, len(stack))
+        with pytest.raises(InvalidArgumentError, match="crystal.length_mm"):
+            three_wave_matrices(stack[:at] + [beyond] + stack[at:])
 
 
 class TestPerturbative:

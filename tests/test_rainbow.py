@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zprainbow.cli import physical_ratio_report
+from zprainbow.detection import ratio_down, ratio_up
 from zprainbow.dispersion import make_mode, mismatch, pump_mode
 from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
+                               _point_seed, channel_rates,
                                mc_mean_intensities, pdc_system, puc_system,
                                satellite_summary, sweep)
 from zprainbow import coupling as cp
@@ -254,47 +256,72 @@ class TestThreeWaveGeometry:
 
 
 class TestBandMatchesOnePoint:
-    """sweep's one band pass per process against one frequency at a time."""
+    """sweep's one band pass per process, and its one stack of transforms,
+    against one frequency at a time."""
 
     @settings(max_examples=30, deadline=None, derandomize=True,
               database=None)
     @given(cut_deg=st.floats(8.0, 12.0), pump_nm=st.floats(390.0, 410.0),
            window_lo=st.floats(0.2, 0.3), window_hi=st.floats(0.9, 1.2),
            omega_min=st.floats(0.30, 0.50), omega_max=st.floats(0.52, 0.70),
-           steps=st.integers(2, 9))
+           steps=st.integers(2, 9), engine=st.just("covariance"))
     @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.27, window_hi=1.02,
-             omega_min=0.44, omega_max=0.58, steps=15)
+             omega_min=0.44, omega_max=0.58, steps=15, engine="covariance")
     @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.215, window_hi=1.02,
-             omega_min=0.38, omega_max=0.64, steps=9)
+             omega_min=0.38, omega_max=0.64, steps=9, engine="covariance")
+    # every point present with a satellite: the per-point vacua are grouped
+    @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.215, window_hi=1.02,
+             omega_min=0.52, omega_max=0.56, steps=3, engine="montecarlo")
     def test_sweep_equals_per_point_systems(self, crystal, detector,
                                             couplings, cut_deg, pump_nm,
                                             window_lo, window_hi, omega_min,
-                                            omega_max, steps):
+                                            omega_max, steps, engine):
         spec = dataclasses.replace(crystal, cut_angle_deg=cut_deg,
                                    pump_wavelength_nm=pump_nm,
                                    window_um=(window_lo, window_hi))
+        trials, seed = 2000, 5
         omegas = np.linspace(omega_min, omega_max, steps).tolist()
         want = []
-        for omega in omegas:
-            angles = [float("nan")] * 2
-            for k, geometry in enumerate((pdc_system, puc_system)):
-                try:
-                    system = geometry(spec, omega, couplings)
-                except (NoSolutionError, DomainError):
-                    break
-                angles[k] = system.modes[0].theta_external
-            want.append(angles)
+        for i, omega in enumerate(omegas):
+            nan = float("nan")
+            point = dict(theta_d_ext=nan, theta_u_ext=nan, main_rate=nan,
+                         conjugate_rate=nan, satellite_rate=nan,
+                         upper_above_zeropoint=nan, eq1_ratio=nan,
+                         eq2_ratio=nan)
+            want.append(point)
+            try:
+                a = pdc_system(spec, omega, couplings)
+            except (NoSolutionError, DomainError):
+                continue
+            (r_w, r_s, _), (p_w, p_s, _) = channel_rates(
+                [a, a.pair_only()], engine, trials, _point_seed(seed, i, 0))
+            point.update(theta_d_ext=a.modes[0].theta_external,
+                         main_rate=r_w.photon_rate,
+                         conjugate_rate=r_s.photon_rate,
+                         eq1_ratio=ratio_down(p_w, p_s))
+            try:
+                b = puc_system(spec, omega, couplings)
+            except (NoSolutionError, DomainError):
+                continue
+            [(q_w, _, q_u)] = channel_rates(
+                [b], engine, trials, _point_seed(seed, i, 1))
+            point.update(theta_u_ext=b.modes[0].theta_external,
+                         satellite_rate=q_w.photon_rate,
+                         upper_above_zeropoint=q_u.above_zeropoint,
+                         eq2_ratio=ratio_up(q_w, q_u))
         try:
             table = sweep(omega_min, omega_max, steps, spec, detector,
-                          engine="covariance", couplings=couplings)
+                          engine=engine, trials=trials, seed=seed,
+                          couplings=couplings)
         except BandError:
-            assert all(math.isnan(d) for d, _ in want)
+            assert all(math.isnan(p["theta_d_ext"]) for p in want)
             return
-        for p, (theta_d, theta_u) in zip(table.points, want):
-            for got, expected in ((p.theta_d_ext, theta_d),
-                                  (p.theta_u_ext, theta_u)):
-                assert got == expected or (math.isnan(got)
-                                           and math.isnan(expected))
+        if engine == "montecarlo":
+            assert all(p.has_satellite for p in table.points)
+        for p, expected in zip(table.points, want):
+            for name, value in expected.items():
+                got = getattr(p, name)
+                assert got == value or (math.isnan(got) and math.isnan(value))
 
 
 class TestCrossEngineEqOne:
