@@ -12,8 +12,7 @@ from .coupling import (BogoliubovTransform, ThreeWaveSystem, apply,
                        squeeze_pair)
 from .detection import ChannelRate, DetectorSpec, dark_rate_curve
 from .dispersion import (CrystalSpec, PhaseMatchSolution,
-                         SellmeierCoefficients, match_down, match_up,
-                         refractive_index, wavevector)
+                         SellmeierCoefficients, match_down, match_up)
 from .rainbow import Couplings, RainbowPoint, RainbowTable, satellite_summary, sweep
 from .zpf import (GaussianState, Mode, VacuumEnsemble, mean_intensity,
                   sample_vacuum, sampled_state, vacuum_state)
@@ -27,7 +26,6 @@ __all__ = [
     "ThreeWaveSystem", "VacuumEnsemble", "apply", "convert_pair",
     "dark_rate_curve", "integrate_three_wave", "match_down", "match_up",
     "mean_intensity", "perturbative_transform", "propagate_covariance",
-    "refractive_index", "sample_vacuum", "sampled_state",
-    "satellite_summary", "squeeze_pair", "sweep", "vacuum_state",
-    "wavevector",
+    "sample_vacuum", "sampled_state", "satellite_summary", "squeeze_pair",
+    "sweep", "vacuum_state",
 ]

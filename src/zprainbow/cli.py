@@ -42,14 +42,17 @@ from .detection import (ChannelRate, DetectorSpec, dark_rate_curve,
                         ratio_down, ratio_up)
 from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
                      NoSolutionError, StatisticalError)
-from .rainbow import (Couplings, POINT_FIELDS, channel_rates, mean_intensities,
-                      pdc_system, puc_system, satellite_summary, sweep)
+from .rainbow import (ENGINES, Couplings, POINT_FIELDS, channel_rates,
+                      mean_intensities, pdc_system, puc_system,
+                      satellite_summary, sweep)
 from .zpf import Mode, ORDINARY, sample_vacuum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_SOLUTION = 3
 EXIT_STATISTICAL = 4
+
+FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,11 @@ class RunConfig:
 
     def __post_init__(self):
         # dataclasses.replace runs this again for the command-line flags
+        if self.engine not in ENGINES:
+            raise ConfigError("engine", f"unknown engine {self.engine!r}")
+        if self.output_format not in FORMATS:
+            raise ConfigError("output.format",
+                              f"unknown format {self.output_format!r}")
         for name, value, least in (("trials", self.trials, 1),
                                    ("seed", self.seed, 0),
                                    ("workers", self.workers, 1),
@@ -189,8 +197,6 @@ def load_config(path: str | None = None) -> RunConfig:
         raise ConfigError("detector", str(e)) from None
 
     engine = raw.get("engine", "covariance")
-    if engine not in ("covariance", "montecarlo"):
-        raise ConfigError("engine", f"unknown engine {engine!r}")
     trials = _field(raw, "", "trials", int, default=100_000)
     seed = _field(raw, "", "seed", int, default=0)
     workers = _field(raw, "", "workers", int, default=1)
@@ -247,8 +253,6 @@ def load_config(path: str | None = None) -> RunConfig:
     o = _section(raw, "output", ("path", "format"), optional=True)
     out_path = _field(o, "output", "path", str, default="zprainbow_out.csv")
     out_format = _field(o, "output", "format", str, default="csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError("output.format", f"unknown format {out_format!r}")
 
     return RunConfig(crystal=crystal, detector=detector, engine=engine,
                      trials=trials, seed=seed, workers=workers,
@@ -344,7 +348,7 @@ def write_table(path: str, fmt: str, header, rows) -> None:
         raise
 
 
-def cmd_angles(config: RunConfig, out_path: str, fmt: str) -> int:
+def cmd_angles(config: RunConfig) -> int:
     """Dispersion-only table of matching angles and solver residuals."""
     lo, hi, steps = config.sweep_band
     header = ("omega", "theta_d_int", "theta_d_ext", "theta_u_int",
@@ -365,12 +369,13 @@ def cmd_angles(config: RunConfig, out_path: str, fmt: str) -> int:
         rows.append(row)
     if n_down == 0:
         raise BandError("no frequency in the sweep band phase matches")
-    write_table(out_path, fmt, header, rows)
-    print(f"angles: {len(rows)} rows ({n_down} matched) -> {out_path}")
+    write_table(config.output_path, config.output_format, header, rows)
+    print(f"angles: {len(rows)} rows ({n_down} matched) -> "
+          f"{config.output_path}")
     return EXIT_OK
 
 
-def cmd_rainbow(config: RunConfig, out_path: str, fmt: str) -> int:
+def cmd_rainbow(config: RunConfig) -> int:
     """Full rainbow synthesis (both rainbows, both engines)."""
     lo, hi, steps = config.sweep_band
     table = sweep(lo, hi, steps, config.crystal, config.detector,
@@ -378,8 +383,8 @@ def cmd_rainbow(config: RunConfig, out_path: str, fmt: str) -> int:
                   seed=config.seed, couplings=config.couplings,
                   workers=config.workers)
     rows = [[getattr(p, f) for f in POINT_FIELDS] for p in table.points]
-    write_table(out_path, fmt, POINT_FIELDS, rows)
-    print(f"rainbow: {len(rows)} points -> {out_path}")
+    write_table(config.output_path, config.output_format, POINT_FIELDS, rows)
+    print(f"rainbow: {len(rows)} points -> {config.output_path}")
     print(f"config fingerprint: {table.config_fingerprint}")
     try:
         mean_ratio, angle_ratio = satellite_summary(table)
@@ -459,38 +464,38 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
     return report
 
 
-def cmd_ratios(config: RunConfig, omega: float, out_path: str, fmt: str,
-               theta_low_deg=None, theta_high_deg=None) -> int:
+def cmd_ratios(config: RunConfig, theta_low_deg, theta_high_deg) -> int:
     if (theta_low_deg is None) != (theta_high_deg is None):
         raise ConfigError("ratios", "forced angles need both "
                           "--theta-low-deg and --theta-high-deg")
     if theta_low_deg is not None:
         report = forced_angle_report(config, theta_low_deg, theta_high_deg)
     else:
-        report = physical_ratio_report(config, omega)
+        report = physical_ratio_report(config, config.ratios_omega)
     header = tuple(report.keys())
-    write_table(out_path, fmt, header, [list(report.values())])
+    write_table(config.output_path, config.output_format, header,
+                [list(report.values())])
     for key, value in report.items():
         print(f"{key}: {_fmt(value)}")
-    print(f"ratios report -> {out_path}")
+    print(f"ratios report -> {config.output_path}")
     return EXIT_OK
 
 
-def cmd_darkrate(config: RunConfig, windows, out_path: str, fmt: str) -> int:
-    rows = dark_rate_curve(config.detector, windows, config.trials,
-                           config.seed)
-    write_table(out_path, fmt, ("window_samples", "dark_probability",
-                                "standard_error"), rows)
+def cmd_darkrate(config: RunConfig) -> int:
+    rows = dark_rate_curve(config.detector, config.darkrate_windows,
+                           config.trials, config.seed)
+    write_table(config.output_path, config.output_format,
+                ("window_samples", "dark_probability", "standard_error"),
+                rows)
     for m, p, err in rows:
         print(f"M={m}: dark probability {p:.6g} +- {err:.2g}")
-    print(f"darkrate curve -> {out_path}")
+    print(f"darkrate curve -> {config.output_path}")
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig, omega: float, out_path: str, fmt: str,
-                 raw_vacuum: bool = False) -> int:
+def cmd_simulate(config: RunConfig, raw_vacuum: bool) -> int:
     """Dump the per-trial amplitudes of the matched three-wave triple."""
-    system = pdc_system(config.crystal, omega, config.couplings)
+    system = pdc_system(config.crystal, config.ratios_omega, config.couplings)
     ensemble = sample_vacuum(system.modes, config.trials, config.seed,
                              config.workers)
     if not raw_vacuum:
@@ -498,10 +503,10 @@ def cmd_simulate(config: RunConfig, omega: float, out_path: str, fmt: str,
     header = ("trial", "w_re", "w_im", "s_re", "s_im", "u_re", "u_im")
     # the float view of the (trials x 3) complex table is its re, im
     # columns in header order, with no copy
-    write_table(out_path, fmt, header,
+    write_table(config.output_path, config.output_format, header,
                 (np.arange(ensemble.n_trials),
                  ensemble.amplitudes.view(np.float64)))
-    print(f"simulate: {ensemble.n_trials} trials -> {out_path}")
+    print(f"simulate: {ensemble.n_trials} trials -> {config.output_path}")
     return EXIT_OK
 
 
@@ -518,11 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--engine", choices=("covariance", "montecarlo"),
-                       default=None)
+        p.add_argument("--engine", choices=ENGINES, default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
 
     common(sub.add_parser("angles", help="phase-matching angle table"))
     common(sub.add_parser("rainbow", help="synthesize both rainbows"))
@@ -547,6 +551,16 @@ _OVERRIDES = (("seed", "seed"), ("trials", "trials"), ("workers", "workers"),
               ("darkrate_windows", "windows"), ("engine", "engine"),
               ("output_path", "output"), ("output_format", "format"))
 
+# command -> its run on the config and the command's own flags
+_COMMANDS = {
+    "angles": lambda config, args: cmd_angles(config),
+    "rainbow": lambda config, args: cmd_rainbow(config),
+    "ratios": lambda config, args: cmd_ratios(config, args.theta_low_deg,
+                                              args.theta_high_deg),
+    "darkrate": lambda config, args: cmd_darkrate(config),
+    "simulate": lambda config, args: cmd_simulate(config, args.raw_vacuum),
+}
+
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
@@ -556,20 +570,7 @@ def main(argv=None) -> int:
                             for name, flag in _OVERRIDES
                             # only some commands define --omega, --windows
                             if getattr(args, flag, None) is not None})
-        out, fmt = config.output_path, config.output_format
-        if args.command == "angles":
-            return cmd_angles(config, out, fmt)
-        if args.command == "rainbow":
-            return cmd_rainbow(config, out, fmt)
-        if args.command == "ratios":
-            return cmd_ratios(config, config.ratios_omega, out, fmt,
-                              args.theta_low_deg, args.theta_high_deg)
-        if args.command == "darkrate":
-            return cmd_darkrate(config, config.darkrate_windows, out, fmt)
-        if args.command == "simulate":
-            return cmd_simulate(config, config.ratios_omega, out, fmt,
-                                args.raw_vacuum)
-        raise ConfigError("command", f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](config, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

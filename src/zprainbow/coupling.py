@@ -105,10 +105,6 @@ def _from_blocks(u, v) -> BogoliubovTransform:
     return BogoliubovTransform(np.vstack([top, bot]))
 
 
-def identity_transform(n_modes: int) -> BogoliubovTransform:
-    return BogoliubovTransform(np.eye(2 * n_modes, dtype=complex))
-
-
 def squeeze_pair(r: float, phi: float, n_modes: int = 2,
                  pair: tuple = (0, 1)) -> BogoliubovTransform:
     """Two-mode squeezer: a_i -> a_i cosh(r) + e^{i phi} a_j* sinh(r).

@@ -168,25 +168,9 @@ def check_window(wavelength, spec: CrystalSpec) -> None:
             f"wavelength {outside[0]:.4f} um outside window [{lo}, {hi}] um")
 
 
-def refractive_index(wavelength_um: float, pol: str, spec: CrystalSpec) -> float:
-    """Principal refractive index from the Sellmeier form."""
-    check_window(wavelength_um, spec)
-    sell = spec.sellmeier_o if pol == ORDINARY else spec.sellmeier_e
-    if pol not in (ORDINARY, EXTRAORDINARY):
-        raise InvalidArgumentError(f"unknown polarization {pol!r}")
-    return float(np.sqrt(sell.n_squared(wavelength_um)))
-
-
 def _ellipse_index(no2, ne2, psi):
     c, s = np.cos(psi), np.sin(psi)
     return 1.0 / np.sqrt(c * c / no2 + s * s / ne2)
-
-
-def extraordinary_index(wavelength_um, psi, spec: CrystalSpec):
-    """Extraordinary index at angle psi (array) from the optic axis."""
-    check_window(wavelength_um, spec)
-    return _ellipse_index(spec.sellmeier_o.n_squared(wavelength_um),
-                          spec.sellmeier_e.n_squared(wavelength_um), psi)
 
 
 def _index_squares(omega, spec):
@@ -226,40 +210,6 @@ def external_angle(theta_internal: float, n: float) -> float:
         raise NoSolutionError(
             f"total internal reflection at theta={theta_internal:.4f} rad")
     return math.asin(s)
-
-
-def make_mode(spec: CrystalSpec, omega: float, theta_internal: float,
-              pol: str, role: str) -> Mode:
-    """Build a Mode with its external angle filled in by refraction."""
-    check_window(wavelength_um(omega, spec), spec)
-    n = float(effective_index(omega, theta_internal, pol, spec))
-    return Mode(omega=omega, theta_external=external_angle(theta_internal, n),
-                theta_internal=theta_internal, polarization=pol, role=role)
-
-
-def pump_mode(spec: CrystalSpec) -> Mode:
-    return Mode(omega=1.0, theta_external=0.0, theta_internal=0.0,
-                polarization=spec.pump_polarization, role="pump")
-
-
-def wavevector(mode: Mode, spec: CrystalSpec) -> tuple[float, float]:
-    """(k_transverse, k_longitudinal) in 1/um for one mode."""
-    k = _wavenumber(mode.omega, mode.theta_internal, mode.polarization, spec)
-    return k * math.sin(mode.theta_internal), k * math.cos(mode.theta_internal)
-
-
-def mismatch(modes_in, modes_out, spec: CrystalSpec) -> tuple[float, float]:
-    """Sum of input wavevectors minus sum of output wavevectors."""
-    if not modes_in or not modes_out:
-        raise InvalidArgumentError("mode lists must be non-empty")
-    dkt = dkz = 0.0
-    for m in modes_in:
-        kt, kz = wavevector(m, spec)
-        dkt, dkz = dkt + kt, dkz + kz
-    for m in modes_out:
-        kt, kz = wavevector(m, spec)
-        dkt, dkz = dkt - kt, dkz - kz
-    return dkt, dkz
 
 
 def conjugate_leg(omega, theta, spec: CrystalSpec):

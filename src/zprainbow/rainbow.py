@@ -174,8 +174,11 @@ def mean_intensities(matrices, engine: str, trials: int, seed: int,
     vacuum of transform i, a point key (index, slot) whose vacuum is drawn
     from the per-point seed _point_seed(seed, index, slot); transforms
     with equal keys share one vacuum.  Without vacua every transform
-    shares the vacuum drawn from `seed` itself.
+    shares the vacuum drawn from `seed` itself.  Any other engine is an
+    InvalidArgumentError.
     """
+    if engine not in ENGINES:
+        raise InvalidArgumentError(f"unknown engine {engine!r}")
     if engine == "covariance":
         return _state_means(matrices, vacuum_state(matrices.shape[-1] // 2))
     groups = {}
@@ -217,8 +220,6 @@ def sweep(omega_min: float, omega_max: float, steps: int,
         raise InvalidArgumentError("need 0 < omega_min < omega_max < 1")
     if steps < 2:
         raise InvalidArgumentError("steps must be >= 2")
-    if engine not in ENGINES:
-        raise InvalidArgumentError(f"unknown engine {engine!r}")
 
     fingerprint = config_fingerprint(dict(
         omega_min=omega_min, omega_max=omega_max, steps=steps,

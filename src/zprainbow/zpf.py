@@ -37,7 +37,7 @@ from .errors import InvalidArgumentError, NotFoundError
 ORDINARY = "ordinary"
 EXTRAORDINARY = "extraordinary"
 
-ROLES = ("input", "signal", "idler", "pump")
+ROLES = ("input", "signal", "pump")
 
 # trials per RNG stream; fixed so block boundaries are part of the contract
 _BLOCK = 1 << 16
@@ -163,12 +163,6 @@ class VacuumEnsemble:
         """Per-trial |alpha|^2 for one mode column."""
         a = self.amplitudes[:, index]
         return a.real ** 2 + a.imag ** 2
-
-    def quadratures(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-trial (x, p) samples for one mode column."""
-        a = self.amplitudes[:, index]
-        root2 = np.sqrt(2.0)
-        return root2 * a.real, root2 * a.imag
 
     def replace_amplitudes(self, amplitudes: np.ndarray) -> "VacuumEnsemble":
         """New ensemble with the same metadata and a new amplitude table."""

@@ -1,0 +1,72 @@
+"""Per-mode scalar geometry: the reference for dispersion's array legs.
+
+The pipeline computes the phase-matching geometry one way only, over
+arrays: dispersion.conjugate_leg and dispersion.up_leg behind match_band
+and triples.  The functions here compute it one mode at a time, straight
+from the Sellmeier form and the index ellipsoid: a principal or
+extraordinary index, a refracted Mode, its wavevector, and the wavevector
+mismatch of a process.  The tests compare the legs, the band matcher and
+the built triples against them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from zprainbow.dispersion import (CrystalSpec, _ellipse_index, _wavenumber,
+                                  check_window, effective_index,
+                                  external_angle, wavelength_um)
+from zprainbow.errors import InvalidArgumentError
+from zprainbow.zpf import EXTRAORDINARY, ORDINARY, Mode
+
+
+def refractive_index(wavelength_um: float, pol: str, spec: CrystalSpec) -> float:
+    """Principal refractive index from the Sellmeier form."""
+    check_window(wavelength_um, spec)
+    sell = spec.sellmeier_o if pol == ORDINARY else spec.sellmeier_e
+    if pol not in (ORDINARY, EXTRAORDINARY):
+        raise InvalidArgumentError(f"unknown polarization {pol!r}")
+    return float(np.sqrt(sell.n_squared(wavelength_um)))
+
+
+def extraordinary_index(wavelength_um, psi, spec: CrystalSpec):
+    """Extraordinary index at angle psi (array) from the optic axis."""
+    check_window(wavelength_um, spec)
+    return _ellipse_index(spec.sellmeier_o.n_squared(wavelength_um),
+                          spec.sellmeier_e.n_squared(wavelength_um), psi)
+
+
+def make_mode(spec: CrystalSpec, omega: float, theta_internal: float,
+              pol: str, role: str) -> Mode:
+    """Build a Mode with its external angle filled in by refraction."""
+    check_window(wavelength_um(omega, spec), spec)
+    n = float(effective_index(omega, theta_internal, pol, spec))
+    return Mode(omega=omega, theta_external=external_angle(theta_internal, n),
+                theta_internal=theta_internal, polarization=pol, role=role)
+
+
+def pump_mode(spec: CrystalSpec) -> Mode:
+    return Mode(omega=1.0, theta_external=0.0, theta_internal=0.0,
+                polarization=spec.pump_polarization, role="pump")
+
+
+def wavevector(mode: Mode, spec: CrystalSpec) -> tuple[float, float]:
+    """(k_transverse, k_longitudinal) in 1/um for one mode."""
+    k = _wavenumber(mode.omega, mode.theta_internal, mode.polarization, spec)
+    return k * math.sin(mode.theta_internal), k * math.cos(mode.theta_internal)
+
+
+def mismatch(modes_in, modes_out, spec: CrystalSpec) -> tuple[float, float]:
+    """Sum of input wavevectors minus sum of output wavevectors."""
+    if not modes_in or not modes_out:
+        raise InvalidArgumentError("mode lists must be non-empty")
+    dkt = dkz = 0.0
+    for m in modes_in:
+        kt, kz = wavevector(m, spec)
+        dkt, dkz = dkt + kt, dkz + kz
+    for m in modes_out:
+        kt, kz = wavevector(m, spec)
+        dkt, dkz = dkt - kt, dkz - kz
+    return dkt, dkz

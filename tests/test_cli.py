@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +65,17 @@ class TestConfigLoading:
         path = write_config(tmp_path, **{key: value})
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("name,value,field", [
+        ("engine", "covarience", "engine"),
+        ("output_format", "xml", "output.format"),
+    ])
+    def test_replace_rejects_unknown_choice(self, config, name, value, field):
+        # a setting changed after loading is checked like the config key
+        with pytest.raises(ConfigError) as err:
+            replace(config, **{name: value})
+        assert err.value.field == field
+        assert str(err.value).startswith(f"{field}: unknown ")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -7,12 +7,11 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from zprainbow.coupling import (BogoliubovTransform, ThreeWaveSystem, apply,
-                                convert_pair, identity_transform,
-                                integrate_three_wave, perturbative_transform,
-                                propagate_covariance, propagate_covariances,
-                                quadrature_matrix, squeeze_pair,
-                                three_wave_matrices, _int_exp, _int_nested,
-                                _term_matrices)
+                                convert_pair, integrate_three_wave,
+                                perturbative_transform, propagate_covariance,
+                                propagate_covariances, quadrature_matrix,
+                                squeeze_pair, three_wave_matrices, _int_exp,
+                                _int_nested, _term_matrices)
 from zprainbow.errors import InvalidArgumentError
 from zprainbow.zpf import (Mode, mean_intensity, mode_intensities,
                            sample_vacuum, sampled_state, vacuum_state)
@@ -344,7 +343,7 @@ class TestPhaseIntegrals:
 class TestApply:
     def test_identity_is_bitwise(self):
         ens = sample_vacuum(MODES2, 500, seed=1)
-        out = apply(identity_transform(2), ens)
+        out = apply(BogoliubovTransform(np.eye(4, dtype=complex)), ens)
         assert np.array_equal(out.amplitudes, ens.amplitudes)
         assert out.seed == ens.seed and out.n_trials == ens.n_trials
 
@@ -364,12 +363,13 @@ class TestApply:
     def test_dimension_mismatch_rejected(self):
         ens = sample_vacuum(MODES2, 10, seed=0)
         with pytest.raises(InvalidArgumentError):
-            apply(identity_transform(3), ens)
+            apply(BogoliubovTransform(np.eye(6, dtype=complex)), ens)
 
 
 class TestPropagateCovariance:
     def test_identity_on_vacuum(self):
-        st = propagate_covariance(identity_transform(3), vacuum_state(3))
+        identity = BogoliubovTransform(np.eye(6, dtype=complex))
+        st = propagate_covariance(identity, vacuum_state(3))
         assert np.array_equal(st.covariance, 0.5 * np.eye(6))
 
     def test_passive_invariance(self):
@@ -387,7 +387,8 @@ class TestPropagateCovariance:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            propagate_covariance(identity_transform(2), vacuum_state(3))
+            propagate_covariance(BogoliubovTransform(np.eye(4, dtype=complex)),
+                                 vacuum_state(3))
 
 
 class TestMonteCarloCovarianceEquivalence:

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from geometry_oracle import (extraordinary_index, make_mode, mismatch,
+                             pump_mode, refractive_index, wavevector)
 from zprainbow.dispersion import (CrystalSpec, PhaseMatchSolution,
                                   SellmeierCoefficients, conjugate_leg,
-                                  effective_index, external_angle,
-                                  extraordinary_index, make_mode, match_band,
-                                  match_down, match_up, mismatch, pump_mode,
-                                  refractive_index, triples, up_leg,
-                                  wavelength_um, wavevector)
+                                  effective_index, external_angle, match_band,
+                                  match_down, match_up, triples, up_leg,
+                                  wavelength_um)
 from zprainbow.errors import (DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.zpf import EXTRAORDINARY, ORDINARY, Mode

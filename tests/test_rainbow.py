@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from geometry_oracle import make_mode, mismatch, pump_mode
 from zprainbow.cli import physical_ratio_report
 from zprainbow.detection import ratio_down, ratio_up
-from zprainbow.dispersion import make_mode, mismatch, pump_mode
 from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
@@ -111,6 +111,12 @@ class TestCrossEngine:
             if pe.has_satellite:
                 assert abs(pm.upper_above_zeropoint
                            - pe.upper_above_zeropoint) < bound
+
+    def test_unknown_engine_rejected(self, crystal, couplings):
+        # a misspelt engine must not fall through to Monte Carlo
+        systems = [pdc_system(crystal, 0.5, couplings)]
+        with pytest.raises(InvalidArgumentError, match="covarience"):
+            channel_rates(systems, "covarience", 1000, 0)
 
 
 class TestDeterminism:
