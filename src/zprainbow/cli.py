@@ -96,30 +96,33 @@ def default_config_path() -> str:
     return str(resources.files("zprainbow").joinpath("configs/default.json"))
 
 
-def _reject_unknown(section, path, known):
-    """A misspelt key must fail, not leave its field on the default."""
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-
-
-def _section(raw, name, known, optional=False):
-    value = raw.get(name, {} if optional else None)
+def _section(raw, name, optional=False):
+    value = raw.pop(name, {} if optional else None)
     if not isinstance(value, dict):
         raise ConfigError(name, "missing or not a dict")
-    _reject_unknown(value, name, known)
     return value
 
 
 def _field(section, path, name, types, default=None, required=False):
+    """Take `name` out of `section`, checked against `types`."""
     if name not in section:
         if required:
             raise ConfigError(f"{path}.{name}", "missing required field")
         return default
-    value = section[name]
+    value = section.pop(name)
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{path}.{name}", f"expected {types}, got {value!r}")
     return value
+
+
+def _number(section, path, name, default=None, required=False) -> float:
+    return float(_field(section, path, name, (int, float), default, required))
+
+
+def _reject_unknown(section, path):
+    """A key no read took out is unknown: a misspelt key must fail."""
+    for key in section:
+        raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
 def _sellmeier(section, path, name):
@@ -152,25 +155,18 @@ def load_config(path: str | None = None) -> RunConfig:
         raise ConfigError("config", f"invalid JSON in {cfg_path}: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
-    _reject_unknown(raw, "", ("crystal", "detector", "engine", "trials",
-                              "seed", "workers", "sweep", "couplings",
-                              "ratios", "darkrate", "output"))
 
-    c = _section(raw, "crystal", (
-        "sellmeier_o", "sellmeier_e", "cut_angle_deg", "length_mm",
-        "pump_wavelength_nm", "gain_per_mm", "pump_polarization", "window_um"))
+    c = _section(raw, "crystal")
     try:
         crystal = dp.CrystalSpec(
             sellmeier_o=_sellmeier(c, "crystal", "sellmeier_o"),
             sellmeier_e=_sellmeier(c, "crystal", "sellmeier_e"),
-            cut_angle_deg=float(_field(c, "crystal", "cut_angle_deg",
-                                       (int, float), required=True)),
-            length_mm=float(_field(c, "crystal", "length_mm", (int, float),
-                                   required=True)),
-            pump_wavelength_nm=float(_field(c, "crystal", "pump_wavelength_nm",
-                                            (int, float), required=True)),
-            gain_per_mm=float(_field(c, "crystal", "gain_per_mm", (int, float),
-                                     required=True)),
+            cut_angle_deg=_number(c, "crystal", "cut_angle_deg",
+                                  required=True),
+            length_mm=_number(c, "crystal", "length_mm", required=True),
+            pump_wavelength_nm=_number(c, "crystal", "pump_wavelength_nm",
+                                       required=True),
+            gain_per_mm=_number(c, "crystal", "gain_per_mm", required=True),
             pump_polarization=_field(c, "crystal", "pump_polarization", str,
                                      default="extraordinary"),
             window_um=tuple(_field(c, "crystal", "window_um", list,
@@ -178,47 +174,43 @@ def load_config(path: str | None = None) -> RunConfig:
         )
     except InvalidArgumentError as e:
         raise ConfigError("crystal", str(e)) from None
+    _reject_unknown(c, "crystal")
     if not math.isfinite(crystal.length_um):
         raise ConfigError("crystal.length_mm",
                           f"{crystal.length_mm:g} mm exceeds the float range "
                           f"in micrometres")
 
-    d = _section(raw, "detector", ("threshold", "window_samples", "efficiency"))
+    d = _section(raw, "detector")
     try:
         detector = DetectorSpec(
-            threshold=float(_field(d, "detector", "threshold", (int, float),
-                                   default=0.5)),
+            threshold=_number(d, "detector", "threshold", default=0.5),
             window_samples=int(_field(d, "detector", "window_samples", int,
                                       default=1)),
-            efficiency=float(_field(d, "detector", "efficiency", (int, float),
-                                    default=1.0)),
+            efficiency=_number(d, "detector", "efficiency", default=1.0),
         )
     except InvalidArgumentError as e:
         raise ConfigError("detector", str(e)) from None
+    _reject_unknown(d, "detector")
 
-    engine = raw.get("engine", "covariance")
+    engine = raw.pop("engine", "covariance")
     trials = _field(raw, "", "trials", int, default=100_000)
     seed = _field(raw, "", "seed", int, default=0)
     workers = _field(raw, "", "workers", int, default=1)
 
-    s = _section(raw, "sweep", ("omega_min", "omega_max", "steps"))
-    band = (float(_field(s, "sweep", "omega_min", (int, float), required=True)),
-            float(_field(s, "sweep", "omega_max", (int, float), required=True)),
+    s = _section(raw, "sweep")
+    band = (_number(s, "sweep", "omega_min", required=True),
+            _number(s, "sweep", "omega_max", required=True),
             int(_field(s, "sweep", "steps", int, required=True)))
+    _reject_unknown(s, "sweep")
     if not 0.0 < band[0] < band[1] < 1.0:
         raise ConfigError("sweep", "need 0 < omega_min < omega_max < 1")
     if band[2] < 2:
         raise ConfigError("sweep.steps", "must be >= 2")
 
-    k = raw.get("couplings", {})
-    if k == "auto":
-        k = {}
-    if not isinstance(k, dict):
-        raise ConfigError("couplings", "must be a section or \"auto\"")
-    _reject_unknown(k, "couplings", ("g_down", "g_up", "phi_down", "phi_up"))
+    k = _section(raw, "couplings", optional=True)
 
     def opt_g(name):
-        v = k.get(name)
+        v = k.pop(name, None)
         if v is None:
             return None
         if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
@@ -227,10 +219,9 @@ def load_config(path: str | None = None) -> RunConfig:
 
     couplings = Couplings(
         g_down=opt_g("g_down"), g_up=opt_g("g_up"),
-        phi_down=float(_field(k, "couplings", "phi_down", (int, float),
-                              default=0.0)),
-        phi_up=float(_field(k, "couplings", "phi_up", (int, float),
-                            default=0.0)))
+        phi_down=_number(k, "couplings", "phi_down", default=0.0),
+        phi_up=_number(k, "couplings", "phi_up", default=0.0))
+    _reject_unknown(k, "couplings")
     # the pair gain amplifies the vacuum intensity like exp(2 g L); a
     # quarter of the float exponent range keeps intensities, their
     # products and sampled vacuum fluctuations finite
@@ -241,18 +232,21 @@ def load_config(path: str | None = None) -> RunConfig:
             raise ConfigError(name, f"times crystal.length_mm must not "
                                     f"exceed {max_gain_length:.6g}")
 
-    r = _section(raw, "ratios", ("omega", "trials"), optional=True)
-    ratios_omega = float(_field(r, "ratios", "omega", (int, float),
-                                default=0.5))
+    r = _section(raw, "ratios", optional=True)
+    ratios_omega = _number(r, "ratios", "omega", default=0.5)
     ratios_trials = int(_field(r, "ratios", "trials", int, default=trials))
+    _reject_unknown(r, "ratios")
 
-    dk = _section(raw, "darkrate", ("windows",), optional=True)
+    dk = _section(raw, "darkrate", optional=True)
     windows = tuple(_field(dk, "darkrate", "windows", list,
                            default=[1, 10, 100]))
+    _reject_unknown(dk, "darkrate")
 
-    o = _section(raw, "output", ("path", "format"), optional=True)
+    o = _section(raw, "output", optional=True)
     out_path = _field(o, "output", "path", str, default="zprainbow_out.csv")
     out_format = _field(o, "output", "format", str, default="csv")
+    _reject_unknown(o, "output")
+    _reject_unknown(raw, "")
 
     return RunConfig(crystal=crystal, detector=detector, engine=engine,
                      trials=trials, seed=seed, workers=workers,
@@ -400,8 +394,12 @@ def forced_angle_report(config: RunConfig, theta_low_deg: float,
     """Photon-rate ratio with the matched angles forced by hand.
 
     Runs the pure pair squeezer at the crystal gain and detects the two
-    conjugate channels at the given external angles.
+    conjugate channels at the given external angles.  An angle not
+    strictly between -90 and 90 degrees, NaN included, is a ConfigError.
     """
+    if not (abs(theta_low_deg) < 90.0 and abs(theta_high_deg) < 90.0):
+        raise ConfigError("ratios", "forced angles --theta-low-deg and "
+                          "--theta-high-deg must lie in (-90, 90) degrees")
     th_lo, th_hi = math.radians(theta_low_deg), math.radians(theta_high_deg)
     gl = config.crystal.gain_per_mm * config.crystal.length_mm
     modes = (Mode(0.5, th_lo, th_lo, ORDINARY, "input"),
@@ -436,8 +434,10 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
         systems.append(puc_system(config.crystal, omega, config.couplings))
     except (NoSolutionError, DomainError):
         pass
-    pair, *puc = channel_rates(systems, config.engine, config.ratios_trials,
-                               config.seed, config.workers)
+    # system_a goes last, only to have its transform checked as in the sweep
+    systems.append(system_a)
+    pair, *puc, _ = channel_rates(systems, config.engine, config.ratios_trials,
+                                  config.seed, config.workers)
     report = {
         "omega": omega,
         "engine": config.engine,
@@ -510,6 +510,40 @@ def cmd_simulate(config: RunConfig, raw_vacuum: bool) -> int:
     return EXIT_OK
 
 
+# flag -> (the RunConfig fields it overrides, its argparse keywords); a flag
+# with no field goes to the command's run function as a keyword argument
+_FLAGS = {
+    "--seed": (("seed",), dict(type=int)),
+    "--trials": (("trials", "ratios_trials"), dict(type=int)),
+    "--engine": (("engine",), dict(choices=ENGINES)),
+    "--workers": (("workers",), dict(type=int)),
+    "--omega": (("ratios_omega",), dict(type=float)),
+    "--windows": (("darkrate_windows",), dict(type=int, nargs="+")),
+    "--output": (("output_path",), {}),
+    "--format": (("output_format",), dict(choices=FORMATS)),
+    "--theta-low-deg": ((), dict(type=float)),
+    "--theta-high-deg": ((), dict(type=float)),
+    "--raw-vacuum": ((), dict(action="store_true")),
+}
+
+_OUTPUT = ("--output", "--format")
+_SAMPLED = ("--seed", "--trials", "--engine", "--workers") + _OUTPUT
+
+# command -> (help, the only flags it accepts, its run function)
+_COMMANDS = {
+    "angles": ("phase-matching angle table", _OUTPUT, cmd_angles),
+    "rainbow": ("synthesize both rainbows", _SAMPLED, cmd_rainbow),
+    "ratios": ("rate-ratio report at one frequency",
+               _SAMPLED + ("--omega", "--theta-low-deg", "--theta-high-deg"),
+               cmd_ratios),
+    "darkrate": ("vacuum dark-rate curve", ("--seed", "--trials") + _OUTPUT
+                 + ("--windows",), cmd_darkrate),
+    "simulate": ("raw ensemble dump at one frequency",
+                 ("--seed", "--trials", "--workers") + _OUTPUT
+                 + ("--omega", "--raw-vacuum"), cmd_simulate),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zprainbow",
@@ -519,70 +553,35 @@ def build_parser() -> argparse.ArgumentParser:
                         help="configuration file (JSON); defaults to the "
                              "packaged default config")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--engine", choices=ENGINES, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=FORMATS, default=None)
-
-    common(sub.add_parser("angles", help="phase-matching angle table"))
-    common(sub.add_parser("rainbow", help="synthesize both rainbows"))
-    p = sub.add_parser("ratios", help="rate-ratio report at one frequency")
-    common(p)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--theta-low-deg", type=float, default=None)
-    p.add_argument("--theta-high-deg", type=float, default=None)
-    p = sub.add_parser("darkrate", help="vacuum dark-rate curve")
-    common(p)
-    p.add_argument("--windows", type=int, nargs="+", default=None)
-    p = sub.add_parser("simulate", help="raw ensemble dump at one frequency")
-    common(p)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--raw-vacuum", action="store_true")
+    for command, (help_text, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag][1])
     return parser
 
 
-# RunConfig field -> the command-line flag that overrides it
-_OVERRIDES = (("seed", "seed"), ("trials", "trials"), ("workers", "workers"),
-              ("ratios_trials", "trials"), ("ratios_omega", "omega"),
-              ("darkrate_windows", "windows"), ("engine", "engine"),
-              ("output_path", "output"), ("output_format", "format"))
-
-# command -> its run on the config and the command's own flags
-_COMMANDS = {
-    "angles": lambda config, args: cmd_angles(config),
-    "rainbow": lambda config, args: cmd_rainbow(config),
-    "ratios": lambda config, args: cmd_ratios(config, args.theta_low_deg,
-                                              args.theta_high_deg),
-    "darkrate": lambda config, args: cmd_darkrate(config),
-    "simulate": lambda config, args: cmd_simulate(config, args.raw_vacuum),
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    _, flags, run = _COMMANDS[args["command"]]
+    overrides, options = {}, {}
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")   # argparse's name for the flag
+        if not _FLAGS[flag][0]:
+            options[dest] = args[dest]
+        elif args[dest] is not None:
+            overrides.update(dict.fromkeys(_FLAGS[flag][0], args[dest]))
     try:
-        config = replace(load_config(args.config),
-                         **{name: getattr(args, flag)
-                            for name, flag in _OVERRIDES
-                            # only some commands define --omega, --windows
-                            if getattr(args, flag, None) is not None})
-        return _COMMANDS[args.command](config, args)
-    except ConfigError as e:
+        config = replace(load_config(args["config"]), **overrides)
+        return run(config, **options)
+    except (ConfigError, InvalidArgumentError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoSolutionError, DomainError) as e:
         print(f"no solution: {e}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except (StatisticalError,) as e:
+    except StatisticalError as e:
         print(f"statistical precondition: {e}", file=sys.stderr)
         return EXIT_STATISTICAL
-    except InvalidArgumentError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -111,14 +111,10 @@ def threshold_counts(ensemble: VacuumEnsemble, mode: Mode, spec: DetectorSpec,
     intensities = ensemble.intensities(ensemble.index_of(mode))
     averaged = intensities[:n_windows * m].reshape(n_windows, m).mean(axis=1)
     raw = averaged > spec.threshold
-    if spec.efficiency >= 1.0:
-        kept = raw
-    elif spec.efficiency <= 0.0:
-        kept = np.zeros_like(raw)
-    else:
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(rng_seed, spawn_key=(0xD7,))))
-        kept = raw & (rng.random(n_windows) < spec.efficiency)
+    # uniform draws lie in [0, 1): efficiency 1 keeps every click, 0 none
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(rng_seed, spawn_key=(0xD7,))))
+    kept = raw & (rng.random(n_windows) < spec.efficiency)
     return int(np.count_nonzero(kept)), int(n_windows)
 
 

@@ -44,7 +44,8 @@ import numpy as np
 from . import coupling as cp
 from . import dispersion as dp
 from .detection import ChannelRate, DetectorSpec, ratio_down, ratio_up
-from .errors import BandError, InvalidArgumentError, present
+from .errors import (BandError, InvalidArgumentError, NoSolutionError,
+                     present)
 from .zpf import mode_intensities, sampled_state, vacuum_state
 
 ENGINES = ("covariance", "montecarlo")
@@ -129,8 +130,12 @@ def puc_system(crystal: dp.CrystalSpec, omega: float,
 
 def _systems(process, crystal, omegas, couplings) -> list:
     """dp.triples with the resolved couplings and the crystal length
-    attached: each omega's three-wave system, or why there is none."""
+    attached: each omega's three-wave system, or why there is none.
+    Without an up-conversion coupling there is no "up" process at all."""
     c = couplings.resolve(crystal)
+    if process == "up" and c.g_up == 0.0:
+        return [NoSolutionError("no up-conversion: its coupling g_up is 0")
+                for _ in omegas]
     found = dp.triples(process, omegas, crystal)
     for i, triple in enumerate(found):
         if isinstance(triple, tuple):
@@ -212,9 +217,9 @@ def sweep(omega_min: float, omega_max: float, steps: int,
 
     A point is present when its full (w, w0-w, w0+w) triple is
     representable inside the transparency window and down conversion
-    phase matches; the satellite additionally needs an up-conversion
-    match.  Raises BandError when no frequency in the requested range
-    matches at all.
+    phase matches; the satellite additionally needs a nonzero
+    up-conversion coupling and an up-conversion match.  Raises BandError
+    when no frequency in the requested range matches at all.
     """
     if not 0.0 < omega_min < omega_max < 1.0:
         raise InvalidArgumentError("need 0 < omega_min < omega_max < 1")
@@ -228,10 +233,7 @@ def sweep(omega_min: float, omega_max: float, steps: int,
 
     omegas = np.linspace(omega_min, omega_max, steps)
     mains = _systems("down", crystal, omegas, couplings)
-    satellites = [None] * steps
-    # without an up-conversion coupling there is no satellite process
-    if couplings.resolve(crystal).g_up != 0.0:
-        satellites = _systems("up", crystal, omegas, couplings)
+    satellites = _systems("up", crystal, omegas, couplings)
     # main and pair-only share a point's vacuum, the satellite has its own
     systems, vacua = [], []
     for i, (system_a, system_b) in enumerate(zip(mains, satellites)):

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zprainbow.cli import (EXIT_CONFIG, EXIT_NO_SOLUTION, EXIT_OK,
-                           EXIT_STATISTICAL, _BLOCK_ROWS, _fmt,
+                           EXIT_STATISTICAL, _BLOCK_ROWS, _fmt, build_parser,
                            default_config_path, forced_angle_report,
                            load_config, main, physical_ratio_report,
                            write_table)
 from zprainbow.coupling import apply, integrate_three_wave
 from zprainbow.errors import ConfigError
-from zprainbow.rainbow import pdc_system
+from zprainbow.rainbow import pdc_system, sweep
 from zprainbow.zpf import sample_vacuum
 
 
@@ -60,6 +60,7 @@ class TestConfigLoading:
         ("crystal.gain_per_mm", -0.5),
         ("output.format", "xml"),
         ("trials", 0),
+        ("couplings", "auto"),
     ])
     def test_invalid_fields_rejected(self, tmp_path, key, value):
         path = write_config(tmp_path, **{key: value})
@@ -214,8 +215,9 @@ class TestExitCodes:
         ({"seed": -1}, ["ratios", "--engine", "montecarlo",
                         "--trials", "1000"], "seed"),
         ({}, ["rainbow", "--engine", "covariance", "--seed", "-1"], "seed"),
-        ({}, ["angles", "--trials", "0"], "trials"),
-        ({}, ["angles", "--workers", "0"], "workers"),
+        ({}, ["rainbow", "--engine", "covariance", "--trials", "0"],
+         "trials"),
+        ({}, ["simulate", "--trials", "100", "--workers", "0"], "workers"),
         ({"ratios.trials": 0}, ["ratios", "--engine", "covariance"],
          "ratios.trials"),
     ])
@@ -276,6 +278,37 @@ class TestExitCodes:
             assert main(["--config", path, command, "--engine", "covariance",
                          "--output", out]) == EXIT_CONFIG
             assert "crystal.length_mm" in capsys.readouterr().err
+            assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command,reads", [
+        ("angles", []),
+        ("rainbow", ["--seed", "--trials", "--engine", "--workers"]),
+        ("ratios", ["--seed", "--trials", "--engine", "--workers", "--omega",
+                    "--theta-low-deg", "--theta-high-deg"]),
+        ("darkrate", ["--seed", "--trials", "--windows"]),
+        ("simulate", ["--seed", "--trials", "--workers", "--omega",
+                      "--raw-vacuum"]),
+    ], ids=["angles", "rainbow", "ratios", "darkrate", "simulate"])
+    def test_command_accepts_only_the_flags_it_reads(self, tmp_path, command,
+                                                     reads):
+        values = {"--seed": ["1"], "--trials": ["10"],
+                  "--engine": ["covariance"], "--workers": ["1"],
+                  "--omega": ["0.5"], "--theta-low-deg": ["10"],
+                  "--theta-high-deg": ["12"], "--windows": ["1", "10"],
+                  "--raw-vacuum": [], "--output": ["x.json"],
+                  "--format": ["json"]}
+        accepted = [*reads, "--output", "--format"]
+        args = vars(build_parser().parse_args(
+            [command] + [w for flag in accepted
+                         for w in [flag, *values[flag]]]))
+        assert args["output"] == "x.json" and args["format"] == "json"
+        # a flag the command does not read, such as `angles --seed` or
+        # `simulate --engine`, is a usage error that writes no file
+        out = str(tmp_path / "x.csv")
+        for flag in values.keys() - set(accepted):
+            with pytest.raises(SystemExit) as err:
+                main([command, flag, *values[flag], "--output", out])
+            assert err.value.code == EXIT_CONFIG
             assert not os.path.exists(out)
 
     def test_success_exit(self, tmp_path):
@@ -406,6 +439,38 @@ class TestRatiosCommand:
         out = str(tmp_path / "r.csv")
         assert main(["ratios", "--theta-low-deg", "10",
                      "--output", out]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("angle", ["90", "-90", "95", "nan", "inf"])
+    @pytest.mark.parametrize("flag,other", [
+        ("--theta-low-deg", "--theta-high-deg=12"),
+        ("--theta-high-deg", "--theta-low-deg=10")], ids=["low", "high"])
+    def test_forced_angle_beyond_90_rejected(self, tmp_path, capsys, angle,
+                                             flag, other):
+        # cos(theta) <= 0 there, so the "photon rates" would be negative
+        # or infinite
+        out = str(tmp_path / "r.csv")
+        assert main(["ratios", "--engine", "covariance", f"{flag}={angle}",
+                     other, "--output", out]) == EXIT_CONFIG
+        assert ("config error: ratios: forced angles --theta-low-deg and "
+                "--theta-high-deg must lie in (-90, 90) degrees"
+                in capsys.readouterr().err)
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("g_up", [None, 0.0], ids=["shipped", "g_up-0"])
+    def test_report_matches_sweep_row(self, config, g_up):
+        # the report and the sweep decide alike where the satellite is
+        # absent, including where no up coupling makes one
+        cfg = replace(config, engine="covariance",
+                      couplings=replace(config.couplings, g_up=g_up))
+        table = sweep(*cfg.sweep_band, cfg.crystal, cfg.detector,
+                      engine="covariance", couplings=cfg.couplings)
+        assert all(p.has_main for p in table.points)
+        assert any(p.has_satellite for p in table.points) == (g_up is None)
+        for point in table.points:
+            report = physical_ratio_report(cfg, point.omega)
+            for name in ("eq1_ratio", "eq2_ratio", "upper_above_zeropoint"):
+                want, got = getattr(point, name), report[name]
+                assert got == want or math.isnan(got) and math.isnan(want)
 
 
 class TestDarkrateCommand:
