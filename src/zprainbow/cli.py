@@ -42,8 +42,8 @@ from .detection import (ChannelRate, DetectorSpec, dark_rate_curve,
                         ratio_down, ratio_up)
 from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
                      NoSolutionError, StatisticalError)
-from .rainbow import (ENGINES, Couplings, POINT_FIELDS, channel_rates,
-                      mean_intensities, pdc_system, puc_system,
+from .rainbow import (DEFAULT_TRIALS, ENGINES, Couplings, POINT_FIELDS,
+                      channel_rates, mean_intensities, pdc_system, puc_system,
                       satellite_summary, sweep)
 from .zpf import Mode, ORDINARY, sample_vacuum
 
@@ -183,19 +183,22 @@ def load_config(path: str | None = None) -> RunConfig:
     d = _section(raw, "detector")
     try:
         detector = DetectorSpec(
-            threshold=_number(d, "detector", "threshold", default=0.5),
+            threshold=_number(d, "detector", "threshold",
+                              default=DetectorSpec.threshold),
             window_samples=int(_field(d, "detector", "window_samples", int,
-                                      default=1)),
-            efficiency=_number(d, "detector", "efficiency", default=1.0),
+                                      default=DetectorSpec.window_samples)),
+            efficiency=_number(d, "detector", "efficiency",
+                               default=DetectorSpec.efficiency),
         )
     except InvalidArgumentError as e:
         raise ConfigError("detector", str(e)) from None
     _reject_unknown(d, "detector")
 
     engine = raw.pop("engine", "covariance")
-    trials = _field(raw, "", "trials", int, default=100_000)
+    trials = _field(raw, "", "trials", int, default=DEFAULT_TRIALS)
     seed = _field(raw, "", "seed", int, default=0)
-    workers = _field(raw, "", "workers", int, default=1)
+    workers = _field(raw, "", "workers", int,
+                     default=len(os.sched_getaffinity(0)))
 
     s = _section(raw, "sweep")
     band = (_number(s, "sweep", "omega_min", required=True),
@@ -219,8 +222,9 @@ def load_config(path: str | None = None) -> RunConfig:
 
     couplings = Couplings(
         g_down=opt_g("g_down"), g_up=opt_g("g_up"),
-        phi_down=_number(k, "couplings", "phi_down", default=0.0),
-        phi_up=_number(k, "couplings", "phi_up", default=0.0))
+        phi_down=_number(k, "couplings", "phi_down",
+                         default=Couplings.phi_down),
+        phi_up=_number(k, "couplings", "phi_up", default=Couplings.phi_up))
     _reject_unknown(k, "couplings")
     # the pair gain amplifies the vacuum intensity like exp(2 g L); a
     # quarter of the float exponent range keeps intensities, their

@@ -49,6 +49,8 @@ from .errors import (BandError, InvalidArgumentError, NoSolutionError,
 from .zpf import mode_intensities, sampled_state, vacuum_state
 
 ENGINES = ("covariance", "montecarlo")
+# Monte Carlo trials of a sweep, and of a config that names none
+DEFAULT_TRIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -210,8 +212,8 @@ def channel_rates(systems, engine: str, trials: int, seed: int,
 
 def sweep(omega_min: float, omega_max: float, steps: int,
           crystal: dp.CrystalSpec, detector: DetectorSpec,
-          engine: str = "covariance", trials: int = 100_000, seed: int = 0,
-          couplings: Couplings = Couplings(),
+          engine: str = "covariance", trials: int = DEFAULT_TRIALS,
+          seed: int = 0, couplings: Couplings = Couplings(),
           workers: int = 1) -> RainbowTable:
     """Sample the matched band and synthesize both rainbows.
 
@@ -274,13 +276,16 @@ def satellite_summary(table: RainbowTable) -> tuple[float, float]:
     """(mean satellite/main rate ratio, mean theta_u/theta_d) over the band.
 
     Averages the points where both rainbows are present and the main
-    channel carries signal.
+    channel carries signal; the angle ratio only over those with
+    theta_d != 0 (a collinear main rainbow), NaN when there are none.
     """
     rates, angles = [], []
     for p in table.points:
         if p.has_main and p.has_satellite and p.main_rate > 0.0:
             rates.append(p.satellite_rate / p.main_rate)
-            angles.append(p.theta_u_ext / p.theta_d_ext)
+            if p.theta_d_ext != 0.0:
+                angles.append(p.theta_u_ext / p.theta_d_ext)
     if not rates:
         raise BandError("no sweep point carries both rainbows")
-    return float(np.mean(rates)), float(np.mean(angles))
+    angle_ratio = float(np.mean(angles)) if angles else math.nan
+    return float(np.mean(rates)), angle_ratio

@@ -19,16 +19,20 @@ Monte Carlo sampling uses one counter-based Philox stream per
 (mode, trial-block) pair, every stream keyed from the master seed.  Trials
 are tiled into fixed blocks of 2**16, so the amplitude table depends only on
 (seed, mode list, n_trials) - never on scheduling, worker count, or the
-order in which blocks are filled.  One block pass serves both Monte Carlo
-products: sample_vacuum keeps the amplitude table, sampled_state reduces
-each block to its second moments and returns them as a GaussianState, the
-sampled twin of vacuum_state.
+order in which blocks are filled.  One block fill serves both Monte Carlo
+products: sample_vacuum fills the amplitude table in place, sampled_state
+reduces each block to its second moments and returns them as a
+GaussianState, the sampled twin of vacuum_state.  Blocks run on up to
+`workers` threads, one block at a time each; in sampled_state each worker
+holds one (2**16 x 2M) float64 buffer (3 MiB for M = 3 modes), allocated
+by the caller and reused for every block that worker fills.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -41,6 +45,8 @@ ROLES = ("input", "signal", "pump")
 
 # trials per RNG stream; fixed so block boundaries are part of the contract
 _BLOCK = 1 << 16
+# rows per draw of one stream through the block fill's 64 KiB scratch
+_PIECE = 4096
 
 
 @dataclass(frozen=True)
@@ -170,25 +176,40 @@ class VacuumEnsemble:
                               np.ascontiguousarray(amplitudes))
 
 
+def _fill_block(out: np.ndarray, seed: int, block_index: int) -> None:
+    """Write the raw N(0, 1) draws of one trial block into `out`.
+
+    `out` is a (length, 2M) float64 view, (Re, Im) interleaved per mode:
+    columns 2m and 2m + 1 take mode m's Philox stream, drawn row by row.
+    A column pair is not contiguous, which Generator.standard_normal(out=)
+    requires, so each stream is drawn in _PIECE-row pieces through one
+    scratch; pieces of one stream are the numbers of one call.
+    """
+    length = out.shape[0]
+    scratch = np.empty((min(length, _PIECE), 2))
+    for m in range(out.shape[1] // 2):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(m, block_index))))
+        # interleaved draws keep each trial at a fixed stream position,
+        # so a short final block is a prefix of the full block
+        for start in range(0, length, _PIECE):
+            piece = scratch[:min(_PIECE, length - start)]
+            rng.standard_normal(out=piece)
+            out[start:start + len(piece), 2 * m:2 * m + 2] = piece
+
+
 def block_amplitudes(n_modes: int, seed: int, block_index: int,
                      length: int) -> np.ndarray:
     """Vacuum amplitudes for one trial block, (length, n_modes) complex.
 
     Block `b` covers trials [b * 2**16, (b + 1) * 2**16); every consumer
-    of vacuum randomness draws through this function, so chunked and
-    monolithic sampling see identical numbers.
+    of vacuum randomness draws through the same block fill, so chunked
+    and monolithic sampling see identical numbers.
     """
     out = np.empty((length, n_modes), dtype=np.complex128)
-    for m in range(n_modes):
-        bits = np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(m, block_index)))
-        # interleaved draws keep each trial at a fixed stream position,
-        # so a short final block is a prefix of the full block; each
-        # (Re, Im) row is one complex, so the column is one strided copy
-        rng = np.random.Generator(bits)
-        out[:, m] = rng.standard_normal((length, 2)).view(np.complex128)[:, 0]
-    # Re/Im std 1/2 <=> quadrature variance 1/2
     parts = out.view(np.float64)
+    _fill_block(parts, seed, block_index)
+    # Re/Im std 1/2 <=> quadrature variance 1/2
     parts *= 0.5
     return out
 
@@ -204,14 +225,17 @@ def trial_blocks(n_trials: int):
 def _block_map(fn, blocks, workers: int) -> list:
     """fn(block_index, start, stop) for every block, results in block order.
 
-    `workers` threads share the blocks; since each block's numbers depend
-    only on its index, the results are identical for any worker count.
+    min(workers, len(blocks)) threads share the blocks; when that is one,
+    the blocks run in the calling thread and no pool starts.  Since each
+    block's numbers depend only on its index, the results are identical
+    for any worker count.
     """
     if workers < 1:
         raise InvalidArgumentError("workers must be >= 1")
-    if workers == 1:
+    threads = min(workers, len(blocks))
+    if threads == 1:
         return [fn(*block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda block: fn(*block), blocks))
 
 
@@ -227,9 +251,12 @@ def sample_vacuum(modes, n_trials: int, seed: int, workers: int = 1) -> VacuumEn
         raise InvalidArgumentError("mode list must be non-empty")
     blocks = trial_blocks(n_trials)
     table = np.empty((n_trials, len(modes)), dtype=np.complex128)
+    parts = table.view(np.float64)
 
     def fill(b, start, stop):
-        table[start:stop, :] = block_amplitudes(len(modes), seed, b, stop - start)
+        _fill_block(parts[start:stop], seed, b)
+        # Re/Im std 1/2 <=> quadrature variance 1/2
+        parts[start:stop] *= 0.5
 
     _block_map(fill, blocks, workers)
     return VacuumEnsemble(modes, n_trials, seed, table)
@@ -241,24 +268,38 @@ def sampled_state(n_modes: int, trials: int, seed: int,
 
     Draws the same amplitudes as sample_vacuum(modes, trials, seed) for
     n_modes modes, but reduces each trial block to one real product x^T x
-    of its (Re, Im)-interleaved amplitudes and never holds the table.
+    of its raw (Re, Im)-interleaved draws and never holds the table.
+    Each worker fills one reusable (2**16, 2M) float64 block buffer,
+    allocated here in the calling thread, so memory is one block per
+    worker whatever the trial count.
     The summed products, reordered to xxpp and scaled, form a zero-mean
     GaussianState whose covariance is the raw sample second moment of the
     quadratures, so propagate_covariance(t, state).mode_intensity(i) is
     the trial mean of |(T alpha)_i|^2 up to rounding.  Partials are summed
     in block order, so the state is bit-identical for any worker count.
     """
+    blocks = trial_blocks(trials)
+    longest = blocks[0][2]
+    buffers = SimpleQueue()
+    for _ in range(min(workers, len(blocks))):
+        buffers.put(np.empty((longest, 2 * n_modes)))
+
     def moments(b, start, stop):
-        x = block_amplitudes(n_modes, seed, b, stop - start).view(np.float64)
-        return x.T @ x
+        buffer = buffers.get()
+        x = buffer[:stop - start]
+        _fill_block(x, seed, b)
+        product = x.T @ x
+        buffers.put(buffer)
+        return product
 
     total = np.zeros((2 * n_modes, 2 * n_modes))
-    for part in _block_map(moments, trial_blocks(trials), workers):
+    for part in _block_map(moments, blocks, workers):
         total += part
-    # columns (Re a_1, Im a_1, ...) -> xxpp; x = sqrt(2) Re a, so the
-    # quadrature moments are twice the amplitude-part moments
+    # columns (Re a_1, Im a_1, ...) -> xxpp; the amplitude parts are half
+    # the raw draws and x = sqrt(2) Re a, so the quadrature moments are
+    # half the raw-draw moments (both scales are powers of two: exact)
     xxpp = np.r_[0:2 * n_modes:2, 1:2 * n_modes:2]
-    return GaussianState(total[np.ix_(xxpp, xxpp)] * (2.0 / trials))
+    return GaussianState(total[np.ix_(xxpp, xxpp)] * (0.5 / trials))
 
 
 def mean_intensity(ensemble: VacuumEnsemble, mode: Mode) -> float:

@@ -16,8 +16,9 @@ from zprainbow.cli import (EXIT_CONFIG, EXIT_NO_SOLUTION, EXIT_OK,
                            load_config, main, physical_ratio_report,
                            write_table)
 from zprainbow.coupling import apply, integrate_three_wave
+from zprainbow.detection import DetectorSpec
 from zprainbow.errors import ConfigError
-from zprainbow.rainbow import pdc_system, sweep
+from zprainbow.rainbow import DEFAULT_TRIALS, Couplings, pdc_system, sweep
 from zprainbow.zpf import sample_vacuum
 
 
@@ -45,6 +46,22 @@ class TestConfigLoading:
         assert config.crystal.pump_wavelength_nm == 400.0
         assert config.engine in ("covariance", "montecarlo")
         assert config.sweep_band[0] < config.sweep_band[1]
+
+    def test_workers_default_to_usable_cpus(self, config, tmp_path):
+        assert config.workers == len(os.sched_getaffinity(0))
+        assert load_config(write_config(tmp_path, workers=1)).workers == 1
+
+    def test_unset_keys_take_the_library_defaults(self, tmp_path):
+        path = write_config(tmp_path, detector={}, couplings={})
+        with open(path) as fh:
+            raw = json.load(fh)
+        del raw["trials"]
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        cfg = load_config(path)
+        assert cfg.detector == DetectorSpec()
+        assert cfg.couplings == Couplings()
+        assert cfg.trials == DEFAULT_TRIALS
 
     def test_field_diagnostics(self, tmp_path):
         path = write_config(tmp_path, **{"detector.efficiency": 1.5})
@@ -387,6 +404,32 @@ class TestRainbowCommand:
         assert main(["--config", path, "rainbow", "--output", out_a]) == 0
         assert main(["--config", path, "rainbow", "--output", out_b]) == 0
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
+    def test_default_workers_write_the_bytes_of_one(self, tmp_path):
+        # two trial blocks, so the default worker count splits them
+        path = write_config(tmp_path, engine="montecarlo", trials=70_000,
+                            **{"sweep.steps": 3, "sweep.omega_min": 0.50,
+                               "sweep.omega_max": 0.56})
+        out_a = str(tmp_path / "a.csv")
+        out_b = str(tmp_path / "b.csv")
+        assert main(["--config", path, "rainbow", "--output", out_a]) == 0
+        assert main(["--config", path, "rainbow", "--output", out_b,
+                     "--workers", "1"]) == 0
+        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
+    def test_collinear_band_exits_0(self, tmp_path, capsys):
+        # the flat-dispersion band of test_flat_dispersion_collinear has
+        # theta_d = 0 at every point, so theta_u/theta_d has no mean
+        path = write_config(tmp_path, **{
+            "crystal.sellmeier_o": [[0.0, 0.01]],
+            "crystal.sellmeier_e": [[0.0, 0.02]],
+            "sweep.omega_min": 0.45, "sweep.omega_max": 0.55,
+            "sweep.steps": 5})
+        out = str(tmp_path / "flat.csv")
+        assert main(["--config", path, "rainbow", "--engine", "covariance",
+                     "--output", out]) == 0
+        assert "theta_u/theta_d (band mean): nan" in capsys.readouterr().out
+        assert len(read_csv(out)) == 5
 
     def test_json_format(self, tmp_path):
         path = write_config(tmp_path, engine="covariance",

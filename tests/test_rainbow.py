@@ -149,6 +149,15 @@ class TestDeterminism:
         par = mc_mean_intensities([t], 150_000, seed=5, workers=workers)
         assert np.array_equal(base[0], par[0])
 
+    @pytest.mark.parametrize("trials", [1, 4095, 4097, 65536, 65537])
+    def test_worker_invariance_at_block_edges(self, crystal, couplings,
+                                              trials):
+        t = cp.integrate_three_wave(puc_system(crystal, 0.54, couplings))
+        base = mc_mean_intensities([t], trials, seed=5, workers=1)
+        for workers in (2, 4):
+            par = mc_mean_intensities([t], trials, seed=5, workers=workers)
+            assert np.array_equal(base[0], par[0])
+
 
 class TestMonteCarloReducer:
     @pytest.mark.parametrize("geometry", [pdc_system, puc_system])
@@ -187,6 +196,21 @@ class TestSatelliteSummary:
         mean_ratio, angle_ratio = satellite_summary(default_table)
         assert 0.01 <= mean_ratio <= 0.10
         assert 2.0 <= angle_ratio <= 3.0
+
+    def test_collinear_main_rainbow_has_no_angle_ratio(self):
+        # theta_d = 0 leaves theta_u/theta_d undefined at that point; with
+        # no other point the band mean is NaN, not a ZeroDivisionError
+        point = dict(omega=0.5, theta_d_ext=0.0, theta_u_ext=0.0,
+                     main_rate=2.0, conjugate_rate=2.0, satellite_rate=0.1,
+                     upper_above_zeropoint=0.0, eq1_ratio=1.0, eq2_ratio=1.0)
+        table = RainbowTable((RainbowPoint(**point),), "")
+        mean_ratio, angle_ratio = satellite_summary(table)
+        assert mean_ratio == 0.05
+        assert math.isnan(angle_ratio)
+        tilted = RainbowPoint(**dict(point, omega=0.6, theta_d_ext=0.1,
+                                     theta_u_ext=0.25))
+        table = RainbowTable((RainbowPoint(**point), tilted), "")
+        assert satellite_summary(table) == (0.05, 2.5)
 
     def test_absent_without_up_coupling(self, crystal, detector):
         table = sweep(0.50, 0.58, 5, crystal, detector, engine="covariance",

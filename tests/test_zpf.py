@@ -1,15 +1,25 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from zprainbow import zpf
 from zprainbow.coupling import apply, squeeze_pair
 from zprainbow.errors import InvalidArgumentError, NotFoundError
 from zprainbow.zpf import (GaussianState, Mode, block_amplitudes,
-                           mean_intensity, sample_vacuum, vacuum_state)
+                           mean_intensity, sample_vacuum, sampled_state,
+                           trial_blocks, vacuum_state)
 
 MODES = (Mode(0.5, 0.10, 0.06, "ordinary", "input"),
          Mode(0.5, -0.10, -0.06, "ordinary", "signal"))
+MODES3 = MODES + (Mode(1.0, 0.0, 0.0, "extraordinary", "pump"),)
+
+# one trial, either side of a 4096-row draw piece, a full 2**16 block,
+# and one trial into the second block
+EDGE_TRIALS = [1, 4095, 4097, 65536, 65537]
 
 SINH2_01 = math.sinh(0.1) ** 2  # 0.010033377809537924
 
@@ -105,6 +115,17 @@ class TestSampleVacuum:
         par = sample_vacuum(MODES, 200_001, seed=3, workers=workers)
         assert np.array_equal(base.amplitudes, par.amplitudes)
 
+    @pytest.mark.parametrize("trials", EDGE_TRIALS)
+    def test_block_edges_follow_stream_contract(self, trials):
+        # the table is the block_amplitudes blocks end to end, for any
+        # worker count, at every piece and block edge
+        ref = np.concatenate([block_amplitudes(3, 11, b, stop - start)
+                              for b, start, stop in trial_blocks(trials)])
+        for workers in (1, 2, 4):
+            ens = sample_vacuum(MODES3, trials, seed=11, workers=workers)
+            assert np.array_equal(ens.amplitudes.view(np.uint64),
+                                  ref.view(np.uint64))
+
     def test_prefix_stability(self):
         # growing the trial count must not change earlier trials
         small = sample_vacuum(MODES, 70_000, seed=5)
@@ -127,6 +148,74 @@ class TestSampleVacuum:
         target = vacuum_state(2).covariance
         bound = 5 * 0.5 * math.sqrt(2.0 / 400_000)
         assert np.max(np.abs(sample_cov - target)) < bound
+
+
+class TestSampledState:
+    @pytest.mark.parametrize("trials", EDGE_TRIALS)
+    def test_worker_count_invariance(self, trials):
+        base = sampled_state(3, trials, seed=11).covariance
+        for workers in (2, 4):
+            par = sampled_state(3, trials, seed=11, workers=workers).covariance
+            assert np.array_equal(base.view(np.uint64), par.view(np.uint64))
+
+    @pytest.mark.parametrize("trials", EDGE_TRIALS)
+    def test_raw_moments_of_the_table(self, trials):
+        # the reused block buffers hold no stale rows: the state is the
+        # raw second moment of sample_vacuum's quadratures
+        ens = sample_vacuum(MODES3, trials, seed=11)
+        quads = math.sqrt(2.0) * ens.amplitudes.view(np.float64)
+        xxpp = [0, 2, 4, 1, 3, 5]
+        ref = quads[:, xxpp].T @ quads[:, xxpp] / trials
+        state = sampled_state(3, trials, seed=11, workers=2).covariance
+        assert np.allclose(state, ref, rtol=1e-12, atol=1e-15)
+
+
+class TestWorkerThreads:
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        sampled_state(3, 3 * (1 << 16), seed=2, workers=2)
+        sample_vacuum(MODES3, 3 * (1 << 16), seed=2, workers=2)
+        assert threading.active_count() == before
+
+    def test_buffers_are_not_shared_under_contention(self):
+        # eight workers on two cores, switching threads every microsecond:
+        # a buffer handed to two workers at once would mix their blocks
+        trials = 9 * (1 << 16) + 3
+        base = sampled_state(1, trials, seed=4).covariance
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            par = sampled_state(1, trials, seed=4, workers=8).covariance
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(base.view(np.uint64), par.view(np.uint64))
+
+    def test_a_slow_block_keeps_its_buffer(self, monkeypatch):
+        # block 0 holds its buffer for 0.2 s after its fill, while the
+        # other worker fills blocks 1-3: none of them may reuse it
+        fill = zpf._fill_block
+
+        def slow_first(out, seed, block_index):
+            fill(out, seed, block_index)
+            if block_index == 0:
+                time.sleep(0.2)
+
+        trials = 4 * (1 << 16)
+        base = sampled_state(1, trials, seed=4).covariance
+        monkeypatch.setattr(zpf, "_fill_block", slow_first)
+        par = sampled_state(1, trials, seed=4, workers=2).covariance
+        assert np.array_equal(base.view(np.uint64), par.view(np.uint64))
+
+    def test_one_block_starts_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-block call started a thread pool")
+
+        monkeypatch.setattr(zpf, "ThreadPoolExecutor", refuse)
+        sampled_state(3, 1 << 16, seed=2, workers=4)
+        sample_vacuum(MODES3, 4097, seed=2, workers=8)
+        # the patch is live: two blocks on two workers do start a pool
+        with pytest.raises(AssertionError):
+            sampled_state(3, (1 << 16) + 1, seed=2, workers=2)
 
 
 class TestBlockAmplitudes:
