@@ -14,18 +14,17 @@ from .detection import ChannelRate, DetectorSpec, dark_rate_curve
 from .dispersion import (CrystalSpec, PhaseMatchSolution,
                          SellmeierCoefficients, match_down, match_up)
 from .rainbow import Couplings, RainbowPoint, RainbowTable, satellite_summary, sweep
-from .zpf import (GaussianState, Mode, VacuumEnsemble, mean_intensity,
-                  sample_vacuum, sampled_state, vacuum_state)
+from .zpf import (GaussianState, Mode, sample_vacuum, sampled_state,
+                  vacuum_state)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BogoliubovTransform", "ChannelRate", "Couplings", "CrystalSpec",
     "DetectorSpec", "GaussianState", "Mode", "PhaseMatchSolution",
-    "RainbowPoint", "RainbowTable", "SellmeierCoefficients",
-    "ThreeWaveSystem", "VacuumEnsemble", "apply", "convert_pair",
-    "dark_rate_curve", "integrate_three_wave", "match_down", "match_up",
-    "mean_intensity", "perturbative_transform", "propagate_covariance",
+    "RainbowPoint", "RainbowTable", "SellmeierCoefficients", "ThreeWaveSystem",
+    "apply", "convert_pair", "dark_rate_curve", "integrate_three_wave",
+    "match_down", "match_up", "perturbative_transform", "propagate_covariance",
     "sample_vacuum", "sampled_state", "satellite_summary", "squeeze_pair",
     "sweep", "vacuum_state",
 ]

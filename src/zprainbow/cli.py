@@ -42,9 +42,9 @@ from .detection import (ChannelRate, DetectorSpec, dark_rate_curve,
                         ratio_down, ratio_up)
 from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
                      NoSolutionError, StatisticalError)
-from .rainbow import (DEFAULT_TRIALS, ENGINES, Couplings, POINT_FIELDS,
-                      channel_rates, mean_intensities, pdc_system, puc_system,
-                      satellite_summary, sweep)
+from .rainbow import (DEFAULT_SEED, DEFAULT_TRIALS, ENGINES, Couplings,
+                      POINT_FIELDS, channel_rates, mean_intensities,
+                      pdc_system, puc_system, satellite_summary, sweep)
 from .zpf import Mode, ORDINARY, sample_vacuum
 
 EXIT_OK = 0
@@ -103,15 +103,21 @@ def _section(raw, name, optional=False):
     return value
 
 
+def _path(section_path, name):
+    """The dotted path of a field; top-level fields have no section."""
+    return f"{section_path}.{name}" if section_path else name
+
+
 def _field(section, path, name, types, default=None, required=False):
     """Take `name` out of `section`, checked against `types`."""
     if name not in section:
         if required:
-            raise ConfigError(f"{path}.{name}", "missing required field")
+            raise ConfigError(_path(path, name), "missing required field")
         return default
     value = section.pop(name)
     if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{name}", f"expected {types}, got {value!r}")
+        raise ConfigError(_path(path, name),
+                          f"expected {types}, got {value!r}")
     return value
 
 
@@ -122,7 +128,7 @@ def _number(section, path, name, default=None, required=False) -> float:
 def _reject_unknown(section, path):
     """A key no read took out is unknown: a misspelt key must fail."""
     for key in section:
-        raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+        raise ConfigError(_path(path, key), "unknown key")
 
 
 def _sellmeier(section, path, name):
@@ -196,7 +202,7 @@ def load_config(path: str | None = None) -> RunConfig:
 
     engine = raw.pop("engine", "covariance")
     trials = _field(raw, "", "trials", int, default=DEFAULT_TRIALS)
-    seed = _field(raw, "", "seed", int, default=0)
+    seed = _field(raw, "", "seed", int, default=DEFAULT_SEED)
     workers = _field(raw, "", "workers", int,
                      default=len(os.sched_getaffinity(0)))
 
@@ -261,10 +267,6 @@ def load_config(path: str | None = None) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         if math.isnan(value):
             return ""
@@ -500,17 +502,16 @@ def cmd_darkrate(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig, raw_vacuum: bool) -> int:
     """Dump the per-trial amplitudes of the matched three-wave triple."""
     system = pdc_system(config.crystal, config.ratios_omega, config.couplings)
-    ensemble = sample_vacuum(system.modes, config.trials, config.seed,
-                             config.workers)
+    amplitudes = sample_vacuum(len(system.modes), config.trials, config.seed,
+                               config.workers)
     if not raw_vacuum:
-        ensemble = cp.apply(cp.integrate_three_wave(system), ensemble)
+        amplitudes = cp.apply(cp.integrate_three_wave(system), amplitudes)
     header = ("trial", "w_re", "w_im", "s_re", "s_im", "u_re", "u_im")
     # the float view of the (trials x 3) complex table is its re, im
     # columns in header order, with no copy
     write_table(config.output_path, config.output_format, header,
-                (np.arange(ensemble.n_trials),
-                 ensemble.amplitudes.view(np.float64)))
-    print(f"simulate: {ensemble.n_trials} trials -> {config.output_path}")
+                (np.arange(len(amplitudes)), amplitudes.view(np.float64)))
+    print(f"simulate: {len(amplitudes)} trials -> {config.output_path}")
     return EXIT_OK
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .zpf import GaussianState, VacuumEnsemble, check_symmetric
+from .zpf import GaussianState, check_symmetric
 
 _SERIES_CUT = 0.5  # |k L| below which oscillatory integrals switch to series
 
@@ -318,14 +318,13 @@ def perturbative_transform(system: ThreeWaveSystem, order: int) -> BogoliubovTra
     return BogoliubovTransform(m)
 
 
-def apply(t: BogoliubovTransform, ensemble: VacuumEnsemble) -> VacuumEnsemble:
-    """Map every trial's amplitude vector through the transform."""
-    if t.n_modes != ensemble.n_modes:
-        raise InvalidArgumentError(
-            f"transform has {t.n_modes} modes, ensemble {ensemble.n_modes}")
-    amp = ensemble.amplitudes
-    out = amp @ t.u.T + amp.conj() @ t.v.T
-    return ensemble.replace_amplitudes(out)
+def apply(t: BogoliubovTransform, amplitudes: np.ndarray) -> np.ndarray:
+    """Map every trial's amplitude vector, each row of an
+    (n_trials, n_modes) table, through the transform."""
+    if amplitudes.shape[1:] != (t.n_modes,):
+        raise InvalidArgumentError(f"transform has {t.n_modes} modes, "
+                                   f"table shape {amplitudes.shape}")
+    return amplitudes @ t.u.T + amplitudes.conj() @ t.v.T
 
 
 def quadrature_matrices(matrices: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, StatisticalError
-from .zpf import Mode, VacuumEnsemble, sample_vacuum
+from .zpf import Mode, sample_vacuum
 
 ZEROPOINT = 0.5
 
@@ -93,9 +93,10 @@ def ratio_up(rate_low: ChannelRate, rate_high: ChannelRate) -> float:
     return rate_low.signed_rate / rate_high.signed_rate
 
 
-def threshold_counts(ensemble: VacuumEnsemble, mode: Mode, spec: DetectorSpec,
+def threshold_counts(intensities: np.ndarray, spec: DetectorSpec,
                      rng_seed: int) -> tuple[int, int]:
-    """Windowed threshold clicks: (clicks, windows).
+    """Windowed threshold clicks on per-trial intensities |alpha|^2:
+    (clicks, windows).
 
     Trials are grouped into consecutive windows of `window_samples`, the
     window-averaged intensity is compared against the threshold, and
@@ -103,12 +104,11 @@ def threshold_counts(ensemble: VacuumEnsemble, mode: Mode, spec: DetectorSpec,
     The click probability estimate is clicks / windows.
     """
     m = spec.window_samples
-    n_windows = ensemble.n_trials // m
+    n_windows = len(intensities) // m
     if n_windows < 1:
         raise InvalidArgumentError(
             f"need at least {m} trials for one window, "
-            f"got {ensemble.n_trials}")
-    intensities = ensemble.intensities(ensemble.index_of(mode))
+            f"got {len(intensities)}")
     averaged = intensities[:n_windows * m].reshape(n_windows, m).mean(axis=1)
     raw = averaged > spec.threshold
     # uniform draws lie in [0, 1): efficiency 1 keeps every click, 0 none
@@ -122,9 +122,9 @@ def dark_rate_curve(spec_base: DetectorSpec, window_list, trials: int,
                     seed: int):
     """Vacuum dark-click probability versus window size.
 
-    Returns rows (window_samples, dark_probability, standard_error); one
-    shared vacuum ensemble feeds every window size, so the M = 1 row is
-    exactly threshold_counts at M = 1.
+    Returns rows (window_samples, dark_probability, standard_error); the
+    intensities of one sampled vacuum mode feed every window size, so the
+    M = 1 row is exactly threshold_counts at M = 1.
     """
     if spec_base.threshold <= ZEROPOINT:
         raise ConfigError("detector.threshold",
@@ -135,14 +135,13 @@ def dark_rate_curve(spec_base: DetectorSpec, window_list, trials: int,
     if trials < max(window_list):
         raise StatisticalError(
             f"{trials} trials cannot fill a window of {max(window_list)}")
-    probe = Mode(omega=0.5, theta_external=0.0, theta_internal=0.0,
-                 polarization="ordinary", role="input")
-    ensemble = sample_vacuum((probe,), trials, seed)
+    a = sample_vacuum(1, trials, seed)[:, 0]
+    intensities = a.real ** 2 + a.imag ** 2
     rows = []
     for m in window_list:
         spec = DetectorSpec(threshold=spec_base.threshold, window_samples=int(m),
                             efficiency=spec_base.efficiency)
-        clicks, windows = threshold_counts(ensemble, probe, spec, rng_seed=seed)
+        clicks, windows = threshold_counts(intensities, spec, rng_seed=seed)
         p = clicks / windows
         stderr = math.sqrt(max(p * (1.0 - p), 1.0 / windows) / windows)
         rows.append((int(m), p, stderr))

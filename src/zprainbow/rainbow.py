@@ -49,8 +49,10 @@ from .errors import (BandError, InvalidArgumentError, NoSolutionError,
 from .zpf import mode_intensities, sampled_state, vacuum_state
 
 ENGINES = ("covariance", "montecarlo")
-# Monte Carlo trials of a sweep, and of a config that names none
+# Monte Carlo trials and master seed of a sweep, and of a config that
+# names none
 DEFAULT_TRIALS = 100_000
+DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,7 @@ def channel_rates(systems, engine: str, trials: int, seed: int,
 def sweep(omega_min: float, omega_max: float, steps: int,
           crystal: dp.CrystalSpec, detector: DetectorSpec,
           engine: str = "covariance", trials: int = DEFAULT_TRIALS,
-          seed: int = 0, couplings: Couplings = Couplings(),
+          seed: int = DEFAULT_SEED, couplings: Couplings = Couplings(),
           workers: int = 1) -> RainbowTable:
     """Sample the matched band and synthesize both rainbows.
 

@@ -15,10 +15,12 @@ maps are linear and carry no displacement, and a sampled state keeps raw
 second moments about zero.  The M-mode vacuum has covariance
 (1/2) * identity.
 
-Monte Carlo sampling uses one counter-based Philox stream per
+Monte Carlo sampling draws the vacuum as a plain (n_trials, n_modes)
+complex128 array of amplitudes, one row per trial; |alpha|^2 of a column
+is a.real**2 + a.imag**2.  It uses one counter-based Philox stream per
 (mode, trial-block) pair, every stream keyed from the master seed.  Trials
 are tiled into fixed blocks of 2**16, so the amplitude table depends only on
-(seed, mode list, n_trials) - never on scheduling, worker count, or the
+(seed, n_modes, n_trials) - never on scheduling, worker count, or the
 order in which blocks are filled.  One block fill serves both Monte Carlo
 products: sample_vacuum fills the amplitude table in place, sampled_state
 reduces each block to its second moments and returns them as a
@@ -31,7 +33,7 @@ by the caller and reused for every block that worker fills.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import SimpleQueue
 
 import numpy as np
@@ -136,46 +138,6 @@ def vacuum_state(n_modes: int) -> GaussianState:
     return GaussianState(0.5 * np.eye(2 * n_modes))
 
 
-@dataclass
-class VacuumEnsemble:
-    """Monte Carlo table of complex mode amplitudes, one row per trial.
-
-    The table is written once at construction and then frozen; all reads
-    are safe concurrently.  (seed, modes, n_trials) fully determine it.
-    """
-
-    modes: tuple
-    n_trials: int
-    seed: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.modes = tuple(self.modes)
-        if self.amplitudes.shape != (self.n_trials, len(self.modes)):
-            raise InvalidArgumentError("amplitude table shape mismatch")
-        self.amplitudes.setflags(write=False)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
-
-    def index_of(self, mode: Mode) -> int:
-        try:
-            return self.modes.index(mode)
-        except ValueError:
-            raise NotFoundError(f"mode {mode} not in ensemble") from None
-
-    def intensities(self, index: int) -> np.ndarray:
-        """Per-trial |alpha|^2 for one mode column."""
-        a = self.amplitudes[:, index]
-        return a.real ** 2 + a.imag ** 2
-
-    def replace_amplitudes(self, amplitudes: np.ndarray) -> "VacuumEnsemble":
-        """New ensemble with the same metadata and a new amplitude table."""
-        return VacuumEnsemble(self.modes, self.n_trials, self.seed,
-                              np.ascontiguousarray(amplitudes))
-
-
 def _fill_block(out: np.ndarray, seed: int, block_index: int) -> None:
     """Write the raw N(0, 1) draws of one trial block into `out`.
 
@@ -196,22 +158,6 @@ def _fill_block(out: np.ndarray, seed: int, block_index: int) -> None:
             piece = scratch[:min(_PIECE, length - start)]
             rng.standard_normal(out=piece)
             out[start:start + len(piece), 2 * m:2 * m + 2] = piece
-
-
-def block_amplitudes(n_modes: int, seed: int, block_index: int,
-                     length: int) -> np.ndarray:
-    """Vacuum amplitudes for one trial block, (length, n_modes) complex.
-
-    Block `b` covers trials [b * 2**16, (b + 1) * 2**16); every consumer
-    of vacuum randomness draws through the same block fill, so chunked
-    and monolithic sampling see identical numbers.
-    """
-    out = np.empty((length, n_modes), dtype=np.complex128)
-    parts = out.view(np.float64)
-    _fill_block(parts, seed, block_index)
-    # Re/Im std 1/2 <=> quadrature variance 1/2
-    parts *= 0.5
-    return out
 
 
 def trial_blocks(n_trials: int):
@@ -239,18 +185,18 @@ def _block_map(fn, blocks, workers: int) -> list:
         return list(pool.map(lambda block: fn(*block), blocks))
 
 
-def sample_vacuum(modes, n_trials: int, seed: int, workers: int = 1) -> VacuumEnsemble:
-    """Draw a vacuum ensemble: i.i.d. Gaussian amplitudes for each mode.
+def sample_vacuum(n_modes: int, n_trials: int, seed: int,
+                  workers: int = 1) -> np.ndarray:
+    """Draw the vacuum: an (n_trials, n_modes) complex128 amplitude table.
 
     Each quadrature is N(0, 1/2), independent across modes and trials.
     `workers` only controls how many threads fill the table; the result is
     bit-identical for any worker count.
     """
-    modes = tuple(modes)
-    if not modes:
-        raise InvalidArgumentError("mode list must be non-empty")
+    if n_modes < 1:
+        raise InvalidArgumentError("n_modes must be >= 1")
     blocks = trial_blocks(n_trials)
-    table = np.empty((n_trials, len(modes)), dtype=np.complex128)
+    table = np.empty((n_trials, n_modes), dtype=np.complex128)
     parts = table.view(np.float64)
 
     def fill(b, start, stop):
@@ -259,19 +205,19 @@ def sample_vacuum(modes, n_trials: int, seed: int, workers: int = 1) -> VacuumEn
         parts[start:stop] *= 0.5
 
     _block_map(fill, blocks, workers)
-    return VacuumEnsemble(modes, n_trials, seed, table)
+    return table
 
 
 def sampled_state(n_modes: int, trials: int, seed: int,
                   workers: int = 1) -> GaussianState:
     """Monte Carlo twin of vacuum_state: the sampled vacuum's raw moments.
 
-    Draws the same amplitudes as sample_vacuum(modes, trials, seed) for
-    n_modes modes, but reduces each trial block to one real product x^T x
-    of its raw (Re, Im)-interleaved draws and never holds the table.
-    Each worker fills one reusable (2**16, 2M) float64 block buffer,
-    allocated here in the calling thread, so memory is one block per
-    worker whatever the trial count.
+    Draws the same amplitudes as sample_vacuum(n_modes, trials, seed), but
+    reduces each trial block to one real product x^T x of its raw
+    (Re, Im)-interleaved draws and never holds the table.  Each worker
+    fills one reusable (2**16, 2M) float64 block buffer, allocated here in
+    the calling thread, so memory is one block per worker whatever the
+    trial count.
     The summed products, reordered to xxpp and scaled, form a zero-mean
     GaussianState whose covariance is the raw sample second moment of the
     quadratures, so propagate_covariance(t, state).mode_intensity(i) is
@@ -301,7 +247,3 @@ def sampled_state(n_modes: int, trials: int, seed: int,
     xxpp = np.r_[0:2 * n_modes:2, 1:2 * n_modes:2]
     return GaussianState(total[np.ix_(xxpp, xxpp)] * (0.5 / trials))
 
-
-def mean_intensity(ensemble: VacuumEnsemble, mode: Mode) -> float:
-    """Trial average of |alpha|^2 for one mode of the ensemble."""
-    return float(np.mean(ensemble.intensities(ensemble.index_of(mode))))

@@ -247,6 +247,16 @@ class TestExitCodes:
         assert f"config error: {field}: must be >= " in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", "x"), ("seed", 1.5), ("workers", "2")])
+    def test_top_level_field_path_has_no_leading_dot(self, tmp_path, capsys,
+                                                     field, value):
+        path = write_config(tmp_path, **{field: value})
+        out = str(tmp_path / "x.csv")
+        assert main(["--config", path, "angles", "--output", out]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
     @pytest.mark.parametrize("argv,message", [
         (["ratios", "--engine", "covariance", "--omega=nan"],
          "ratios.omega: must lie in (0, 1)"),
@@ -540,13 +550,12 @@ def simulate_reference_rows(config, raw_vacuum):
     """The simulate table rebuilt one numpy scalar at a time."""
     system = pdc_system(config.crystal, config.ratios_omega,
                         config.couplings)
-    ensemble = sample_vacuum(system.modes, config.trials, config.seed)
+    amp = sample_vacuum(len(system.modes), config.trials, config.seed)
     if not raw_vacuum:
-        ensemble = apply(integrate_three_wave(system), ensemble)
-    amp = ensemble.amplitudes
+        amp = apply(integrate_three_wave(system), amp)
     return [[i, amp[i, 0].real, amp[i, 0].imag, amp[i, 1].real,
              amp[i, 1].imag, amp[i, 2].real, amp[i, 2].imag]
-            for i in range(ensemble.n_trials)]
+            for i in range(len(amp))]
 
 
 def expected_table(fmt, header, rows):

@@ -7,10 +7,20 @@ from scipy.special import gammaincc
 from zprainbow.coupling import propagate_covariance, squeeze_pair
 from zprainbow.detection import (ChannelRate, DetectorSpec, dark_rate_curve,
                                  ratio_down, ratio_up, threshold_counts)
-from zprainbow.errors import ConfigError, InvalidArgumentError, NotFoundError
-from zprainbow.zpf import Mode, mean_intensity, sample_vacuum, vacuum_state
+from zprainbow.errors import ConfigError, InvalidArgumentError
+from zprainbow.zpf import Mode, sample_vacuum, vacuum_state
 
 PROBE = Mode(0.5, 0.0, 0.0, "ordinary", "input")
+
+
+def intensities(amplitudes):
+    """Per-trial |alpha|^2 of an amplitude column."""
+    return amplitudes.real ** 2 + amplitudes.imag ** 2
+
+
+def vacuum_intensities(trials, seed):
+    """Per-trial |alpha|^2 of one sampled vacuum mode."""
+    return intensities(sample_vacuum(1, trials, seed)[:, 0])
 
 
 def mode_at(theta_ext_deg, omega=0.5):
@@ -57,16 +67,12 @@ class TestChannelRate:
         state = propagate_covariance(t, vacuum_state(2))
         from zprainbow.coupling import apply
         modes = (mode_at(4.0), mode_at(-6.0))
-        ens = apply(t, sample_vacuum(modes, 10 ** 6, seed=5))
+        amp = apply(t, sample_vacuum(2, 10 ** 6, seed=5))
         exact = ChannelRate.from_mean(modes[0], state.mode_intensity(0))
-        sampled = ChannelRate.from_mean(modes[0], mean_intensity(ens, modes[0]))
+        sampled = ChannelRate.from_mean(modes[0],
+                                        np.mean(intensities(amp[:, 0])))
         sigma = exact.mean_intensity / 1000.0
         assert abs(sampled.mean_intensity - exact.mean_intensity) < 5 * sigma
-
-    def test_unknown_mode(self):
-        ens = sample_vacuum((PROBE,), 10, seed=0)
-        with pytest.raises(NotFoundError):
-            mean_intensity(ens, mode_at(3.0))
 
 
 def channel_rate_from_mean(mean, theta_deg):
@@ -114,9 +120,9 @@ class TestRatioUp:
 class TestThresholdCounts:
     def test_single_sample_exponential_tail(self):
         # P(|alpha|^2 > 0.6) for exponential intensity of mean 1/2
-        ens = sample_vacuum((PROBE,), 400_000, seed=9)
         clicks, windows = threshold_counts(
-            ens, PROBE, DetectorSpec(threshold=0.6), rng_seed=1)
+            vacuum_intensities(400_000, seed=9), DetectorSpec(threshold=0.6),
+            rng_seed=1)
         p_hat = clicks / windows
         expect = math.exp(-1.2)
         sigma = math.sqrt(expect * (1 - expect) / windows)
@@ -124,16 +130,16 @@ class TestThresholdCounts:
         assert abs(p_hat - expect) < 5 * sigma
 
     def test_brute_force_cross_check(self):
-        ens = sample_vacuum((PROBE,), 50_000, seed=10)
+        a = sample_vacuum(1, 50_000, seed=10)[:, 0]
         clicks, windows = threshold_counts(
-            ens, PROBE, DetectorSpec(threshold=0.6), rng_seed=1)
-        brute = int(np.sum(np.abs(ens.amplitudes[:, 0]) ** 2 > 0.6))
+            intensities(a), DetectorSpec(threshold=0.6), rng_seed=1)
+        brute = int(np.sum(np.abs(a) ** 2 > 0.6))
         assert clicks == brute
 
     def test_window_averaging_suppresses(self):
-        ens = sample_vacuum((PROBE,), 400_000, seed=12)
         spec = DetectorSpec(threshold=0.6, window_samples=100)
-        clicks, windows = threshold_counts(ens, PROBE, spec, rng_seed=1)
+        clicks, windows = threshold_counts(
+            vacuum_intensities(400_000, seed=12), spec, rng_seed=1)
         p_hat = clicks / windows
         expect = gamma_tail(100, 0.6)
         sigma = math.sqrt(expect * (1 - expect) / windows)
@@ -141,25 +147,22 @@ class TestThresholdCounts:
         assert abs(p_hat - expect) < 5 * sigma
 
     def test_zero_efficiency_never_clicks(self):
-        ens = sample_vacuum((PROBE,), 10_000, seed=13)
+        i = vacuum_intensities(10_000, seed=13)
         spec = DetectorSpec(threshold=0.6, efficiency=0.0)
-        assert threshold_counts(ens, PROBE, spec, rng_seed=1)[0] == 0
+        assert threshold_counts(i, spec, rng_seed=1)[0] == 0
 
     def test_thinning_scales_clicks(self):
-        ens = sample_vacuum((PROBE,), 400_000, seed=14)
-        full, _ = threshold_counts(ens, PROBE, DetectorSpec(threshold=0.6),
-                                   rng_seed=2)
+        i = vacuum_intensities(400_000, seed=14)
+        full, _ = threshold_counts(i, DetectorSpec(threshold=0.6), rng_seed=2)
         half, _ = threshold_counts(
-            ens, PROBE, DetectorSpec(threshold=0.6, efficiency=0.5),
-            rng_seed=2)
+            i, DetectorSpec(threshold=0.6, efficiency=0.5), rng_seed=2)
         sigma = math.sqrt(full * 0.25)
         assert abs(half - 0.5 * full) < 5 * sigma
 
     def test_too_few_trials_rejected(self):
-        ens = sample_vacuum((PROBE,), 5, seed=0)
         with pytest.raises(InvalidArgumentError):
-            threshold_counts(ens, PROBE, DetectorSpec(window_samples=10),
-                             rng_seed=0)
+            threshold_counts(vacuum_intensities(5, seed=0),
+                             DetectorSpec(window_samples=10), rng_seed=0)
 
 
 class TestDarkRateCurve:
@@ -181,9 +184,9 @@ class TestDarkRateCurve:
     def test_first_row_equals_threshold_counts(self):
         trials, seed = 100_000, 22
         rows = dark_rate_curve(DetectorSpec(threshold=0.6), [1], trials, seed)
-        ens = sample_vacuum((PROBE,), trials, seed)
         clicks, windows = threshold_counts(
-            ens, PROBE, DetectorSpec(threshold=0.6), rng_seed=seed)
+            vacuum_intensities(trials, seed), DetectorSpec(threshold=0.6),
+            rng_seed=seed)
         assert rows[0][1] == clicks / windows
 
     def test_more_trials_shrink_stderr(self):

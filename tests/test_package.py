@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -22,3 +23,12 @@ def test_package_needs_only_numpy():
     # a name in __all__ that does not resolve fails the star import
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def test_readme_library_example_runs():
+    # the README's one python block must run as written, imports included
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
