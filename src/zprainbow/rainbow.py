@@ -23,13 +23,13 @@ Both engines share one path from the vacuum to the rates, channel_rates,
 which builds the transforms of all its systems (the sweep's whole band)
 in one stacked pass, coupling.three_wave_matrices.  `covariance`
 propagates the exact vacuum state (zpf.vacuum_state) through the whole
-stack in one product; `montecarlo` propagates, once per sampled vacuum,
-the raw second moments of that vacuum (zpf.sampled_state) through the
-transforms that share it, which gives the trial means of |T alpha|^2 up
-to rounding.  At a sweep point the main and pair-only systems share one
-vacuum and the satellite has its own, each drawn from a per-point seed
-derived from the master seed; seeds are derived only where a vacuum is
-sampled.  The CLI's ratios report goes through channel_rates too.
+stack in one product; `montecarlo` samples every vacuum of the stack in
+one pass (zpf.sampled_states) and propagates the raw second moments of
+each through the transforms that share it, which gives the trial means
+of |T alpha|^2 up to rounding.  At a sweep point the main and pair-only
+systems share one vacuum and the satellite has its own, each drawn from a
+per-point seed derived from the master seed; seeds are derived only where
+a vacuum is sampled.  The CLI's ratios report uses channel_rates too.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from . import dispersion as dp
 from .detection import ChannelRate, DetectorSpec, ratio_down, ratio_up
 from .errors import (BandError, InvalidArgumentError, NoSolutionError,
                      present)
-from .zpf import mode_intensities, sampled_state, vacuum_state
+from .zpf import mode_intensities, sampled_states, vacuum_state
 
 ENGINES = ("covariance", "montecarlo")
 # Monte Carlo trials and master seed of a sweep, and of a config that
@@ -160,16 +160,11 @@ def _state_means(matrices, state) -> np.ndarray:
 
 def mc_mean_intensities(transforms, trials: int, seed: int,
                         workers: int = 1) -> list[np.ndarray]:
-    """Monte Carlo mean |alpha|^2 per mode for several transforms at once.
-
-    The transforms act on one sampled vacuum, zpf.sampled_state: its raw
-    second moments are propagated exactly like the covariance engine's
-    vacuum state, which gives the trial means of |T alpha|^2, at a
-    reduction cost that does not grow with the number of transforms.
-    """
-    matrices = np.array([t.matrix for t in transforms])
-    return list(_state_means(matrices, sampled_state(
-        transforms[0].n_modes, trials, seed, workers)))
+    """Monte Carlo mean |alpha|^2 per mode for several transforms acting
+    on the one vacuum drawn from `seed`: mean_intensities' montecarlo
+    engine without vacuum keys."""
+    return list(mean_intensities(np.array([t.matrix for t in transforms]),
+                                 "montecarlo", trials, seed, workers))
 
 
 def mean_intensities(matrices, engine: str, trials: int, seed: int,
@@ -178,8 +173,11 @@ def mean_intensities(matrices, engine: str, trials: int, seed: int,
     transform matrices acts on the vacuum.
 
     `covariance` propagates the exact vacuum state through the whole stack
-    at once.  `montecarlo` runs mc_mean_intensities (trials, seed and
-    workers apply to it only) once per sampled vacuum: vacua[i] names the
+    at once.  `montecarlo` (trials, seed and workers apply to it only)
+    samples every vacuum in one zpf.sampled_states pass and propagates
+    each vacuum's raw second moments through the transforms that share
+    it, which gives the trial means of |T alpha|^2 at a reduction cost
+    that does not grow with the number of transforms.  vacua[i] names the
     vacuum of transform i, a point key (index, slot) whose vacuum is drawn
     from the per-point seed _point_seed(seed, index, slot); transforms
     with equal keys share one vacuum.  Without vacua every transform
@@ -188,16 +186,18 @@ def mean_intensities(matrices, engine: str, trials: int, seed: int,
     """
     if engine not in ENGINES:
         raise InvalidArgumentError(f"unknown engine {engine!r}")
+    n_modes = matrices.shape[-1] // 2
     if engine == "covariance":
-        return _state_means(matrices, vacuum_state(matrices.shape[-1] // 2))
+        return _state_means(matrices, vacuum_state(n_modes))
     groups = {}
     for i, key in enumerate(vacua or [None] * len(matrices)):
         groups.setdefault(key, []).append(i)
-    means = np.empty((len(matrices), matrices.shape[-1] // 2))
-    for key, items in groups.items():
-        means[items] = mc_mean_intensities(
-            [cp.BogoliubovTransform(matrices[i]) for i in items], trials,
-            seed if key is None else _point_seed(seed, *key), workers)
+    states = sampled_states(n_modes, trials, [
+        seed if key is None else _point_seed(seed, *key) for key in groups],
+        workers)
+    means = np.empty((len(matrices), n_modes))
+    for items, state in zip(groups.values(), states):
+        means[items] = _state_means(matrices[items], state)
     return means
 
 

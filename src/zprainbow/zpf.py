@@ -22,12 +22,11 @@ is a.real**2 + a.imag**2.  It uses one counter-based Philox stream per
 are tiled into fixed blocks of 2**16, so the amplitude table depends only on
 (seed, n_modes, n_trials) - never on scheduling, worker count, or the
 order in which blocks are filled.  One block fill serves both Monte Carlo
-products: sample_vacuum fills the amplitude table in place, sampled_state
-reduces each block to its second moments and returns them as a
-GaussianState, the sampled twin of vacuum_state.  Blocks run on up to
-`workers` threads, one block at a time each; in sampled_state each worker
-holds one (2**16 x 2M) float64 buffer (3 MiB for M = 3 modes), allocated
-by the caller and reused for every block that worker fills.
+products: sample_vacuum fills the amplitude table in place, sampled_states
+reduces each block to its second moments, one GaussianState per seed, all
+seeds' blocks in one pass on up to `workers` threads.  Each worker reuses
+a caller-allocated (2**16 x 2) float64 scratch for one mode-block draw and,
+in sampled_states, a (2**16 x 2M) block buffer (3 MiB for M = 3 modes).
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ ROLES = ("input", "signal", "pump")
 
 # trials per RNG stream; fixed so block boundaries are part of the contract
 _BLOCK = 1 << 16
-# rows per draw of one stream through the block fill's 64 KiB scratch
-_PIECE = 4096
 
 
 @dataclass(frozen=True)
@@ -138,26 +135,19 @@ def vacuum_state(n_modes: int) -> GaussianState:
     return GaussianState(0.5 * np.eye(2 * n_modes))
 
 
-def _fill_block(out: np.ndarray, seed: int, block_index: int) -> None:
+def _fill_block(out, scratch, seed: int, block_index: int) -> None:
     """Write the raw N(0, 1) draws of one trial block into `out`.
 
     `out` is a (length, 2M) float64 view, (Re, Im) interleaved per mode:
-    columns 2m and 2m + 1 take mode m's Philox stream, drawn row by row.
-    A column pair is not contiguous, which Generator.standard_normal(out=)
-    requires, so each stream is drawn in _PIECE-row pieces through one
-    scratch; pieces of one stream are the numbers of one call.
+    columns 2m and 2m + 1 take mode m's Philox stream row by row (a short
+    final block is a prefix of the full one), drawn whole into the
+    contiguous (>= length, 2) `scratch` that standard_normal(out=) needs.
     """
-    length = out.shape[0]
-    scratch = np.empty((min(length, _PIECE), 2))
+    draws = scratch[:len(out)]
     for m in range(out.shape[1] // 2):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(m, block_index))))
-        # interleaved draws keep each trial at a fixed stream position,
-        # so a short final block is a prefix of the full block
-        for start in range(0, length, _PIECE):
-            piece = scratch[:min(_PIECE, length - start)]
-            rng.standard_normal(out=piece)
-            out[start:start + len(piece), 2 * m:2 * m + 2] = piece
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            seed, spawn_key=(m, block_index)))).standard_normal(out=draws)
+        out[:, 2 * m:2 * m + 2] = draws
 
 
 def trial_blocks(n_trials: int):
@@ -168,21 +158,33 @@ def trial_blocks(n_trials: int):
             for b, start in enumerate(range(0, n_trials, _BLOCK))]
 
 
-def _block_map(fn, blocks, workers: int) -> list:
-    """fn(block_index, start, stop) for every block, results in block order.
+def _block_map(fn, tasks, workers: int, shapes) -> list:
+    """fn(*buffers, *task) for every task, results in task order.
 
-    min(workers, len(blocks)) threads share the blocks; when that is one,
-    the blocks run in the calling thread and no pool starts.  Since each
-    block's numbers depend only on its index, the results are identical
-    for any worker count.
+    min(workers, len(tasks)) threads share the tasks; when that is one,
+    the tasks run in the calling thread and no pool starts.  Each thread
+    holds one float64 buffer per shape, allocated in the calling thread
+    (glibc keeps a thread's allocations in its own arena) and returned
+    even when fn raises.
     """
     if workers < 1:
         raise InvalidArgumentError("workers must be >= 1")
-    threads = min(workers, len(blocks))
-    if threads == 1:
-        return [fn(*block) for block in blocks]
+    threads = min(workers, len(tasks))
+    free = SimpleQueue()
+    for _ in range(threads):
+        free.put([np.empty(shape) for shape in shapes])
+
+    def run(task):
+        buffers = free.get()
+        try:
+            return fn(*buffers, *task)
+        finally:
+            free.put(buffers)
+
+    if threads <= 1:
+        return [run(task) for task in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda block: fn(*block), blocks))
+        return list(pool.map(run, tasks))
 
 
 def sample_vacuum(n_modes: int, n_trials: int, seed: int,
@@ -199,51 +201,49 @@ def sample_vacuum(n_modes: int, n_trials: int, seed: int,
     table = np.empty((n_trials, n_modes), dtype=np.complex128)
     parts = table.view(np.float64)
 
-    def fill(b, start, stop):
-        _fill_block(parts[start:stop], seed, b)
+    def fill(scratch, b, start, stop):
+        _fill_block(parts[start:stop], scratch, seed, b)
         # Re/Im std 1/2 <=> quadrature variance 1/2
         parts[start:stop] *= 0.5
 
-    _block_map(fill, blocks, workers)
+    _block_map(fill, blocks, workers, [(blocks[0][2], 2)])
     return table
 
 
-def sampled_state(n_modes: int, trials: int, seed: int,
-                  workers: int = 1) -> GaussianState:
-    """Monte Carlo twin of vacuum_state: the sampled vacuum's raw moments.
+def sampled_states(n_modes: int, trials: int, seeds,
+                   workers: int = 1) -> list[GaussianState]:
+    """Monte Carlo twins of vacuum_state: per seed, the raw moments of
+    the draws of sample_vacuum(n_modes, trials, seed).
 
-    Draws the same amplitudes as sample_vacuum(n_modes, trials, seed), but
-    reduces each trial block to one real product x^T x of its raw
-    (Re, Im)-interleaved draws and never holds the table.  Each worker
-    fills one reusable (2**16, 2M) float64 block buffer, allocated here in
-    the calling thread, so memory is one block per worker whatever the
-    trial count.
-    The summed products, reordered to xxpp and scaled, form a zero-mean
-    GaussianState whose covariance is the raw sample second moment of the
-    quadratures, so propagate_covariance(t, state).mode_intensity(i) is
-    the trial mean of |(T alpha)_i|^2 up to rounding.  Partials are summed
-    in block order, so the state is bit-identical for any worker count.
+    Each trial block is reduced to one real product x^T x of its raw
+    (Re, Im)-interleaved draws; no table is held.  A seed's products,
+    summed in block order (bit-identical for any worker count and other
+    seeds), reordered to xxpp and scaled, are the quadratures' raw second
+    moments: propagate_covariance(t, state).mode_intensity(i) is the trial
+    mean of |(T alpha)_i|^2 up to rounding.
     """
     blocks = trial_blocks(trials)
     longest = blocks[0][2]
-    buffers = SimpleQueue()
-    for _ in range(min(workers, len(blocks))):
-        buffers.put(np.empty((longest, 2 * n_modes)))
 
-    def moments(b, start, stop):
-        buffer = buffers.get()
+    def moments(buffer, scratch, seed, b, start, stop):
         x = buffer[:stop - start]
-        _fill_block(x, seed, b)
-        product = x.T @ x
-        buffers.put(buffer)
-        return product
+        _fill_block(x, scratch, seed, b)
+        return x.T @ x
 
-    total = np.zeros((2 * n_modes, 2 * n_modes))
-    for part in _block_map(moments, blocks, workers):
-        total += part
+    parts = _block_map(
+        moments, [(seed, *block) for seed in seeds for block in blocks],
+        workers, [(longest, 2 * n_modes), (longest, 2)])
     # columns (Re a_1, Im a_1, ...) -> xxpp; the amplitude parts are half
     # the raw draws and x = sqrt(2) Re a, so the quadrature moments are
     # half the raw-draw moments (both scales are powers of two: exact)
     xxpp = np.r_[0:2 * n_modes:2, 1:2 * n_modes:2]
-    return GaussianState(total[np.ix_(xxpp, xxpp)] * (0.5 / trials))
+    zero = np.zeros((2 * n_modes, 2 * n_modes))
+    return [GaussianState(sum(parts[i:i + len(blocks)], zero)[
+        np.ix_(xxpp, xxpp)] * (0.5 / trials))
+        for i in range(0, len(parts), len(blocks))]
 
+
+def sampled_state(n_modes: int, trials: int, seed: int,
+                  workers: int = 1) -> GaussianState:
+    """The one-seed call of sampled_states."""
+    return sampled_states(n_modes, trials, [seed], workers)[0]

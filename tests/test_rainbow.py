@@ -12,9 +12,10 @@ from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
                                _point_seed, channel_rates,
-                               mc_mean_intensities, pdc_system, puc_system,
-                               satellite_summary, sweep)
-from zprainbow import coupling as cp
+                               mc_mean_intensities, mean_intensities,
+                               pdc_system, puc_system, satellite_summary,
+                               sweep)
+from zprainbow import coupling as cp, zpf
 from zprainbow.zpf import sample_vacuum
 
 PAIR_ONLY = Couplings(g_up=0.0)
@@ -160,6 +161,27 @@ class TestDeterminism:
 
 
 class TestMonteCarloReducer:
+    def test_one_pool_samples_every_vacuum(self, monkeypatch, crystal,
+                                           couplings):
+        # three vacuum keys of two blocks each on two workers: one pool
+        pools = []
+
+        class CountingPool(zpf.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(zpf, "ThreadPoolExecutor", CountingPool)
+        a = pdc_system(crystal, 0.52, couplings)
+        matrices = cp.three_wave_matrices(
+            [a, a.pair_only(), puc_system(crystal, 0.52, couplings),
+             pdc_system(crystal, 0.54, couplings)])
+        means = mean_intensities(matrices, "montecarlo", 70_000, seed=5,
+                                 workers=2,
+                                 vacua=[(0, 0), (0, 0), (0, 1), (1, 0)])
+        assert means.shape == (4, 3)
+        assert len(pools) == 1
+
     @pytest.mark.parametrize("geometry", [pdc_system, puc_system])
     def test_matches_per_trial_reference(self, crystal, couplings, geometry):
         # the full three-wave map mixes a and a*, so a conjugated anomalous

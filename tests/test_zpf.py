@@ -10,10 +10,10 @@ from zprainbow import zpf
 from zprainbow.coupling import apply, squeeze_pair
 from zprainbow.errors import InvalidArgumentError
 from zprainbow.zpf import (GaussianState, Mode, sample_vacuum, sampled_state,
-                           trial_blocks, vacuum_state)
+                           sampled_states, trial_blocks, vacuum_state)
 
-# one trial, either side of a 4096-row draw piece, a full 2**16 block,
-# and one trial into the second block
+# short single blocks of 1, 4095 and 4097 trials, a full 2**16 block, and
+# one trial into the second block (a one-row prefix of the reused buffers)
 EDGE_TRIALS = [1, 4095, 4097, 65536, 65537]
 
 SINH2_01 = math.sinh(0.1) ** 2  # 0.010033377809537924
@@ -130,7 +130,7 @@ class TestSampleVacuum:
     @pytest.mark.parametrize("trials", EDGE_TRIALS)
     def test_block_edges_follow_stream_contract(self, trials):
         # the table is the Philox blocks end to end, for any worker
-        # count, at every piece and block edge
+        # count, for short, full and split blocks
         ref = np.concatenate([philox_block(3, 11, b, stop - start)
                               for b, start, stop in trial_blocks(trials)])
         for workers in (1, 2, 4):
@@ -170,6 +170,18 @@ class TestSampledState:
             assert np.array_equal(base.view(np.uint64), par.view(np.uint64))
 
     @pytest.mark.parametrize("trials", EDGE_TRIALS)
+    def test_one_pass_matches_one_call_per_seed(self, trials):
+        # sharing a pass with other seeds changes no bit of a seed's state
+        seeds = [11, 12, 2 ** 64 - 1]
+        for workers in (1, 2, 4):
+            states = sampled_states(3, trials, seeds, workers=workers)
+            assert len(states) == len(seeds)
+            for seed, state in zip(seeds, states):
+                ref = sampled_state(3, trials, seed, workers=workers)
+                assert np.array_equal(state.covariance.view(np.uint64),
+                                      ref.covariance.view(np.uint64))
+
+    @pytest.mark.parametrize("trials", EDGE_TRIALS)
     def test_raw_moments_of_the_table(self, trials):
         # the reused block buffers hold no stale rows: the state is the
         # raw second moment of sample_vacuum's quadratures
@@ -206,8 +218,8 @@ class TestWorkerThreads:
         # other worker fills blocks 1-3: none of them may reuse it
         fill = zpf._fill_block
 
-        def slow_first(out, seed, block_index):
-            fill(out, seed, block_index)
+        def slow_first(out, scratch, seed, block_index):
+            fill(out, scratch, seed, block_index)
             if block_index == 0:
                 time.sleep(0.2)
 
@@ -216,6 +228,30 @@ class TestWorkerThreads:
         monkeypatch.setattr(zpf, "_fill_block", slow_first)
         par = sampled_state(1, trials, seed=4, workers=2).covariance
         assert np.array_equal(base.view(np.uint64), par.view(np.uint64))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("sample", [sampled_state, sample_vacuum])
+    def test_a_failed_fill_reaches_the_caller(self, monkeypatch, sample,
+                                              workers):
+        # a failed block must hand its buffers back: once every buffer is
+        # lost, the blocks still queued would wait for one forever
+        def fail(*args):
+            raise MemoryError("block fill failed")
+
+        monkeypatch.setattr(zpf, "_fill_block", fail)
+        raised = []
+
+        def call():
+            try:
+                sample(1, 8 * (1 << 16), seed=4, workers=workers)
+            except MemoryError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=20)
+        assert not thread.is_alive(), "the sampler hung after a failed fill"
+        assert len(raised) == 1
 
     def test_one_block_starts_no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
