@@ -9,13 +9,17 @@ and so is a NaN, infinite or beyond-float-range number, or a pair gain
 whose amplified vacuum over the crystal length would leave float range.
 
 Output files are written to a temporary name and atomically renamed, so
-a failed run never leaves a partial table behind.  CSV numbers carry 17
+a failed run never leaves a partial table behind; the file gets the mode
+open() would give it (0o666 less the umask).  CSV numbers carry 17
 significant digits and round-trip exactly.  Tables are written block by
 block (_BLOCK_ROWS rows), CSV and JSON alike, so memory stays bounded at
 any trial count.  A numeric table given as numpy columns (the `simulate`
 dump) formats each finite block with one %-operation on a repeated line
 template; the bytes are those of the per-cell rule (_fmt, or json.dump
-of the whole table).
+of the whole table).  Its rows split into up to `workers` contiguous
+shares of whole blocks: each share is formatted by a forked process into
+an unnamed temp file beside the output, and the shares are copied into
+the output in order, so the bytes do not depend on the worker count.
 
 Exit codes: 0 success, 2 invalid configuration, 3 no phase-matching
 solution / empty band / a wavelength outside the transparency window,
@@ -28,8 +32,10 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from importlib import resources
 from itertools import islice
@@ -280,67 +286,149 @@ _CELL_FORMATS = {"i": "%d", "f": "%.17g"}
 
 
 def _row_blocks(rows):
-    """Yield (template, block) per block of at most _BLOCK_ROWS rows.
+    """Yield (None, block) per block of at most _BLOCK_ROWS rows, each a
+    list of rows whose every cell goes through _fmt."""
+    it = iter(rows)
+    while block := list(islice(it, _BLOCK_ROWS)):
+        yield None, block
 
-    A block is a sequence of rows.  For a column table it is a 2-D object
-    array of Python ints and floats (one array, not a list per row, keeps
-    the block's memory small), and template is the line format of one
-    row, or None when a cell is not finite; any other table yields lists
-    of rows and no template, so every cell goes through _fmt.
+
+def _column_blocks(columns, start, stop):
+    """Yield (template, block) per block of rows [start, stop) of 2-D
+    columns, blocks starting at multiples of _BLOCK_ROWS from `start`.
+
+    A block is a 2-D object array of Python ints and floats (one array,
+    not a list per row, keeps the block's memory small); template is the
+    line format of one row, or None when a cell is not finite.
     """
-    if not (isinstance(rows, tuple) and rows
-            and all(isinstance(c, np.ndarray) for c in rows)):
-        it = iter(rows)
-        while block := list(islice(it, _BLOCK_ROWS)):
-            yield None, block
-        return
-    columns = [c[:, None] if c.ndim == 1 else c for c in rows]
     template = ",".join(_CELL_FORMATS[c.dtype.kind]
                         for c in columns for _ in range(c.shape[1])) + "\n"
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        parts = [c[start:start + _BLOCK_ROWS] for c in columns]
+    for first in range(start, stop, _BLOCK_ROWS):
+        parts = [c[first:min(first + _BLOCK_ROWS, stop)] for c in columns]
         finite = all(np.isfinite(p).all() for p in parts)
         block = np.concatenate(parts, axis=1, dtype=object)
         yield (template if finite else None), block
 
 
-def _write_json(fh, header, blocks) -> None:
-    """json.dump(rows as dicts, indent=2, sort_keys=True), one block at a
-    time; NaN cells become null."""
-    sep = "\n"
-    fh.write("[")
-    for _, block in blocks:
-        payload = [{k: (None if isinstance(v, float) and math.isnan(v)
-                        else v)
-                    for k, v in zip(header, row)} for row in block]
-        # strip the block's own "[\n" and "\n]"
-        fh.write(sep + json.dumps(payload, indent=2, sort_keys=True)[2:-2])
-        sep = ",\n"
-    fh.write("]\n" if sep == "\n" else "\n]\n")
+def _write_blocks(fh, fmt, header, blocks, start=0) -> int:
+    """Write the text of (template, block) pairs whose first row is table
+    row `start`, and return the rows written.
+
+    A CSV block follows its template, or the per-cell rule (_fmt) when it
+    has none.  A JSON block is json.dump's text of its rows as dicts
+    (indent=2, sort_keys=True, NaN cells null) without the brackets,
+    after ",\n", or after "\n" when it holds row 0.
+    """
+    written = 0
+    for template, block in blocks:
+        if fmt == "json":
+            payload = [{k: (None if isinstance(v, float) and math.isnan(v)
+                            else v)
+                        for k, v in zip(header, row)} for row in block]
+            # strip the block's own "[\n" and "\n]"
+            fh.write(("\n" if start + written == 0 else ",\n")
+                     + json.dumps(payload, indent=2, sort_keys=True)[2:-2])
+        elif template is None:
+            fh.writelines(",".join(_fmt(v) for v in row) + "\n"
+                          for row in block)
+        else:
+            fh.write(template * len(block) % tuple(block.ravel().tolist()))
+        written += len(block)
+    return written
 
 
-def write_table(path: str, fmt: str, header, rows) -> None:
+def _write_share(fh, fmt, header, columns, start, stop) -> None:
+    """The text of rows [start, stop) of a column table."""
+    _write_blocks(fh, fmt, header, _column_blocks(columns, start, stop),
+                  start)
+
+
+# a share-writer process's table: (fmt, header, columns, share file
+# descriptors), set by _start_share_writer in the forked child only
+_share_table = None
+
+
+def _start_share_writer(*table) -> None:
+    global _share_table
+    _share_table = table
+
+
+def _pool_share(index, start, stop) -> None:
+    """Write share `index`, rows [start, stop), to its own file."""
+    fmt, header, columns, fds = _share_table
+    with open(fds[index], "w", newline="", closefd=False) as fh:
+        _write_share(fh, fmt, header, columns, start, stop)
+
+
+def _write_columns(fh, fmt, header, columns, workers, directory) -> None:
+    """Write the rows of a column table on up to `workers` processes.
+
+    The rows split into min(workers, blocks) contiguous shares of whole
+    _BLOCK_ROWS blocks.  With one share it is written to `fh` in the
+    calling thread and no pool starts.  Otherwise each share is written
+    by a forked process to its own unnamed temp file in `directory`, and
+    the shares are copied into `fh` in order, so this process holds no
+    formatted text.  Fork passes the columns to the children without
+    pickling; the children only slice, format and write, so they take no
+    lock that another thread of this process might hold.
+    """
+    rows = len(columns[0])
+    blocks = -(-rows // _BLOCK_ROWS)
+    shares = min(workers, blocks)
+    if shares <= 1:
+        _write_share(fh, fmt, header, columns, 0, rows)
+        return
+    # imported here: ~8 ms of start-up that only a table of several
+    # shares needs
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    bounds = [min(rows, blocks * k // shares * _BLOCK_ROWS)
+              for k in range(shares + 1)]
+    with ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile(dir=directory))
+                 for _ in range(shares)]
+        fh.flush()   # a forked child must not inherit buffered text
+        with ProcessPoolExecutor(
+                shares, mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_share_writer,
+                initargs=(fmt, header, columns,
+                          [part.fileno() for part in parts])) as pool:
+            for done in [pool.submit(_pool_share, k, *bounds[k:k + 2])
+                         for k in range(shares)]:
+                done.result()
+        for part in parts:
+            part.seek(0)
+            shutil.copyfileobj(part, fh.buffer)
+
+
+def write_table(path: str, fmt: str, header, rows, workers: int = 1) -> None:
     """Serialize a table atomically (temp file + rename).
 
     `rows` is an iterable of rows, or a tuple of integer and float numpy
     arrays holding the columns side by side (a 1-D array is one column, a
     2-D array one column per array column).  Both give the same bytes.
+    A column table is formatted in up to `workers` processes, each
+    writing one contiguous share of its rows (_write_columns); a row
+    table is written in the calling thread.  The file gets the mode that
+    open(path, "w") would give it: 0o666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    umask = os.umask(0)   # reading the umask means setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            if fmt == "csv":
-                fh.write(",".join(header) + "\n")
-                for template, block in _row_blocks(rows):
-                    if template is None:
-                        fh.writelines(",".join(_fmt(v) for v in row) + "\n"
-                                      for row in block)
-                    else:
-                        fh.write(template * len(block)
-                                 % tuple(block.ravel().tolist()))
+            fh.write(",".join(header) + "\n" if fmt == "csv" else "[")
+            if (isinstance(rows, tuple) and rows
+                    and all(isinstance(c, np.ndarray) for c in rows)):
+                columns = [c[:, None] if c.ndim == 1 else c for c in rows]
+                _write_columns(fh, fmt, header, columns, workers, directory)
+                written = len(columns[0])
             else:
-                _write_json(fh, header, _row_blocks(rows))
+                written = _write_blocks(fh, fmt, header, _row_blocks(rows))
+            if fmt == "json":
+                fh.write("\n]\n" if written else "]\n")
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -510,7 +598,8 @@ def cmd_simulate(config: RunConfig, raw_vacuum: bool) -> int:
     # the float view of the (trials x 3) complex table is its re, im
     # columns in header order, with no copy
     write_table(config.output_path, config.output_format, header,
-                (np.arange(len(amplitudes)), amplitudes.view(np.float64)))
+                (np.arange(len(amplitudes)), amplitudes.view(np.float64)),
+                config.workers)
     print(f"simulate: {len(amplitudes)} trials -> {config.output_path}")
     return EXIT_OK
 

@@ -1,7 +1,9 @@
+import concurrent.futures
 import copy
 import csv
 import json
 import math
+import multiprocessing
 import os
 from dataclasses import replace
 from fractions import Fraction
@@ -583,22 +585,29 @@ class TestSimulateCommand:
     # more than one block, and not a whole number of blocks
     TRIALS = 2 * _BLOCK_ROWS + 3
 
-    @pytest.mark.parametrize("raw", [[], ["--raw-vacuum"]])
-    def test_csv_bytes_match_per_cell_rule(self, tmp_path, raw):
+    # the CPU count sets the default workers; --workers 2 forks share
+    # writers on any host
+    CASES = [pytest.param(raw, [], id=f"raw{r}")
+             for r, raw in enumerate([[], ["--raw-vacuum"]])] + [
+        pytest.param(raw, ["--workers", w], id=f"raw{r}-workers{w}")
+        for w in ("1", "2") for r, raw in enumerate([[], ["--raw-vacuum"]])]
+
+    @pytest.mark.parametrize("raw, workers", CASES)
+    def test_csv_bytes_match_per_cell_rule(self, tmp_path, raw, workers):
         path = write_config(tmp_path, trials=self.TRIALS)
         out = tmp_path / "sim.csv"
-        assert main(["--config", path, "simulate", *raw,
+        assert main(["--config", path, "simulate", *raw, *workers,
                      "--output", str(out)]) == EXIT_OK
         rows = simulate_reference_rows(load_config(path), bool(raw))
         assert_same_text(out.read_bytes().decode(),
                          expected_table("csv", SIMULATE_HEADER, rows))
 
-    @pytest.mark.parametrize("raw", [[], ["--raw-vacuum"]])
-    def test_json_bytes_match_whole_dump(self, tmp_path, raw):
+    @pytest.mark.parametrize("raw, workers", CASES)
+    def test_json_bytes_match_whole_dump(self, tmp_path, raw, workers):
         path = write_config(tmp_path, trials=self.TRIALS)
         out = tmp_path / "sim.json"
-        assert main(["--config", path, "simulate", *raw, "--format", "json",
-                     "--output", str(out)]) == EXIT_OK
+        assert main(["--config", path, "simulate", *raw, *workers,
+                     "--format", "json", "--output", str(out)]) == EXIT_OK
         rows = simulate_reference_rows(load_config(path), bool(raw))
         text = out.read_bytes().decode()
         assert_same_text(text, expected_table("json", SIMULATE_HEADER, rows))
@@ -668,6 +677,58 @@ class TestWriteTable:
             assert out.read_bytes().decode() \
                 == expected_table(fmt, ("a", "b"), [])
 
+    @pytest.mark.parametrize("rows", [
+        0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+        2 * _BLOCK_ROWS + 3, 5 * _BLOCK_ROWS])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_shares_match_per_cell_rule(self, tmp_path, rows, fmt):
+        trial = np.arange(rows)
+        values = np.random.default_rng(rows).standard_normal((rows, 2))
+        if rows > _BLOCK_ROWS:
+            # only the last block of the last share is not finite
+            values[-1, 1] = math.nan
+        expected = expected_table(fmt, ("a", "b", "c"), [
+            [i, *v] for i, v in zip(trial.tolist(), values.tolist())])
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            write_table(str(out), fmt, ("a", "b", "c"), (trial, values),
+                        workers)
+            assert_same_text(out.read_bytes().decode(), expected)
+
+    def test_one_block_starts_no_pool(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-block table started a process pool")
+
+        # write_table imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        out = str(tmp_path / "table.csv")
+        for rows in (1, _BLOCK_ROWS):
+            write_table(out, "csv", ("a",), (np.zeros(rows),), 4)
+        # the patch is live: two blocks on two workers do start a pool
+        with pytest.raises(AssertionError):
+            write_table(out, "csv", ("a",), (np.zeros(_BLOCK_ROWS + 1),), 2)
+
+    def test_no_process_left_running(self, tmp_path):
+        n = 2 * _BLOCK_ROWS
+        out = str(tmp_path / "table.csv")
+        write_table(out, "csv", ("a",), (np.zeros(n),), 2)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError):
+            write_table(out, "csv", ("a", "b"),
+                        (np.zeros((n, 2)).view(ExplodingColumn),), 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            for name, table in (("rows", [[1, 2.5]]),
+                                ("columns", (np.arange(1), np.ones(1)))):
+                write_table(str(tmp_path / name), "csv", ("a", "b"), table)
+                assert (tmp_path / name).stat().st_mode & 0o777 == mode
+        finally:
+            os.umask(old)
+
 
 class TestAtomicWrites:
     def test_failure_leaves_no_file(self, tmp_path):
@@ -680,13 +741,15 @@ class TestAtomicWrites:
             return (np.arange(n), np.zeros((n, 2)).view(ExplodingColumn))
 
         out = tmp_path / "table.csv"
+        before = sorted(os.listdir(tmp_path))
+        # at two workers the second block's share fails in a child process
         for table in (exploding_rows, exploding_columns):
             for fmt in ("csv", "json"):
-                with pytest.raises(RuntimeError):
-                    write_table(str(out), fmt, ("a", "b", "c"), table())
-                assert not out.exists()
-                assert [p for p in os.listdir(tmp_path)
-                        if p.endswith(".part")] == []
+                for workers in (1, 2):
+                    with pytest.raises(RuntimeError, match="mid-write"):
+                        write_table(str(out), fmt, ("a", "b", "c"), table(),
+                                    workers)
+                    assert sorted(os.listdir(tmp_path)) == before
 
 
 with open(default_config_path()) as _fh:
