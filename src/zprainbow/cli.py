@@ -577,7 +577,7 @@ def cmd_ratios(config: RunConfig, theta_low_deg, theta_high_deg) -> int:
 
 def cmd_darkrate(config: RunConfig) -> int:
     rows = dark_rate_curve(config.detector, config.darkrate_windows,
-                           config.trials, config.seed)
+                           config.trials, config.seed, config.workers)
     write_table(config.output_path, config.output_format,
                 ("window_samples", "dark_probability", "standard_error"),
                 rows)
@@ -630,7 +630,8 @@ _COMMANDS = {
     "ratios": ("rate-ratio report at one frequency",
                _SAMPLED + ("--omega", "--theta-low-deg", "--theta-high-deg"),
                cmd_ratios),
-    "darkrate": ("vacuum dark-rate curve", ("--seed", "--trials") + _OUTPUT
+    "darkrate": ("vacuum dark-rate curve",
+                 ("--seed", "--trials", "--workers") + _OUTPUT
                  + ("--windows",), cmd_darkrate),
     "simulate": ("raw ensemble dump at one frequency",
                  ("--seed", "--trials", "--workers") + _OUTPUT

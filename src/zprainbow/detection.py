@@ -119,12 +119,13 @@ def threshold_counts(intensities: np.ndarray, spec: DetectorSpec,
 
 
 def dark_rate_curve(spec_base: DetectorSpec, window_list, trials: int,
-                    seed: int):
+                    seed: int, workers: int = 1):
     """Vacuum dark-click probability versus window size.
 
     Returns rows (window_samples, dark_probability, standard_error); the
     intensities of one sampled vacuum mode feed every window size, so the
-    M = 1 row is exactly threshold_counts at M = 1.
+    M = 1 row is exactly threshold_counts at M = 1.  `workers` threads
+    sample the vacuum; the rows are bit-identical for any worker count.
     """
     if spec_base.threshold <= ZEROPOINT:
         raise ConfigError("detector.threshold",
@@ -135,7 +136,7 @@ def dark_rate_curve(spec_base: DetectorSpec, window_list, trials: int,
     if trials < max(window_list):
         raise StatisticalError(
             f"{trials} trials cannot fill a window of {max(window_list)}")
-    a = sample_vacuum(1, trials, seed)[:, 0]
+    a = sample_vacuum(1, trials, seed, workers)[:, 0]
     intensities = a.real ** 2 + a.imag ** 2
     rows = []
     for m in window_list:

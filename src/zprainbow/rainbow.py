@@ -158,15 +158,6 @@ def _state_means(matrices, state) -> np.ndarray:
     return mode_intensities(cp.propagate_covariances(matrices, state))
 
 
-def mc_mean_intensities(transforms, trials: int, seed: int,
-                        workers: int = 1) -> list[np.ndarray]:
-    """Monte Carlo mean |alpha|^2 per mode for several transforms acting
-    on the one vacuum drawn from `seed`: mean_intensities' montecarlo
-    engine without vacuum keys."""
-    return list(mean_intensities(np.array([t.matrix for t in transforms]),
-                                 "montecarlo", trials, seed, workers))
-
-
 def mean_intensities(matrices, engine: str, trials: int, seed: int,
                      workers: int = 1, vacua=None) -> np.ndarray:
     """(N, M) mean |alpha|^2 per mode after each of an (N, 2M, 2M) stack of

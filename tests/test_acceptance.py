@@ -19,7 +19,7 @@ from zprainbow import coupling as cp
 from zprainbow.cli import forced_angle_report, physical_ratio_report
 from zprainbow.detection import DetectorSpec, dark_rate_curve
 from zprainbow.dispersion import match_down, match_up
-from zprainbow.rainbow import (mc_mean_intensities, puc_system,
+from zprainbow.rainbow import (mean_intensities, puc_system,
                                satellite_summary, sweep)
 from zprainbow.zpf import Mode, sample_vacuum, vacuum_state
 
@@ -213,7 +213,8 @@ def test_criterion_8_eq2_sign(config):
         system = puc_system(config.crystal, omega,
                             replace(config.couplings, phi_up=phi))
         transforms.append(cp.integrate_three_wave(system))
-    means = mc_mean_intensities(transforms, trials, seed, workers=4)
+    means = mean_intensities(np.array([t.matrix for t in transforms]),
+                             "montecarlo", trials, seed, workers=4)
 
     negatives = [m for m in means if m[2] - 0.5 < 0.0 < m[0] - 0.5]
     assert negatives, "no scanned phase shows the below-zeropoint channel"
@@ -281,7 +282,8 @@ def test_criterion_11_determinism(crystal, detector, couplings):
     assert np.array_equal(samples[0], samples[2])
 
     t = pure_pdc_transform(crystal)
-    means = [mc_mean_intensities([t], 200_001, seed=7, workers=w)[0]
+    means = [mean_intensities(np.array([t.matrix]), "montecarlo", 200_001,
+                              seed=7, workers=w)[0]
              for w in (1, 4, 8)]
     assert np.array_equal(means[0], means[1])
     assert np.array_equal(means[0], means[2])

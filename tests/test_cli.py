@@ -314,7 +314,7 @@ class TestExitCodes:
         ("rainbow", ["--seed", "--trials", "--engine", "--workers"]),
         ("ratios", ["--seed", "--trials", "--engine", "--workers", "--omega",
                     "--theta-low-deg", "--theta-high-deg"]),
-        ("darkrate", ["--seed", "--trials", "--windows"]),
+        ("darkrate", ["--seed", "--trials", "--workers", "--windows"]),
         ("simulate", ["--seed", "--trials", "--workers", "--omega",
                       "--raw-vacuum"]),
     ], ids=["angles", "rainbow", "ratios", "darkrate", "simulate"])
@@ -537,6 +537,15 @@ class TestDarkrateCommand:
         assert [int(r["window_samples"]) for r in rows] == [1, 10, 100]
         probs = [float(r["dark_probability"]) for r in rows]
         assert probs[0] > probs[1] > probs[2]
+
+    def test_workers_write_the_bytes_of_one(self, tmp_path):
+        # three trial blocks, so two workers split them
+        path = write_config(tmp_path, trials=140_001)
+        outs = [str(tmp_path / f"dark{w}.csv") for w in ("1", "2")]
+        for w, out in zip(("1", "2"), outs):
+            assert main(["--config", path, "darkrate", "--workers", w,
+                         "--output", out]) == EXIT_OK
+        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
     def test_threshold_guard(self, tmp_path):
         path = write_config(tmp_path, **{"detector.threshold": 0.5})

@@ -11,8 +11,7 @@ from zprainbow.detection import ratio_down, ratio_up
 from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
-                               _point_seed, channel_rates,
-                               mc_mean_intensities, mean_intensities,
+                               _point_seed, channel_rates, mean_intensities,
                                pdc_system, puc_system, satellite_summary,
                                sweep)
 from zprainbow import coupling as cp, zpf
@@ -146,17 +145,19 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [4, 8])
     def test_worker_invariance(self, crystal, couplings, workers):
         t = cp.integrate_three_wave(pdc_system(crystal, 0.52, couplings))
-        base = mc_mean_intensities([t], 150_000, seed=5, workers=1)
-        par = mc_mean_intensities([t], 150_000, seed=5, workers=workers)
+        matrices = np.array([t.matrix])
+        base = mean_intensities(matrices, "montecarlo", 150_000, 5, 1)
+        par = mean_intensities(matrices, "montecarlo", 150_000, 5, workers)
         assert np.array_equal(base[0], par[0])
 
     @pytest.mark.parametrize("trials", [1, 4095, 4097, 65536, 65537])
     def test_worker_invariance_at_block_edges(self, crystal, couplings,
                                               trials):
         t = cp.integrate_three_wave(puc_system(crystal, 0.54, couplings))
-        base = mc_mean_intensities([t], trials, seed=5, workers=1)
+        matrices = np.array([t.matrix])
+        base = mean_intensities(matrices, "montecarlo", trials, 5, 1)
         for workers in (2, 4):
-            par = mc_mean_intensities([t], trials, seed=5, workers=workers)
+            par = mean_intensities(matrices, "montecarlo", trials, 5, workers)
             assert np.array_equal(base[0], par[0])
 
 
@@ -190,7 +191,8 @@ class TestMonteCarloReducer:
         system = geometry(crystal, 0.54, couplings)
         transforms = [cp.integrate_three_wave(system),
                       cp.integrate_three_wave(system.pair_only())]
-        means = mc_mean_intensities(transforms, 150_001, seed=13)
+        means = mean_intensities(np.array([t.matrix for t in transforms]),
+                                 "montecarlo", 150_001, seed=13)
         vacuum = sample_vacuum(len(system.modes), 150_001, seed=13)
         for t, m in zip(transforms, means):
             amp = cp.apply(t, vacuum)

@@ -192,6 +192,25 @@ class TestSampledState:
         state = sampled_state(3, trials, seed=11, workers=2).covariance
         assert np.allclose(state, ref, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", EDGE_TRIALS + [200_001])
+    def test_bits_follow_stream_contract(self, trials, workers):
+        # bit for bit: each block's raw Philox draws, interleaved (Re, Im)
+        # per mode in a C-contiguous (length, 6) array, reduced to x^T x,
+        # summed in block order, reordered to xxpp and scaled
+        total = np.zeros((6, 6))
+        for b, start, stop in trial_blocks(trials):
+            x = np.empty((stop - start, 6))
+            for m in range(3):
+                x[:, 2 * m:2 * m + 2] = np.random.Generator(np.random.Philox(
+                    np.random.SeedSequence(11, spawn_key=(m, b)))
+                ).standard_normal((stop - start, 2))
+            total = total + x.T @ x
+        xxpp = [0, 2, 4, 1, 3, 5]
+        ref = total[np.ix_(xxpp, xxpp)] * (0.5 / trials)
+        state = sampled_state(3, trials, 11, workers).covariance
+        assert np.array_equal(state.view(np.uint64), ref.view(np.uint64))
+
 
 class TestWorkerThreads:
     def test_no_thread_outlives_a_call(self):
