@@ -44,13 +44,12 @@ import numpy as np
 
 from . import coupling as cp
 from . import dispersion as dp
-from .detection import (ChannelRate, DetectorSpec, dark_rate_curve,
-                        ratio_down, ratio_up)
+from .detection import ChannelRate, DetectorSpec, dark_rate_curve, ratio_down
 from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
-                     NoSolutionError, StatisticalError)
+                     NoSolutionError, StatisticalError, present)
 from .rainbow import (DEFAULT_SEED, DEFAULT_TRIALS, ENGINES, Couplings,
-                      POINT_FIELDS, channel_rates, mean_intensities,
-                      pdc_system, puc_system, satellite_summary, sweep)
+                      POINT_FIELDS, evaluate, mean_intensities, pdc_system,
+                      satellite_summary, sweep)
 from .zpf import Mode, ORDINARY, sample_vacuum
 
 EXIT_OK = 0
@@ -521,41 +520,29 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
     up-conversion entry reports the signed above-zeropoint value of the
     upper channel, its clamped rate, and the signed ratio.
     """
-    nan = float("nan")
-    system_a = pdc_system(config.crystal, omega, config.couplings)
-    systems = [system_a.pair_only()]
-    try:
-        systems.append(puc_system(config.crystal, omega, config.couplings))
-    except (NoSolutionError, DomainError):
-        pass
-    # system_a goes last, only to have its transform checked as in the sweep
-    systems.append(system_a)
-    pair, *puc, _ = channel_rates(systems, config.engine, config.ratios_trials,
-                                  config.seed, config.workers)
-    report = {
+    [(point, main, satellite)] = evaluate(
+        [omega], config.crystal, config.couplings, config.engine,
+        config.ratios_trials, config.seed, config.workers, per_point=False)
+    low, high, _ = present(main)
+    lower = upper_rate = eq2_cosine = math.nan
+    if point.has_satellite:
+        q_w, _, q_u = satellite
+        lower, upper_rate = q_w.above_zeropoint, q_u.photon_rate
+        eq2_cosine = -(math.cos(q_u.mode.theta_external)
+                       / math.cos(q_w.mode.theta_external))
+    return {
         "omega": omega,
         "engine": config.engine,
-        "eq1_ratio": ratio_down(pair[0], pair[1]),
-        "eq1_cosine_ratio": (math.cos(system_a.modes[1].theta_external)
-                             / math.cos(system_a.modes[0].theta_external)),
+        "eq1_ratio": point.eq1_ratio,
+        "eq1_cosine_ratio": (math.cos(high.mode.theta_external)
+                             / math.cos(low.mode.theta_external)),
         "photon_theory_ratio": 1.0,
-        "lower_above_zeropoint": nan,
-        "upper_above_zeropoint": nan,
-        "upper_clamped_rate": nan,
-        "eq2_cosine_ratio": nan,
-        "eq2_ratio": nan,
+        "lower_above_zeropoint": lower,
+        "upper_above_zeropoint": point.upper_above_zeropoint,
+        "upper_clamped_rate": upper_rate,
+        "eq2_cosine_ratio": eq2_cosine,
+        "eq2_ratio": point.eq2_ratio,
     }
-    if puc:
-        lower, _, upper = puc[0]
-        theta_upper = upper.mode.theta_external
-        report.update(
-            lower_above_zeropoint=lower.above_zeropoint,
-            upper_above_zeropoint=upper.above_zeropoint,
-            upper_clamped_rate=upper.photon_rate,
-            eq2_cosine_ratio=-(math.cos(theta_upper)
-                               / math.cos(lower.mode.theta_external)),
-            eq2_ratio=ratio_up(lower, upper))
-    return report
 
 
 def cmd_ratios(config: RunConfig, theta_low_deg, theta_high_deg) -> int:

@@ -165,7 +165,7 @@ def check_window(wavelength, spec: CrystalSpec) -> None:
     if len(outside):
         lo, hi = spec.window_um
         raise DomainError(
-            f"wavelength {outside[0]:.4f} um outside window [{lo}, {hi}] um")
+            f"wavelength {outside[0]:.5g} um outside window [{lo}, {hi}] um")
 
 
 def _ellipse_index(no2, ne2, psi):

@@ -26,10 +26,11 @@ propagates the exact vacuum state (zpf.vacuum_state) through the whole
 stack in one product; `montecarlo` samples every vacuum of the stack in
 one pass (zpf.sampled_states) and propagates the raw second moments of
 each through the transforms that share it, which gives the trial means
-of |T alpha|^2 up to rounding.  At a sweep point the main and pair-only
-systems share one vacuum and the satellite has its own, each drawn from a
-per-point seed derived from the master seed; seeds are derived only where
-a vacuum is sampled.  The CLI's ratios report uses channel_rates too.
+of |T alpha|^2 up to rounding.  evaluate is that pass for the sweep and
+for the CLI's ratios report.  At a sweep point the main and pair-only
+systems share one vacuum and the satellite has its own, each from a
+per-point seed derived from the master seed only where a vacuum is
+sampled; the ratios report's systems all share the master seed's vacuum.
 """
 
 from __future__ import annotations
@@ -203,6 +204,47 @@ def channel_rates(systems, engine: str, trials: int, seed: int,
             for s, mean in zip(systems, means)]
 
 
+def evaluate(omegas, crystal: dp.CrystalSpec, couplings: Couplings,
+             engine: str, trials: int, seed: int, workers: int = 1,
+             per_point: bool = True) -> list[tuple]:
+    """(RainbowPoint, main rates, satellite rates) per frequency, a rates
+    entry being the system's ChannelRates or the error saying why it is
+    absent; a satellite needs the main rainbow, else takes its reason.
+    per_point gives point i's main and pair-only systems the vacuum
+    (i, 0) and its satellite (i, 1); without it all share seed's vacuum."""
+    mains = _systems("down", crystal, omegas, couplings)
+    satellites = _systems("up", crystal, omegas, couplings)
+    systems, vacua = [], []
+    for i, (system_a, system_b) in enumerate(zip(mains, satellites)):
+        if isinstance(system_a, cp.ThreeWaveSystem):
+            systems += [system_a, system_a.pair_only()]
+            vacua += [(i, 0), (i, 0)]
+            if isinstance(system_b, cp.ThreeWaveSystem):
+                systems.append(system_b)
+                vacua.append((i, 1))
+    rates = iter(channel_rates(systems, engine, trials, seed, workers,
+                               vacua if per_point else None))
+    evaluated = []
+    for omega, main, sat in zip(omegas, mains, satellites):
+        point = dict(dict.fromkeys(POINT_FIELDS, math.nan), omega=omega)
+        if isinstance(main, cp.ThreeWaveSystem):
+            main, (p_w, p_s, _) = next(rates), next(rates)
+            point.update(theta_d_ext=main[0].mode.theta_external,
+                         main_rate=main[0].photon_rate,
+                         conjugate_rate=main[1].photon_rate,
+                         eq1_ratio=ratio_down(p_w, p_s))
+            if isinstance(sat, cp.ThreeWaveSystem):
+                sat = q_w, _, q_u = next(rates)
+                point.update(theta_u_ext=q_w.mode.theta_external,
+                             satellite_rate=q_w.photon_rate,
+                             upper_above_zeropoint=q_u.above_zeropoint,
+                             eq2_ratio=ratio_up(q_w, q_u))
+        elif isinstance(sat, cp.ThreeWaveSystem):
+            sat = main
+        evaluated.append((RainbowPoint(**point), main, sat))
+    return evaluated
+
+
 def sweep(omega_min: float, omega_max: float, steps: int,
           crystal: dp.CrystalSpec, detector: DetectorSpec,
           engine: str = "covariance", trials: int = DEFAULT_TRIALS,
@@ -226,38 +268,9 @@ def sweep(omega_min: float, omega_max: float, steps: int,
         crystal=crystal, detector=detector, engine=engine,
         trials=trials, seed=seed, couplings=couplings))
 
-    omegas = np.linspace(omega_min, omega_max, steps)
-    mains = _systems("down", crystal, omegas, couplings)
-    satellites = _systems("up", crystal, omegas, couplings)
-    # main and pair-only share a point's vacuum, the satellite has its own
-    systems, vacua = [], []
-    for i, (system_a, system_b) in enumerate(zip(mains, satellites)):
-        if isinstance(system_a, cp.ThreeWaveSystem):
-            systems += [system_a, system_a.pair_only()]
-            vacua += [(i, 0), (i, 0)]
-            if isinstance(system_b, cp.ThreeWaveSystem):
-                systems.append(system_b)
-                vacua.append((i, 1))
-    rates = iter(channel_rates(systems, engine, trials, seed, workers, vacua))
-    points = []
-    for omega, system_a, system_b in zip(omegas.tolist(), mains, satellites):
-        nan = float("nan")
-        theta_d = theta_u = main = conj = sat = upper = eq1 = eq2 = nan
-        if isinstance(system_a, cp.ThreeWaveSystem):
-            theta_d = system_a.modes[0].theta_external
-            (r_w, r_s, _), (p_w, p_s, _) = next(rates), next(rates)
-            main, conj = r_w.photon_rate, r_s.photon_rate
-            eq1 = ratio_down(p_w, p_s)
-            if isinstance(system_b, cp.ThreeWaveSystem):
-                theta_u = system_b.modes[0].theta_external
-                q_w, _, q_u = next(rates)
-                sat, upper = q_w.photon_rate, q_u.above_zeropoint
-                eq2 = ratio_up(q_w, q_u)
-        points.append(RainbowPoint(
-            omega=omega, theta_d_ext=theta_d, theta_u_ext=theta_u,
-            main_rate=main, conjugate_rate=conj, satellite_rate=sat,
-            upper_above_zeropoint=upper, eq1_ratio=eq1, eq2_ratio=eq2))
-
+    points = [point for point, _, _ in evaluate(
+        np.linspace(omega_min, omega_max, steps).tolist(), crystal,
+        couplings, engine, trials, seed, workers)]
     if not any(p.has_main for p in points):
         raise BandError(
             f"no phase-matched frequency in [{omega_min}, {omega_max}]; "

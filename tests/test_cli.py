@@ -18,9 +18,10 @@ from zprainbow.cli import (EXIT_CONFIG, EXIT_NO_SOLUTION, EXIT_OK,
                            load_config, main, physical_ratio_report,
                            write_table)
 from zprainbow.coupling import apply, integrate_three_wave
-from zprainbow.detection import DetectorSpec
-from zprainbow.errors import ConfigError
-from zprainbow.rainbow import DEFAULT_TRIALS, Couplings, pdc_system, sweep
+from zprainbow.detection import DetectorSpec, ratio_down, ratio_up
+from zprainbow.errors import ConfigError, DomainError, NoSolutionError
+from zprainbow.rainbow import (DEFAULT_TRIALS, Couplings, channel_rates,
+                               pdc_system, puc_system, sweep)
 from zprainbow.zpf import sample_vacuum
 
 
@@ -156,6 +157,15 @@ class TestExitCodes:
         out = str(tmp_path / "x.csv")
         assert main(argv + ["--output", out]) == EXIT_NO_SOLUTION
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["ratios", "simulate"])
+    def test_outside_window_message_is_short(self, tmp_path, capsys,
+                                             command):
+        # omega 1e-300 puts the input wave at 4e+299 um
+        out = str(tmp_path / "x.csv")
+        assert main([command, "--omega", "1e-300", "--trials", "100",
+                     "--output", out]) == EXIT_NO_SOLUTION
+        assert "4e+299 um outside window" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         ("crystal.window_um", [1.0]),
@@ -526,6 +536,39 @@ class TestRatiosCommand:
             for name in ("eq1_ratio", "eq2_ratio", "upper_above_zeropoint"):
                 want, got = getattr(point, name), report[name]
                 assert got == want or math.isnan(got) and math.isnan(want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("omega", [0.54, 0.5],
+                             ids=["satellite", "no-satellite"])
+    def test_report_shares_the_master_seed_vacuum(self, config, omega,
+                                                  workers):
+        # every system of the report acts on the one vacuum drawn from the
+        # master seed, not on the sweep's per-point vacua
+        trials = 150_001
+        cfg = replace(config, engine="montecarlo", ratios_trials=trials,
+                      workers=workers)
+        a = pdc_system(cfg.crystal, omega, cfg.couplings)
+        systems = [a, a.pair_only()]
+        try:
+            systems.append(puc_system(cfg.crystal, omega, cfg.couplings))
+        except (NoSolutionError, DomainError):
+            pass
+        assert (len(systems) == 3) == (omega == 0.54)
+        _, (p_w, p_s, _), *satellite = channel_rates(
+            systems, "montecarlo", trials, cfg.seed, workers)
+        want = dict(eq1_ratio=ratio_down(p_w, p_s),
+                    lower_above_zeropoint=math.nan,
+                    upper_above_zeropoint=math.nan,
+                    upper_clamped_rate=math.nan, eq2_ratio=math.nan)
+        for q_w, _, q_u in satellite:
+            want.update(lower_above_zeropoint=q_w.above_zeropoint,
+                        upper_above_zeropoint=q_u.above_zeropoint,
+                        upper_clamped_rate=q_u.photon_rate,
+                        eq2_ratio=ratio_up(q_w, q_u))
+        report = physical_ratio_report(cfg, omega)
+        for name, value in want.items():
+            got = report[name]
+            assert got == value or math.isnan(got) and math.isnan(value)
 
 
 class TestDarkrateCommand:

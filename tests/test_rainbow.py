@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geometry_oracle import make_mode, mismatch, pump_mode
-from zprainbow.cli import physical_ratio_report
 from zprainbow.detection import ratio_down, ratio_up
 from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
-                               _point_seed, channel_rates, mean_intensities,
-                               pdc_system, puc_system, satellite_summary,
-                               sweep)
+                               _point_seed, channel_rates, evaluate,
+                               mean_intensities, pdc_system, puc_system,
+                               satellite_summary, sweep)
 from zprainbow import coupling as cp, zpf
 from zprainbow.zpf import sample_vacuum
 
@@ -200,19 +199,52 @@ class TestMonteCarloReducer:
             assert np.max(np.abs(m - ref)) <= 1e-12
 
 
-class TestRatiosReport:
-    def test_sweep_and_report_agree(self, config, default_table):
-        # both read the same geometries through the same rates, so every
-        # shared column is exactly equal, absent (NaN) ones included
-        config = dataclasses.replace(config, engine="covariance")
-        for p in default_table.points:
-            if not p.has_main:
-                continue
-            report = physical_ratio_report(config, p.omega)
-            for name in ("eq1_ratio", "upper_above_zeropoint", "eq2_ratio"):
-                got, want = report[name], getattr(p, name)
-                assert got == want or (math.isnan(got) and math.isnan(want))
-        assert any(p.has_satellite for p in default_table.points)
+class TestEvaluate:
+    """evaluate's per-system entries: rates, or why the system is absent."""
+
+    @staticmethod
+    def reason(geometry, spec, omega, couplings):
+        try:
+            geometry(spec, omega, couplings)
+        except (NoSolutionError, DomainError) as err:
+            return err
+        return None
+
+    @pytest.mark.parametrize("g_up", [None, 0.0], ids=["shipped", "g_up-0"])
+    def test_absence_reasons_are_the_systems(self, crystal, couplings, g_up):
+        # with the window edge at 0.27 um the w0 + w wave of the upper band
+        # is absorbed, so the band holds present and absent points alike
+        spec = dataclasses.replace(crystal, window_um=(0.27, 1.02))
+        couplings = dataclasses.replace(couplings, g_up=g_up)
+        omegas = np.linspace(0.44, 0.58, 15).tolist()
+        evaluated = evaluate(omegas, spec, couplings, "covariance", 1, 0)
+        assert {isinstance(main, list) for _, main, _ in evaluated} \
+            == {True, False}
+        for omega, (point, main, sat) in zip(omegas, evaluated):
+            for geometry, entry in ((pdc_system, main), (puc_system, sat)):
+                want = self.reason(geometry, spec, omega, couplings)
+                if want is None:
+                    assert [r.mode for r in entry] == list(
+                        geometry(spec, omega, couplings).modes)
+                else:
+                    assert type(entry) is type(want)
+                    assert str(entry) == str(want)
+            assert point.has_main == isinstance(main, list)
+            assert point.has_satellite == isinstance(sat, list)
+            if g_up == 0.0:
+                assert type(sat) is NoSolutionError
+                assert str(sat) == "no up-conversion: its coupling g_up is 0"
+
+    def test_satellite_without_main_takes_its_reason(self, crystal,
+                                                     couplings):
+        # at 0.6 only up conversion matches: the satellite needs the main
+        # rainbow, so it is absent for the main's reason
+        puc_system(crystal, 0.6, couplings)
+        [(point, main, sat)] = evaluate([0.6], crystal, couplings,
+                                        "covariance", 1, 0)
+        assert isinstance(main, NoSolutionError)
+        assert sat is main
+        assert not point.has_satellite
 
 
 class TestSatelliteSummary:
