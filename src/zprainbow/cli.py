@@ -220,19 +220,17 @@ def load_config(path: str | None = None) -> RunConfig:
         raise ConfigError("sweep", "need 0 < omega_min < omega_max < 1")
     if band[2] < 2:
         raise ConfigError("sweep.steps", "must be >= 2")
+    if not (np.diff(np.linspace(*band)) > 0).all():
+        raise ConfigError("sweep.steps", f"{band[2]} steps repeat a "
+                          f"frequency of [{band[0]!r}, {band[1]!r}]")
 
     k = _section(raw, "couplings", optional=True)
-
-    def opt_g(name):
-        v = k.pop(name, None)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
-            raise ConfigError(f"couplings.{name}", "must be a number >= 0")
-        return float(v)
-
+    g_up = k.pop("g_up", None)
+    if g_up is not None and (isinstance(g_up, bool) or not isinstance(
+            g_up, (int, float)) or g_up < 0):
+        raise ConfigError("couplings.g_up", "must be a number >= 0")
     couplings = Couplings(
-        g_down=opt_g("g_down"), g_up=opt_g("g_up"),
+        g_up=None if g_up is None else float(g_up),
         phi_down=_number(k, "couplings", "phi_down",
                          default=Couplings.phi_down),
         phi_up=_number(k, "couplings", "phi_up", default=Couplings.phi_up))
@@ -241,11 +239,9 @@ def load_config(path: str | None = None) -> RunConfig:
     # quarter of the float exponent range keeps intensities, their
     # products and sampled vacuum fluctuations finite
     max_gain_length = math.log(sys.float_info.max) / 4
-    for name, g in (("crystal.gain_per_mm", crystal.gain_per_mm),
-                    ("couplings.g_down", couplings.g_down)):
-        if g is not None and g * crystal.length_mm > max_gain_length:
-            raise ConfigError(name, f"times crystal.length_mm must not "
-                                    f"exceed {max_gain_length:.6g}")
+    if crystal.gain_per_mm * crystal.length_mm > max_gain_length:
+        raise ConfigError("crystal.gain_per_mm", f"times crystal.length_mm "
+                          f"must not exceed {max_gain_length:.6g}")
 
     r = _section(raw, "ratios", optional=True)
     ratios_omega = _number(r, "ratios", "omega", default=0.5)

@@ -24,10 +24,11 @@ matrix exponential, with no step count.  three_wave_matrices builds the
 transforms of many systems (a whole band) in one array pass, over one
 stacked exponential in which every item keeps its own number of
 squarings; integrate_three_wave is its one-system call.  Likewise
-propagate_covariances moves one Gaussian state through a whole stack of
-transforms in one product, and propagate_covariance is its one-transform
-call.  The generator is a valid Bogoliubov generator (the passive part
-is anti-Hermitian, the pair part symmetric), so the map is symplectic for
+propagate_covariances moves a covariance, one for the whole stack or one
+per transform, through a whole stack of transforms in one product, and
+propagate_covariance is its one-transform call on a GaussianState.  The
+generator is a valid Bogoliubov generator (the passive part is
+anti-Hermitian, the pair part symmetric), so the map is symplectic for
 every mismatch; with dk = 0 the up leg reduces to the convert_pair closed
 form and the down leg to squeeze_pair.  perturbative_transform sums the
 Dyson series in the lab frame as an independent low-gain cross-check.
@@ -344,19 +345,21 @@ def quadrature_matrix(t: BogoliubovTransform) -> np.ndarray:
 
 
 def propagate_covariances(matrices: np.ndarray,
-                          state: GaussianState) -> np.ndarray:
-    """Exact Gaussian-state update of one state through each of an
-    (N, 2M, 2M) stack of transform matrices: the (N, 2M, 2M) covariances
-    S cov S^T (symmetrised), in one stacked product.
+                          covariances: np.ndarray) -> np.ndarray:
+    """Exact Gaussian-state update through each of an (N, 2M, 2M) stack of
+    transform matrices: the (N, 2M, 2M) covariances S cov S^T
+    (symmetrised), in one stacked product.  `covariances` is one (2M, 2M)
+    xxpp covariance that every transform acts on, or an (N, 2M, 2M) stack
+    whose item i is the input of transform i.
 
     S is linear with no displacement, so the states stay zero-mean.
     """
-    if matrices.shape[-1] != 2 * state.n_modes:
+    if matrices.shape[-1] != covariances.shape[-1]:
         raise InvalidArgumentError(
             f"transform has {matrices.shape[-1] // 2} modes, "
-            f"state {state.n_modes}")
+            f"state {covariances.shape[-1] // 2}")
     s = quadrature_matrices(matrices)
-    cov = s @ state.covariance @ s.transpose(0, 2, 1)
+    cov = s @ covariances @ s.transpose(0, 2, 1)
     return check_symmetric(0.5 * (cov + cov.transpose(0, 2, 1)))
 
 
@@ -364,4 +367,5 @@ def propagate_covariance(t: BogoliubovTransform,
                          state: GaussianState) -> GaussianState:
     """Exact Gaussian-state update, cov -> S cov S^T (symmetrised): the
     one-transform call of propagate_covariances."""
-    return GaussianState(propagate_covariances(t.matrix[None], state)[0])
+    return GaussianState(
+        propagate_covariances(t.matrix[None], state.covariance)[0])

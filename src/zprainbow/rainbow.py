@@ -21,16 +21,18 @@ module only attaches the couplings; pdc_system and puc_system are the
 one-frequency calls.
 Both engines share one path from the vacuum to the rates, channel_rates,
 which builds the transforms of all its systems (the sweep's whole band)
-in one stacked pass, coupling.three_wave_matrices.  `covariance`
-propagates the exact vacuum state (zpf.vacuum_state) through the whole
-stack in one product; `montecarlo` samples every vacuum of the stack in
-one pass (zpf.sampled_states) and propagates the raw second moments of
-each through the transforms that share it, which gives the trial means
-of |T alpha|^2 up to rounding.  evaluate is that pass for the sweep and
-for the CLI's ratios report.  At a sweep point the main and pair-only
-systems share one vacuum and the satellite has its own, each from a
-per-point seed derived from the master seed only where a vacuum is
-sampled; the ratios report's systems all share the master seed's vacuum.
+in one stacked pass, coupling.three_wave_matrices.  The engines differ
+only in the input covariances: `covariance` takes the exact vacuum
+(zpf.vacuum_state) for every transform; `montecarlo` samples every
+vacuum of the stack in one pass (zpf.sampled_states) and gives each
+transform the raw second moments of its vacuum, which yields the trial
+means of |T alpha|^2 up to rounding.  One stacked product,
+coupling.propagate_covariances, then serves both.  evaluate is that pass
+for the sweep and for the CLI's ratios report.  At a sweep point the main
+and pair-only systems share one vacuum and the satellite has its own,
+each from a per-point seed derived from the master seed only where a
+vacuum is sampled; the ratios report's systems all share the master
+seed's vacuum.
 """
 
 from __future__ import annotations
@@ -58,19 +60,12 @@ DEFAULT_SEED = 0
 
 @dataclass(frozen=True)
 class Couplings:
-    """Effective three-wave couplings; None means auto from the crystal gain."""
+    """Effective three-wave couplings beside the pair gain, which is the
+    crystal's gain_per_mm; g_up None means auto from that gain."""
 
-    g_down: float | None = None
     g_up: float | None = None
     phi_down: float = 0.0
     phi_up: float = 0.0
-
-    def resolve(self, crystal: dp.CrystalSpec) -> "Couplings":
-        g = crystal.gain_per_mm
-        return Couplings(
-            g_down=g if self.g_down is None else self.g_down,
-            g_up=g if self.g_up is None else self.g_up,
-            phi_down=self.phi_down, phi_up=self.phi_up)
 
 
 @dataclass(frozen=True)
@@ -134,11 +129,11 @@ def puc_system(crystal: dp.CrystalSpec, omega: float,
 
 
 def _systems(process, crystal, omegas, couplings) -> list:
-    """dp.triples with the resolved couplings and the crystal length
+    """dp.triples with the couplings, the crystal gain and length
     attached: each omega's three-wave system, or why there is none.
     Without an up-conversion coupling there is no "up" process at all."""
-    c = couplings.resolve(crystal)
-    if process == "up" and c.g_up == 0.0:
+    g_up = crystal.gain_per_mm if couplings.g_up is None else couplings.g_up
+    if process == "up" and g_up == 0.0:
         return [NoSolutionError("no up-conversion: its coupling g_up is 0")
                 for _ in omegas]
     found = dp.triples(process, omegas, crystal)
@@ -146,17 +141,11 @@ def _systems(process, crystal, omegas, couplings) -> list:
         if isinstance(triple, tuple):
             modes, dk_down, dk_up = triple
             found[i] = cp.ThreeWaveSystem(
-                g_down=c.g_down, g_up=c.g_up,
-                phi_down=c.phi_down, phi_up=c.phi_up,
+                g_down=crystal.gain_per_mm, g_up=g_up,
+                phi_down=couplings.phi_down, phi_up=couplings.phi_up,
                 dk_down=dk_down, dk_up=dk_up,
                 length_mm=crystal.length_mm, modes=modes)
     return found
-
-
-def _state_means(matrices, state) -> np.ndarray:
-    """(N, M) mean |alpha|^2 per mode after each of an (N, 2M, 2M) stack of
-    transform matrices acts on `state`: one stacked propagation."""
-    return mode_intensities(cp.propagate_covariances(matrices, state))
 
 
 def mean_intensities(matrices, engine: str, trials: int, seed: int,
@@ -164,33 +153,31 @@ def mean_intensities(matrices, engine: str, trials: int, seed: int,
     """(N, M) mean |alpha|^2 per mode after each of an (N, 2M, 2M) stack of
     transform matrices acts on the vacuum.
 
-    `covariance` propagates the exact vacuum state through the whole stack
-    at once.  `montecarlo` (trials, seed and workers apply to it only)
-    samples every vacuum in one zpf.sampled_states pass and propagates
-    each vacuum's raw second moments through the transforms that share
-    it, which gives the trial means of |T alpha|^2 at a reduction cost
-    that does not grow with the number of transforms.  vacua[i] names the
-    vacuum of transform i, a point key (index, slot) whose vacuum is drawn
-    from the per-point seed _point_seed(seed, index, slot); transforms
-    with equal keys share one vacuum.  Without vacua every transform
-    shares the vacuum drawn from `seed` itself.  Any other engine is an
-    InvalidArgumentError.
+    The engine only picks the input covariances; one
+    coupling.propagate_covariances call then moves them through the whole
+    stack.  `covariance` takes the exact vacuum, one covariance for every
+    transform.  `montecarlo` (trials, seed and workers apply to it only)
+    samples every vacuum in one zpf.sampled_states pass, and transform i
+    takes the raw second moments of its own vacuum, which gives the trial
+    means of |T alpha|^2 at a reduction cost that does not grow with the
+    number of transforms.  vacua[i] names the vacuum of transform i, a
+    point key (index, slot) whose vacuum is drawn from the per-point seed
+    _point_seed(seed, index, slot); transforms with equal keys share one
+    vacuum.  Without vacua every transform shares the vacuum drawn from
+    `seed` itself.  Any other engine is an InvalidArgumentError.
     """
     if engine not in ENGINES:
         raise InvalidArgumentError(f"unknown engine {engine!r}")
     n_modes = matrices.shape[-1] // 2
     if engine == "covariance":
-        return _state_means(matrices, vacuum_state(n_modes))
-    groups = {}
-    for i, key in enumerate(vacua or [None] * len(matrices)):
-        groups.setdefault(key, []).append(i)
-    states = sampled_states(n_modes, trials, [
-        seed if key is None else _point_seed(seed, *key) for key in groups],
-        workers)
-    means = np.empty((len(matrices), n_modes))
-    for items, state in zip(groups.values(), states):
-        means[items] = _state_means(matrices[items], state)
-    return means
+        covariances = vacuum_state(n_modes).covariance
+    else:
+        keys = vacua or [None] * len(matrices)
+        rows = {key: row for row, key in enumerate(dict.fromkeys(keys))}
+        covariances = sampled_states(n_modes, trials, [
+            seed if key is None else _point_seed(seed, *key) for key in rows],
+            workers)[[rows[key] for key in keys]]
+    return mode_intensities(cp.propagate_covariances(matrices, covariances))
 
 
 def channel_rates(systems, engine: str, trials: int, seed: int,

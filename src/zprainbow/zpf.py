@@ -23,10 +23,11 @@ are tiled into fixed blocks of 2**16, so the amplitude table depends only on
 (seed, n_modes, n_trials) - never on scheduling, worker count, or the
 order in which blocks are filled.  One block fill serves both Monte Carlo
 products: sample_vacuum fills the amplitude table in place, sampled_states
-reduces each block to its second moments, one GaussianState per seed, all
-seeds' blocks in one pass on up to `workers` threads.  Each worker reuses
-a caller-allocated (2**16 x 2) float64 scratch for one mode-block draw and,
-in sampled_states, a (2**16 x 2M) block buffer (3 MiB for M = 3 modes).
+reduces each block to its second moments, one covariance per seed in a
+plain (seeds, 2M, 2M) array, all seeds' blocks in one pass on up to
+`workers` threads.  Each worker reuses a caller-allocated (2**16 x 2)
+float64 scratch for one mode-block draw and, in sampled_states, a
+(2**16 x 2M) block buffer (3 MiB for M = 3 modes).
 Each mode-draw moves from the scratch into the block as one complex128
 column, its (Re, Im) pair.
 """
@@ -218,16 +219,17 @@ def sample_vacuum(n_modes: int, n_trials: int, seed: int,
 
 
 def sampled_states(n_modes: int, trials: int, seeds,
-                   workers: int = 1) -> list[GaussianState]:
-    """Monte Carlo twins of vacuum_state: per seed, the raw moments of
-    the draws of sample_vacuum(n_modes, trials, seed).
+                   workers: int = 1) -> np.ndarray:
+    """Monte Carlo twins of vacuum_state's covariance: an (S, 2M, 2M)
+    stack whose row k holds the raw moments of the draws of
+    sample_vacuum(n_modes, trials, seeds[k]).
 
     Each trial block is reduced to one real product x^T x of its raw
     (Re, Im)-interleaved draws; no table is held.  A seed's products,
     summed in block order (bit-identical for any worker count and other
     seeds), reordered to xxpp and scaled, are the quadratures' raw second
-    moments: propagate_covariance(t, state).mode_intensity(i) is the trial
-    mean of |(T alpha)_i|^2 up to rounding.
+    moments: propagate_covariances(matrices, row) gives the trial means of
+    |(T alpha)_i|^2 up to rounding.
     """
     blocks = trial_blocks(trials)
     longest = blocks[0][2]
@@ -245,12 +247,13 @@ def sampled_states(n_modes: int, trials: int, seeds,
     # half the raw-draw moments (both scales are powers of two: exact)
     xxpp = np.r_[0:2 * n_modes:2, 1:2 * n_modes:2]
     zero = np.zeros((2 * n_modes, 2 * n_modes))
-    return [GaussianState(sum(parts[i:i + len(blocks)], zero)[
-        np.ix_(xxpp, xxpp)] * (0.5 / trials))
-        for i in range(0, len(parts), len(blocks))]
+    return np.reshape([sum(parts[i:i + len(blocks)], zero)[
+        np.ix_(xxpp, xxpp)] * (0.5 / trials)
+        for i in range(0, len(parts), len(blocks))],
+        (-1, 2 * n_modes, 2 * n_modes))
 
 
 def sampled_state(n_modes: int, trials: int, seed: int,
                   workers: int = 1) -> GaussianState:
-    """The one-seed call of sampled_states."""
-    return sampled_states(n_modes, trials, [seed], workers)[0]
+    """The one-seed call of sampled_states, as a GaussianState."""
+    return GaussianState(sampled_states(n_modes, trials, [seed], workers)[0])

@@ -262,7 +262,8 @@ class TestTransformStack:
         for matrix, t in zip(matrices, singles):
             assert np.array_equal(matrix, t.matrix)
         for state in (vacuum_state(3), SAMPLED3):
-            means = mode_intensities(propagate_covariances(matrices, state))
+            means = mode_intensities(
+                propagate_covariances(matrices, state.covariance))
             assert means.shape == (len(stack), 3)
             for t, mean in zip(singles, means):
                 one = propagate_covariance(t, state)

@@ -199,6 +199,56 @@ class TestMonteCarloReducer:
             assert np.max(np.abs(m - ref)) <= 1e-12
 
 
+def four_transforms(crystal, couplings):
+    """A main system, its pair-only twin, a satellite and a second main."""
+    a = pdc_system(crystal, 0.52, couplings)
+    return cp.three_wave_matrices(
+        [a, a.pair_only(), puc_system(crystal, 0.52, couplings),
+         pdc_system(crystal, 0.54, couplings)])
+
+
+def bits(means):
+    return np.asarray(means).view(np.uint64)
+
+
+class TestOneCovariancePass:
+    # bit for bit: both engines' one stacked propagation equals each
+    # transform propagated alone from its own input state
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("vacua", [
+        [(0, 0), (0, 0), (0, 1), (1, 0)], None], ids=["keys", "shared"])
+    def test_montecarlo_rows_are_each_vacuum_alone(self, crystal, couplings,
+                                                   vacua, workers):
+        matrices = four_transforms(crystal, couplings)
+        means = mean_intensities(matrices, "montecarlo", 70_001, seed=5,
+                                 workers=workers, vacua=vacua)
+        for i, matrix in enumerate(matrices):
+            key = None if vacua is None else vacua[i]
+            state = zpf.sampled_state(
+                3, 70_001, 5 if key is None else _point_seed(5, *key))
+            alone = cp.propagate_covariance(cp.BogoliubovTransform(matrix),
+                                            state)
+            assert np.array_equal(
+                bits(means[i]), bits(zpf.mode_intensities(alone.covariance)))
+
+    def test_covariance_rows_are_each_transform_alone(self, crystal,
+                                                      couplings):
+        matrices = four_transforms(crystal, couplings)
+        means = mean_intensities(matrices, "covariance", 1, 0)
+        for matrix, mean in zip(matrices, means):
+            alone = cp.propagate_covariance(cp.BogoliubovTransform(matrix),
+                                            zpf.vacuum_state(3))
+            assert np.array_equal(
+                bits(mean), bits(zpf.mode_intensities(alone.covariance)))
+
+    @pytest.mark.parametrize("engine", ["covariance", "montecarlo"])
+    def test_empty_stack(self, engine):
+        means = mean_intensities(np.zeros((0, 6, 6), dtype=complex), engine,
+                                 100, 0)
+        assert means.shape == (0, 3)
+
+
 class TestEvaluate:
     """evaluate's per-system entries: rates, or why the system is absent."""
 

@@ -178,7 +178,7 @@ class TestSampledState:
             assert len(states) == len(seeds)
             for seed, state in zip(seeds, states):
                 ref = sampled_state(3, trials, seed, workers=workers)
-                assert np.array_equal(state.covariance.view(np.uint64),
+                assert np.array_equal(state.view(np.uint64),
                                       ref.covariance.view(np.uint64))
 
     @pytest.mark.parametrize("trials", EDGE_TRIALS)
