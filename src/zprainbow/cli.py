@@ -49,7 +49,7 @@ from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
                      NoSolutionError, StatisticalError, present)
 from .rainbow import (DEFAULT_SEED, DEFAULT_TRIALS, ENGINES, Couplings,
                       POINT_FIELDS, evaluate, mean_intensities, pdc_system,
-                      satellite_summary, sweep)
+                      satellite_summary, sweep, sweep_grid)
 from .zpf import Mode, ORDINARY, sample_vacuum
 
 EXIT_OK = 0
@@ -218,11 +218,10 @@ def load_config(path: str | None = None) -> RunConfig:
     _reject_unknown(s, "sweep")
     if not 0.0 < band[0] < band[1] < 1.0:
         raise ConfigError("sweep", "need 0 < omega_min < omega_max < 1")
-    if band[2] < 2:
-        raise ConfigError("sweep.steps", "must be >= 2")
-    if not (np.diff(np.linspace(*band)) > 0).all():
-        raise ConfigError("sweep.steps", f"{band[2]} steps repeat a "
-                          f"frequency of [{band[0]!r}, {band[1]!r}]")
+    try:
+        sweep_grid(*band)
+    except InvalidArgumentError as e:
+        raise ConfigError("sweep.steps", str(e)) from None
 
     k = _section(raw, "couplings", optional=True)
     g_up = k.pop("g_up", None)
@@ -433,10 +432,9 @@ def write_table(path: str, fmt: str, header, rows, workers: int = 1) -> None:
 
 def cmd_angles(config: RunConfig) -> int:
     """Dispersion-only table of matching angles and solver residuals."""
-    lo, hi, steps = config.sweep_band
     header = ("omega", "theta_d_int", "theta_d_ext", "theta_u_int",
               "theta_u_ext", "residual_down", "residual_up")
-    omegas = np.linspace(lo, hi, steps)
+    omegas = sweep_grid(*config.sweep_band)
     rows, n_down = [], 0
     for omega, down, up in zip(omegas.tolist(),
                                dp.match_band("down", omegas, config.crystal),
@@ -576,7 +574,8 @@ def cmd_simulate(config: RunConfig, raw_vacuum: bool) -> int:
     amplitudes = sample_vacuum(len(system.modes), config.trials, config.seed,
                                config.workers)
     if not raw_vacuum:
-        amplitudes = cp.apply(cp.integrate_three_wave(system), amplitudes)
+        # in place: simulate holds one table, not the map's temporaries
+        cp.apply(cp.integrate_three_wave(system), amplitudes, out=amplitudes)
     header = ("trial", "w_re", "w_im", "s_re", "s_im", "u_re", "u_im")
     # the float view of the (trials x 3) complex table is its re, im
     # columns in header order, with no copy

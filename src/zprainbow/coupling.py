@@ -26,12 +26,15 @@ stacked exponential in which every item keeps its own number of
 squarings; integrate_three_wave is its one-system call.  Likewise
 propagate_covariances moves a covariance, one for the whole stack or one
 per transform, through a whole stack of transforms in one product, and
-propagate_covariance is its one-transform call on a GaussianState.  The
-generator is a valid Bogoliubov generator (the passive part is
-anti-Hermitian, the pair part symmetric), so the map is symplectic for
-every mismatch; with dk = 0 the up leg reduces to the convert_pair closed
-form and the down leg to squeeze_pair.  perturbative_transform sums the
-Dyson series in the lab frame as an independent low-gain cross-check.
+propagate_covariance is its one-transform call on a GaussianState.
+apply maps a Monte Carlo amplitude table in fixed row blocks, into a new
+table or in place, so a caller that holds one table needs only one
+block's temporaries beside it.  The generator is a valid Bogoliubov
+generator (the passive part is anti-Hermitian, the pair part
+symmetric), so the map is symplectic for every mismatch; with dk = 0 the
+up leg reduces to the convert_pair closed form and the down leg to
+squeeze_pair.  perturbative_transform sums the Dyson series in the lab
+frame as an independent low-gain cross-check.
 A variant coupling model would plug in here as a different generator;
 everything downstream only consumes the resulting transform.
 
@@ -50,6 +53,7 @@ from .errors import InvalidArgumentError
 from .zpf import GaussianState, check_symmetric
 
 _SERIES_CUT = 0.5  # |k L| below which oscillatory integrals switch to series
+_APPLY_ROWS = 8192  # rows per block of apply: 384 KiB of a 3-mode table
 
 
 @dataclass(frozen=True)
@@ -319,13 +323,37 @@ def perturbative_transform(system: ThreeWaveSystem, order: int) -> BogoliubovTra
     return BogoliubovTransform(m)
 
 
-def apply(t: BogoliubovTransform, amplitudes: np.ndarray) -> np.ndarray:
+def apply(t: BogoliubovTransform, amplitudes: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Map every trial's amplitude vector, each row of an
-    (n_trials, n_modes) table, through the transform."""
+    (n_trials, n_modes) table, through the transform: a U^T + a* V^T.
+
+    The rows are mapped _APPLY_ROWS at a time into `out`, a new table by
+    default; `out` may be `amplitudes` itself, since each block is
+    computed before it is stored.  A one-row block would go through a
+    matrix-vector product whose last bits differ from the whole-table
+    product, so a one-row tail joins the block before it, and the result
+    is bit for bit the unblocked expression.
+    """
     if amplitudes.shape[1:] != (t.n_modes,):
         raise InvalidArgumentError(f"transform has {t.n_modes} modes, "
                                    f"table shape {amplitudes.shape}")
-    return amplitudes @ t.u.T + amplitudes.conj() @ t.v.T
+    dtype = np.result_type(amplitudes, t.matrix)
+    if out is None:
+        out = np.empty(amplitudes.shape, dtype)
+    elif out.shape != amplitudes.shape or out.dtype != dtype:
+        raise InvalidArgumentError(
+            f"out must be a {amplitudes.shape} {dtype} table, "
+            f"got {out.shape} {out.dtype}")
+    n = len(amplitudes)
+    bounds = list(range(0, n, _APPLY_ROWS)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    u, v = t.u.T, t.v.T
+    for start, stop in zip(bounds, bounds[1:]):
+        a = amplitudes[start:stop]
+        out[start:stop] = a @ u + a.conj() @ v
+    return out
 
 
 def quadrature_matrices(matrices: np.ndarray) -> np.ndarray:

@@ -232,6 +232,22 @@ def evaluate(omegas, crystal: dp.CrystalSpec, couplings: Couplings,
     return evaluated
 
 
+def sweep_grid(omega_min: float, omega_max: float, steps: int) -> np.ndarray:
+    """The sweep's frequencies: `steps` evenly spaced from omega_min to
+    omega_max.  Raises InvalidArgumentError unless 0 < omega_min <
+    omega_max < 1, steps >= 2 and the float grid is strictly increasing
+    (a band a few ulp wide cannot hold many distinct frequencies)."""
+    if not 0.0 < omega_min < omega_max < 1.0:
+        raise InvalidArgumentError("need 0 < omega_min < omega_max < 1")
+    if steps < 2:
+        raise InvalidArgumentError("steps must be >= 2")
+    omegas = np.linspace(omega_min, omega_max, steps)
+    if not (np.diff(omegas) > 0).all():
+        raise InvalidArgumentError(f"{steps} steps repeat a frequency of "
+                                   f"[{omega_min!r}, {omega_max!r}]")
+    return omegas
+
+
 def sweep(omega_min: float, omega_max: float, steps: int,
           crystal: dp.CrystalSpec, detector: DetectorSpec,
           engine: str = "covariance", trials: int = DEFAULT_TRIALS,
@@ -245,19 +261,14 @@ def sweep(omega_min: float, omega_max: float, steps: int,
     up-conversion coupling and an up-conversion match.  Raises BandError
     when no frequency in the requested range matches at all.
     """
-    if not 0.0 < omega_min < omega_max < 1.0:
-        raise InvalidArgumentError("need 0 < omega_min < omega_max < 1")
-    if steps < 2:
-        raise InvalidArgumentError("steps must be >= 2")
-
+    omegas = sweep_grid(omega_min, omega_max, steps)
     fingerprint = config_fingerprint(dict(
         omega_min=omega_min, omega_max=omega_max, steps=steps,
         crystal=crystal, detector=detector, engine=engine,
         trials=trials, seed=seed, couplings=couplings))
 
     points = [point for point, _, _ in evaluate(
-        np.linspace(omega_min, omega_max, steps).tolist(), crystal,
-        couplings, engine, trials, seed, workers)]
+        omegas.tolist(), crystal, couplings, engine, trials, seed, workers)]
     if not any(p.has_main for p in points):
         raise BandError(
             f"no phase-matched frequency in [{omega_min}, {omega_max}]; "

@@ -682,6 +682,27 @@ class TestSimulateCommand:
         assert trials == list(range(self.TRIALS))
         assert all(type(t) is int for t in trials)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("trials", [8193, 65537])
+    def test_one_row_tail_writes_the_unblocked_map(self, tmp_path, trials,
+                                                   workers):
+        # the table is mapped in place in blocks; after whole blocks a
+        # one-row tail still carries the bits of the whole-table product
+        path = write_config(tmp_path, trials=trials)
+        out = tmp_path / "sim.csv"
+        assert main(["--config", path, "simulate", "--workers", workers,
+                     "--output", str(out)]) == EXIT_OK
+        config = load_config(path)
+        system = pdc_system(config.crystal, config.ratios_omega,
+                            config.couplings)
+        t = integrate_three_wave(system)
+        amp = sample_vacuum(len(system.modes), trials, config.seed)
+        expected = (amp @ t.u.T + amp.conj() @ t.v.T).view(np.float64)
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], np.arange(trials))
+        values = np.ascontiguousarray(table[:, 1:])
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
     def test_dump(self, tmp_path):
         path = write_config(tmp_path, trials=500)
         out = str(tmp_path / "sim.csv")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,82 @@ class TestApply:
         for table in tables + [np.zeros(3, dtype=complex)]:
             with pytest.raises(InvalidArgumentError):
                 apply(t, table)
+
+
+def unblocked(t, a):
+    """apply's map as one whole-table expression."""
+    return a @ t.u.T + a.conj() @ t.v.T
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64),
+                                                 y.view(np.uint64))
+
+
+class TestApplyBlocks:
+    TRANSFORMS = [pytest.param(lambda: integrate_three_wave(generic_system()),
+                               id="three-wave"),
+                  pytest.param(lambda: squeeze_pair(0.3, 0.7), id="pair")]
+    # whole blocks, and tails of one and two rows after them
+    TRIALS = [1, 2, 8191, 8192, 8193, 8194, 65537, 200001]
+
+    @pytest.fixture(scope="class", params=TRANSFORMS)
+    def transform(self, request):
+        return request.param()
+
+    @pytest.mark.parametrize("trials", TRIALS)
+    def test_new_table_is_the_unblocked_bits(self, transform, trials):
+        a = sample_vacuum(transform.n_modes, trials, seed=trials)
+        before = a.copy()
+        out = apply(transform, a)
+        assert out is not a
+        assert same_bits(out, unblocked(transform, before))
+        assert same_bits(a, before)
+
+    @pytest.mark.parametrize("trials", TRIALS)
+    def test_in_place_is_the_unblocked_bits(self, transform, trials):
+        a = sample_vacuum(transform.n_modes, trials, seed=trials)
+        expected = unblocked(transform, a)
+        assert apply(transform, a, out=a) is a
+        assert same_bits(a, expected)
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((99, 3), complex), ((100, 2), complex), ((100, 3), np.complex64),
+        ((100, 3), float)])
+    def test_wrong_out_rejected(self, shape, dtype):
+        t = integrate_three_wave(generic_system())
+        with pytest.raises(InvalidArgumentError):
+            apply(t, sample_vacuum(3, 100, seed=0), out=np.empty(shape, dtype))
+
+
+class TestApplyMemory:
+    """tracemalloc sees numpy's buffers: the blocked map's temporaries
+    stay near a block's size, not the table's (48 MB here)."""
+
+    MIB = 1 << 20
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return sample_vacuum(3, 10 ** 6, seed=4)
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_in_place_holds_only_block_temporaries(self, table):
+        t = integrate_three_wave(generic_system())
+        assert self.traced_peak(lambda: apply(t, table, out=table)) \
+            < 2 * self.MIB
+
+    def test_new_table_holds_one_table_more(self, table):
+        t = integrate_three_wave(generic_system())
+        assert self.traced_peak(lambda: apply(t, table)) \
+            < table.nbytes + 2 * self.MIB
 
 
 class TestPropagateCovariance:

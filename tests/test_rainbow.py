@@ -13,7 +13,7 @@ from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
                                _point_seed, channel_rates, evaluate,
                                mean_intensities, pdc_system, puc_system,
                                satellite_summary, sweep)
-from zprainbow import coupling as cp, zpf
+from zprainbow import coupling as cp, rainbow, zpf
 from zprainbow.zpf import sample_vacuum
 
 PAIR_ONLY = Couplings(g_up=0.0)
@@ -72,6 +72,17 @@ class TestSweepStructure:
             sweep(0.4, 0.6, 1, crystal, detector)
         with pytest.raises(InvalidArgumentError):
             sweep(0.4, 0.6, 5, crystal, detector, engine="tarot")
+
+    def test_repeating_grid_rejected_before_evaluation(self, crystal,
+                                                       detector, monkeypatch):
+        # one ulp of band cannot hold three distinct frequencies
+        calls = []
+        monkeypatch.setattr(rainbow, "evaluate",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(InvalidArgumentError):
+            sweep(0.5, 0.5000000000000001, 3, crystal, detector,
+                  engine="covariance")
+        assert calls == []
 
 
 class TestEqOneColumn:
