@@ -13,13 +13,15 @@ a failed run never leaves a partial table behind; the file gets the mode
 open() would give it (0o666 less the umask).  CSV numbers carry 17
 significant digits and round-trip exactly.  Tables are written block by
 block (_BLOCK_ROWS rows), CSV and JSON alike, so memory stays bounded at
-any trial count.  A numeric table given as numpy columns (the `simulate`
-dump) formats each finite block with one %-operation on a repeated line
-template; the bytes are those of the per-cell rule (_fmt, or json.dump
-of the whole table).  Its rows split into up to `workers` contiguous
-shares of whole blocks: each share is formatted by a forked process into
-an unnamed temp file beside the output, and the shares are copied into
-the output in order, so the bytes do not depend on the worker count.
+any trial count.  A numeric table given as a column source, a row count
+and a function that makes the numpy columns of any row range (the
+`simulate` dump), formats each finite block with one %-operation on a
+repeated line template; the bytes are those of the per-cell rule (_fmt,
+or json.dump of the whole table).  Its rows split into up to `workers`
+contiguous shares of whole blocks: each share is made, span by span, and
+formatted by a forked process into an unnamed temp file beside the
+output, and the shares are copied into the output in order, so the bytes
+do not depend on the worker count and no process holds the whole table.
 
 Exit codes: 0 success, 2 invalid configuration, 3 no phase-matching
 solution / empty band / a wavelength outside the transparency window,
@@ -50,7 +52,7 @@ from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
 from .rainbow import (DEFAULT_SEED, DEFAULT_TRIALS, ENGINES, Couplings,
                       POINT_FIELDS, evaluate, mean_intensities, pdc_system,
                       satellite_summary, sweep, sweep_grid)
-from .zpf import Mode, ORDINARY, sample_vacuum
+from .zpf import Mode, ORDINARY, TRIAL_BLOCK, vacuum_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -287,9 +289,9 @@ def _row_blocks(rows):
         yield None, block
 
 
-def _column_blocks(columns, start, stop):
-    """Yield (template, block) per block of rows [start, stop) of 2-D
-    columns, blocks starting at multiples of _BLOCK_ROWS from `start`.
+def _column_blocks(columns):
+    """Yield (template, block) per block of _BLOCK_ROWS rows of 2-D
+    columns.
 
     A block is a 2-D object array of Python ints and floats (one array,
     not a list per row, keeps the block's memory small); template is the
@@ -297,8 +299,8 @@ def _column_blocks(columns, start, stop):
     """
     template = ",".join(_CELL_FORMATS[c.dtype.kind]
                         for c in columns for _ in range(c.shape[1])) + "\n"
-    for first in range(start, stop, _BLOCK_ROWS):
-        parts = [c[first:min(first + _BLOCK_ROWS, stop)] for c in columns]
+    for first in range(0, len(columns[0]), _BLOCK_ROWS):
+        parts = [c[first:first + _BLOCK_ROWS] for c in columns]
         finite = all(np.isfinite(p).all() for p in parts)
         block = np.concatenate(parts, axis=1, dtype=object)
         yield (template if finite else None), block
@@ -331,13 +333,23 @@ def _write_blocks(fh, fmt, header, blocks, start=0) -> int:
     return written
 
 
-def _write_share(fh, fmt, header, columns, start, stop) -> None:
-    """The text of rows [start, stop) of a column table."""
-    _write_blocks(fh, fmt, header, _column_blocks(columns, start, stop),
-                  start)
+def _write_share(fh, fmt, header, columns_of, start, stop) -> None:
+    """The text of rows [start, stop) of a column source.
+
+    The rows are asked of columns_of in spans cut on the vacuum's
+    TRIAL_BLOCK grid, so a source that draws the vacuum draws each trial
+    block at most once per share; each span is formatted and dropped
+    before the next.
+    """
+    while start < stop:
+        end = min(stop, (start // TRIAL_BLOCK + 1) * TRIAL_BLOCK)
+        columns = [c[:, None] if c.ndim == 1 else c
+                   for c in columns_of(start, end)]
+        _write_blocks(fh, fmt, header, _column_blocks(columns), start)
+        start = end
 
 
-# a share-writer process's table: (fmt, header, columns, share file
+# a share-writer process's table: (fmt, header, columns_of, share file
 # descriptors), set by _start_share_writer in the forked child only
 _share_table = None
 
@@ -349,28 +361,31 @@ def _start_share_writer(*table) -> None:
 
 def _pool_share(index, start, stop) -> None:
     """Write share `index`, rows [start, stop), to its own file."""
-    fmt, header, columns, fds = _share_table
+    fmt, header, columns_of, fds = _share_table
     with open(fds[index], "w", newline="", closefd=False) as fh:
-        _write_share(fh, fmt, header, columns, start, stop)
+        _write_share(fh, fmt, header, columns_of, start, stop)
 
 
-def _write_columns(fh, fmt, header, columns, workers, directory) -> None:
-    """Write the rows of a column table on up to `workers` processes.
+def _write_columns(fh, fmt, header, rows, columns_of, workers,
+                   directory) -> None:
+    """Write the `rows` rows of a column source on up to `workers`
+    processes.
 
     The rows split into min(workers, blocks) contiguous shares of whole
     _BLOCK_ROWS blocks.  With one share it is written to `fh` in the
     calling thread and no pool starts.  Otherwise each share is written
     by a forked process to its own unnamed temp file in `directory`, and
-    the shares are copied into `fh` in order, so this process holds no
-    formatted text.  Fork passes the columns to the children without
-    pickling; the children only slice, format and write, so they take no
-    lock that another thread of this process might hold.
+    the shares are copied into `fh` in order, so this process holds
+    neither the columns nor their text.  Fork passes columns_of to the
+    children without pickling; each child makes, formats and writes its
+    own rows.  A child that draws Philox and maps through BLAS uses its
+    own generators, and OpenBLAS shuts its thread pool down before a
+    fork (its own atfork handler) and starts it again when next needed.
     """
-    rows = len(columns[0])
     blocks = -(-rows // _BLOCK_ROWS)
     shares = min(workers, blocks)
     if shares <= 1:
-        _write_share(fh, fmt, header, columns, 0, rows)
+        _write_share(fh, fmt, header, columns_of, 0, rows)
         return
     # imported here: ~8 ms of start-up that only a table of several
     # shares needs
@@ -385,7 +400,7 @@ def _write_columns(fh, fmt, header, columns, workers, directory) -> None:
         with ProcessPoolExecutor(
                 shares, mp_context=multiprocessing.get_context("fork"),
                 initializer=_start_share_writer,
-                initargs=(fmt, header, columns,
+                initargs=(fmt, header, columns_of,
                           [part.fileno() for part in parts])) as pool:
             for done in [pool.submit(_pool_share, k, *bounds[k:k + 2])
                          for k in range(shares)]:
@@ -398,14 +413,22 @@ def _write_columns(fh, fmt, header, columns, workers, directory) -> None:
 def write_table(path: str, fmt: str, header, rows, workers: int = 1) -> None:
     """Serialize a table atomically (temp file + rename).
 
-    `rows` is an iterable of rows, or a tuple of integer and float numpy
+    `rows` is an iterable of rows; or a tuple of integer and float numpy
     arrays holding the columns side by side (a 1-D array is one column, a
-    2-D array one column per array column).  Both give the same bytes.
-    A column table is formatted in up to `workers` processes, each
-    writing one contiguous share of its rows (_write_columns); a row
-    table is written in the calling thread.  The file gets the mode that
-    open(path, "w") would give it: 0o666 less the umask.
+    2-D array one column per array column); or a column source, a pair
+    (n_rows, columns_of) where columns_of(start, stop) returns such a
+    tuple for rows [start, stop).  All give the same bytes.  Whole arrays
+    are the source of their own row slices.  A source is formatted in up
+    to `workers` processes, each making and writing one contiguous share
+    of its rows (_write_columns); a row table is written in the calling
+    thread.  The file gets the mode that open(path, "w") would give it:
+    0o666 less the umask.
     """
+    if (isinstance(rows, tuple) and rows
+            and all(isinstance(c, np.ndarray) for c in rows)):
+        arrays = rows
+        rows = len(arrays[0]), lambda start, stop: [c[start:stop]
+                                                    for c in arrays]
     directory = os.path.dirname(os.path.abspath(path)) or "."
     umask = os.umask(0)   # reading the umask means setting it
     os.umask(umask)
@@ -413,11 +436,10 @@ def write_table(path: str, fmt: str, header, rows, workers: int = 1) -> None:
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(",".join(header) + "\n" if fmt == "csv" else "[")
-            if (isinstance(rows, tuple) and rows
-                    and all(isinstance(c, np.ndarray) for c in rows)):
-                columns = [c[:, None] if c.ndim == 1 else c for c in rows]
-                _write_columns(fh, fmt, header, columns, workers, directory)
-                written = len(columns[0])
+            if isinstance(rows, tuple) and len(rows) == 2 \
+                    and callable(rows[1]):
+                _write_columns(fh, fmt, header, *rows, workers, directory)
+                written = rows[0]
             else:
                 written = _write_blocks(fh, fmt, header, _row_blocks(rows))
             if fmt == "json":
@@ -569,20 +591,33 @@ def cmd_darkrate(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig, raw_vacuum: bool) -> int:
-    """Dump the per-trial amplitudes of the matched three-wave triple."""
+    """Dump the per-trial amplitudes of the matched three-wave triple.
+
+    No process holds the table: each share writer draws its rows' vacuum
+    (vacuum_rows), maps it in place and formats it, span by span.
+    """
     system = pdc_system(config.crystal, config.ratios_omega, config.couplings)
-    amplitudes = sample_vacuum(len(system.modes), config.trials, config.seed,
-                               config.workers)
-    if not raw_vacuum:
-        # in place: simulate holds one table, not the map's temporaries
-        cp.apply(cp.integrate_three_wave(system), amplitudes, out=amplitudes)
+    t = None if raw_vacuum else cp.integrate_three_wave(system)
+
+    def columns_of(start, stop):
+        # a one-row map goes through gemv, whose last bits differ from
+        # the whole-table product: a lone row is mapped with the one
+        # before it
+        lone = t is not None and start > 0 and stop == start + 1
+        first = start - 1 if lone else start
+        amplitudes = vacuum_rows(len(system.modes), config.trials,
+                                 config.seed, first, stop)
+        if t is not None:
+            cp.apply(t, amplitudes, out=amplitudes)
+        # the float view of the (rows x 3) complex table is its re, im
+        # columns in header order, with no copy
+        return (np.arange(start, stop),
+                amplitudes[start - first:].view(np.float64))
+
     header = ("trial", "w_re", "w_im", "s_re", "s_im", "u_re", "u_im")
-    # the float view of the (trials x 3) complex table is its re, im
-    # columns in header order, with no copy
     write_table(config.output_path, config.output_format, header,
-                (np.arange(len(amplitudes)), amplitudes.view(np.float64)),
-                config.workers)
-    print(f"simulate: {len(amplitudes)} trials -> {config.output_path}")
+                (config.trials, columns_of), config.workers)
+    print(f"simulate: {config.trials} trials -> {config.output_path}")
     return EXIT_OK
 
 

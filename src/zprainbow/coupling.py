@@ -53,7 +53,13 @@ from .errors import InvalidArgumentError
 from .zpf import GaussianState, check_symmetric
 
 _SERIES_CUT = 0.5  # |k L| below which oscillatory integrals switch to series
-_APPLY_ROWS = 8192  # rows per block of apply: 384 KiB of a 3-mode table
+# rows per block of apply: 192 KiB of a 3-mode table.  OpenBLAS runs a
+# complex product of M*N*K > 65,536 on its thread pool, which then spins
+# on after the product (a 3-mode block of 7282 rows or more wakes it);
+# 4096 rows keep every block on the calling thread, in each forked
+# simulate writer too.  Blocks of 1024-8192 rows all give the whole-table
+# product's bits.
+_APPLY_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -328,12 +334,14 @@ def apply(t: BogoliubovTransform, amplitudes: np.ndarray,
     """Map every trial's amplitude vector, each row of an
     (n_trials, n_modes) table, through the transform: a U^T + a* V^T.
 
-    The rows are mapped _APPLY_ROWS at a time into `out`, a new table by
-    default; `out` may be `amplitudes` itself, since each block is
-    computed before it is stored.  A one-row block would go through a
-    matrix-vector product whose last bits differ from the whole-table
-    product, so a one-row tail joins the block before it, and the result
-    is bit for bit the unblocked expression.
+    The rows are mapped _APPLY_ROWS at a time, each block small enough to
+    stay on the calling thread, into `out`, a new table by default; `out`
+    may be `amplitudes` itself, since each block is computed before it is
+    stored.  A one-row block would go through a matrix-vector product
+    whose last bits differ from the whole-table product, so a one-row
+    tail joins the block before it, and the result is bit for bit the
+    unblocked expression.  A one-row table has no such neighbour: a caller
+    that maps a table in pieces maps a lone row together with another.
     """
     if amplitudes.shape[1:] != (t.n_modes,):
         raise InvalidArgumentError(f"transform has {t.n_modes} modes, "

@@ -21,8 +21,11 @@ is a.real**2 + a.imag**2.  It uses one counter-based Philox stream per
 (mode, trial-block) pair, every stream keyed from the master seed.  Trials
 are tiled into fixed blocks of 2**16, so the amplitude table depends only on
 (seed, n_modes, n_trials) - never on scheduling, worker count, or the
-order in which blocks are filled.  One block fill serves both Monte Carlo
-products: sample_vacuum fills the amplitude table in place, sampled_states
+order in which blocks are filled, and any rows of it can be drawn on
+their own.  One block fill serves both Monte Carlo products: vacuum_rows
+fills rows [start, stop) of the amplitude table in place from the blocks
+that overlap them (sample_vacuum is its whole-table call; simulate's
+share writers draw their rows span by span), sampled_states
 reduces each block to its second moments, one covariance per seed in a
 plain (seeds, 2M, 2M) array, all seeds' blocks in one pass on up to
 `workers` threads.  Each worker reuses a caller-allocated (2**16 x 2)
@@ -48,7 +51,7 @@ EXTRAORDINARY = "extraordinary"
 ROLES = ("input", "signal", "pump")
 
 # trials per RNG stream; fixed so block boundaries are part of the contract
-_BLOCK = 1 << 16
+TRIAL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,20 +141,24 @@ def vacuum_state(n_modes: int) -> GaussianState:
     return GaussianState(0.5 * np.eye(2 * n_modes))
 
 
-def _fill_block(out, scratch, seed: int, block_index: int) -> None:
-    """Write the raw N(0, 1) draws of one trial block into `out`.
+def _fill_block(out, scratch, seed: int, block_index: int,
+                first: int = 0) -> None:
+    """Write rows [first, first + length) of one trial block's raw N(0, 1)
+    draws into `out`.
 
     `out` is a C-contiguous (length, 2M) float64 array, (Re, Im)
     interleaved per mode: columns 2m and 2m + 1 take mode m's Philox
-    stream row by row (a short final block is a prefix of the full one),
-    drawn whole into the contiguous (>= length, 2) `scratch` that
-    standard_normal(out=) needs.  Each draw moves into the block as one
-    complex128 column of `out` viewed as (length, M) complex128: the same
-    bytes as the 2-wide strided float64 column pair, which numpy copies
-    element by element at several times the cost.
+    stream row by row.  A short block is a prefix of the full one, so each
+    stream is drawn up to row first + length, whole into the contiguous
+    (>= first + length, 2) `scratch` that standard_normal(out=) needs, and
+    its rows before `first` are dropped.  Each draw moves into the block
+    as one complex128 column of `out` viewed as (length, M) complex128:
+    the same bytes as the 2-wide strided float64 column pair, which numpy
+    copies element by element at several times the cost.
     """
-    draws = scratch[:len(out)]
-    drawn, pairs = draws.view(np.complex128)[:, 0], out.view(np.complex128)
+    draws = scratch[:first + len(out)]
+    drawn = draws.view(np.complex128)[first:, 0]
+    pairs = out.view(np.complex128)
     for m in range(pairs.shape[1]):
         np.random.Generator(np.random.Philox(np.random.SeedSequence(
             seed, spawn_key=(m, block_index)))).standard_normal(out=draws)
@@ -162,8 +169,8 @@ def trial_blocks(n_trials: int):
     """The fixed block grid: (block_index, start, stop) triples."""
     if n_trials < 1:
         raise InvalidArgumentError("n_trials must be >= 1")
-    return [(b, start, min(start + _BLOCK, n_trials))
-            for b, start in enumerate(range(0, n_trials, _BLOCK))]
+    return [(b, start, min(start + TRIAL_BLOCK, n_trials))
+            for b, start in enumerate(range(0, n_trials, TRIAL_BLOCK))]
 
 
 def _block_map(fn, tasks, workers: int, shapes) -> list:
@@ -195,27 +202,48 @@ def _block_map(fn, tasks, workers: int, shapes) -> list:
         return list(pool.map(run, tasks))
 
 
+def vacuum_rows(n_modes: int, n_trials: int, seed: int, start: int,
+                stop: int, workers: int = 1) -> np.ndarray:
+    """Rows [start, stop) of the vacuum table of n_trials trials, byte for
+    byte: a (stop - start, n_modes) complex128 array.
+
+    Only the trial blocks that overlap the rows are drawn, each up to its
+    last row needed, on up to `workers` threads; a block that starts
+    before `start` drops its rows before it.  The rows do not depend on
+    the range they are drawn in, nor on the worker count.
+    """
+    if n_modes < 1:
+        raise InvalidArgumentError("n_modes must be >= 1")
+    grid = trial_blocks(n_trials)
+    if not 0 <= start <= stop <= n_trials:
+        raise InvalidArgumentError(
+            f"rows [{start}, {stop}) are not within {n_trials} trials")
+    blocks = [(b, lo, max(lo, start), min(hi, stop))
+              for b, lo, hi in grid if start < hi and lo < stop]
+    rows = np.empty((stop - start, n_modes), dtype=np.complex128)
+    parts = rows.view(np.float64)
+
+    def fill(scratch, b, lo, first, last):
+        out = parts[first - start:last - start]
+        _fill_block(out, scratch, seed, b, first - lo)
+        # Re/Im std 1/2 <=> quadrature variance 1/2
+        out *= 0.5
+
+    longest = max((last - lo for _, lo, _, last in blocks), default=0)
+    _block_map(fill, blocks, workers, [(longest, 2)])
+    return rows
+
+
 def sample_vacuum(n_modes: int, n_trials: int, seed: int,
                   workers: int = 1) -> np.ndarray:
-    """Draw the vacuum: an (n_trials, n_modes) complex128 amplitude table.
+    """Draw the vacuum: an (n_trials, n_modes) complex128 amplitude table,
+    the whole-table call of vacuum_rows.
 
     Each quadrature is N(0, 1/2), independent across modes and trials.
     `workers` only controls how many threads fill the table; the result is
     bit-identical for any worker count.
     """
-    if n_modes < 1:
-        raise InvalidArgumentError("n_modes must be >= 1")
-    blocks = trial_blocks(n_trials)
-    table = np.empty((n_trials, n_modes), dtype=np.complex128)
-    parts = table.view(np.float64)
-
-    def fill(scratch, b, start, stop):
-        _fill_block(parts[start:stop], scratch, seed, b)
-        # Re/Im std 1/2 <=> quadrature variance 1/2
-        parts[start:stop] *= 0.5
-
-    _block_map(fill, blocks, workers, [(blocks[0][2], 2)])
-    return table
+    return vacuum_rows(n_modes, n_trials, seed, 0, n_trials, workers)
 
 
 def sampled_states(n_modes: int, trials: int, seeds,

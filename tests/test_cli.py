@@ -5,6 +5,8 @@ import json
 import math
 import multiprocessing
 import os
+import threading
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -616,15 +618,15 @@ SIMULATE_HEADER = ("trial", "w_re", "w_im", "s_re", "s_im", "u_re", "u_im")
 
 
 def simulate_reference_rows(config, raw_vacuum):
-    """The simulate table rebuilt one numpy scalar at a time."""
+    """The simulate table rebuilt from the whole vacuum table
+    (sample_vacuum, then apply), one Python number per cell."""
     system = pdc_system(config.crystal, config.ratios_omega,
                         config.couplings)
     amp = sample_vacuum(len(system.modes), config.trials, config.seed)
     if not raw_vacuum:
         amp = apply(integrate_three_wave(system), amp)
-    return [[i, amp[i, 0].real, amp[i, 0].imag, amp[i, 1].real,
-             amp[i, 1].imag, amp[i, 2].real, amp[i, 2].imag]
-            for i in range(len(amp))]
+    return [[i, *cells]
+            for i, cells in enumerate(amp.view(np.float64).tolist())]
 
 
 def expected_table(fmt, header, rows):
@@ -682,13 +684,20 @@ class TestSimulateCommand:
         assert trials == list(range(self.TRIALS))
         assert all(type(t) is int for t in trials)
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("trials", [8193, 65537])
+    # the default seed 3 keeps the earlier cases; at seed 1 every case is
+    # discriminating (asserted below), while at seed 3 row 8192's one-row
+    # product happens to carry the whole-table bits
+    TAILS = [pytest.param(trials, workers, "3", id=f"{trials}-{workers}")
+             for trials in (8193, 65537) for workers in ("1", "2")] + [
+        pytest.param(trials, workers, "1", id=f"{trials}-{workers}-seed1")
+        for trials in (8193, 65537, 131073) for workers in ("1", "2", "3")]
+
+    @pytest.mark.parametrize("trials, workers, seed", TAILS)
     def test_one_row_tail_writes_the_unblocked_map(self, tmp_path, trials,
-                                                   workers):
-        # the table is mapped in place in blocks; after whole blocks a
-        # one-row tail still carries the bits of the whole-table product
-        path = write_config(tmp_path, trials=trials)
+                                                   workers, seed):
+        # the last row may be alone in its share or span; it still
+        # carries the bits of the whole-table product
+        path = write_config(tmp_path, trials=trials, seed=int(seed))
         out = tmp_path / "sim.csv"
         assert main(["--config", path, "simulate", "--workers", workers,
                      "--output", str(out)]) == EXIT_OK
@@ -698,10 +707,74 @@ class TestSimulateCommand:
         t = integrate_three_wave(system)
         amp = sample_vacuum(len(system.modes), trials, config.seed)
         expected = (amp @ t.u.T + amp.conj() @ t.v.T).view(np.float64)
+        if seed == "1":
+            alone = (amp[-1:] @ t.u.T + amp[-1:].conj() @ t.v.T).view(
+                np.float64)
+            assert not np.array_equal(alone.view(np.uint64),
+                                      expected[-1:].view(np.uint64))
         table = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.array_equal(table[:, 0], np.arange(trials))
         values = np.ascontiguousarray(table[:, 1:])
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+    # one row; a whole format block; a whole and a split vacuum block; two
+    # vacuum blocks and a lone row; the benchmark's size, in its format
+    STREAMED = [(trials, fmt) for trials in (1, 8192, 65536, 65537, 131073)
+                for fmt in ("csv", "json")] + [(200_000, "csv")]
+
+    @pytest.mark.parametrize("raw", [[], ["--raw-vacuum"]],
+                             ids=["mapped", "raw"])
+    @pytest.mark.parametrize("trials, fmt", STREAMED)
+    def test_streamed_bytes_match_whole_table(self, tmp_path, trials, fmt,
+                                              raw):
+        path = write_config(tmp_path, trials=trials)
+        expected = expected_table(
+            fmt, SIMULATE_HEADER,
+            simulate_reference_rows(load_config(path), bool(raw)))
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"sim{workers}"
+            assert main(["--config", path, "simulate", *raw, "--workers",
+                         workers, "--format", fmt,
+                         "--output", str(out)]) == EXIT_OK
+            assert_same_text(out.read_bytes().decode(), expected)
+
+    def test_memory_is_flat_in_trials(self, tmp_path):
+        # tracemalloc sees numpy's buffers: one share writer holds a span
+        # of the table and its text, never the whole amplitude table
+        trials = 4 * (1 << 16) + 3
+        path = write_config(tmp_path, trials=trials)
+        tracemalloc.start()
+        try:
+            assert main(["--config", path, "simulate", "--workers", "1",
+                         "--output", str(tmp_path / "sim.csv")]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trials * 3 * np.dtype(np.complex128).itemsize
+
+    def test_share_writers_fork_after_blas_threads(self, tmp_path):
+        # a Monte Carlo rainbow wakes BLAS's threads (x.T @ x of whole
+        # trial blocks) and runs the sampling thread pool; the share
+        # writers forked after it draw Philox and map through BLAS
+        trials = 2 * _BLOCK_ROWS + 3
+        path = write_config(tmp_path, trials=trials,
+                            sweep={"omega_min": 0.5, "omega_max": 0.52,
+                                   "steps": 2})
+        assert main(["--config", path, "rainbow", "--engine", "montecarlo",
+                     "--trials", str(2 * (1 << 16)), "--workers", "2",
+                     "--output", str(tmp_path / "rainbow.csv")]) == EXIT_OK
+        out = tmp_path / "sim.csv"
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(
+            ["--config", path, "simulate", "--workers", "2",
+             "--output", str(out)])), daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "simulate hung after the fork"
+        assert codes == [EXIT_OK]
+        rows = simulate_reference_rows(load_config(path), False)
+        assert_same_text(out.read_bytes().decode(),
+                         expected_table("csv", SIMULATE_HEADER, rows))
 
     def test_dump(self, tmp_path):
         path = write_config(tmp_path, trials=500)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -386,7 +387,7 @@ class TestApplyBlocks:
                                id="three-wave"),
                   pytest.param(lambda: squeeze_pair(0.3, 0.7), id="pair")]
     # whole blocks, and tails of one and two rows after them
-    TRIALS = [1, 2, 8191, 8192, 8193, 8194, 65537, 200001]
+    TRIALS = [1, 2, 4097, 8191, 8192, 8193, 8194, 65537, 200001]
 
     @pytest.fixture(scope="class", params=TRANSFORMS)
     def transform(self, request):
@@ -445,6 +446,21 @@ class TestApplyMemory:
         t = integrate_three_wave(generic_system())
         assert self.traced_peak(lambda: apply(t, table)) \
             < table.nbytes + 2 * self.MIB
+
+
+class TestApplyThreads:
+    def test_no_blas_thread_spins_after_apply(self):
+        # OpenBLAS runs a large enough product on its thread pool, which
+        # then spins for a while after it (a 3-mode block of 8192 rows
+        # costs about 0.08 s of CPU in the next 0.2 s); apply's blocks stay
+        # on the calling thread, so a process sleeping after it is idle
+        t = integrate_three_wave(generic_system())
+        table = sample_vacuum(3, 200_000, seed=8)
+        time.sleep(0.3)   # threads woken before this test fall asleep
+        apply(t, table, out=table)
+        before = time.process_time()
+        time.sleep(0.2)
+        assert time.process_time() - before < 0.02
 
 
 class TestPropagateCovariance:

@@ -10,7 +10,8 @@ from zprainbow import zpf
 from zprainbow.coupling import apply, squeeze_pair
 from zprainbow.errors import InvalidArgumentError
 from zprainbow.zpf import (GaussianState, Mode, sample_vacuum, sampled_state,
-                           sampled_states, trial_blocks, vacuum_state)
+                           sampled_states, trial_blocks, vacuum_rows,
+                           vacuum_state)
 
 # short single blocks of 1, 4095 and 4097 trials, a full 2**16 block, and
 # one trial into the second block (a one-row prefix of the reused buffers)
@@ -210,6 +211,44 @@ class TestSampledState:
         ref = total[np.ix_(xxpp, xxpp)] * (0.5 / trials)
         state = sampled_state(3, trials, 11, workers).covariance
         assert np.array_equal(state.view(np.uint64), ref.view(np.uint64))
+
+
+class TestVacuumRows:
+    TRIALS = 3 * (1 << 16) + 5
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return sample_vacuum(3, self.TRIALS, seed=9)
+
+    # empty, one row, whole and split blocks, block edges, the whole table
+    @pytest.mark.parametrize("start, stop", [
+        (0, 0), (0, 1), (70_000, 70_001), (TRIALS - 1, TRIALS),
+        (0, 1 << 16), (1 << 16, 2 << 16), (65_535, 65_537), (5, 131_000),
+        (100_000, TRIALS), (0, TRIALS)])
+    def test_rows_are_the_table_slice(self, table, start, stop):
+        for workers in (1, 2, 4):
+            rows = vacuum_rows(3, self.TRIALS, 9, start, stop, workers)
+            assert rows.shape == (stop - start, 3)
+            assert np.array_equal(rows.view(np.uint64),
+                                  table[start:stop].view(np.uint64))
+
+    def test_draws_only_the_overlapping_prefixes(self, monkeypatch):
+        fill, drawn = zpf._fill_block, []
+
+        def record(out, scratch, seed, block_index, first=0):
+            drawn.append((block_index, first, len(out)))
+            fill(out, scratch, seed, block_index, first)
+
+        monkeypatch.setattr(zpf, "_fill_block", record)
+        vacuum_rows(2, self.TRIALS, 9, (1 << 16) + 7, (2 << 16) + 3)
+        # block 1 from row 7 on; block 2 drawn up to its row 3 only
+        assert drawn == [(1, 7, (1 << 16) - 7), (2, 0, 3)]
+
+    @pytest.mark.parametrize("start, stop", [
+        (-1, 3), (4, 3), (0, TRIALS + 1)])
+    def test_rows_outside_the_table_rejected(self, start, stop):
+        with pytest.raises(InvalidArgumentError):
+            vacuum_rows(3, self.TRIALS, 9, start, stop)
 
 
 class TestWorkerThreads:
