@@ -8,15 +8,16 @@ unknown key is an error, so a misspelt field never runs on its default,
 and so is a NaN, infinite or beyond-float-range number, or a pair gain
 whose amplified vacuum over the crystal length would leave float range.
 
-Output files are written to a temporary name and atomically renamed, so
-a failed run never leaves a partial table behind; the file gets the mode
-open() would give it (0o666 less the umask).  CSV numbers carry 17
+Output files are written to a short random .part name beside the output,
+created with mode 0o666 (the kernel gives it open()'s mode) and renamed
+onto the output: a failed run leaves no partial table, and an output that
+cannot be created or renamed is a ConfigError.  CSV numbers carry 17
 significant digits and round-trip exactly.  Tables are written block by
 block (_BLOCK_ROWS rows), CSV and JSON alike, so memory stays bounded at
-any trial count.  A numeric table given as a column source, a row count
-and a function that makes the numpy columns of any row range (the
-`simulate` dump), formats each finite block with one %-operation on a
-repeated line template; the bytes are those of the per-cell rule (_fmt,
+any trial count.  A table is a list of rows or a column source, a row
+count and a function that makes the numpy columns of any row range (the
+`simulate` dump); a source formats each finite block with one %-operation
+on a repeated line template, with the bytes of the per-cell rule (_fmt,
 or json.dump of the whole table).  Its rows split into up to `workers`
 contiguous shares of whole blocks: each share is made, span by span, and
 formatted by a forked process into an unnamed temp file beside the
@@ -198,8 +199,8 @@ def load_config(path: str | None = None) -> RunConfig:
         detector = DetectorSpec(
             threshold=_number(d, "detector", "threshold",
                               default=DetectorSpec.threshold),
-            window_samples=int(_field(d, "detector", "window_samples", int,
-                                      default=DetectorSpec.window_samples)),
+            window_samples=_field(d, "detector", "window_samples", int,
+                                  default=DetectorSpec.window_samples),
             efficiency=_number(d, "detector", "efficiency",
                                default=DetectorSpec.efficiency),
         )
@@ -216,7 +217,7 @@ def load_config(path: str | None = None) -> RunConfig:
     s = _section(raw, "sweep")
     band = (_number(s, "sweep", "omega_min", required=True),
             _number(s, "sweep", "omega_max", required=True),
-            int(_field(s, "sweep", "steps", int, required=True)))
+            _field(s, "sweep", "steps", int, required=True))
     _reject_unknown(s, "sweep")
     if not 0.0 < band[0] < band[1] < 1.0:
         raise ConfigError("sweep", "need 0 < omega_min < omega_max < 1")
@@ -246,7 +247,7 @@ def load_config(path: str | None = None) -> RunConfig:
 
     r = _section(raw, "ratios", optional=True)
     ratios_omega = _number(r, "ratios", "omega", default=0.5)
-    ratios_trials = int(_field(r, "ratios", "trials", int, default=trials))
+    ratios_trials = _field(r, "ratios", "trials", int, default=trials)
     _reject_unknown(r, "ratios")
 
     dk = _section(raw, "darkrate", optional=True)
@@ -411,44 +412,41 @@ def _write_columns(fh, fmt, header, rows, columns_of, workers,
 
 
 def write_table(path: str, fmt: str, header, rows, workers: int = 1) -> None:
-    """Serialize a table atomically (temp file + rename).
+    """Serialize a table atomically (.part file + rename).
 
-    `rows` is an iterable of rows; or a tuple of integer and float numpy
-    arrays holding the columns side by side (a 1-D array is one column, a
-    2-D array one column per array column); or a column source, a pair
-    (n_rows, columns_of) where columns_of(start, stop) returns such a
-    tuple for rows [start, stop).  All give the same bytes.  Whole arrays
-    are the source of their own row slices.  A source is formatted in up
-    to `workers` processes, each making and writing one contiguous share
-    of its rows (_write_columns); a row table is written in the calling
-    thread.  The file gets the mode that open(path, "w") would give it:
-    0o666 less the umask.
+    `rows` is a list of rows, or a column source, the tuple (n_rows,
+    columns_of): columns_of(start, stop) gives rows [start, stop) as
+    integer and float numpy arrays side by side (a 1-D array is one
+    column, a 2-D array one per array column), made and formatted in up
+    to `workers` processes, one contiguous share each (_write_columns).
+    Both give the same bytes.  The .part file is created beside `path`
+    with mode 0o666, as open(path, "w") creates a file; ConfigError when
+    it cannot be created or renamed onto `path`.
     """
-    if (isinstance(rows, tuple) and rows
-            and all(isinstance(c, np.ndarray) for c in rows)):
-        arrays = rows
-        rows = len(arrays[0]), lambda start, stop: [c[start:stop]
-                                                    for c in arrays]
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    umask = os.umask(0)   # reading the umask means setting it
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+    directory = os.path.dirname(os.path.abspath(path))
+    # a short name: a long output name cannot push it past NAME_MAX
+    tmp = os.path.join(directory, f".zprainbow-{os.urandom(6).hex()}.part")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as e:
+        raise ConfigError("output.path", f"{e.strerror}: {path!r}") from None
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(",".join(header) + "\n" if fmt == "csv" else "[")
-            if isinstance(rows, tuple) and len(rows) == 2 \
-                    and callable(rows[1]):
+            if isinstance(rows, tuple):
                 _write_columns(fh, fmt, header, *rows, workers, directory)
                 written = rows[0]
             else:
                 written = _write_blocks(fh, fmt, header, _row_blocks(rows))
             if fmt == "json":
                 fh.write("\n]\n" if written else "]\n")
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as e:
+            raise ConfigError("output.path",
+                              f"{e.strerror}: {path!r}") from None
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -600,19 +598,17 @@ def cmd_simulate(config: RunConfig, raw_vacuum: bool) -> int:
     t = None if raw_vacuum else cp.integrate_three_wave(system)
 
     def columns_of(start, stop):
-        # a one-row map goes through gemv, whose last bits differ from
-        # the whole-table product: a lone row is mapped with the one
-        # before it
-        lone = t is not None and start > 0 and stop == start + 1
-        first = start - 1 if lone else start
         amplitudes = vacuum_rows(len(system.modes), config.trials,
-                                 config.seed, first, stop)
-        if t is not None:
+                                 config.seed, start, stop)
+        if t is not None and start > 0 and stop == start + 1:
+            # a one-row map (gemv) misses the whole-table product's last
+            # bits: a lone row of a longer table is mapped stacked with itself
+            amplitudes = cp.apply(t, np.repeat(amplitudes, 2, axis=0))[:1]
+        elif t is not None:
             cp.apply(t, amplitudes, out=amplitudes)
         # the float view of the (rows x 3) complex table is its re, im
         # columns in header order, with no copy
-        return (np.arange(start, stop),
-                amplitudes[start - first:].view(np.float64))
+        return np.arange(start, stop), amplitudes.view(np.float64)
 
     header = ("trial", "w_re", "w_im", "s_re", "s_im", "u_re", "u_im")
     write_table(config.output_path, config.output_format, header,

@@ -341,7 +341,7 @@ def apply(t: BogoliubovTransform, amplitudes: np.ndarray,
     whose last bits differ from the whole-table product, so a one-row
     tail joins the block before it, and the result is bit for bit the
     unblocked expression.  A one-row table has no such neighbour: a caller
-    that maps a table in pieces maps a lone row together with another.
+    that maps a table in pieces maps a lone row stacked with itself.
     """
     if amplitudes.shape[1:] != (t.n_modes,):
         raise InvalidArgumentError(f"transform has {t.n_modes} modes, "

@@ -25,7 +25,8 @@ from zprainbow.detection import DetectorSpec, ratio_down, ratio_up
 from zprainbow.errors import ConfigError, DomainError, NoSolutionError
 from zprainbow.rainbow import (DEFAULT_TRIALS, Couplings, channel_rates,
                                pdc_system, puc_system, sweep)
-from zprainbow.zpf import sample_vacuum
+from zprainbow import zpf
+from zprainbow.zpf import TRIAL_BLOCK, sample_vacuum
 
 
 def read_csv(path):
@@ -184,6 +185,23 @@ class TestExitCodes:
         assert main([command, "--omega", "1e-300", "--trials", "100",
                      "--output", out]) == EXIT_NO_SOLUTION
         assert "4e+299 um outside window" in capsys.readouterr().err
+
+    # a directory that does not exist, one that is the output, and no
+    # name at all; at two workers the share writers run before the rename
+    @pytest.mark.parametrize("name", ["missing/x.csv", "existing", ""],
+                             ids=["missing-dir", "directory", "empty"])
+    @pytest.mark.parametrize("argv", [
+        ["angles"],
+        ["simulate", "--trials", str(_BLOCK_ROWS + 1), "--workers", "2"]],
+        ids=["angles", "simulate"])
+    def test_unwritable_output_exit(self, tmp_path, monkeypatch, capsys,
+                                    argv, name):
+        # "" lies in the working directory's parent, tmp_path
+        (tmp_path / "work" / "existing").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "work")
+        assert main([*argv, "--output", name]) == EXIT_CONFIG
+        assert "output.path" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize("key,value", [
         ("crystal.window_um", [1.0]),
@@ -738,6 +756,26 @@ class TestSimulateCommand:
                          "--output", str(out)]) == EXIT_OK
             assert_same_text(out.read_bytes().decode(), expected)
 
+    @pytest.mark.parametrize("raw", [[], ["--raw-vacuum"]],
+                             ids=["mapped", "raw"])
+    @pytest.mark.parametrize("trials", [TRIAL_BLOCK + 1,
+                                        3 * TRIAL_BLOCK + 5])
+    def test_each_trial_block_drawn_once(self, tmp_path, monkeypatch, trials,
+                                         raw):
+        # a lone last row is mapped stacked with itself; drawn with the
+        # row before it, it would redraw the whole previous block
+        fill, drawn = zpf._fill_block, []
+
+        def record(out, scratch, seed, block_index, first=0):
+            drawn.append(block_index)
+            fill(out, scratch, seed, block_index, first)
+
+        monkeypatch.setattr(zpf, "_fill_block", record)
+        path = write_config(tmp_path, trials=trials)
+        assert main(["--config", path, "simulate", *raw, "--workers", "1",
+                     "--output", str(tmp_path / "sim.csv")]) == EXIT_OK
+        assert drawn == list(range(-(-trials // TRIAL_BLOCK)))
+
     def test_memory_is_flat_in_trials(self, tmp_path):
         # tracemalloc sees numpy's buffers: one share writer holds a span
         # of the table and its text, never the whole amplitude table
@@ -805,6 +843,11 @@ class TestStatisticalExit:
                      "--output", out]) == EXIT_STATISTICAL
 
 
+def source(*arrays):
+    """The column source of whole arrays, the source of their row slices."""
+    return len(arrays[0]), lambda start, stop: [c[start:stop] for c in arrays]
+
+
 class ExplodingColumn(np.ndarray):
     """A column whose every block after the first fails to read."""
 
@@ -823,7 +866,7 @@ class TestWriteTable:
         rows = ([[cell, 0.25], [3, -1.5]] if isinstance(cell, int)
                 else [[7, cell], [3, -1.5]])
         for name, table in (("rows", rows),
-                            ("columns", tuple(map(np.array, zip(*rows))))):
+                            ("columns", source(*map(np.array, zip(*rows))))):
             out = tmp_path / name
             write_table(str(out), fmt, ("a", "b"), table)
             assert out.read_bytes().decode() \
@@ -831,8 +874,8 @@ class TestWriteTable:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_tables(self, tmp_path, fmt):
-        for name, table in (("rows", []),
-                            ("columns", (np.zeros(0, int), np.zeros(0)))):
+        empty = source(np.zeros(0, int), np.zeros(0))
+        for name, table in (("rows", []), ("columns", empty)):
             out = tmp_path / name
             write_table(str(out), fmt, ("a", "b"), table)
             assert out.read_bytes().decode() \
@@ -852,8 +895,8 @@ class TestWriteTable:
             [i, *v] for i, v in zip(trial.tolist(), values.tolist())])
         for workers in (1, 2, 4):
             out = tmp_path / f"w{workers}"
-            write_table(str(out), fmt, ("a", "b", "c"), (trial, values),
-                        workers)
+            write_table(str(out), fmt, ("a", "b", "c"),
+                        source(trial, values), workers)
             assert_same_text(out.read_bytes().decode(), expected)
 
     def test_one_block_starts_no_pool(self, tmp_path, monkeypatch):
@@ -864,19 +907,20 @@ class TestWriteTable:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         out = str(tmp_path / "table.csv")
         for rows in (1, _BLOCK_ROWS):
-            write_table(out, "csv", ("a",), (np.zeros(rows),), 4)
+            write_table(out, "csv", ("a",), source(np.zeros(rows)), 4)
         # the patch is live: two blocks on two workers do start a pool
         with pytest.raises(AssertionError):
-            write_table(out, "csv", ("a",), (np.zeros(_BLOCK_ROWS + 1),), 2)
+            write_table(out, "csv", ("a",), source(np.zeros(_BLOCK_ROWS + 1)),
+                        2)
 
     def test_no_process_left_running(self, tmp_path):
         n = 2 * _BLOCK_ROWS
         out = str(tmp_path / "table.csv")
-        write_table(out, "csv", ("a",), (np.zeros(n),), 2)
+        write_table(out, "csv", ("a",), source(np.zeros(n)), 2)
         assert multiprocessing.active_children() == []
         with pytest.raises(RuntimeError):
             write_table(out, "csv", ("a", "b"),
-                        (np.zeros((n, 2)).view(ExplodingColumn),), 2)
+                        source(np.zeros((n, 2)).view(ExplodingColumn)), 2)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -884,7 +928,7 @@ class TestWriteTable:
         old = os.umask(umask)
         try:
             for name, table in (("rows", [[1, 2.5]]),
-                                ("columns", (np.arange(1), np.ones(1)))):
+                                ("columns", source(np.arange(1), np.ones(1)))):
                 write_table(str(tmp_path / name), "csv", ("a", "b"), table)
                 assert (tmp_path / name).stat().st_mode & 0o777 == mode
         finally:
@@ -899,7 +943,7 @@ class TestAtomicWrites:
 
         def exploding_columns():
             n = 2 * _BLOCK_ROWS
-            return (np.arange(n), np.zeros((n, 2)).view(ExplodingColumn))
+            return source(np.arange(n), np.zeros((n, 2)).view(ExplodingColumn))
 
         out = tmp_path / "table.csv"
         before = sorted(os.listdir(tmp_path))
