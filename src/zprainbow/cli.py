@@ -11,18 +11,18 @@ whose amplified vacuum over the crystal length would leave float range.
 Output files are written to a short random .part name beside the output,
 created with mode 0o666 (the kernel gives it open()'s mode) and renamed
 onto the output: a failed run leaves no partial table, and an output that
-cannot be created or renamed is a ConfigError.  CSV numbers carry 17
-significant digits and round-trip exactly.  Tables are written block by
-block (_BLOCK_ROWS rows), CSV and JSON alike, so memory stays bounded at
-any trial count.  A table is a list of rows or a column source, a row
-count and a function that makes the numpy columns of any row range (the
-`simulate` dump); a source formats each finite block with one %-operation
-on a repeated line template, with the bytes of the per-cell rule (_fmt,
-or json.dump of the whole table).  Its rows split into up to `workers`
-contiguous shares of whole blocks: each share is made, span by span, and
-formatted by a forked process into an unnamed temp file beside the
-output, and the shares are copied into the output in order, so the bytes
-do not depend on the worker count and no process holds the whole table.
+is a directory or cannot be created or renamed is a ConfigError.  CSV
+numbers carry 17 significant digits and round-trip exactly.  Tables are
+written block by block (_BLOCK_ROWS rows), CSV and JSON alike, so memory
+stays bounded at any trial count.  A table is a list of rows or a column
+source, a row count and a function that makes the numpy columns of any row
+range (the `simulate` dump); a source formats each finite block with one
+%-operation on a repeated line template, with the bytes of the per-cell
+rule (_fmt, or json.dump of the whole table).  Its rows split into up to
+`workers` contiguous shares of whole blocks: each share is made, span by
+span, and formatted by a forked process into an unnamed temp file beside
+the output, and the shares are copied into it in order, so the bytes do
+not depend on the worker count and no process holds the whole table.
 
 Exit codes: 0 success, 2 invalid configuration, 3 no phase-matching
 solution / empty band / a wavelength outside the transparency window,
@@ -271,9 +271,7 @@ def load_config(path: str | None = None) -> RunConfig:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return format(value, ".17g")
+        return "" if math.isnan(value) else format(value, ".17g")
     return str(value)
 
 
@@ -421,8 +419,10 @@ def write_table(path: str, fmt: str, header, rows, workers: int = 1) -> None:
     to `workers` processes, one contiguous share each (_write_columns).
     Both give the same bytes.  The .part file is created beside `path`
     with mode 0o666, as open(path, "w") creates a file; ConfigError when
-    it cannot be created or renamed onto `path`.
+    `path` is a directory or the file cannot be created or renamed onto it.
     """
+    if os.path.isdir(os.path.abspath(path)):  # "", a directory or "dir/"
+        raise ConfigError("output.path", f"Is a directory: {path!r}")
     directory = os.path.dirname(os.path.abspath(path))
     # a short name: a long output name cannot push it past NAME_MAX
     tmp = os.path.join(directory, f".zprainbow-{os.urandom(6).hex()}.part")

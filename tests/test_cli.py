@@ -25,7 +25,7 @@ from zprainbow.detection import DetectorSpec, ratio_down, ratio_up
 from zprainbow.errors import ConfigError, DomainError, NoSolutionError
 from zprainbow.rainbow import (DEFAULT_TRIALS, Couplings, channel_rates,
                                pdc_system, puc_system, sweep)
-from zprainbow import zpf
+from zprainbow import cli, zpf
 from zprainbow.zpf import TRIAL_BLOCK, sample_vacuum
 
 
@@ -187,7 +187,7 @@ class TestExitCodes:
         assert "4e+299 um outside window" in capsys.readouterr().err
 
     # a directory that does not exist, one that is the output, and no
-    # name at all; at two workers the share writers run before the rename
+    # name at all; each is refused before a simulate row is made
     @pytest.mark.parametrize("name", ["missing/x.csv", "existing", ""],
                              ids=["missing-dir", "directory", "empty"])
     @pytest.mark.parametrize("argv", [
@@ -199,9 +199,13 @@ class TestExitCodes:
         # "" lies in the working directory's parent, tmp_path
         (tmp_path / "work" / "existing").mkdir(parents=True)
         monkeypatch.chdir(tmp_path / "work")
+        tables = []
+        monkeypatch.setattr(cli, "_write_columns",
+                            lambda *args: tables.append(args[3]))
         assert main([*argv, "--output", name]) == EXIT_CONFIG
         assert "output.path" in capsys.readouterr().err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert tables == []
 
     @pytest.mark.parametrize("key,value", [
         ("crystal.window_um", [1.0]),
