@@ -48,7 +48,7 @@ from .zpf import EXTRAORDINARY, ORDINARY, Mode
 _SCAN_POINTS = 600
 # chunks bound memory on dense bands, not time: both legs' match_band
 # (shipped crystal, 0.44-0.58, 1000 steps) peak at 0.9 MiB against 78 MiB
-# unchunked, a gap that grows with steps, yet unchunked is ~10% faster
+# unchunked, whose grid grows with steps, yet unchunked is ~10% faster
 _CHUNK_ROWS = 8
 _ANGLE_TOL = 1e-12
 _MAX_ITER = 200
