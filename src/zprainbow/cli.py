@@ -13,16 +13,21 @@ created with mode 0o666 (the kernel gives it open()'s mode) and renamed
 onto the output: a failed run leaves no partial table, and an output that
 is a directory or cannot be created or renamed is a ConfigError.  CSV
 numbers carry 17 significant digits and round-trip exactly.  Tables are
-written block by block (_BLOCK_ROWS rows), CSV and JSON alike, so memory
+written a bounded number of rows at a time, CSV and JSON alike, so memory
 stays bounded at any trial count.  A table is a list of rows or a column
 source, a row count and a function that makes the numpy columns of any row
-range (the `simulate` dump); a source formats each finite block with one
-%-operation on a repeated line template, with the bytes of the per-cell
-rule (_fmt, or json.dump of the whole table).  Its rows split into up to
-`workers` contiguous shares of whole blocks: each share is made, span by
-span, and formatted by a forked process into an unnamed temp file beside
-the output, and the shares are copied into it in order, so the bytes do
-not depend on the worker count and no process holds the whole table.
+range (the `simulate` dump); either gives the bytes of the per-cell rule
+(_fmt, or json.dump of the whole table).  A list of rows goes through that
+rule cell by cell.  A source's CSV text comes from one numpy kernel
+(digits), which writes every int and every fixed-notation float exactly
+from its bits; a row with a cell it cannot write (exponent form,
+subnormal, NaN or infinite) goes through _fmt in its place.  A source's
+finite JSON rows are one %-operation on a repeated row layout.  Its rows
+split into up to `workers` contiguous shares of whole _BLOCK_ROWS blocks:
+each share is made, span by span, and formatted by a forked process into
+an unnamed temp file beside the output, and the shares are copied into it
+in order, so the bytes do not depend on the worker count and no process
+holds the whole table.
 
 Exit codes: 0 success, 2 invalid configuration, 3 no phase-matching
 solution / empty band / a wavelength outside the transparency window,
@@ -276,58 +281,92 @@ def _fmt(value) -> str:
 
 
 _BLOCK_ROWS = 8192
-# '%d' and '%.17g' write what _fmt writes for an int and a finite float
-_CELL_FORMATS = {"i": "%d", "f": "%.17g"}
+# the rows a column source formats at once: the kernel's temporaries
+# stay small and in cache
+_CHUNK_ROWS = 1024
 
 
-def _row_blocks(rows):
-    """Yield (None, block) per block of at most _BLOCK_ROWS rows, each a
-    list of rows whose every cell goes through _fmt."""
-    it = iter(rows)
+def _json_rows(header, rows) -> str:
+    """json.dump's text of rows as dicts (indent=2, sort_keys=True, NaN
+    cells null), without the brackets."""
+    payload = [{k: (None if isinstance(v, float) and math.isnan(v) else v)
+                for k, v in zip(header, row)} for row in rows]
+    # strip the list's own "[\n" and "\n]"
+    return json.dumps(payload, indent=2, sort_keys=True)[2:-2]
+
+
+def _json_lines(header, columns) -> str:
+    """_json_rows's text of the rows of 2-D int and float columns.
+
+    With every cell finite, it is one %-operation on the repeated layout
+    of a row, the keys sorted, %d for an int and %r (float.__repr__, as
+    json writes a float) for a float.
+    """
+    cells = np.concatenate(columns, axis=1, dtype=object)
+    if not all(np.isfinite(c).all() for c in columns):
+        return _json_rows(header, cells.tolist())
+    kinds = [c.dtype.kind for c in columns for _ in range(c.shape[1])]
+    order = sorted(range(len(header)), key=header.__getitem__)
+    row = "  {\n" + ",\n".join(
+        f"    {json.dumps(header[k]).replace('%', '%%')}: "
+        + ("%d" if kinds[k] == "i" else "%r") for k in order) + "\n  }"
+    return ",\n".join([row] * len(cells)) % tuple(
+        cells[:, order].ravel().tolist())
+
+
+def _csv_lines(columns) -> str:
+    """The CSV lines of the rows of 2-D int and float columns, the bytes
+    of the per-cell rule (_fmt).
+
+    digits writes each cell's text; a row with a cell it leaves undecided
+    (exponent form, subnormal or not finite) goes through _fmt instead.
+    """
+    # imported here: its tables (0.6 MiB of peak RSS) serve column
+    # sources alone
+    from . import digits
+    rows = len(columns[0])
+    slots = np.empty((rows, sum(c.shape[1] for c in columns), digits.SLOT),
+                     np.uint8)
+    decided, at = np.ones(rows, bool), 0
+    for c in columns:
+        out = slots[:, at:at + c.shape[1]]
+        at += c.shape[1]
+        if c.dtype.kind == "i":
+            digits.int_cells(np.asarray(c, np.int64), out)
+        else:
+            decided &= digits.float_cells(np.asarray(c, np.float64),
+                                          out).all(axis=1)
+    slots[:, :, -1] = ord(",")
+    slots[:, -1, -1] = ord("\n")
+    undecided = np.flatnonzero(~decided).tolist()
+    slots[undecided] = 0
+    text = slots.ravel()
+    text = np.compress(text != 0, text).tobytes().decode("ascii")
+    if not undecided:
+        return text
+    # each undecided row is empty in text: splice its _fmt line in there
+    ends = np.count_nonzero(slots.reshape(rows, -1), axis=1).cumsum()
+    pieces, done = [], 0
+    for row in undecided:
+        pieces += [text[done:ends[row]],
+                   ",".join(_fmt(v) for c in columns for v in c[row].tolist())
+                   + "\n"]
+        done = ends[row]
+    pieces.append(text[done:])
+    return "".join(pieces)
+
+
+def _write_rows(fh, fmt, header, rows) -> int:
+    """Write the text of rows, _BLOCK_ROWS at a time, every cell through
+    _fmt or json.dump, and return the rows written."""
+    it, written = iter(rows), 0
     while block := list(islice(it, _BLOCK_ROWS)):
-        yield None, block
-
-
-def _column_blocks(columns):
-    """Yield (template, block) per block of _BLOCK_ROWS rows of 2-D
-    columns.
-
-    A block is a 2-D object array of Python ints and floats (one array,
-    not a list per row, keeps the block's memory small); template is the
-    line format of one row, or None when a cell is not finite.
-    """
-    template = ",".join(_CELL_FORMATS[c.dtype.kind]
-                        for c in columns for _ in range(c.shape[1])) + "\n"
-    for first in range(0, len(columns[0]), _BLOCK_ROWS):
-        parts = [c[first:first + _BLOCK_ROWS] for c in columns]
-        finite = all(np.isfinite(p).all() for p in parts)
-        block = np.concatenate(parts, axis=1, dtype=object)
-        yield (template if finite else None), block
-
-
-def _write_blocks(fh, fmt, header, blocks, start=0) -> int:
-    """Write the text of (template, block) pairs whose first row is table
-    row `start`, and return the rows written.
-
-    A CSV block follows its template, or the per-cell rule (_fmt) when it
-    has none.  A JSON block is json.dump's text of its rows as dicts
-    (indent=2, sort_keys=True, NaN cells null) without the brackets,
-    after ",\n", or after "\n" when it holds row 0.
-    """
-    written = 0
-    for template, block in blocks:
         if fmt == "json":
-            payload = [{k: (None if isinstance(v, float) and math.isnan(v)
-                            else v)
-                        for k, v in zip(header, row)} for row in block]
-            # strip the block's own "[\n" and "\n]"
-            fh.write(("\n" if start + written == 0 else ",\n")
-                     + json.dumps(payload, indent=2, sort_keys=True)[2:-2])
-        elif template is None:
+            fh.write(("\n" if written == 0 else ",\n")
+                     + _json_rows(header, block))
+        else:
             fh.writelines(",".join(_fmt(v) for v in row) + "\n"
                           for row in block)
-        else:
-            fh.write(template * len(block) % tuple(block.ravel().tolist()))
         written += len(block)
     return written
 
@@ -337,14 +376,21 @@ def _write_share(fh, fmt, header, columns_of, start, stop) -> None:
 
     The rows are asked of columns_of in spans cut on the vacuum's
     TRIAL_BLOCK grid, so a source that draws the vacuum draws each trial
-    block at most once per share; each span is formatted and dropped
-    before the next.
+    block at most once per share; each span is formatted, _CHUNK_ROWS rows
+    at a time, and dropped before the next.  A JSON chunk follows ",\n",
+    or "\n" when it holds row 0.
     """
     while start < stop:
         end = min(stop, (start // TRIAL_BLOCK + 1) * TRIAL_BLOCK)
         columns = [c[:, None] if c.ndim == 1 else c
                    for c in columns_of(start, end)]
-        _write_blocks(fh, fmt, header, _column_blocks(columns), start)
+        for first in range(0, end - start, _CHUNK_ROWS):
+            chunk = [c[first:first + _CHUNK_ROWS] for c in columns]
+            if fmt == "json":
+                fh.write(("\n" if start + first == 0 else ",\n")
+                         + _json_lines(header, chunk))
+            else:
+                fh.write(_csv_lines(chunk))
         start = end
 
 
@@ -437,7 +483,7 @@ def write_table(path: str, fmt: str, header, rows, workers: int = 1) -> None:
                 _write_columns(fh, fmt, header, *rows, workers, directory)
                 written = rows[0]
             else:
-                written = _write_blocks(fh, fmt, header, _row_blocks(rows))
+                written = _write_rows(fh, fmt, header, rows)
             if fmt == "json":
                 fh.write("\n]\n" if written else "]\n")
         try:

@@ -16,16 +16,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zprainbow.cli import (EXIT_CONFIG, EXIT_NO_SOLUTION, EXIT_OK,
-                           EXIT_STATISTICAL, _BLOCK_ROWS, _fmt, build_parser,
-                           default_config_path, forced_angle_report,
-                           load_config, main, physical_ratio_report,
-                           write_table)
+                           EXIT_STATISTICAL, _BLOCK_ROWS, _csv_lines, _fmt,
+                           build_parser, default_config_path,
+                           forced_angle_report, load_config, main,
+                           physical_ratio_report, write_table)
 from zprainbow.coupling import apply, integrate_three_wave
 from zprainbow.detection import DetectorSpec, ratio_down, ratio_up
 from zprainbow.errors import ConfigError, DomainError, NoSolutionError
 from zprainbow.rainbow import (DEFAULT_TRIALS, Couplings, channel_rates,
                                pdc_system, puc_system, sweep)
-from zprainbow import cli, zpf
+from zprainbow import cli, digits, zpf
 from zprainbow.zpf import TRIAL_BLOCK, sample_vacuum
 
 
@@ -794,6 +794,22 @@ class TestSimulateCommand:
             tracemalloc.stop()
         assert peak < trials * 3 * np.dtype(np.complex128).itemsize
 
+    def test_json_memory_matches_csv(self, tmp_path):
+        # a finite JSON chunk is one %-operation on a repeated row layout,
+        # not json.dumps(indent=2)'s pure-Python encoder
+        path = write_config(tmp_path, trials=4 * (1 << 16) + 3)
+        peaks = {}
+        for fmt in ("csv", "json"):
+            tracemalloc.start()
+            try:
+                assert main(["--config", path, "simulate", "--workers", "1",
+                             "--format", fmt,
+                             "--output", str(tmp_path / "sim")]) == EXIT_OK
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["json"] < peaks["csv"] + 2 * 2 ** 20
+
     def test_share_writers_fork_after_blas_threads(self, tmp_path):
         # a Monte Carlo rainbow wakes BLAS's threads (x.T @ x of whole
         # trial blocks) and runs the sampling thread pool; the share
@@ -937,6 +953,73 @@ class TestWriteTable:
                 assert (tmp_path / name).stat().st_mode & 0o777 == mode
         finally:
             os.umask(old)
+
+    def test_undecided_rows_keep_their_place(self, tmp_path):
+        # rows the kernel leaves to _fmt: the first row, a middle row, the
+        # last row of a block and the last row of the table
+        rows = 2 * _BLOCK_ROWS + 5
+        values = np.random.default_rng(5).standard_normal((rows, 3))
+        for row, cell in ((0, 1e-5), (_BLOCK_ROWS // 2, math.nan),
+                          (_BLOCK_ROWS - 1, 1e20), (rows - 1, -1e-5)):
+            values[row, row % 3] = cell
+        trial = np.arange(rows)
+        expected = expected_table("csv", ("a", "b", "c", "d"), [
+            [i, *v] for i, v in zip(trial.tolist(), values.tolist())])
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            write_table(str(out), "csv", ("a", "b", "c", "d"),
+                        source(trial, values), workers)
+            assert_same_text(out.read_bytes().decode(), expected)
+
+
+def float_from_bits(sign, exponent, mantissa):
+    return float(np.array(sign << 63 | exponent << 52 | mantissa,
+                          np.uint64).view(np.float64))
+
+
+# every binary exponent (subnormals, +-0, infinities and NaN included), and
+# more often those of the cells the kernel writes; mantissas with few set
+# bits give exact decimal ties and trailing zeros
+FLOAT_CELLS = st.builds(
+    float_from_bits, st.integers(0, 1),
+    st.integers(0, 2047) | st.integers(1023 - 18, 1023 + 57),
+    st.integers(0, 2 ** 52 - 1)
+    | st.integers(0, 2 ** 12 - 1).map(lambda m: m << 40))
+INT_CELLS = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+def edge_examples(test):
+    """Each power of ten from 1e-4 to 1e17 with its float neighbours."""
+    for k in range(-4, 18):
+        p = float(f"1e{k}")
+        test = example([(k, math.nextafter(p, 0), p,
+                         math.nextafter(p, math.inf))])(test)
+    return test
+
+
+class TestCsvKernel:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(INT_CELLS, FLOAT_CELLS, FLOAT_CELLS,
+                              FLOAT_CELLS), min_size=1, max_size=40))
+    # exact half-even ties: 1000000000000000.2, .8 and 1000000000000001.2
+    @example([(0, 1e15 + 0.25, 1e15 + 0.75, 1e15 + 1.25)])
+    # the last float below a decade: no carry into it, and 1e-4 itself
+    @example([(-2 ** 63, math.nextafter(1.0, 0), math.nextafter(0.1, 0),
+               9.9999999999999999e-5)])
+    @example([(2 ** 63 - 1, 1e-5, -0.0, 0.0)])
+    @edge_examples
+    def test_kernel_matches_per_cell_rule(self, rows):
+        ints = np.array([row[0] for row in rows], np.int64)
+        floats = np.array([row[1:] for row in rows])
+        assert _csv_lines([ints[:, None], floats]) == "".join(
+            ",".join(map(_fmt, row)) + "\n" for row in rows)
+        # the kernel itself writes every fixed-notation float; _fmt gets
+        # only the rest
+        decided = digits.float_cells(
+            floats, np.empty(floats.shape + (digits.SLOT,), np.uint8))
+        assert decided.tolist() == [
+            [math.isfinite(v) and "e" not in _fmt(v) for v in row[1:]]
+            for row in rows]
 
 
 class TestAtomicWrites:
