@@ -28,16 +28,21 @@ solved in closed form.
 
 match_band phase-matches a whole band of frequencies in one pass: an
 (omega x theta) grid brackets each frequency's smallest matched input
-angle, and all brackets are refined together.  Each frequency gets a
-PhaseMatchSolution or the error that says why it has none.  match_down and
-match_up are its one-frequency calls.  triples adds the other leg to each
-match: the refracted triple and both mismatches, or why there is none.
+angle, and all brackets are refined together.  What a leg takes from omega
+alone (the Sellmeier sums, window masks, wavelengths and wavenumbers, the
+pump's wavenumber) is built once per band, so the scan and each refining
+step do only the theta-dependent arithmetic; conjugate_leg and up_leg are
+the same legs in one call.  Each frequency gets a PhaseMatchSolution or
+the error that says why it has none.  match_down and match_up are its
+one-frequency calls.  triples adds the other leg to each match: the
+refracted triple and both mismatches, or why there is none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +51,9 @@ from .errors import (DomainError, InvalidArgumentError, NoSolutionError,
 from .zpf import EXTRAORDINARY, ORDINARY, Mode
 
 _SCAN_POINTS = 600
-# chunks bound memory on dense bands, not time: both legs' match_band
-# (shipped crystal, 0.44-0.58, 1000 steps) peak at 0.9 MiB against 78 MiB
-# unchunked, whose grid grows with steps, yet unchunked is ~10% faster
+# chunks bound memory on dense bands: both legs' match_band (shipped
+# crystal, 0.44-0.58, 1000 steps) peak at 1.2 MiB against 78 MiB unchunked,
+# whose grid grows with steps, and take no longer (53-54 against 55-59 ms)
 _CHUNK_ROWS = 8
 _ANGLE_TOL = 1e-12
 _MAX_ITER = 200
@@ -215,6 +220,75 @@ def external_angle(theta_internal: float, n: float) -> float:
     return math.asin(s)
 
 
+class _DownTerms(NamedTuple):
+    """conjugate_leg's theta-free terms: the pump wavenumber and, per
+    frequency, the input's and the conjugate's (ordinary, angle-free)."""
+
+    k_pump: float
+    k_in: np.ndarray
+    k_conj: np.ndarray
+
+
+class _UpTerms(NamedTuple):
+    """up_leg's theta-free terms: the pump wavenumber and, per frequency,
+    the input's wavenumber and the 1 + omega wave's wavelength, n_o^2 and
+    n_e^2."""
+
+    k_pump: float
+    k_in: np.ndarray
+    lam_up: np.ndarray
+    no2: np.ndarray
+    ne2: np.ndarray
+
+
+def _down_terms(omega, spec):
+    return _DownTerms(_wavenumber(1.0, 0.0, spec.pump_polarization, spec),
+                      _wavenumber(omega, 0.0, ORDINARY, spec),
+                      _wavenumber(1.0 - omega, 0.0, ORDINARY, spec))
+
+
+def _up_terms(omega, spec):
+    return _UpTerms(_wavenumber(1.0, 0.0, spec.pump_polarization, spec),
+                    _wavenumber(omega, 0.0, ORDINARY, spec),
+                    wavelength_um(1.0 + omega, spec),
+                    *_index_squares(1.0 + omega, spec))
+
+
+def _rows(terms, index):
+    """A leg's terms at the frequencies [index] of the band they were built
+    on: the pump wavenumber stays, each per-frequency array is indexed."""
+    return terms._make((terms.k_pump, *(a[index] for a in terms[1:])))
+
+
+def _conjugate(terms, theta, spec):
+    k_pump, k_in, k_conj = terms
+    with np.errstate(invalid="ignore"):
+        theta_conj = -np.arcsin(k_in * np.sin(theta) / k_conj)
+    return theta_conj, (k_pump - k_in * np.cos(theta)
+                        - k_conj * np.cos(theta_conj))
+
+
+def _up(terms, theta, spec):
+    k_pump, k_in, lam_up, no2, ne2 = terms
+    kt = k_in * np.sin(theta)
+    k0 = 2.0 * math.pi / lam_up
+    c, s = math.cos(spec.cut_angle_rad), math.sin(spec.cut_angle_rad)
+    kt2 = kt * kt
+    qa = k0 * k0 - kt2 * (s * s / no2 + c * c / ne2)
+    qb = 2.0 * kt2 * c * s * (1.0 / no2 - 1.0 / ne2)
+    qc = -kt2 * (c * c / no2 + s * s / ne2)
+    side = np.sign(kt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        near, far = qc / q, q / qa
+    # k_t = 0 gives q = 0: then near is NaN and far is the root 0
+    theta_up = np.arctan(np.where(side * near > 0.0, near,
+                                  np.where(qa > 0.0, far, np.nan)))
+    k_up = (2.0 * math.pi
+            * _ellipse_index(no2, ne2, spec.cut_angle_rad + theta_up) / lam_up)
+    return theta_up, k_pump + k_in * np.cos(theta) - k_up * np.cos(theta_up)
+
+
 def conjugate_leg(omega, theta, spec: CrystalSpec):
     """The ordinary conjugate at 1 - omega of an input at internal angle theta.
 
@@ -224,13 +298,8 @@ def conjugate_leg(omega, theta, spec: CrystalSpec):
     Both are NaN where the conjugate cannot carry the transverse momentum
     or a wavelength of the leg is outside the window.
     """
-    theta = np.asarray(theta, dtype=float)
-    k_in = _wavenumber(omega, theta, ORDINARY, spec)
-    k_conj = _wavenumber(1.0 - omega, 0.0, ORDINARY, spec)  # angle-free index
-    with np.errstate(invalid="ignore"):
-        theta_conj = -np.arcsin(k_in * np.sin(theta) / k_conj)
-    return theta_conj, (_wavenumber(1.0, 0.0, spec.pump_polarization, spec)
-                        - k_in * np.cos(theta) - k_conj * np.cos(theta_conj))
+    return _conjugate(_down_terms(omega, spec),
+                      np.asarray(theta, dtype=float), spec)
 
 
 def up_leg(omega, theta, spec: CrystalSpec):
@@ -250,45 +319,29 @@ def up_leg(omega, theta, spec: CrystalSpec):
     each side; where a < 0 (the up wave's index falls fast towards grazing
     incidence) both lie on one side, or there are none.
     """
-    theta = np.asarray(theta, dtype=float)
-    k_in = _wavenumber(omega, theta, ORDINARY, spec)
-    kt = k_in * np.sin(theta)
-    no2, ne2 = _index_squares(1.0 + omega, spec)
-    k0 = 2.0 * math.pi / wavelength_um(1.0 + omega, spec)
-    c, s = math.cos(spec.cut_angle_rad), math.sin(spec.cut_angle_rad)
-    kt2 = kt * kt
-    qa = k0 * k0 - kt2 * (s * s / no2 + c * c / ne2)
-    qb = 2.0 * kt2 * c * s * (1.0 / no2 - 1.0 / ne2)
-    qc = -kt2 * (c * c / no2 + s * s / ne2)
-    side = np.sign(kt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
-        near, far = qc / q, q / qa
-    # k_t = 0 gives q = 0: then near is NaN and far is the root 0
-    theta_up = np.arctan(np.where(side * near > 0.0, near,
-                                  np.where(qa > 0.0, far, np.nan)))
-    k_up = _wavenumber(1.0 + omega, theta_up, EXTRAORDINARY, spec)
-    return theta_up, (_wavenumber(1.0, 0.0, spec.pump_polarization, spec)
-                      + k_in * np.cos(theta) - k_up * np.cos(theta_up))
+    return _up(_up_terms(omega, spec), np.asarray(theta, dtype=float), spec)
 
 
-def _first_roots(leg, omega, theta_max, spec):
-    """The smallest root of leg's dk_z on [0, theta_max) for each omega.
+def _first_roots(leg, terms, theta_max, spec):
+    """The smallest root of leg's dk_z on [0, theta_max) for each frequency
+    of terms.
 
     Each row of an (omega x theta) grid of _SCAN_POINTS angles is scanned
     for its first sign change, _CHUNK_ROWS rows at a time so that every
     temporary stays small, and all brackets are refined together by a
-    secant step safeguarded by bisection.  A collinear tangency
-    (dispersionless media) is a root at zero.  NaN where there is none.
+    secant step safeguarded by bisection.  The leg's theta-free terms are
+    built once per band: the scan takes them as [span, None] and each
+    secant step as [rows[j]].  A collinear tangency (dispersionless media)
+    is a root at zero.  NaN where there is none.
     """
-    roots = np.full(len(omega), np.nan)
-    if not len(omega):
+    roots = np.full(len(theta_max), np.nan)
+    if not len(theta_max):
         return roots
     rows, lo, hi, f_lo, f_hi = [], [], [], [], []
-    for start in range(0, len(omega), _CHUNK_ROWS):
+    for start in range(0, len(theta_max), _CHUNK_ROWS):
         span = slice(start, start + _CHUNK_ROWS)
         grid = np.linspace(0.0, theta_max[span], _SCAN_POINTS, axis=-1)
-        vals = leg(omega[span, None], grid, spec)[1]
+        vals = leg(_rows(terms, (span, None)), grid, spec)[1]
         change = (~np.isnan(vals[:, :-1]) & ~np.isnan(vals[:, 1:])
                   & ((vals[:, :-1] < 0.0) != (vals[:, 1:] < 0.0)))
         tangent = np.abs(vals[:, 0]) < 1e-12
@@ -311,7 +364,7 @@ def _first_roots(leg, omega, theta_max, spec):
         with np.errstate(divide="ignore", invalid="ignore"):
             x = b - fb * (b - a) / (fb - fa)
         x = np.where((fb != fa) & (a < x) & (x < b), x, 0.5 * (a + b))
-        fx = leg(omega[rows[j]], x, spec)[1]
+        fx = leg(_rows(terms, rows[j]), x, spec)[1]
         exact[j] = np.where(fx == 0.0, x, np.nan)
         low = (fx < 0.0) == (fa < 0.0)
         lo[j], f_lo[j] = np.where(low, x, a), np.where(low, fx, fa)
@@ -320,10 +373,10 @@ def _first_roots(leg, omega, theta_max, spec):
     return roots
 
 
-# process -> (leg, output frequency, output polarization)
+# process -> (leg, its theta-free terms, output frequency, output polarization)
 _PROCESSES = {
-    "down": (conjugate_leg, lambda w: 1.0 - w, ORDINARY),
-    "up": (up_leg, lambda w: 1.0 + w, EXTRAORDINARY),
+    "down": (_conjugate, _down_terms, lambda w: 1.0 - w, ORDINARY),
+    "up": (_up, _up_terms, lambda w: 1.0 + w, EXTRAORDINARY),
 }
 
 
@@ -338,17 +391,18 @@ def match_band(process: str, omega, spec: CrystalSpec) -> list:
     NoSolutionError where no angle matches or an output is totally
     internally reflected.
     """
-    leg, out_of, pol_out = _PROCESSES[process]
+    leg, terms_of, out_of, pol_out = _PROCESSES[process]
     omega = np.asarray(omega, dtype=float)
     omega_out = out_of(omega)
     n_in = effective_index(omega, 0.0, ORDINARY, spec)
     inside = ~np.isnan(n_in) & _in_window(wavelength_um(omega_out, spec), spec)
     at = np.flatnonzero(inside)
+    terms = terms_of(omega, spec)
     theta_in = np.full(len(omega), np.nan)
     theta_in[at] = _first_roots(
-        leg, omega[at], 0.999 * np.arcsin(np.minimum(1.0, 1.0 / n_in[at])),
-        spec)
-    theta_out, residual = leg(omega, theta_in, spec)
+        leg, _rows(terms, at),
+        0.999 * np.arcsin(np.minimum(1.0, 1.0 / n_in[at])), spec)
+    theta_out, residual = leg(terms, theta_in, spec)
     n_out = effective_index(omega_out, theta_out, pol_out, spec)
     found = []
     for k, w in enumerate(omega.tolist()):
@@ -384,10 +438,10 @@ def triples(process: str, omega, spec: CrystalSpec) -> list:
     at = [k for k, sol in enumerate(found)
           if isinstance(sol, PhaseMatchSolution)]
     other = "up" if process == "down" else "down"
-    leg, out_of, pol = _PROCESSES[other]
+    leg, terms_of, out_of, pol = _PROCESSES[other]
     w = omega[at]
-    theta, dk = leg(w, np.array([found[k].theta_in_internal for k in at]),
-                    spec)
+    theta, dk = leg(terms_of(w, spec),
+                    np.array([found[k].theta_in_internal for k in at]), spec)
     n = effective_index(out_of(w), theta, pol, spec)
     for k, w_k, theta_k, dk_k, n_k in zip(at, w.tolist(), theta.tolist(),
                                           dk.tolist(), n.tolist()):

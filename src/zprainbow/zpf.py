@@ -37,6 +37,7 @@ column, its (Re, Im) pair.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from queue import SimpleQueue
@@ -82,7 +83,7 @@ class Mode:
             raise InvalidArgumentError(
                 f"omega must lie in (0, 2), got {self.omega}")
         for name in ("omega", "theta_external", "theta_internal"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise InvalidArgumentError(f"{name} must be finite")
 
 

@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from geometry_oracle import (extraordinary_index, make_mode, mismatch,
                              pump_mode, refractive_index, wavevector)
 from zprainbow.dispersion import (CrystalSpec, PhaseMatchSolution,
-                                  SellmeierCoefficients, conjugate_leg,
-                                  effective_index, external_angle, match_band,
-                                  match_down, match_up, triples, up_leg,
-                                  wavelength_um)
+                                  SellmeierCoefficients, _conjugate,
+                                  _down_terms, _rows, _up, _up_terms,
+                                  conjugate_leg, effective_index,
+                                  external_angle, match_band, match_down,
+                                  match_up, triples, up_leg, wavelength_um)
 from zprainbow.errors import (DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.zpf import EXTRAORDINARY, ORDINARY, Mode
@@ -493,3 +494,78 @@ class TestClosedFormUpAngle:
                           <= side_max[~np.isnan(got)] * (1.0 + 1e-9))
             absent += np.isnan(got).sum()
         assert 0 < absent < 23 * len(theta)
+
+
+class TestBandTerms:
+    """match_band builds each leg's theta-free terms once per band and
+    indexes them; the legs must not tell that from the one-call form."""
+
+    LEGS = {"down": (conjugate_leg, _conjugate, _down_terms),
+            "up": (up_leg, _up, _up_terms)}
+
+    @pytest.mark.parametrize("process", ["down", "up"])
+    @pytest.mark.parametrize("material", sorted(MATERIALS))
+    def test_indexed_terms_equal_one_call_form(self, crystal, material,
+                                               process):
+        # the band reaches past both ends of the window; rows are indexed
+        # as the scan ([span, None] against a grid) and as a secant step
+        # (a row per angle) index them, and must equal the one-call form
+        # on the same arrays bit for bit, NaN positions included
+        spec = MATERIALS[material](crystal)
+        public, leg, terms_of = self.LEGS[process]
+        omega = np.linspace(0.18, 0.82, 23)
+        terms = terms_of(omega, spec)
+        theta = np.linspace(-1.5, 1.5, 301)
+        nan_seen = 0
+        for start in range(0, len(omega), 8):
+            span = slice(start, start + 8)
+            got = leg(_rows(terms, (span, None)), theta, spec)
+            want = public(omega[span, None], theta, spec)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.array_equal(g, w, equal_nan=True)
+            nan_seen += np.isnan(got[1]).sum()
+        rows = np.array([22, 3, 3, 0, 17, 9])
+        x = np.linspace(-1.2, 1.2, len(rows))
+        for g, w in zip(leg(_rows(terms, rows), x, spec),
+                        public(omega[rows], x, spec)):
+            assert np.array_equal(g, w, equal_nan=True)
+        assert 0 < nan_seen < len(omega) * len(theta)
+
+    def test_isotropic_up_terms_have_no_linear_coefficient(self, crystal):
+        # n_o == n_e, so the isotropic crystal above takes the up
+        # quadratic's case with no tan-linear term (1/n_o^2 - 1/n_e^2 = 0)
+        terms = _up_terms(np.linspace(0.40, 0.62, 12),
+                          MATERIALS["isotropic"](crystal))
+        assert np.array_equal(terms.no2, terms.ne2)
+
+    def test_birefringent_up_nan_inside_window(self, crystal):
+        # every wavelength is inside the window, so the terms are finite,
+        # yet no up wave carries the transverse momentum of a steep input
+        spec = MATERIALS["birefringent"](crystal)
+        terms = _up_terms(np.linspace(0.60, 0.82, 12), spec)
+        assert all(np.all(np.isfinite(a)) for a in terms)
+        theta_up = _up(_rows(terms, (slice(None), None)),
+                       np.linspace(0.0, 1.5, 301), spec)[0]
+        assert 0.0 < np.isnan(theta_up).mean() < 1.0
+
+    @pytest.mark.parametrize("process", ["down", "up"])
+    def test_sellmeier_sums_per_band_not_per_step(self, crystal, process,
+                                                  monkeypatch):
+        # one triples call takes the same number of Sellmeier sums on a
+        # 30-step as on a 1000-step band: none per scan chunk or per
+        # secant step
+        calls = []
+        n_squared = SellmeierCoefficients.n_squared
+
+        def counted(self, wavelength_um):
+            calls.append(1)
+            return n_squared(self, wavelength_um)
+
+        monkeypatch.setattr(SellmeierCoefficients, "n_squared", counted)
+        counts = []
+        for steps in (30, 1000):
+            calls.clear()
+            triples(process, np.linspace(0.44, 0.58, steps), crystal)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

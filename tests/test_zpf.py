@@ -364,6 +364,13 @@ class TestMode:
             Mode(0.5, 0.0, 0.0, "ordinary", "observer")
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Mode(0.5, math.nan, 0.0, "ordinary", "input")
+        # NaN and both infinities in each float field; a non-finite omega
+        # also falls outside (0, 2)
+        for value in (math.nan, math.inf, -math.inf):
+            for fields in ((value, 0.0, 0.0), (0.5, value, 0.0),
+                           (0.5, 0.0, value)):
+                with pytest.raises(InvalidArgumentError):
+                    Mode(*fields, "ordinary", "input")
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                Mode(0.5, 0.0, np.float64(value), "ordinary", "input")
 
