@@ -37,6 +37,7 @@ solution / empty band / a wavelength outside the transparency window,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -283,7 +284,7 @@ def _fmt(value) -> str:
 _BLOCK_ROWS = 8192
 # the rows a column source formats at once: the kernel's temporaries
 # stay small and in cache
-_CHUNK_ROWS = 1024
+_FORMAT_ROWS = 1024
 
 
 def _json_rows(header, rows) -> str:
@@ -376,7 +377,7 @@ def _write_share(fh, fmt, header, columns_of, start, stop) -> None:
 
     The rows are asked of columns_of in spans cut on the vacuum's
     TRIAL_BLOCK grid, so a source that draws the vacuum draws each trial
-    block at most once per share; each span is formatted, _CHUNK_ROWS rows
+    block at most once per share; each span is formatted, _FORMAT_ROWS rows
     at a time, and dropped before the next.  A JSON chunk follows ",\n",
     or "\n" when it holds row 0.
     """
@@ -384,8 +385,8 @@ def _write_share(fh, fmt, header, columns_of, start, stop) -> None:
         end = min(stop, (start // TRIAL_BLOCK + 1) * TRIAL_BLOCK)
         columns = [c[:, None] if c.ndim == 1 else c
                    for c in columns_of(start, end)]
-        for first in range(0, end - start, _CHUNK_ROWS):
-            chunk = [c[first:first + _CHUNK_ROWS] for c in columns]
+        for first in range(0, end - start, _FORMAT_ROWS):
+            chunk = [c[first:first + _FORMAT_ROWS] for c in columns]
             if fmt == "json":
                 fh.write(("\n" if start + first == 0 else ",\n")
                          + _json_lines(header, chunk))
@@ -698,7 +699,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="zprainbow",
         description="Zeropoint-field simulator of parametric down- and "

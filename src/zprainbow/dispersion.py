@@ -26,12 +26,13 @@ cannot carry the transverse momentum.  The up wave's extraordinary index
 depends on its own angle, so its balance is a quadratic in tan(theta_up),
 solved in closed form.
 
-match_band phase-matches a whole band of frequencies in one pass: an
-(omega x theta) grid brackets each frequency's smallest matched input
-angle, and all brackets are refined together.  What a leg takes from omega
-alone (the Sellmeier sums, window masks, wavelengths and wavenumbers, the
-pump's wavenumber) is built once per band, so the scan and each refining
-step do only the theta-dependent arithmetic; conjugate_leg and up_leg are
+match_band phase-matches a whole band of frequencies at once, in closed
+form.  What a leg takes from omega alone (the Sellmeier sums, window
+masks, wavelengths and wavenumbers, the pump's wavenumber) is built once
+per band.  From these each leg gives its candidate input angles: down
+conversion's momentum triangle fixes one, up conversion's index ellipse
+gives the roots of a quartic in tan(theta/2).  The smallest candidate at
+which the leg has no mismatch is the match; conjugate_leg and up_leg are
 the same legs in one call.  Each frequency gets a PhaseMatchSolution or
 the error that says why it has none.  match_down and match_up are its
 one-frequency calls.  triples adds the other leg to each match: the
@@ -49,15 +50,6 @@ import numpy as np
 from .errors import (DomainError, InvalidArgumentError, NoSolutionError,
                      present)
 from .zpf import EXTRAORDINARY, ORDINARY, Mode
-
-_SCAN_POINTS = 600
-# chunks bound memory on dense bands: both legs' match_band (shipped
-# crystal, 0.44-0.58, 1000 steps) peak at 1.2 MiB against 78 MiB unchunked,
-# whose grid grows with steps, and take no longer (53-54 against 55-59 ms)
-_CHUNK_ROWS = 8
-_ANGLE_TOL = 1e-12
-_MAX_ITER = 200
-
 
 @dataclass(frozen=True)
 class SellmeierCoefficients:
@@ -143,8 +135,8 @@ class PhaseMatchSolution:
 
     Angles are signed; for the down branch the output (conjugate) side is
     opposite to the input, for the up branch it is on the same side.
-    residual_dk is the longitudinal mismatch left by the solver, in 1/um
-    (transverse balance is exact by construction).
+    residual_dk is the longitudinal mismatch that rounding leaves at the
+    matched angle, in 1/um (transverse balance is exact by construction).
     """
 
     theta_in_internal: float
@@ -322,76 +314,70 @@ def up_leg(omega, theta, spec: CrystalSpec):
     return _up(_up_terms(omega, spec), np.asarray(theta, dtype=float), spec)
 
 
-def _first_roots(leg, terms, theta_max, spec):
-    """The smallest root of leg's dk_z on [0, theta_max) for each frequency
-    of terms.
-
-    Each row of an (omega x theta) grid of _SCAN_POINTS angles is scanned
-    for its first sign change, _CHUNK_ROWS rows at a time so that every
-    temporary stays small, and all brackets are refined together by a
-    secant step safeguarded by bisection.  The leg's theta-free terms are
-    built once per band: the scan takes them as [span, None] and each
-    secant step as [rows[j]].  A collinear tangency (dispersionless media)
-    is a root at zero.  NaN where there is none.
-    """
-    roots = np.full(len(theta_max), np.nan)
-    if not len(theta_max):
-        return roots
-    rows, lo, hi, f_lo, f_hi = [], [], [], [], []
-    for start in range(0, len(theta_max), _CHUNK_ROWS):
-        span = slice(start, start + _CHUNK_ROWS)
-        grid = np.linspace(0.0, theta_max[span], _SCAN_POINTS, axis=-1)
-        vals = leg(_rows(terms, (span, None)), grid, spec)[1]
-        change = (~np.isnan(vals[:, :-1]) & ~np.isnan(vals[:, 1:])
-                  & ((vals[:, :-1] < 0.0) != (vals[:, 1:] < 0.0)))
-        tangent = np.abs(vals[:, 0]) < 1e-12
-        r = np.flatnonzero(change.any(axis=1) & ~tangent)
-        i = change[r].argmax(axis=1)
-        roots[start + np.flatnonzero(tangent)] = 0.0
-        rows.append(start + r)
-        lo.append(grid[r, i])
-        hi.append(grid[r, i + 1])
-        f_lo.append(vals[r, i])
-        f_hi.append(vals[r, i + 1])
-    rows, lo, hi, f_lo, f_hi = (np.concatenate(x)
-                                for x in (rows, lo, hi, f_lo, f_hi))
-    exact = np.full(len(rows), np.nan)  # brackets whose secant hit f == 0
-    for _ in range(_MAX_ITER):
-        j = np.flatnonzero(np.isnan(exact) & (hi - lo >= _ANGLE_TOL))
-        if not len(j):
-            break
-        a, b, fa, fb = lo[j], hi[j], f_lo[j], f_hi[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = b - fb * (b - a) / (fb - fa)
-        x = np.where((fb != fa) & (a < x) & (x < b), x, 0.5 * (a + b))
-        fx = leg(_rows(terms, rows[j]), x, spec)[1]
-        exact[j] = np.where(fx == 0.0, x, np.nan)
-        low = (fx < 0.0) == (fa < 0.0)
-        lo[j], f_lo[j] = np.where(low, x, a), np.where(low, fx, fa)
-        hi[j], f_hi[j] = np.where(low, b, x), np.where(low, fb, fx)
-    roots[rows] = np.where(np.isnan(exact), 0.5 * (lo + hi), exact)
-    return roots
+def _down_roots(terms, spec):
+    """The input angle (a column) at which the momentum triangle k_pump =
+    k_in + k_conj closes, from the cancellation-free sin^2(theta/2) =
+    (k_c - k_p + k_in)(k_c + k_p - k_in) / (4 k_p k_in); a collinear
+    tangency can round it below zero."""
+    k_pump, k_in, k_conj = terms
+    s2 = ((k_conj - k_pump + k_in) * (k_conj + k_pump - k_in)
+          / (4.0 * k_pump * k_in))
+    with np.errstate(invalid="ignore"):
+        return 2.0 * np.arcsin(np.sqrt(np.maximum(s2, 0.0)))[:, None]
 
 
-# process -> (leg, its theta-free terms, output frequency, output polarization)
+def _up_roots(terms, spec):
+    """The input angles (a row of four) at which K = (k_in sin(theta), k_p +
+    k_in cos(theta)) lies on the up wave's index ellipse A K_x^2 + B K_x K_z
+    + C K_z^2 = k0^2: with u = tan(theta/2), (1 + u^2) K = (2 k_in u, k_p +
+    k_in + (k_p - k_in) u^2), a quartic in u.  The real part of each root
+    is taken; complex and backward-wave roots miss _up's mismatch."""
+    k_pump, k_in, lam_up, no2, ne2 = terms
+    c, s = math.cos(spec.cut_angle_rad), math.sin(spec.cut_angle_rad)
+    a, cc = s * s / no2 + c * c / ne2, c * c / no2 + s * s / ne2
+    b = 2.0 * c * s * (1.0 / ne2 - 1.0 / no2)
+    k02 = (2.0 * math.pi / lam_up) ** 2
+    p, m = k_pump + k_in, k_pump - k_in
+    quartic = np.stack([cc * m * m - k02, 2.0 * b * k_in * m,
+                        4.0 * a * k_in * k_in + 2.0 * cc * p * m - 2.0 * k02,
+                        2.0 * b * k_in * p, cc * p * p - k02], axis=-1)
+    companion = np.zeros((len(k_in), 4, 4))
+    companion[:, 0] = -quartic[:, 1:] / quartic[:, :1]
+    companion[:, 1:, :-1] = np.eye(3)
+    return 2.0 * np.arctan(np.linalg.eigvals(companion).real)
+
+
+def _first_match(leg, roots_of, terms, theta_max, spec):
+    """Per frequency of terms, the smallest candidate of roots_of in
+    [0, theta_max) at which leg's |dk_z| <= 1e-12 /um; NaN where none is."""
+    theta = roots_of(terms, spec)
+    dk = leg(_rows(terms, (slice(None), None)), theta, spec)[1]
+    matched = ((0.0 <= theta) & (theta < theta_max[:, None])
+               & (np.abs(dk) <= 1e-12))
+    return np.fmin.reduce(np.where(matched, theta, np.nan), axis=1)
+
+
+# process -> (leg, its theta-free terms, its candidate input angles,
+# output frequency, output polarization)
 _PROCESSES = {
-    "down": (_conjugate, _down_terms, lambda w: 1.0 - w, ORDINARY),
-    "up": (_up, _up_terms, lambda w: 1.0 + w, EXTRAORDINARY),
+    "down": (_conjugate, _down_terms, _down_roots, lambda w: 1.0 - w,
+             ORDINARY),
+    "up": (_up, _up_terms, _up_roots, lambda w: 1.0 + w, EXTRAORDINARY),
 }
 
 
 def match_band(process: str, omega, spec: CrystalSpec) -> list:
     """Phase-match `process` ("down" or "up") at every frequency of omega.
 
-    One pass over an (omega x theta) grid finds each frequency's smallest
-    input angle at which the process's leg has no mismatch, up to the
-    largest input angle that still refracts out of the crystal.  Returns,
+    Each frequency's smallest input angle at which the process's leg has
+    no mismatch, up to the largest input angle that still refracts out of
+    the crystal, comes from the leg's closed-form candidates.  Returns,
     per frequency, a PhaseMatchSolution or the error that says why there is
     none: DomainError where a wavelength of the leg is outside the window,
     NoSolutionError where no angle matches or an output is totally
     internally reflected.
     """
-    leg, terms_of, out_of, pol_out = _PROCESSES[process]
+    leg, terms_of, roots_of, out_of, pol_out = _PROCESSES[process]
     omega = np.asarray(omega, dtype=float)
     omega_out = out_of(omega)
     n_in = effective_index(omega, 0.0, ORDINARY, spec)
@@ -399,8 +385,8 @@ def match_band(process: str, omega, spec: CrystalSpec) -> list:
     at = np.flatnonzero(inside)
     terms = terms_of(omega, spec)
     theta_in = np.full(len(omega), np.nan)
-    theta_in[at] = _first_roots(
-        leg, _rows(terms, at),
+    theta_in[at] = _first_match(
+        leg, roots_of, _rows(terms, at),
         0.999 * np.arcsin(np.minimum(1.0, 1.0 / n_in[at])), spec)
     theta_out, residual = leg(terms, theta_in, spec)
     n_out = effective_index(omega_out, theta_out, pol_out, spec)
@@ -438,7 +424,7 @@ def triples(process: str, omega, spec: CrystalSpec) -> list:
     at = [k for k, sol in enumerate(found)
           if isinstance(sol, PhaseMatchSolution)]
     other = "up" if process == "down" else "down"
-    leg, terms_of, out_of, pol = _PROCESSES[other]
+    leg, terms_of, _, out_of, pol = _PROCESSES[other]
     w = omega[at]
     theta, dk = leg(terms_of(w, spec),
                     np.array([found[k].theta_in_internal for k in at]), spec)
