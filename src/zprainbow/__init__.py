@@ -8,8 +8,7 @@ run the same pipelines and cross-validate each other.
 
 from .coupling import (BogoliubovTransform, ThreeWaveSystem, apply,
                        convert_pair, integrate_three_wave,
-                       perturbative_transform, propagate_covariance,
-                       squeeze_pair)
+                       propagate_covariance, squeeze_pair)
 from .detection import ChannelRate, DetectorSpec, dark_rate_curve
 from .dispersion import (CrystalSpec, PhaseMatchSolution,
                          SellmeierCoefficients, match_down, match_up)
@@ -24,7 +23,7 @@ __all__ = [
     "DetectorSpec", "GaussianState", "Mode", "PhaseMatchSolution",
     "RainbowPoint", "RainbowTable", "SellmeierCoefficients", "ThreeWaveSystem",
     "apply", "convert_pair", "dark_rate_curve", "integrate_three_wave",
-    "match_down", "match_up", "perturbative_transform", "propagate_covariance",
-    "sample_vacuum", "sampled_state", "satellite_summary", "squeeze_pair",
-    "sweep", "vacuum_state",
+    "match_down", "match_up", "propagate_covariance", "sample_vacuum",
+    "sampled_state", "satellite_summary", "squeeze_pair", "sweep",
+    "vacuum_state",
 ]

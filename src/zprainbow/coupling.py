@@ -33,8 +33,7 @@ block's temporaries beside it.  The generator is a valid Bogoliubov
 generator (the passive part is anti-Hermitian, the pair part
 symmetric), so the map is symplectic for every mismatch; with dk = 0 the
 up leg reduces to the convert_pair closed form and the down leg to
-squeeze_pair.  perturbative_transform sums the Dyson series in the lab
-frame as an independent low-gain cross-check.
+squeeze_pair.
 A variant coupling model would plug in here as a different generator;
 everything downstream only consumes the resulting transform.
 
@@ -52,7 +51,6 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .zpf import GaussianState, check_symmetric
 
-_SERIES_CUT = 0.5  # |k L| below which oscillatory integrals switch to series
 # rows per block of apply: 192 KiB of a 3-mode table.  OpenBLAS runs a
 # complex product of M*N*K > 65,536 on its thread pool, which then spins
 # on after the product (a 3-mode block of 7282 rows or more wakes it);
@@ -181,37 +179,6 @@ class ThreeWaveSystem:
         return replace(self, g_up=0.0, phi_up=0.0, dk_up=0.0)
 
 
-def _term_matrices(system: ThreeWaveSystem):
-    """The generator as sum_c C_c e^{i k_c z} over constant 6x6 matrices.
-
-    Index order (a_w, a_s, a_u, a_w*, a_s*, a_u*); g converted to 1/um.
-    """
-    gd = system.g_down * 1e-3
-    gu = system.g_up * 1e-3
-    cd = gd * np.exp(1j * system.phi_down)
-    cu = gu * np.exp(1j * system.phi_up)
-    terms = []
-
-    m = np.zeros((6, 6), dtype=complex)   # pair creation, e^{+i dk_d z}
-    m[0, 4] = m[1, 3] = cd
-    terms.append((system.dk_down, m))
-
-    m = np.zeros((6, 6), dtype=complex)   # conjugate block, e^{-i dk_d z}
-    m[3, 1] = m[4, 0] = np.conj(cd)
-    terms.append((-system.dk_down, m))
-
-    m = np.zeros((6, 6), dtype=complex)   # up leg, e^{+i dk_u z}
-    m[2, 0] = cu
-    m[3, 5] = -cu
-    terms.append((system.dk_up, m))
-
-    m = np.zeros((6, 6), dtype=complex)   # up leg conjugates, e^{-i dk_u z}
-    m[0, 2] = -np.conj(cu)
-    m[5, 3] = np.conj(cu)
-    terms.append((-system.dk_up, m))
-    return terms
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of every matrix of an (N, n, n) stack by scaling and squaring
     of a truncated Taylor series.
@@ -278,55 +245,6 @@ def integrate_three_wave(system: ThreeWaveSystem) -> BogoliubovTransform:
     """Exact full-crystal transform of the coupled three-wave evolution:
     the one-system call of three_wave_matrices."""
     return BogoliubovTransform(three_wave_matrices([system])[0])
-
-
-def _int_exp(k, length):
-    """integral_0^L e^{ikz} dz, cancellation-safe."""
-    x = k * length / 2.0
-    return length * np.exp(1j * x) * np.sinc(x / math.pi)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _int_nested(k_outer, k_inner, length):
-    """integral_0^L e^{i k1 z} integral_0^z e^{i k2 z'} dz' dz.
-
-    The inner primitive is written as z e^{i k2 z / 2} sinc(k2 z / 2 pi),
-    exact for every k2 including zero; when the inner phase is large the
-    cancellation-free difference of two _int_exp terms is cheaper.
-    """
-    if abs(k_inner) * length >= _SERIES_CUT:
-        return (_int_exp(k_outer + k_inner, length)
-                - _int_exp(k_outer, length)) / (1j * k_inner)
-    panels = 1 + int((abs(k_outer) + abs(k_inner)) * length / 4.0)
-    edges = np.linspace(0.0, length, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    z = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    inner = z * np.exp(0.5j * k_inner * z) * np.sinc(k_inner * z / (2.0 * math.pi))
-    return complex(np.sum(w * np.exp(1j * k_outer * z) * inner))
-
-
-def perturbative_transform(system: ThreeWaveSystem, order: int) -> BogoliubovTransform:
-    """Dyson series of the three-wave evolution, truncated at `order`.
-
-    The mismatch phase integrals are evaluated in closed form, so this is
-    an integrator-independent cross-check of the low-gain regime.
-    """
-    if order not in (1, 2):
-        raise InvalidArgumentError("order must be 1 or 2")
-    terms = _term_matrices(system)
-    length = system.length_um
-    m = np.eye(6, dtype=complex)
-    for k, c in terms:
-        m = m + c * _int_exp(k, length)
-    if order == 2:
-        for k1, c1 in terms:
-            for k2, c2 in terms:
-                m = m + (c1 @ c2) * _int_nested(k1, k2, length)
-    return BogoliubovTransform(m)
 
 
 def apply(t: BogoliubovTransform, amplitudes: np.ndarray,

@@ -12,6 +12,11 @@ the threshold; window averaging is what suppresses vacuum dark counts.
 (The averaged-intensity window is a concrete stand-in for the detector's
 long integration time, many light oscillations per decision.)  Mean-rate
 quantities use expectation values directly and never threshold.
+
+The `darkrate` command takes its window sizes from `darkrate.windows` (or
+`--windows`), one DetectorSpec per size.  The config's
+`detector.window_samples` is read, validated and fingerprinted with the
+rainbow table, but no command uses it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,11 @@ ZEROPOINT = 0.5
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Threshold detector parameters, intensities in zeropoint units."""
+    """Threshold detector parameters, intensities in zeropoint units.
+
+    dark_rate_curve sets window_samples for each of its window sizes; the
+    config's detector.window_samples reaches no command's output.
+    """
 
     threshold: float = ZEROPOINT
     window_samples: int = 1

@@ -738,6 +738,7 @@ class TestSimulateCommand:
         assert np.array_equal(table[:, 0], np.arange(trials))
         values = np.ascontiguousarray(table[:, 1:])
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        out.unlink()
 
     # one row; a whole format block; a whole and a split vacuum block; two
     # vacuum blocks and a lone row; the benchmark's size, in its format
@@ -759,6 +760,7 @@ class TestSimulateCommand:
                          workers, "--format", fmt,
                          "--output", str(out)]) == EXIT_OK
             assert_same_text(out.read_bytes().decode(), expected)
+            out.unlink()
 
     @pytest.mark.parametrize("raw", [[], ["--raw-vacuum"]],
                              ids=["mapped", "raw"])
@@ -776,38 +778,44 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(zpf, "_fill_block", record)
         path = write_config(tmp_path, trials=trials)
+        out = tmp_path / "sim.csv"
         assert main(["--config", path, "simulate", *raw, "--workers", "1",
-                     "--output", str(tmp_path / "sim.csv")]) == EXIT_OK
+                     "--output", str(out)]) == EXIT_OK
         assert drawn == list(range(-(-trials // TRIAL_BLOCK)))
+        out.unlink()
 
     def test_memory_is_flat_in_trials(self, tmp_path):
         # tracemalloc sees numpy's buffers: one share writer holds a span
         # of the table and its text, never the whole amplitude table
         trials = 4 * (1 << 16) + 3
         path = write_config(tmp_path, trials=trials)
+        out = tmp_path / "sim.csv"
         tracemalloc.start()
         try:
             assert main(["--config", path, "simulate", "--workers", "1",
-                         "--output", str(tmp_path / "sim.csv")]) == EXIT_OK
+                         "--output", str(out)]) == EXIT_OK
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < trials * 3 * np.dtype(np.complex128).itemsize
+        out.unlink()
 
     def test_json_memory_matches_csv(self, tmp_path):
         # a finite JSON chunk is one %-operation on a repeated row layout,
         # not json.dumps(indent=2)'s pure-Python encoder
         path = write_config(tmp_path, trials=4 * (1 << 16) + 3)
+        out = tmp_path / "sim"
         peaks = {}
         for fmt in ("csv", "json"):
             tracemalloc.start()
             try:
                 assert main(["--config", path, "simulate", "--workers", "1",
                              "--format", fmt,
-                             "--output", str(tmp_path / "sim")]) == EXIT_OK
+                             "--output", str(out)]) == EXIT_OK
                 peaks[fmt] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            out.unlink()
         assert peaks["json"] < peaks["csv"] + 2 * 2 ** 20
 
     def test_share_writers_fork_after_blas_threads(self, tmp_path):
@@ -1091,25 +1099,36 @@ class TestExitCodeProperty:
     """Any config or --omega maps to a documented exit code, never a
     traceback."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True,
+    @settings(max_examples=120, deadline=None, derandomize=True,
               database=None)
     @given(MUTATIONS,
-           st.sampled_from(["angles", "ratios", "forced", "rainbow"]),
-           st.one_of(st.none(), st.floats()))
-    @example([("delete", ("engine",), None)], "ratios", math.nan)
-    @example([("set", ("seed",), -1)], "rainbow", None)
+           st.sampled_from(["angles", "ratios", "forced", "rainbow",
+                            "darkrate", "simulate"]),
+           st.one_of(st.none(), st.floats()),
+           st.lists(st.sampled_from(["--raw-vacuum", "--format=json"]),
+                    unique=True))
+    @example([("delete", ("engine",), None)], "ratios", math.nan, [])
+    @example([("set", ("seed",), -1)], "rainbow", None, [])
+    @example([("set", ("darkrate", "windows"), [[1.0, 2.0]])], "simulate",
+             0.5, ["--format=json"])
     def test_documented_exit_codes(self, fuzz_dir, mutations, command,
-                                   omega):
+                                   omega, simulate_flags):
         path = fuzz_dir / "cfg.json"
         path.write_text(json.dumps(mutate(SHIPPED, mutations)))
         argv = ["--config", str(path), command.replace("forced", "ratios"),
                 "--output", str(fuzz_dir / "out.csv")]
-        if command != "angles":
+        if command in ("darkrate", "simulate"):
+            # 256 trials fill the shipped 100-sample dark-rate window; a
+            # mutated trials or workers starts no long run and no pool
+            argv += ["--trials", "256", "--workers", "1"]
+        elif command != "angles":
             argv += ["--engine", "covariance"]
         if command == "forced":
             argv += ["--theta-low-deg", "10", "--theta-high-deg", "12"]
-        elif command == "ratios" and omega is not None:
+        elif command in ("ratios", "simulate") and omega is not None:
             argv.append(f"--omega={omega!r}")
+        if command == "simulate":
+            argv += simulate_flags
         try:
             code = main(argv)
         except SystemExit as e:   # argparse usage errors

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.linalg import expm
 
+from transform_oracle import (int_exp, int_nested, perturbative_transform,
+                              rk4_oracle, rotating_frame_oracle)
 from zprainbow.coupling import (BogoliubovTransform, ThreeWaveSystem, apply,
                                 convert_pair, integrate_three_wave,
-                                perturbative_transform, propagate_covariance,
-                                propagate_covariances, quadrature_matrix,
-                                squeeze_pair, three_wave_matrices, _int_exp,
-                                _int_nested, _term_matrices)
+                                propagate_covariance, propagate_covariances,
+                                quadrature_matrix, squeeze_pair,
+                                three_wave_matrices)
 from zprainbow.errors import InvalidArgumentError
 from zprainbow.zpf import (mode_intensities, sample_vacuum, sampled_state,
                            vacuum_state)
@@ -32,59 +32,6 @@ def generic_system(**overrides):
                   dk_down=0.17, dk_up=-0.09, length_mm=0.06)
     params.update(overrides)
     return ThreeWaveSystem(**params)
-
-
-def rotating_frame_oracle(system):
-    """Exact transform via a constant-coefficient rotating frame.
-
-    Absorbs the mismatch phases into frame rotations of all six stacked
-    amplitudes, exponentiates the constant 6x6 generator with scipy and
-    rotates back: none of the production code's 3x3 reduction, centred
-    frame or exponential.
-    """
-    gd = system.g_down * 1e-3 * np.exp(1j * system.phi_down)
-    gu = system.g_up * 1e-3 * np.exp(1j * system.phi_up)
-    kd, ku, length = system.dk_down, system.dk_up, system.length_um
-    a = np.zeros((6, 6), dtype=complex)
-    # frame rotation part
-    a[1, 1], a[2, 2] = -1j * kd, -1j * ku
-    a[4, 4], a[5, 5] = 1j * kd, 1j * ku
-    # couplings, constant in the rotating frame
-    a[0, 4] = gd
-    a[1, 3] = gd
-    a[3, 1] = np.conj(gd)
-    a[4, 0] = np.conj(gd)
-    a[2, 0] = gu
-    a[0, 2] = -np.conj(gu)
-    a[3, 5] = -gu
-    a[5, 3] = np.conj(gu)
-    frame_back = np.diag(np.exp(1j * np.array([0.0, kd, ku, 0.0, -kd, -ku])
-                                * length))
-    return BogoliubovTransform(frame_back @ expm(a * length))
-
-
-def rk4_oracle(system, n_steps=2000):
-    """Full-crystal transform by fixed-step RK4 in the lab frame.
-
-    Integrates the z-dependent 6x6 generator sum_c C_c e^{i k_c z}
-    directly, so unlike the production transform and
-    rotating_frame_oracle it never uses the rotating frame.
-    """
-    terms = _term_matrices(system)
-
-    def s_of_z(z_um):
-        return sum(m * np.exp(1j * k * z_um) for k, m in terms)
-
-    h = system.length_um / n_steps
-    m = np.eye(6, dtype=complex)
-    for i in range(n_steps):
-        z = i * h
-        k1 = s_of_z(z) @ m
-        k2 = s_of_z(z + 0.5 * h) @ (m + 0.5 * h * k1)
-        k3 = s_of_z(z + 0.5 * h) @ (m + 0.5 * h * k2)
-        k4 = s_of_z(z + h) @ (m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return BogoliubovTransform(m)
 
 
 # one fixed (derandomized) example set per test keeps the suite reproducible
@@ -319,7 +266,7 @@ class TestPhaseIntegrals:
                   epsabs=1e-13)[0]
         im = quad(lambda z: math.sin(k * z), 0.0, length, limit=500,
                   epsabs=1e-13)[0]
-        assert _int_exp(k, length) == pytest.approx(re + 1j * im, abs=5e-12)
+        assert int_exp(k, length) == pytest.approx(re + 1j * im, abs=5e-12)
 
     @pytest.mark.parametrize("k1,k2", [
         (0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (5.0, 1e-9), (5.0, -5.0),
@@ -341,8 +288,8 @@ class TestPhaseIntegrals:
 
         re = quad(lambda z: f(z).real, 0.0, length, limit=500, epsabs=1e-13)[0]
         im = quad(lambda z: f(z).imag, 0.0, length, limit=500, epsabs=1e-13)[0]
-        assert _int_nested(k1, k2, length) == pytest.approx(re + 1j * im,
-                                                            abs=5e-11)
+        assert int_nested(k1, k2, length) == pytest.approx(re + 1j * im,
+                                                           abs=5e-11)
 
 
 class TestApply:
