@@ -502,19 +502,13 @@ def cmd_angles(config: RunConfig) -> int:
     header = ("omega", "theta_d_int", "theta_d_ext", "theta_u_int",
               "theta_u_ext", "residual_down", "residual_up")
     omegas = sweep_grid(*config.sweep_band)
-    rows, n_down = [], 0
-    for omega, down, up in zip(omegas.tolist(),
-                               dp.match_band("down", omegas, config.crystal),
-                               dp.match_band("up", omegas, config.crystal)):
-        row = [omega] + [float("nan")] * 6
-        if isinstance(down, dp.PhaseMatchSolution):
-            row[1:3] = [down.theta_in_internal, down.theta_in_external]
-            row[5] = down.residual_dk
-            n_down += 1
-        if isinstance(up, dp.PhaseMatchSolution):
-            row[3:5] = [up.theta_in_internal, up.theta_in_external]
-            row[6] = up.residual_dk
-        rows.append(row)
+    band = dp.Band(omegas, config.crystal)
+    down, up = band.match("down"), band.match("up")
+    n_down = int(np.count_nonzero(down.present))
+    rows = np.stack([omegas, down.theta_internal[:, 0],
+                     down.theta_external[:, 0], up.theta_internal[:, 0],
+                     up.theta_external[:, 0], down.dk_down, up.dk_up],
+                    axis=1).tolist()
     if n_down == 0:
         raise BandError("no frequency in the sweep band phase matches")
     write_table(config.output_path, config.output_format, header, rows)

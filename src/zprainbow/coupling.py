@@ -21,9 +21,10 @@ with s = w0-w, u = w0+w; dk_* are longitudinal wavevector mismatches.
 The mismatch phases are the only z-dependence, so in a frame rotating
 with them the generator is constant and the exact transform is one
 matrix exponential, with no step count.  three_wave_matrices builds the
-transforms of many systems (a whole band) in one array pass, over one
-stacked exponential in which every item keeps its own number of
-squarings; integrate_three_wave is its one-system call.  Likewise
+transforms of many systems (a whole band) in one array pass from their
+coupling columns, over one stacked exponential in which every item keeps
+its own number of squarings; integrate_three_wave is its one-system
+call, and system_matrices its call on a list of ThreeWaveSystems.  Likewise
 propagate_covariances moves a covariance, one for the whole stack or one
 per transform, through a whole stack of transforms in one product, and
 propagate_covariance is its one-transform call on a GaussianState.
@@ -200,26 +201,40 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def three_wave_matrices(systems) -> np.ndarray:
-    """Exact full-crystal transforms of several three-wave systems, as an
-    (N, 6, 6) stack of matrices built in one array pass.
+# the coupling columns of three_wave_matrices, each a ThreeWaveSystem field
+_COLUMNS = ("g_down", "g_up", "phi_down", "phi_up", "dk_down", "dk_up",
+            "length_mm")
 
+
+def three_wave_matrices(g_down, g_up, phi_down, phi_up, dk_down, dk_up,
+                        length_mm) -> np.ndarray:
+    """Exact full-crystal transforms of N three-wave systems given as
+    columns, as an (N, 6, 6) stack of matrices built in one array pass.
+
+    Each argument is a column of N floats, or a scalar that every system
+    shares, in the units of a ThreeWaveSystem's field of that name: g_* per
+    mm, phi_* rad, dk_* per um, length_mm mm.
     (a_w, a_s*, a_u) evolve among themselves.  In the rotating frame
     b = a e^{i r z}, with frame frequencies r = (0, dk_d, -dk_u) + c,
     their generator is constant, so each map is one 3x3 exponential
     followed by the frame phases e^{-i r L}; (a_w*, a_s, a_u*) follow by
-    conjugation.  Item i is bit for bit integrate_three_wave(systems[i]).
+    conjugation.  Item i is bit for bit integrate_three_wave of system i.
     """
-    def column(name):
-        return np.array([getattr(s, name) for s in systems], dtype=float)
-
-    length_mm = column("length_mm")
-    gd = column("g_down") * length_mm * np.exp(1j * column("phi_down"))
-    gu = column("g_up") * length_mm * np.exp(1j * column("phi_up"))
+    g_down, g_up, phi_down, phi_up, dk_down, dk_up, length_mm = (
+        np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float))
+                              for c in (g_down, g_up, phi_down, phi_up,
+                                        dk_down, dk_up, length_mm))))
+    if (g_down < 0).any() or (g_up < 0).any():
+        raise InvalidArgumentError("couplings must be >= 0")
+    if (length_mm <= 0).any():
+        raise InvalidArgumentError("length_mm must be > 0")
+    n = len(length_mm)
+    gd = g_down * length_mm * np.exp(1j * phi_down)
+    gu = g_up * length_mm * np.exp(1j * phi_up)
     # r L; the common frequency c is free, and centring r keeps the
     # exponent's norm, hence the number of squarings, smallest
-    rl = (np.stack([np.zeros(len(systems)), column("dk_down"),
-                    -column("dk_up")], axis=1) * column("length_um")[:, None])
+    rl = (np.stack([np.zeros(n), dk_down, -dk_up], axis=1)
+          * (length_mm * 1e3)[:, None])
     rl -= 0.5 * (rl.max(axis=1) + rl.min(axis=1))[:, None]
     # beyond 2**53 rad the frame phases e^{-i r L} keep no significant
     # bit; a zero-gain crystal reaches this where no gain check can see it
@@ -229,22 +244,31 @@ def three_wave_matrices(systems) -> np.ndarray:
         raise InvalidArgumentError(
             f"crystal.length_mm: mismatch phase {phase[beyond][0]:.3g} rad "
             f"over the crystal exceeds 2**53 rad")
-    a = np.zeros((len(systems), 3, 3), dtype=complex)
+    a = np.zeros((n, 3, 3), dtype=complex)
     a[:, [0, 1, 2], [0, 1, 2]] = 1j * rl
     a[:, 0, 1], a[:, 0, 2] = gd, -np.conj(gu)
     a[:, 1, 0], a[:, 2, 0] = np.conj(gd), gu
     e = np.exp(-1j * rl)[:, :, None] * _expm(a)
-    m = np.zeros((len(systems), 6, 6), dtype=complex)
+    m = np.zeros((n, 6, 6), dtype=complex)
     w_s_u, conjugates = np.array([0, 4, 2]), np.array([3, 1, 5])
     m[:, w_s_u[:, None], w_s_u] = e
     m[:, conjugates[:, None], conjugates] = e.conj()
     return m
 
 
+def system_matrices(systems) -> np.ndarray:
+    """three_wave_matrices of a list of ThreeWaveSystems: the adapter that
+    reads their columns."""
+    return three_wave_matrices(*(
+        np.array([getattr(s, name) for s in systems], dtype=float)
+        for name in _COLUMNS))
+
+
 def integrate_three_wave(system: ThreeWaveSystem) -> BogoliubovTransform:
     """Exact full-crystal transform of the coupled three-wave evolution:
     the one-system call of three_wave_matrices."""
-    return BogoliubovTransform(three_wave_matrices([system])[0])
+    return BogoliubovTransform(three_wave_matrices(
+        *(getattr(system, name) for name in _COLUMNS))[0])
 
 
 def apply(t: BogoliubovTransform, amplitudes: np.ndarray,

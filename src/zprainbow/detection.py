@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,30 @@ class DetectorSpec:
             raise InvalidArgumentError("efficiency must lie in [0, 1]")
 
 
+class Rates(NamedTuple):
+    """Mean-rate columns of many channels, arrays of one shape."""
+
+    above_zeropoint: np.ndarray
+    photon_rate: np.ndarray
+    signed_rate: np.ndarray
+
+
+def rates(mean_intensity, theta_external) -> Rates:
+    """The rule from mean |alpha|^2 to rate, on arrays of channels.
+
+    The excess over the zeropoint is divided by the cosine of each
+    channel's external angle (an array that broadcasts against the
+    means): clamped at zero, that is the photon rate; unclamped, the
+    signed rate.  The cosines are math.cos of each angle, as numpy's
+    vector kernels need not round them alike on every CPU.
+    """
+    above = np.asarray(mean_intensity, dtype=float) - ZEROPOINT
+    theta = np.asarray(theta_external, dtype=float)
+    cos = np.array([math.cos(t) for t in theta.ravel().tolist()],
+                   dtype=float).reshape(theta.shape)
+    return Rates(above, np.maximum(above, 0.0) / cos, above / cos)
+
+
 @dataclass(frozen=True)
 class ChannelRate:
     """Mean-rate summary of one output channel."""
@@ -65,12 +90,12 @@ class ChannelRate:
 
     @classmethod
     def from_mean(cls, mode: Mode, mean_intensity: float) -> "ChannelRate":
-        """Summary of a channel with the given mean |alpha|^2."""
-        mean = float(mean_intensity)
-        above = mean - ZEROPOINT
-        return cls(mode=mode, mean_intensity=mean, above_zeropoint=above,
-                   photon_rate=max(above, 0.0) / math.cos(mode.theta_external),
-                   detected=above > 0.0)
+        """Summary of a channel with the given mean |alpha|^2: one channel
+        of rates."""
+        above, rate, _ = rates(mean_intensity, mode.theta_external)
+        return cls(mode=mode, mean_intensity=float(mean_intensity),
+                   above_zeropoint=float(above), photon_rate=float(rate),
+                   detected=bool(above > 0.0))
 
     @property
     def signed_rate(self) -> float:
@@ -78,28 +103,41 @@ class ChannelRate:
         return self.above_zeropoint / math.cos(self.mode.theta_external)
 
 
-def ratio_down(rate_low: ChannelRate, rate_high: ChannelRate) -> float:
-    """Down-conversion photon-rate ratio between the conjugate channels.
+def down_ratios(low, high) -> np.ndarray:
+    """Down-conversion photon-rate ratio between the conjugate channels
+    low and high (Rates, or ChannelRates): per pair, low's photon rate over
+    high's, NaN unless both are above the zeropoint.
 
     For equal above-zeropoint intensities this equals
     cos(theta_high) / cos(theta_low): the rate asymmetry is pure geometry.
-    NaN unless both channels are detected.
     """
-    if not (rate_low.detected and rate_high.detected):
-        return math.nan
-    return rate_low.photon_rate / rate_high.photon_rate
+    low_rate, high_rate = (np.asarray(c.photon_rate, dtype=float)
+                           for c in (low, high))
+    detected = ((np.asarray(low.above_zeropoint) > 0.0)
+                & (np.asarray(high.above_zeropoint) > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(detected, low_rate / high_rate, np.nan)
+
+
+def up_ratios(low, high) -> np.ndarray:
+    """Signed up-conversion rate ratio, lower channel over upper (Rates,
+    or ChannelRates): both signed rates, so the ratio carries the sign of
+    the upper channel's excess; NaN where that excess is exactly 0."""
+    low_rate, high_rate = (np.asarray(c.signed_rate, dtype=float)
+                           for c in (low, high))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.asarray(high.above_zeropoint) == 0.0, np.nan,
+                        low_rate / high_rate)
+
+
+def ratio_down(rate_low: ChannelRate, rate_high: ChannelRate) -> float:
+    """down_ratios of one pair of ChannelRates."""
+    return float(down_ratios(rate_low, rate_high))
 
 
 def ratio_up(rate_low: ChannelRate, rate_high: ChannelRate) -> float:
-    """Signed up-conversion rate ratio, lower channel over upper.
-
-    Both channels use their unclamped rates, so the ratio carries the sign
-    of the upper channel's excess.  NaN where the upper channel sits
-    exactly at the zeropoint.
-    """
-    if rate_high.above_zeropoint == 0.0:
-        return math.nan
-    return rate_low.signed_rate / rate_high.signed_rate
+    """up_ratios of one pair of ChannelRates."""
+    return float(up_ratios(rate_low, rate_high))
 
 
 def threshold_counts(intensities: np.ndarray, spec: DetectorSpec,

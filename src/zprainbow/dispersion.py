@@ -26,23 +26,29 @@ cannot carry the transverse momentum.  The up wave's extraordinary index
 depends on its own angle, so its balance is a quadratic in tan(theta_up),
 solved in closed form.
 
-match_band phase-matches a whole band of frequencies at once, in closed
+A Band phase-matches a whole band of frequencies at once, in closed
 form.  What a leg takes from omega alone (the Sellmeier sums, window
 masks, wavelengths and wavenumbers, the pump's wavenumber) is built once
-per band.  From these each leg gives its candidate input angles: down
-conversion's momentum triangle fixes one, up conversion's index ellipse
-gives the roots of a quartic in tan(theta/2).  The smallest candidate at
-which the leg has no mismatch is the match; conjugate_leg and up_leg are
-the same legs in one call.  Each frequency gets a PhaseMatchSolution or
-the error that says why it has none.  match_down and match_up are its
-one-frequency calls.  triples adds the other leg to each match: the
-refracted triple and both mismatches, or why there is none.
+per band, and shared by both processes.  From these each leg gives its
+candidate input angles: down conversion's momentum triangle fixes one,
+up conversion's index ellipse gives the roots of a quartic in
+tan(theta/2).  The smallest candidate at which the leg has no mismatch
+is the match; conjugate_leg and up_leg are the same legs in one call.
+A band's result is one Geometry record of columns: each frequency's
+internal and external angles, both mismatches and a present mask, and
+for each absent frequency only, the error that says why it has none.
+Refraction stays scalar math.asin per matched item, as in
+external_angle.  Band.match (match_band) fills in the process's own leg,
+Band.triples (triples) adds the other leg to each match.  match_down and
+match_up are its one-frequency calls and the only place a
+PhaseMatchSolution is built; Geometry.modes builds one frequency's Modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -158,14 +164,19 @@ def _in_window(wavelength, spec):
     return (lo <= wavelength) & (wavelength <= hi)
 
 
+def _window_error(wavelength: float, spec):
+    """The DomainError of a wavelength outside the window."""
+    lo, hi = spec.window_um
+    return DomainError(
+        f"wavelength {wavelength:.5g} um outside window [{lo}, {hi}] um")
+
+
 def check_window(wavelength, spec: CrystalSpec) -> None:
     """Raise DomainError naming the first wavelength outside the window."""
     w = np.ravel(wavelength)
     outside = w[~_in_window(w, spec)]
     if len(outside):
-        lo, hi = spec.window_um
-        raise DomainError(
-            f"wavelength {outside[0]:.5g} um outside window [{lo}, {hi}] um")
+        raise _window_error(outside[0], spec)
 
 
 def _ellipse_index(no2, ne2, psi):
@@ -234,16 +245,11 @@ class _UpTerms(NamedTuple):
 
 
 def _down_terms(omega, spec):
-    return _DownTerms(_wavenumber(1.0, 0.0, spec.pump_polarization, spec),
-                      _wavenumber(omega, 0.0, ORDINARY, spec),
-                      _wavenumber(1.0 - omega, 0.0, ORDINARY, spec))
+    return Band(omega, spec).down_terms
 
 
 def _up_terms(omega, spec):
-    return _UpTerms(_wavenumber(1.0, 0.0, spec.pump_polarization, spec),
-                    _wavenumber(omega, 0.0, ORDINARY, spec),
-                    wavelength_um(1.0 + omega, spec),
-                    *_index_squares(1.0 + omega, spec))
+    return Band(omega, spec).up_terms
 
 
 def _rows(terms, index):
@@ -357,100 +363,220 @@ def _first_match(leg, roots_of, terms, theta_max, spec):
     return np.fmin.reduce(np.where(matched, theta, np.nan), axis=1)
 
 
-# process -> (leg, its theta-free terms, its candidate input angles,
-# output frequency, output polarization)
+# process -> (leg, the Band attribute of its theta-free terms, its
+# candidate input angles, output frequency, the output's wave in a triple)
 _PROCESSES = {
-    "down": (_conjugate, _down_terms, _down_roots, lambda w: 1.0 - w,
-             ORDINARY),
-    "up": (_up, _up_terms, _up_roots, lambda w: 1.0 + w, EXTRAORDINARY),
+    "down": (_conjugate, "down_terms", _down_roots, lambda w: 1.0 - w, 1),
+    "up": (_up, "up_terms", _up_roots, lambda w: 1.0 + w, 2),
 }
 
 
-def match_band(process: str, omega, spec: CrystalSpec) -> list:
-    """Phase-match `process` ("down" or "up") at every frequency of omega.
+class Geometry(NamedTuple):
+    """The (omega, 1 - omega, 1 + omega) triples of a band, as columns.
 
-    Each frequency's smallest input angle at which the process's leg has
-    no mismatch, up to the largest input angle that still refracts out of
-    the crystal, comes from the leg's closed-form candidates.  Returns,
-    per frequency, a PhaseMatchSolution or the error that says why there is
-    none: DomainError where a wavelength of the leg is outside the window,
-    NoSolutionError where no angle matches or an output is totally
-    internally reflected.
+    theta_internal and theta_external are (N, 3) arrays of signed angles in
+    rad, one row per frequency: the ordinary input at omega, the ordinary
+    conjugate at 1 - omega and the extraordinary up-converted wave at
+    1 + omega.  dk_down and dk_up are the down and up legs' longitudinal
+    mismatches in 1/um.  present marks the frequencies that have the
+    geometry; reasons maps the index of every other frequency to the
+    DomainError or NoSolutionError that says why not, and its row is NaN.
     """
-    leg, terms_of, roots_of, out_of, pol_out = _PROCESSES[process]
-    omega = np.asarray(omega, dtype=float)
-    omega_out = out_of(omega)
-    n_in = effective_index(omega, 0.0, ORDINARY, spec)
-    inside = ~np.isnan(n_in) & _in_window(wavelength_um(omega_out, spec), spec)
-    at = np.flatnonzero(inside)
-    terms = terms_of(omega, spec)
-    theta_in = np.full(len(omega), np.nan)
-    theta_in[at] = _first_match(
-        leg, roots_of, _rows(terms, at),
-        0.999 * np.arcsin(np.minimum(1.0, 1.0 / n_in[at])), spec)
-    theta_out, residual = leg(terms, theta_in, spec)
-    n_out = effective_index(omega_out, theta_out, pol_out, spec)
-    found = []
-    for k, w in enumerate(omega.tolist()):
+
+    omega: np.ndarray
+    theta_internal: np.ndarray
+    theta_external: np.ndarray
+    dk_down: np.ndarray
+    dk_up: np.ndarray
+    present: np.ndarray
+    reasons: dict
+
+    @classmethod
+    def of(cls, omega, theta_internal, theta_external, dk_down, dk_up,
+           reasons):
+        """The record with present and the NaN rows taken from reasons
+        (the arrays are masked in place)."""
+        present = np.ones(len(omega), dtype=bool)
+        present[list(reasons)] = False
+        for column in (theta_internal, theta_external, dk_down, dk_up):
+            column[~present] = np.nan
+        return cls(omega, theta_internal, theta_external, dk_down, dk_up,
+                   present, reasons)
+
+    @classmethod
+    def absent(cls, omega, reason_of):
+        """Every frequency of omega absent, each for its own reason_of()."""
+        n = len(omega)
+        return cls.of(np.asarray(omega, dtype=float), np.empty((n, 3)),
+                      np.empty((n, 3)), np.empty(n), np.empty(n),
+                      {k: reason_of() for k in range(n)})
+
+    def modes(self, k: int) -> tuple:
+        """The refracted Modes of frequency k's triple, which is present."""
+        w = float(self.omega[k])
+        (t_in, t_conj, t_up), (e_in, e_conj, e_up) = (
+            self.theta_internal[k].tolist(), self.theta_external[k].tolist())
+        return (Mode(w, e_in, t_in, ORDINARY, "input"),
+                Mode(1.0 - w, e_conj, t_conj, ORDINARY, "signal"),
+                Mode(1.0 + w, e_up, t_up, EXTRAORDINARY, "signal"))
+
+
+def _refract(theta, n, reasons):
+    """external_angle of each item of the columns theta and n whose index
+    has no reason yet, NaN elsewhere; an item that is totally internally
+    reflected takes that as its reason."""
+    theta_ext = []
+    for k, (t, n_k) in enumerate(zip(theta.tolist(), n.tolist())):
         try:
-            if not inside[k]:
-                check_window(wavelength_um(np.array([w, omega_out[k]]), spec),
-                             spec)
-            if math.isnan(theta_in[k]):
-                raise NoSolutionError(
-                    f"no {process}-conversion phase match at omega={w:g}")
-            found.append(PhaseMatchSolution(
-                theta_in_internal=float(theta_in[k]),
-                theta_in_external=external_angle(theta_in[k], n_in[k]),
-                theta_out_internal=float(theta_out[k]),
-                theta_out_external=external_angle(theta_out[k], n_out[k]),
-                residual_dk=float(residual[k])))
-        except (DomainError, NoSolutionError) as err:
+            theta_ext.append(math.nan if k in reasons
+                             else external_angle(t, n_k))
+        except NoSolutionError as err:
             # without its traceback, which would tie this frame (and its
-            # arrays) into a cycle through `found` until the next gc pass
-            found.append(err.with_traceback(None))
-    return found
+            # arrays) into a cycle through `reasons`
+            reasons[k] = err.with_traceback(None)
+            theta_ext.append(math.nan)
+    return np.array(theta_ext, dtype=float)
 
 
-def triples(process: str, omega, spec: CrystalSpec) -> list:
-    """Per frequency of omega, the `process`-matched triple (modes,
-    dk_down, dk_up), or the DomainError or NoSolutionError that says why
-    there is none.  The modes (ordinary input at omega, ordinary 1 - omega,
-    extraordinary 1 + omega) are refracted; dk_* are in 1/um.  The input
-    and the process's own leg come from match_band, the other leg from one
-    pass over the matched frequencies."""
-    omega = np.asarray(omega, dtype=float)
-    found = match_band(process, omega, spec)
-    at = [k for k, sol in enumerate(found)
-          if isinstance(sol, PhaseMatchSolution)]
-    other = "up" if process == "down" else "down"
-    leg, terms_of, _, out_of, pol = _PROCESSES[other]
-    w = omega[at]
-    theta, dk = leg(terms_of(w, spec),
-                    np.array([found[k].theta_in_internal for k in at]), spec)
-    n = effective_index(out_of(w), theta, pol, spec)
-    for k, w_k, theta_k, dk_k, n_k in zip(at, w.tolist(), theta.tolist(),
-                                          dk.tolist(), n.tolist()):
-        sol = found[k]
-        try:
-            if math.isnan(theta_k):
-                check_window(wavelength_um(out_of(w_k), spec), spec)
-                raise NoSolutionError(
-                    "the conjugate or the up-converted wave cannot balance "
-                    "the transverse momentum")
-            # (internal angle, external angle, mismatch) of each leg
-            legs = {process: (sol.theta_out_internal, sol.theta_out_external,
-                              sol.residual_dk),
-                    other: (theta_k, external_angle(theta_k, n_k), dk_k)}
-            (t_d, e_d, dk_down), (t_u, e_u, dk_up) = legs["down"], legs["up"]
-            found[k] = ((Mode(w_k, sol.theta_in_external,
-                              sol.theta_in_internal, ORDINARY, "input"),
-                         Mode(1.0 - w_k, e_d, t_d, ORDINARY, "signal"),
-                         Mode(1.0 + w_k, e_u, t_u, EXTRAORDINARY, "signal")),
-                        dk_down, dk_up)
-        except (DomainError, NoSolutionError) as err:
-            found[k] = err.with_traceback(None)
-    return found
+class Band:
+    """The frequencies omega of one crystal, phase-matched as columns.
+
+    What a leg takes from omega alone (the Sellmeier sums, window masks,
+    wavelengths and wavenumbers, the pump's wavenumber) is built once per
+    band, on first use, and shared by both processes and both legs.
+    """
+
+    def __init__(self, omega, spec: CrystalSpec):
+        self.omega = np.asarray(omega, dtype=float)
+        self.spec = spec
+
+    def _wavenumber(self, omega, n):
+        return 2.0 * math.pi * n / wavelength_um(omega, self.spec)
+
+    @cached_property
+    def _n_in(self):
+        return effective_index(self.omega, 0.0, ORDINARY, self.spec)
+
+    @cached_property
+    def _n_conj(self):
+        return effective_index(1.0 - self.omega, 0.0, ORDINARY, self.spec)
+
+    @cached_property
+    def _k_pump(self):
+        return _wavenumber(1.0, 0.0, self.spec.pump_polarization, self.spec)
+
+    @cached_property
+    def _k_in(self):
+        return self._wavenumber(self.omega, self._n_in)
+
+    @cached_property
+    def down_terms(self) -> _DownTerms:
+        return _DownTerms(self._k_pump, self._k_in,
+                          self._wavenumber(1.0 - self.omega, self._n_conj))
+
+    @cached_property
+    def up_terms(self) -> _UpTerms:
+        return _UpTerms(self._k_pump, self._k_in,
+                        wavelength_um(1.0 + self.omega, self.spec),
+                        *_index_squares(1.0 + self.omega, self.spec))
+
+    def _n_out(self, process, rows, theta):
+        """The index of the process's output wave at the frequencies
+        [rows] and the internal angles theta."""
+        if process == "down":
+            return self._n_conj[rows]
+        up = self.up_terms
+        return _ellipse_index(up.no2[rows], up.ne2[rows],
+                              self.spec.cut_angle_rad + theta)
+
+    def match(self, process: str) -> Geometry:
+        """Phase-match `process` ("down" or "up") at every frequency.
+
+        Each frequency's smallest input angle at which the process's leg
+        has no mismatch, up to the largest input angle that still refracts
+        out of the crystal, comes from the leg's closed-form candidates.
+        Returns the band's Geometry with the input and the process's own
+        output filled in, the other output's angles and mismatch NaN.  A
+        frequency is absent with a DomainError where a wavelength of the
+        leg is outside the window, with a NoSolutionError where no angle
+        matches or a wave is totally internally reflected.
+        """
+        leg, terms_of, roots_of, out_of, out = _PROCESSES[process]
+        omega, spec, n_in = self.omega, self.spec, self._n_in
+        lam_out = wavelength_um(out_of(omega), spec)
+        inside = ~np.isnan(n_in) & _in_window(lam_out, spec)
+        at = np.flatnonzero(inside)
+        terms = getattr(self, terms_of)
+        theta_in = np.full(len(omega), np.nan)
+        theta_in[at] = _first_match(
+            leg, roots_of, _rows(terms, at),
+            0.999 * np.arcsin(np.minimum(1.0, 1.0 / n_in[at])), spec)
+        theta_out, residual = leg(terms, theta_in, spec)
+        # the first of the leg's wavelengths outside the window: the
+        # input's where its index is NaN
+        lam = np.where(np.isnan(n_in), wavelength_um(omega, spec), lam_out)
+        reasons = {k: _window_error(lam[k], spec)
+                   for k in np.flatnonzero(~inside).tolist()}
+        for k in np.flatnonzero(inside & np.isnan(theta_in)).tolist():
+            reasons[k] = NoSolutionError(
+                f"no {process}-conversion phase match at omega={omega[k]:g}")
+        theta = np.full((len(omega), 3), np.nan)
+        theta_ext = np.full((len(omega), 3), np.nan)
+        dk = np.full((2, len(omega)), np.nan)
+        theta[:, 0], theta[:, out], dk[out - 1] = theta_in, theta_out, residual
+        theta_ext[:, 0] = _refract(theta_in, n_in, reasons)
+        theta_ext[:, out] = _refract(
+            theta_out, self._n_out(process, slice(None), theta_out), reasons)
+        return Geometry.of(omega, theta, theta_ext, *dk, reasons)
+
+    def triples(self, process: str) -> Geometry:
+        """The band's Geometry at the `process`-matched input angles: each
+        frequency's refracted triple and both mismatches, or why there is
+        none.  The input and the process's own leg come from match, the
+        other leg from one pass over the matched frequencies."""
+        found = self.match(process)
+        other = "up" if process == "down" else "down"
+        leg, terms_of, _, out_of, out = _PROCESSES[other]
+        at = np.flatnonzero(found.present)
+        theta, dk = leg(_rows(getattr(self, terms_of), at),
+                        found.theta_internal[at, 0], self.spec)
+        lam = wavelength_um(out_of(self.omega[at]), self.spec)
+        inside = _in_window(lam, self.spec)
+        reasons = {j: NoSolutionError("the conjugate or the up-converted "
+                                      "wave cannot balance the transverse "
+                                      "momentum")
+                   if inside[j] else _window_error(lam[j], self.spec)
+                   for j in np.flatnonzero(np.isnan(theta)).tolist()}
+        found.theta_external[at, out] = _refract(
+            theta, self._n_out(other, at, theta), reasons)
+        found.theta_internal[at, out] = theta
+        (found.dk_down if other == "down" else found.dk_up)[at] = dk
+        return Geometry.of(
+            self.omega, found.theta_internal, found.theta_external,
+            found.dk_down, found.dk_up,
+            found.reasons | {int(at[j]): err for j, err in reasons.items()})
+
+
+def match_band(process: str, omega, spec: CrystalSpec) -> Geometry:
+    """Band(omega, spec).match(process): one process on its own band."""
+    return Band(omega, spec).match(process)
+
+
+def triples(process: str, omega, spec: CrystalSpec) -> Geometry:
+    """Band(omega, spec).triples(process): one process on its own band."""
+    return Band(omega, spec).triples(process)
+
+
+def _solution(process, omega, spec):
+    """match_band at one frequency, as a PhaseMatchSolution."""
+    found = match_band(process, [omega], spec)
+    present(found.reasons.get(0))
+    out = _PROCESSES[process][-1]
+    return PhaseMatchSolution(
+        float(found.theta_internal[0, 0]), float(found.theta_external[0, 0]),
+        float(found.theta_internal[0, out]),
+        float(found.theta_external[0, out]),
+        float((found.dk_down, found.dk_up)[out - 1][0]))
 
 
 def match_down(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
@@ -462,7 +588,7 @@ def match_down(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
     """
     if not 0.0 < omega < 1.0:
         raise InvalidArgumentError("down conversion needs 0 < omega < 1")
-    return present(match_band("down", [omega], spec)[0])
+    return _solution("down", omega, spec)
 
 
 def match_up(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
@@ -474,4 +600,4 @@ def match_up(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
     """
     if omega <= 0.0:
         raise InvalidArgumentError("up conversion needs omega > 0")
-    return present(match_band("up", [omega], spec)[0])
+    return _solution("up", omega, spec)

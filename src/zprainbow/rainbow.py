@@ -15,24 +15,27 @@ The eq1_ratio column isolates the pair process (up-conversion coupling
 off) so it reflects the pure geometric cosine asymmetry; main_rate and
 conjugate_rate keep the full three-wave physics.
 
-dispersion.triples builds the band's matched triples, or says why one is
-missing: that point is absent (NaN fields), never extrapolated.  This
-module only attaches the couplings; pdc_system and puc_system are the
-one-frequency calls.
-Both engines share one path from the vacuum to the rates, channel_rates,
-which builds the transforms of all its systems (the sweep's whole band)
-in one stacked pass, coupling.three_wave_matrices.  The engines differ
-only in the input covariances: `covariance` takes the exact vacuum
-(zpf.vacuum_state) for every transform; `montecarlo` samples every
-vacuum of the stack in one pass (zpf.sampled_states) and gives each
-transform the raw second moments of its vacuum, which yields the trial
-means of |T alpha|^2 up to rounding.  One stacked product,
-coupling.propagate_covariances, then serves both.  evaluate is that pass
-for the sweep and for the CLI's ratios report.  At a sweep point the main
-and pair-only systems share one vacuum and the satellite has its own,
-each from a per-point seed derived from the master seed only where a
-vacuum is sampled; the ratios report's systems all share the master
-seed's vacuum.
+The sweep works on columns from start to end.  One dispersion.Band
+gives both processes' matched triples as Geometry records of columns,
+each absent point with the error that says why: that point is absent
+(NaN fields), never extrapolated.  The main, pair-only and satellite
+systems' coupling columns are stacked straight from those records into
+one coupling.three_wave_matrices call, and every rate and ratio column
+comes from their means by detection.rates, down_ratios and up_ratios.
+No Mode, ThreeWaveSystem or ChannelRate is built on that path; only the
+one-frequency calls build them: pdc_system and puc_system, and
+evaluate's ChannelRates for the CLI's ratios report.
+Both engines share one path from the vacuum to the means,
+mean_intensities.  The engines differ only in the input covariances:
+`covariance` takes the exact vacuum (zpf.vacuum_state) for every
+transform; `montecarlo` samples every vacuum of the stack in one pass
+(zpf.sampled_states) and gives each transform the raw second moments of
+its vacuum, which yields the trial means of |T alpha|^2 up to rounding.
+One stacked product, coupling.propagate_covariances, then serves both.
+At a sweep point the main and pair-only systems share one vacuum and the
+satellite has its own, each from a per-point seed derived from the
+master seed only where a vacuum is sampled; the ratios report's systems
+all share the master seed's vacuum.
 """
 
 from __future__ import annotations
@@ -41,12 +44,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import coupling as cp
 from . import dispersion as dp
-from .detection import ChannelRate, DetectorSpec, ratio_down, ratio_up
+from .detection import (ChannelRate, DetectorSpec, Rates, down_ratios, rates,
+                        up_ratios)
 from .errors import (BandError, InvalidArgumentError, NoSolutionError,
                      present)
 from .zpf import mode_intensities, sampled_states, vacuum_state
@@ -119,33 +124,39 @@ def _point_seed(seed: int, index: int, slot: int) -> int:
 def pdc_system(crystal: dp.CrystalSpec, omega: float,
                couplings: Couplings) -> cp.ThreeWaveSystem:
     """Three-wave system at the down-conversion-matched geometry."""
-    return present(_systems("down", crystal, [omega], couplings)[0])
+    return _system("down", crystal, omega, couplings)
 
 
 def puc_system(crystal: dp.CrystalSpec, omega: float,
                couplings: Couplings) -> cp.ThreeWaveSystem:
     """Three-wave system at the up-conversion-matched geometry."""
-    return present(_systems("up", crystal, [omega], couplings)[0])
+    return _system("up", crystal, omega, couplings)
 
 
-def _systems(process, crystal, omegas, couplings) -> list:
-    """dp.triples with the couplings, the crystal gain and length
-    attached: each omega's three-wave system, or why there is none.
-    Without an up-conversion coupling there is no "up" process at all."""
-    g_up = crystal.gain_per_mm if couplings.g_up is None else couplings.g_up
-    if process == "up" and g_up == 0.0:
-        return [NoSolutionError("no up-conversion: its coupling g_up is 0")
-                for _ in omegas]
-    found = dp.triples(process, omegas, crystal)
-    for i, triple in enumerate(found):
-        if isinstance(triple, tuple):
-            modes, dk_down, dk_up = triple
-            found[i] = cp.ThreeWaveSystem(
-                g_down=crystal.gain_per_mm, g_up=g_up,
-                phi_down=couplings.phi_down, phi_up=couplings.phi_up,
-                dk_down=dk_down, dk_up=dk_up,
-                length_mm=crystal.length_mm, modes=modes)
-    return found
+def _g_up(crystal, couplings):
+    return crystal.gain_per_mm if couplings.g_up is None else couplings.g_up
+
+
+def _triples(process, band: dp.Band, couplings) -> dp.Geometry:
+    """The band's process-matched triples, or why there is none at each
+    omega: without an up-conversion coupling there is no "up" process at
+    all."""
+    if process == "up" and _g_up(band.spec, couplings) == 0.0:
+        return dp.Geometry.absent(band.omega, lambda: NoSolutionError(
+            "no up-conversion: its coupling g_up is 0"))
+    return band.triples(process)
+
+
+def _system(process, crystal, omega, couplings):
+    """The process's triple at omega with the couplings, the crystal gain
+    and length attached, or raise why there is none."""
+    found = _triples(process, dp.Band([omega], crystal), couplings)
+    present(found.reasons.get(0))
+    return cp.ThreeWaveSystem(
+        g_down=crystal.gain_per_mm, g_up=_g_up(crystal, couplings),
+        phi_down=couplings.phi_down, phi_up=couplings.phi_up,
+        dk_down=float(found.dk_down[0]), dk_up=float(found.dk_up[0]),
+        length_mm=crystal.length_mm, modes=found.modes(0))
 
 
 def mean_intensities(matrices, engine: str, trials: int, seed: int,
@@ -180,15 +191,56 @@ def mean_intensities(matrices, engine: str, trials: int, seed: int,
     return mode_intensities(cp.propagate_covariances(matrices, covariances))
 
 
-def channel_rates(systems, engine: str, trials: int, seed: int,
-                  workers: int = 1, vacua=None) -> list[list[ChannelRate]]:
-    """Every mode's ChannelRate for each system, all transforms built in
-    one stacked pass; vacua groups the systems by the Monte Carlo vacuum
-    they act on, as in mean_intensities (by default all share one)."""
-    means = mean_intensities(cp.three_wave_matrices(systems), engine, trials,
-                             seed, workers, vacua)
-    return [[ChannelRate.from_mean(m, v) for m, v in zip(s.modes, mean)]
-            for s, mean in zip(systems, means)]
+class _Columns(NamedTuple):
+    """evaluate's columns over a band of N frequencies."""
+
+    main: dp.Geometry        # the down-matched triples
+    satellite: dp.Geometry   # the up-matched triples
+    means: np.ndarray        # (N, 3, 3): mean |alpha|^2 of each point's
+    # main, pair-only and satellite system, by mode; NaN where absent
+    table: np.ndarray        # (N, 9): the RainbowPoint columns
+
+
+def _columns(omegas, crystal, couplings, engine, trials, seed, workers,
+             per_point) -> _Columns:
+    """The sweep of omegas as columns, with one stack of transforms and
+    one mean_intensities call for every present system."""
+    band = dp.Band(omegas, crystal)
+    omegas, n = band.omega, len(band.omega)
+    main = _triples("down", band, couplings)
+    sat = _triples("up", band, couplings)
+    # each point's systems, in stack order: the main one and its pair-only
+    # twin, and the satellite, which needs the main rainbow
+    systems = np.stack([main.present, main.present,
+                        main.present & sat.present], axis=1)
+    point, system = np.nonzero(systems)
+    pair, satellite = system == 1, system == 2
+    g_up = _g_up(crystal, couplings)
+    matrices = cp.three_wave_matrices(
+        crystal.gain_per_mm, np.where(pair, 0.0, g_up), couplings.phi_down,
+        np.where(pair, 0.0, couplings.phi_up),
+        np.where(satellite, sat.dk_down[point], main.dk_down[point]),
+        np.where(satellite, sat.dk_up[point],
+                 np.where(pair, 0.0, main.dk_up[point])),
+        crystal.length_mm)
+    vacua = (list(zip(point.tolist(), (system // 2).tolist()))
+             if per_point else None)
+    means = np.full((n, 3, 3), np.nan)
+    means[systems] = mean_intensities(matrices, engine, trials, seed,
+                                      workers, vacua)
+    # the main and pair-only systems share the main triple's modes
+    main_r = rates(means[:, :2], main.theta_external[:, None])
+    sat_r = rates(means[:, 2], sat.theta_external)
+    pair_w, pair_s = (Rates(*(c[:, 1, mode] for c in main_r))
+                      for mode in (0, 1))
+    sat_w, sat_u = (Rates(*(c[:, mode] for c in sat_r)) for mode in (0, 2))
+    table = np.stack([
+        omegas, main.theta_external[:, 0],
+        np.where(systems[:, 2], sat.theta_external[:, 0], np.nan),
+        main_r.photon_rate[:, 0, 0], main_r.photon_rate[:, 0, 1],
+        sat_w.photon_rate, sat_u.above_zeropoint,
+        down_ratios(pair_w, pair_s), up_ratios(sat_w, sat_u)], axis=1)
+    return _Columns(main, sat, means, table)
 
 
 def evaluate(omegas, crystal: dp.CrystalSpec, couplings: Couplings,
@@ -198,37 +250,24 @@ def evaluate(omegas, crystal: dp.CrystalSpec, couplings: Couplings,
     entry being the system's ChannelRates or the error saying why it is
     absent; a satellite needs the main rainbow, else takes its reason.
     per_point gives point i's main and pair-only systems the vacuum
-    (i, 0) and its satellite (i, 1); without it all share seed's vacuum."""
-    mains = _systems("down", crystal, omegas, couplings)
-    satellites = _systems("up", crystal, omegas, couplings)
-    systems, vacua = [], []
-    for i, (system_a, system_b) in enumerate(zip(mains, satellites)):
-        if isinstance(system_a, cp.ThreeWaveSystem):
-            systems += [system_a, system_a.pair_only()]
-            vacua += [(i, 0), (i, 0)]
-            if isinstance(system_b, cp.ThreeWaveSystem):
-                systems.append(system_b)
-                vacua.append((i, 1))
-    rates = iter(channel_rates(systems, engine, trials, seed, workers,
-                               vacua if per_point else None))
+    (i, 0) and its satellite (i, 1); without it all share seed's vacuum.
+    The sweep's column pass, with the ChannelRates of each present system
+    built from its means."""
+    columns = _columns(omegas, crystal, couplings, engine, trials, seed,
+                       workers, per_point)
     evaluated = []
-    for omega, main, sat in zip(omegas, mains, satellites):
-        point = dict(dict.fromkeys(POINT_FIELDS, math.nan), omega=omega)
-        if isinstance(main, cp.ThreeWaveSystem):
-            main, (p_w, p_s, _) = next(rates), next(rates)
-            point.update(theta_d_ext=main[0].mode.theta_external,
-                         main_rate=main[0].photon_rate,
-                         conjugate_rate=main[1].photon_rate,
-                         eq1_ratio=ratio_down(p_w, p_s))
-            if isinstance(sat, cp.ThreeWaveSystem):
-                sat = q_w, _, q_u = next(rates)
-                point.update(theta_u_ext=q_w.mode.theta_external,
-                             satellite_rate=q_w.photon_rate,
-                             upper_above_zeropoint=q_u.above_zeropoint,
-                             eq2_ratio=ratio_up(q_w, q_u))
-        elif isinstance(sat, cp.ThreeWaveSystem):
+    for k, row in enumerate(columns.table.tolist()):
+        main = columns.main.reasons.get(k)
+        sat = columns.satellite.reasons.get(k)
+        if main is None:
+            main = [ChannelRate.from_mean(m, v) for m, v in
+                    zip(columns.main.modes(k), columns.means[k, 0])]
+            if sat is None:
+                sat = [ChannelRate.from_mean(m, v) for m, v in
+                       zip(columns.satellite.modes(k), columns.means[k, 2])]
+        elif sat is None:
             sat = main
-        evaluated.append((RainbowPoint(**point), main, sat))
+        evaluated.append((RainbowPoint(*row), main, sat))
     return evaluated
 
 
@@ -267,13 +306,15 @@ def sweep(omega_min: float, omega_max: float, steps: int,
         crystal=crystal, detector=detector, engine=engine,
         trials=trials, seed=seed, couplings=couplings))
 
-    points = [point for point, _, _ in evaluate(
-        omegas.tolist(), crystal, couplings, engine, trials, seed, workers)]
-    if not any(p.has_main for p in points):
+    columns = _columns(omegas, crystal, couplings, engine, trials, seed,
+                       workers, per_point=True)
+    if not columns.main.present.any():
         raise BandError(
             f"no phase-matched frequency in [{omega_min}, {omega_max}]; "
             "check the crystal dispersion and pump settings")
-    return RainbowTable(points=tuple(points), config_fingerprint=fingerprint)
+    return RainbowTable(
+        points=tuple(RainbowPoint(*row) for row in columns.table.tolist()),
+        config_fingerprint=fingerprint)
 
 
 def satellite_summary(table: RainbowTable) -> tuple[float, float]:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rate_oracle import channel_rates
 from zprainbow.cli import (EXIT_CONFIG, EXIT_NO_SOLUTION, EXIT_OK,
                            EXIT_STATISTICAL, _BLOCK_ROWS, _csv_lines, _fmt,
                            build_parser, default_config_path,
@@ -23,8 +24,8 @@ from zprainbow.cli import (EXIT_CONFIG, EXIT_NO_SOLUTION, EXIT_OK,
 from zprainbow.coupling import apply, integrate_three_wave
 from zprainbow.detection import DetectorSpec, ratio_down, ratio_up
 from zprainbow.errors import ConfigError, DomainError, NoSolutionError
-from zprainbow.rainbow import (DEFAULT_TRIALS, Couplings, channel_rates,
-                               pdc_system, puc_system, sweep)
+from zprainbow.rainbow import (DEFAULT_TRIALS, Couplings, pdc_system,
+                               puc_system, sweep)
 from zprainbow import cli, digits, zpf
 from zprainbow.zpf import TRIAL_BLOCK, sample_vacuum
 

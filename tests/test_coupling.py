@@ -13,7 +13,7 @@ from zprainbow.coupling import (BogoliubovTransform, ThreeWaveSystem, apply,
                                 convert_pair, integrate_three_wave,
                                 propagate_covariance, propagate_covariances,
                                 quadrature_matrix, squeeze_pair,
-                                three_wave_matrices)
+                                system_matrices)
 from zprainbow.errors import InvalidArgumentError
 from zprainbow.zpf import (mode_intensities, sample_vacuum, sampled_state,
                            vacuum_state)
@@ -205,7 +205,7 @@ class TestTransformStack:
            beyond_at=st.integers(0, 12))
     @example(stack=[], beyond_at=0)
     def test_stack_equals_one_system_calls(self, stack, beyond_at):
-        matrices = three_wave_matrices(stack)
+        matrices = system_matrices(stack)
         assert matrices.shape == (len(stack), 6, 6)
         singles = [integrate_three_wave(system) for system in stack]
         for matrix, t in zip(matrices, singles):
@@ -224,7 +224,7 @@ class TestTransformStack:
                                  length_mm=1e20)
         at = min(beyond_at, len(stack))
         with pytest.raises(InvalidArgumentError, match="crystal.length_mm"):
-            three_wave_matrices(stack[:at] + [beyond] + stack[at:])
+            system_matrices(stack[:at] + [beyond] + stack[at:])
 
 
 class TestPerturbative:

@@ -421,24 +421,50 @@ class TestGeometryProperties:
         for window in (crystal.window_um, (0.27, 1.02)):
             spec = replace(crystal, window_um=window)
             for process, match in (("down", match_down), ("up", match_up)):
-                for omega, got, triple in zip(
-                        omegas, match_band(process, omegas, spec),
-                        triples(process, omegas, spec)):
+                out = 1 if process == "down" else 2
+                found = match_band(process, omegas, spec)
+                built = triples(process, omegas, spec)
+                for k, omega in enumerate(omegas):
                     try:
                         want = match(float(omega), spec)
                     except (DomainError, NoSolutionError) as err:
                         want = err
-                    for band, one in ((got, want),
-                                      (triple, triples(process, [omega],
-                                                       spec)[0])):
+                    one = triples(process, [omega], spec)
+                    for band, one in ((band_solution(found, k, out), want),
+                                      (band_row(built, k), band_row(one, 0))):
                         kinds.add(type(band))
                         if isinstance(one, Exception):
                             assert type(band) is type(one)
                             assert str(band) == str(one)
                         else:
                             assert band == one
+                    for geometry in (found, built):
+                        assert geometry.present[k] == (k not in
+                                                       geometry.reasons)
         assert {DomainError, NoSolutionError, PhaseMatchSolution,
                 tuple} <= kinds
+
+
+def band_row(geometry, k):
+    """Frequency k of a Geometry: why it is absent, or its row as floats;
+    an absent row must be NaN."""
+    row = (*geometry.theta_internal[k].tolist(),
+           *geometry.theta_external[k].tolist(),
+           float(geometry.dk_down[k]), float(geometry.dk_up[k]))
+    if k in geometry.reasons:
+        assert all(math.isnan(x) for x in row)
+        return geometry.reasons[k]
+    return row
+
+
+def band_solution(geometry, k, out):
+    """Frequency k of match_band's Geometry, in the layout of a
+    PhaseMatchSolution whose output is wave `out` of the triple."""
+    row = band_row(geometry, k)
+    if isinstance(row, Exception):
+        return row
+    return PhaseMatchSolution(row[0], row[3], row[out], row[3 + out],
+                              row[5 + out])
 
 
 def assert_up_angles_match_fixed_point(omega, theta, spec):

@@ -6,17 +6,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geometry_oracle import make_mode, mismatch, pump_mode
-from zprainbow.detection import ratio_down, ratio_up
+from rate_oracle import channel_rates
+from zprainbow.detection import ChannelRate, ratio_down, ratio_up
+from zprainbow.dispersion import PhaseMatchSolution, match_down
 from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
-                               _point_seed, channel_rates, evaluate,
-                               mean_intensities, pdc_system, puc_system,
-                               satellite_summary, sweep)
+                               _point_seed, evaluate, mean_intensities,
+                               pdc_system, puc_system, satellite_summary,
+                               sweep)
 from zprainbow import coupling as cp, rainbow, zpf
-from zprainbow.zpf import sample_vacuum
+from zprainbow.zpf import Mode, sample_vacuum
 
 PAIR_ONLY = Couplings(g_up=0.0)
+PHASE = st.floats(-math.pi, math.pi)
 
 
 def points_equal(a, b):
@@ -77,7 +80,7 @@ class TestSweepStructure:
                                                        detector, monkeypatch):
         # one ulp of band cannot hold three distinct frequencies
         calls = []
-        monkeypatch.setattr(rainbow, "evaluate",
+        monkeypatch.setattr(rainbow, "_columns",
                             lambda *a, **k: calls.append(a))
         with pytest.raises(InvalidArgumentError):
             sweep(0.5, 0.5000000000000001, 3, crystal, detector,
@@ -184,7 +187,7 @@ class TestMonteCarloReducer:
 
         monkeypatch.setattr(zpf, "ThreadPoolExecutor", CountingPool)
         a = pdc_system(crystal, 0.52, couplings)
-        matrices = cp.three_wave_matrices(
+        matrices = cp.system_matrices(
             [a, a.pair_only(), puc_system(crystal, 0.52, couplings),
              pdc_system(crystal, 0.54, couplings)])
         means = mean_intensities(matrices, "montecarlo", 70_000, seed=5,
@@ -213,7 +216,7 @@ class TestMonteCarloReducer:
 def four_transforms(crystal, couplings):
     """A main system, its pair-only twin, a satellite and a second main."""
     a = pdc_system(crystal, 0.52, couplings)
-    return cp.three_wave_matrices(
+    return cp.system_matrices(
         [a, a.pair_only(), puc_system(crystal, 0.52, couplings),
          pdc_system(crystal, 0.54, couplings)])
 
@@ -411,21 +414,31 @@ class TestBandMatchesOnePoint:
     @given(cut_deg=st.floats(8.0, 12.0), pump_nm=st.floats(390.0, 410.0),
            window_lo=st.floats(0.2, 0.3), window_hi=st.floats(0.9, 1.2),
            omega_min=st.floats(0.30, 0.50), omega_max=st.floats(0.52, 0.70),
-           steps=st.integers(2, 9), engine=st.just("covariance"))
+           steps=st.integers(2, 9),
+           engine=st.sampled_from(["covariance", "montecarlo"]),
+           g_up=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 5.0)),
+           phi_down=PHASE, phi_up=PHASE)
     @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.27, window_hi=1.02,
-             omega_min=0.44, omega_max=0.58, steps=15, engine="covariance")
+             omega_min=0.44, omega_max=0.58, steps=15, engine="covariance",
+             g_up=None, phi_down=0.0, phi_up=0.0)
     @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.215, window_hi=1.02,
-             omega_min=0.38, omega_max=0.64, steps=9, engine="covariance")
+             omega_min=0.38, omega_max=0.64, steps=9, engine="covariance",
+             g_up=None, phi_down=0.0, phi_up=0.0)
     # every point present with a satellite: the per-point vacua are grouped
     @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.215, window_hi=1.02,
-             omega_min=0.52, omega_max=0.56, steps=3, engine="montecarlo")
+             omega_min=0.52, omega_max=0.56, steps=3, engine="montecarlo",
+             g_up=None, phi_down=0.0, phi_up=0.0)
     def test_sweep_equals_per_point_systems(self, crystal, detector,
-                                            couplings, cut_deg, pump_nm,
-                                            window_lo, window_hi, omega_min,
-                                            omega_max, steps, engine):
+                                            cut_deg, pump_nm, window_lo,
+                                            window_hi, omega_min, omega_max,
+                                            steps, engine, g_up, phi_down,
+                                            phi_up):
+        # the sweep's columns (pair-only, zero up coupling and phases
+        # included) against per-system ChannelRates, bit for bit
         spec = dataclasses.replace(crystal, cut_angle_deg=cut_deg,
                                    pump_wavelength_nm=pump_nm,
                                    window_um=(window_lo, window_hi))
+        couplings = Couplings(g_up=g_up, phi_down=phi_down, phi_up=phi_up)
         trials, seed = 2000, 5
         omegas = np.linspace(omega_min, omega_max, steps).tolist()
         want = []
@@ -463,12 +476,34 @@ class TestBandMatchesOnePoint:
         except BandError:
             assert all(math.isnan(p["theta_d_ext"]) for p in want)
             return
-        if engine == "montecarlo":
+        if (omega_min, omega_max) == (0.52, 0.56):
             assert all(p.has_satellite for p in table.points)
         for p, expected in zip(table.points, want):
             for name, value in expected.items():
                 got = getattr(p, name)
                 assert got == value or (math.isnan(got) and math.isnan(value))
+
+    def test_sweep_builds_no_per_frequency_object(self, crystal, detector,
+                                                  couplings, monkeypatch):
+        # the sweep works on columns: a 30-step band, with present and
+        # absent points alike, builds none of the one-frequency objects
+        built = []
+        for cls in (Mode, cp.ThreeWaveSystem, PhaseMatchSolution,
+                    ChannelRate):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        table = sweep(0.44, 0.62, 30, crystal, detector, engine="covariance",
+                      couplings=couplings)
+        assert {p.has_satellite for p in table.points} == {True, False}
+        assert built == []
+        # the counters see the objects of a one-frequency caller
+        pdc_system(crystal, 0.5, couplings)
+        match_down(0.5, crystal)
+        assert sorted(built) == ["Mode"] * 3 + ["PhaseMatchSolution",
+                                                 "ThreeWaveSystem"]
 
 
 class TestCrossEngineEqOne:
