@@ -180,24 +180,43 @@ class ThreeWaveSystem:
         return replace(self, g_up=0.0, phi_up=0.0, dk_up=0.0)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of every matrix of an (N, n, n) stack by scaling and squaring
-    of a truncated Taylor series.
+# 1/k!, the coefficients of _expm's degree-20 Taylor polynomial
+_TAYLOR = [1.0 / math.factorial(k) for k in range(21)]
+_DIAG = [0, 1, 2], [0, 1, 2]
 
-    Each a is scaled by its own 2^-s so that its 1-norm is below 1, where
-    20 Taylor terms leave a remainder under 1e-19; squaring step k then
-    acts only on the items with s > k, so every item gets exactly its own
-    s squarings, as if it were exponentiated alone.
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of every item of two (3, 3, N) stacks of 3x3 matrices."""
+    return a[:, 0, None] * b[0] + a[:, 1, None] * b[1] + a[:, 2, None] * b[2]
+
+
+def _expm(x: np.ndarray) -> np.ndarray:
+    """exp(x) of every matrix of a (3, 3, N) stack, items on the last axis,
+    by scaling and squaring of a truncated Taylor series.
+
+    Each x is scaled by its own 2^-s so that its 1-norm is below 1, where
+    20 Taylor terms leave a remainder under 1e-19.  Paterson-Stockmeyer
+    sums them in 7 products: X^2, X^3, X^4, then four Horner steps
+    R <- B_j + R X^4, each block B_j a cubic in X.  Squaring step k acts
+    only on the items with s > k, so every item gets exactly its own s
+    squarings; every operation is elementwise along the item axis, so item
+    i is the same bits whatever its neighbours.
     """
-    squarings = np.maximum(0, np.frexp(np.abs(a).sum(axis=1).max(axis=1))[1])
-    a = a / (2.0 ** squarings)[:, None, None]
-    term = result = np.broadcast_to(np.eye(a.shape[1], dtype=complex), a.shape)
-    for k in range(1, 21):
-        term = term @ a / k
-        result = result + term
+    squarings = np.maximum(0, np.frexp(np.abs(x).sum(axis=0).max(axis=0))[1])
+    x = x / 2.0 ** squarings
+    x2 = _matmul(x, x)
+    x3, x4 = _matmul(x2, x), _matmul(x2, x2)
+    result = _TAYLOR[20] * x4
+    for j in range(16, -1, -4):
+        block = _TAYLOR[j + 1] * x + _TAYLOR[j + 2] * x2 + _TAYLOR[j + 3] * x3
+        block[_DIAG] += _TAYLOR[j]
+        result += block
+        if j:
+            result = _matmul(result, x4)
     for k in range(squarings.max(initial=0)):
         active = squarings > k
-        result[active] = result[active] @ result[active]
+        r = result[..., active]
+        result[..., active] = _matmul(r, r)
     return result
 
 
@@ -218,7 +237,9 @@ def three_wave_matrices(g_down, g_up, phi_down, phi_up, dk_down, dk_up,
     b = a e^{i r z}, with frame frequencies r = (0, dk_d, -dk_u) + c,
     their generator is constant, so each map is one 3x3 exponential
     followed by the frame phases e^{-i r L}; (a_w*, a_s, a_u*) follow by
-    conjugation.  Item i is bit for bit integrate_three_wave of system i.
+    conjugation.  The generators are built as one (3, 3, N) stack, systems
+    on the last axis, for _expm's 7 products.  Item i is bit for bit
+    integrate_three_wave of system i.
     """
     g_down, g_up, phi_down, phi_up, dk_down, dk_up, length_mm = (
         np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float))
@@ -233,22 +254,21 @@ def three_wave_matrices(g_down, g_up, phi_down, phi_up, dk_down, dk_up,
     gu = g_up * length_mm * np.exp(1j * phi_up)
     # r L; the common frequency c is free, and centring r keeps the
     # exponent's norm, hence the number of squarings, smallest
-    rl = (np.stack([np.zeros(n), dk_down, -dk_up], axis=1)
-          * (length_mm * 1e3)[:, None])
-    rl -= 0.5 * (rl.max(axis=1) + rl.min(axis=1))[:, None]
+    rl = np.stack([np.zeros(n), dk_down, -dk_up]) * (length_mm * 1e3)
+    rl -= 0.5 * (rl.max(axis=0) + rl.min(axis=0))
     # beyond 2**53 rad the frame phases e^{-i r L} keep no significant
     # bit; a zero-gain crystal reaches this where no gain check can see it
-    phase = np.abs(rl).max(axis=1)
+    phase = np.abs(rl).max(axis=0)
     beyond = ~(phase <= 2.0 ** 53)
     if beyond.any():
         raise InvalidArgumentError(
             f"crystal.length_mm: mismatch phase {phase[beyond][0]:.3g} rad "
             f"over the crystal exceeds 2**53 rad")
-    a = np.zeros((n, 3, 3), dtype=complex)
-    a[:, [0, 1, 2], [0, 1, 2]] = 1j * rl
-    a[:, 0, 1], a[:, 0, 2] = gd, -np.conj(gu)
-    a[:, 1, 0], a[:, 2, 0] = np.conj(gd), gu
-    e = np.exp(-1j * rl)[:, :, None] * _expm(a)
+    x = np.zeros((3, 3, n), dtype=complex)
+    x[_DIAG] = 1j * rl
+    x[0, 1], x[0, 2] = gd, -np.conj(gu)
+    x[1, 0], x[2, 0] = np.conj(gd), gu
+    e = (np.exp(-1j * rl)[:, None] * _expm(x)).transpose(2, 0, 1)
     m = np.zeros((n, 6, 6), dtype=complex)
     w_s_u, conjugates = np.array([0, 4, 2]), np.array([3, 1, 5])
     m[:, w_s_u[:, None], w_s_u] = e

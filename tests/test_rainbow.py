@@ -416,7 +416,7 @@ class TestBandMatchesOnePoint:
            omega_min=st.floats(0.30, 0.50), omega_max=st.floats(0.52, 0.70),
            steps=st.integers(2, 9),
            engine=st.sampled_from(["covariance", "montecarlo"]),
-           g_up=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 5.0)),
+           g_up=st.one_of(st.floats(0.1, 5.0), st.sampled_from([None, 0.0])),
            phi_down=PHASE, phi_up=PHASE)
     @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.27, window_hi=1.02,
              omega_min=0.44, omega_max=0.58, steps=15, engine="covariance",

@@ -4,7 +4,7 @@ references for coupling.three_wave_matrices.
 The pipeline builds the crystal's Bogoliubov map one way only:
 coupling.three_wave_matrices, one 3x3 exponential per system in a
 centred rotating frame.  The functions here build the same map three
-other ways:
+other ways, and that exponential a second way:
 
 - perturbative_transform sums the Dyson series of the lab-frame generator
   sum_c C_c e^{i k_c z} (term_matrices) to first or second order, with
@@ -12,10 +12,13 @@ other ways:
   Gauss-Legendre quadrature;
 - rotating_frame_oracle exponentiates the constant 6x6 rotating-frame
   generator with scipy;
-- rk4_oracle integrates the lab-frame generator by fixed-step RK4.
+- rk4_oracle integrates the lab-frame generator by fixed-step RK4;
+- taylor_expm_oracle sums the same degree-20 Taylor series as
+  coupling._expm term by term, in 20 stacked matrix products.
 
 test_coupling and acceptance criterion 4 compare integrate_three_wave
-against them.
+against the first three, and test_coupling compares coupling._expm
+against the last.
 """
 
 from __future__ import annotations
@@ -161,3 +164,24 @@ def rk4_oracle(system: ThreeWaveSystem, n_steps=2000) -> BogoliubovTransform:
         k4 = s_of_z(z + h) @ (m + h * k3)
         m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return BogoliubovTransform(m)
+
+
+def taylor_expm_oracle(a: np.ndarray) -> np.ndarray:
+    """exp(a) of every matrix of an (N, n, n) stack by scaling and squaring
+    of a truncated Taylor series, summed term by term.
+
+    Each a is scaled by its own 2^-s so that its 1-norm is below 1, where
+    20 Taylor terms leave a remainder under 1e-19; squaring step k then
+    acts only on the items with s > k, so every item gets exactly its own
+    s squarings, as if it were exponentiated alone.
+    """
+    squarings = np.maximum(0, np.frexp(np.abs(a).sum(axis=1).max(axis=1))[1])
+    a = a / (2.0 ** squarings)[:, None, None]
+    term = result = np.broadcast_to(np.eye(a.shape[1], dtype=complex), a.shape)
+    for k in range(1, 21):
+        term = term @ a / k
+        result = result + term
+    for k in range(squarings.max(initial=0)):
+        active = squarings > k
+        result[active] = result[active] @ result[active]
+    return result
