@@ -27,13 +27,17 @@ depends on its own angle, so its balance is a quadratic in tan(theta_up),
 solved in closed form.
 
 A Band phase-matches a whole band of frequencies at once, in closed
-form.  What a leg takes from omega alone (the Sellmeier sums, window
-masks, wavelengths and wavenumbers, the pump's wavenumber) is built once
-per band, and shared by both processes.  From these each leg gives its
-candidate input angles: down conversion's momentum triangle fixes one,
-up conversion's index ellipse gives the roots of a quartic in
-tan(theta/2).  The smallest candidate at which the leg has no mismatch
-is the match; conjugate_leg and up_leg are the same legs in one call.
+form.  What the legs take from omega alone is computed once per band and
+shared by both processes: the stacked frequencies (omega, 1 - omega,
+1 + omega and the pump at 1) take one wavelength_um call, one window
+mask and one Sellmeier sum per polarisation, and every wave's index
+squares and wavenumber are slices of that stack.  Each leg still raises
+only when it is used.  From these each leg gives its candidate input
+angles: down conversion's momentum triangle fixes one, up conversion's
+index ellipse gives the roots of a quartic in tan(theta/2).  The
+smallest candidate at which the leg has no mismatch is the match, and
+the leg's output angle and mismatch there come from the same evaluation;
+conjugate_leg and up_leg are the same legs in one call.
 A band's result is one Geometry record of columns: each frequency's
 internal and external angles, both mismatches and a present mask, and
 for each absent frequency only, the error that says why it has none.
@@ -171,47 +175,22 @@ def _window_error(wavelength: float, spec):
         f"wavelength {wavelength:.5g} um outside window [{lo}, {hi}] um")
 
 
-def check_window(wavelength, spec: CrystalSpec) -> None:
-    """Raise DomainError naming the first wavelength outside the window."""
-    w = np.ravel(wavelength)
-    outside = w[~_in_window(w, spec)]
-    if len(outside):
-        raise _window_error(outside[0], spec)
-
-
 def _ellipse_index(no2, ne2, psi):
     c, s = np.cos(psi), np.sin(psi)
     return 1.0 / np.sqrt(c * c / no2 + s * s / ne2)
 
 
 def _index_squares(omega, spec):
-    """(n_o^2, n_e^2) at frequency omega (array), NaN outside the window."""
+    """The wavelengths at frequency omega (array), their window mask, and
+    n_o^2 and n_e^2 there, NaN outside the window."""
     lam = wavelength_um(omega, spec)
     inside = _in_window(lam, spec)
     # outside the window the Sellmeier sums are taken at the pump
     # wavelength, off their poles, and then dropped
-    lam = np.where(inside, lam, spec.pump_wavelength_um)
+    at = np.where(inside, lam, spec.pump_wavelength_um)
     mask = np.where(inside, 1.0, np.nan)
-    return (spec.sellmeier_o.n_squared(lam) * mask,
-            spec.sellmeier_e.n_squared(lam) * mask)
-
-
-def effective_index(omega, theta_internal, pol: str, spec: CrystalSpec):
-    """Index seen by a wave at internal angle theta from the pump axis.
-
-    omega and theta broadcast; NaN where the wavelength is outside the
-    window.
-    """
-    no2, ne2 = _index_squares(omega, spec)
-    if pol == ORDINARY:
-        return np.sqrt(no2)
-    return _ellipse_index(no2, ne2, spec.cut_angle_rad + theta_internal)
-
-
-def _wavenumber(omega, theta_internal, pol, spec):
-    """|k| in 1/um of a wave at internal angle theta (arrays)."""
-    return (2.0 * math.pi * effective_index(omega, theta_internal, pol, spec)
-            / wavelength_um(omega, spec))
+    return (lam, inside, spec.sellmeier_o.n_squared(at) * mask,
+            spec.sellmeier_e.n_squared(at) * mask)
 
 
 def external_angle(theta_internal: float, n: float) -> float:
@@ -242,14 +221,6 @@ class _UpTerms(NamedTuple):
     lam_up: np.ndarray
     no2: np.ndarray
     ne2: np.ndarray
-
-
-def _down_terms(omega, spec):
-    return Band(omega, spec).down_terms
-
-
-def _up_terms(omega, spec):
-    return Band(omega, spec).up_terms
 
 
 def _rows(terms, index):
@@ -296,7 +267,7 @@ def conjugate_leg(omega, theta, spec: CrystalSpec):
     Both are NaN where the conjugate cannot carry the transverse momentum
     or a wavelength of the leg is outside the window.
     """
-    return _conjugate(_down_terms(omega, spec),
+    return _conjugate(Band(omega, spec).down_terms,
                       np.asarray(theta, dtype=float), spec)
 
 
@@ -317,7 +288,8 @@ def up_leg(omega, theta, spec: CrystalSpec):
     each side; where a < 0 (the up wave's index falls fast towards grazing
     incidence) both lie on one side, or there are none.
     """
-    return _up(_up_terms(omega, spec), np.asarray(theta, dtype=float), spec)
+    return _up(Band(omega, spec).up_terms, np.asarray(theta, dtype=float),
+               spec)
 
 
 def _down_roots(terms, spec):
@@ -354,20 +326,25 @@ def _up_roots(terms, spec):
 
 
 def _first_match(leg, roots_of, terms, theta_max, spec):
-    """Per frequency of terms, the smallest candidate of roots_of in
-    [0, theta_max) at which leg's |dk_z| <= 1e-12 /um; NaN where none is."""
+    """Per frequency of terms, the smallest candidate input angle of
+    roots_of in [0, theta_max) at which leg's |dk_z| <= 1e-12 /um, with
+    leg's output angle and dk_z there, all from one evaluation of leg at
+    every candidate; NaN where there is none."""
     theta = roots_of(terms, spec)
-    dk = leg(_rows(terms, (slice(None), None)), theta, spec)[1]
+    theta_out, dk = leg(_rows(terms, (slice(None), None)), theta, spec)
     matched = ((0.0 <= theta) & (theta < theta_max[:, None])
                & (np.abs(dk) <= 1e-12))
-    return np.fmin.reduce(np.where(matched, theta, np.nan), axis=1)
+    first = (np.arange(len(theta)),
+             np.argmin(np.where(matched, theta, np.inf), axis=1))
+    return tuple(np.where(matched[first], a[first], np.nan)
+                 for a in (theta, theta_out, dk))
 
 
 # process -> (leg, the Band attribute of its theta-free terms, its
-# candidate input angles, output frequency, the output's wave in a triple)
+# candidate input angles, the output's wave in a triple)
 _PROCESSES = {
-    "down": (_conjugate, "down_terms", _down_roots, lambda w: 1.0 - w, 1),
-    "up": (_up, "up_terms", _up_roots, lambda w: 1.0 + w, 2),
+    "down": (_conjugate, "down_terms", _down_roots, 1),
+    "up": (_up, "up_terms", _up_roots, 2),
 }
 
 
@@ -441,44 +418,59 @@ def _refract(theta, n, reasons):
 class Band:
     """The frequencies omega of one crystal, phase-matched as columns.
 
-    What a leg takes from omega alone (the Sellmeier sums, window masks,
-    wavelengths and wavenumbers, the pump's wavenumber) is built once per
-    band, on first use, and shared by both processes and both legs.
+    The stacked Sellmeier sums and each leg's terms are built on first use
+    and shared by both processes; only the down leg's terms raise where
+    1 - omega <= 0.
     """
 
     def __init__(self, omega, spec: CrystalSpec):
         self.omega = np.asarray(omega, dtype=float)
         self.spec = spec
 
-    def _wavenumber(self, omega, n):
-        return 2.0 * math.pi * n / wavelength_um(omega, self.spec)
+    @cached_property
+    def _waves(self):
+        """_index_squares of wave k of the triples (0 the input, 1 the
+        conjugate, 2 the up-converted wave) in omega's shape, and of the
+        pump (3), from one call; a conjugate at 1 - omega <= 0 is summed
+        at the pump, and _n_conj raises."""
+        w, shape = self.omega.ravel(), self.omega.shape
+        conj = 1.0 - w
+        stack = _index_squares(np.concatenate(
+            (w, np.where(conj <= 0.0, 1.0, conj), 1.0 + w, [1.0])), self.spec)
+        return [[a[k * w.size:(k + 1) * w.size].reshape(shape)[()]
+                 for a in stack] for k in range(3)] + [[a[-1] for a in stack]]
 
     @cached_property
     def _n_in(self):
-        return effective_index(self.omega, 0.0, ORDINARY, self.spec)
+        return np.sqrt(self._waves[0][2])
 
     @cached_property
     def _n_conj(self):
-        return effective_index(1.0 - self.omega, 0.0, ORDINARY, self.spec)
+        if np.any(1.0 - self.omega <= 0):
+            # wavelength_um's error for the frequency 1 - omega
+            raise InvalidArgumentError("omega must be > 0")
+        return np.sqrt(self._waves[1][2])
 
     @cached_property
     def _k_pump(self):
-        return _wavenumber(1.0, 0.0, self.spec.pump_polarization, self.spec)
+        lam, _, no2, ne2 = self._waves[3]
+        n = (np.sqrt(no2) if self.spec.pump_polarization == ORDINARY
+             else _ellipse_index(no2, ne2, self.spec.cut_angle_rad))
+        return 2.0 * math.pi * n / lam
 
     @cached_property
     def _k_in(self):
-        return self._wavenumber(self.omega, self._n_in)
+        return 2.0 * math.pi * self._n_in / self._waves[0][0]
 
     @cached_property
     def down_terms(self) -> _DownTerms:
         return _DownTerms(self._k_pump, self._k_in,
-                          self._wavenumber(1.0 - self.omega, self._n_conj))
+                          2.0 * math.pi * self._n_conj / self._waves[1][0])
 
     @cached_property
     def up_terms(self) -> _UpTerms:
-        return _UpTerms(self._k_pump, self._k_in,
-                        wavelength_um(1.0 + self.omega, self.spec),
-                        *_index_squares(1.0 + self.omega, self.spec))
+        lam, _, no2, ne2 = self._waves[2]
+        return _UpTerms(self._k_pump, self._k_in, lam, no2, ne2)
 
     def _n_out(self, process, rows, theta):
         """The index of the process's output wave at the frequencies
@@ -488,6 +480,34 @@ class Band:
         up = self.up_terms
         return _ellipse_index(up.no2[rows], up.ne2[rows],
                               self.spec.cut_angle_rad + theta)
+
+    def _solve(self, process):
+        """match's (N, 3) internal and external angles, (2, N) mismatches
+        and reasons, before Geometry.of masks the absent rows."""
+        leg, terms_of, roots_of, out = _PROCESSES[process]
+        omega, spec, n_in = self.omega, self.spec, self._n_in
+        terms = getattr(self, terms_of)
+        lam_out, inside_out = self._waves[out][:2]
+        inside = ~np.isnan(n_in) & inside_out
+        at = np.flatnonzero(inside)
+        theta, theta_ext = np.full((2, len(omega), 3), np.nan)
+        dk = np.full((2, len(omega)), np.nan)
+        theta[at, 0], theta[at, out], dk[out - 1, at] = _first_match(
+            leg, roots_of, _rows(terms, at),
+            0.999 * np.arcsin(np.minimum(1.0, 1.0 / n_in[at])), spec)
+        # the first of the leg's wavelengths outside the window: the
+        # input's where its index is NaN
+        lam = np.where(np.isnan(n_in), self._waves[0][0], lam_out)
+        reasons = {k: _window_error(lam[k], spec)
+                   for k in np.flatnonzero(~inside).tolist()}
+        for k in np.flatnonzero(inside & np.isnan(theta[:, 0])).tolist():
+            reasons[k] = NoSolutionError(
+                f"no {process}-conversion phase match at omega={omega[k]:g}")
+        theta_ext[:, 0] = _refract(theta[:, 0], n_in, reasons)
+        theta_ext[:, out] = _refract(
+            theta[:, out], self._n_out(process, slice(None), theta[:, out]),
+            reasons)
+        return theta, theta_ext, dk, reasons
 
     def match(self, process: str) -> Geometry:
         """Phase-match `process` ("down" or "up") at every frequency.
@@ -501,60 +521,32 @@ class Band:
         leg is outside the window, with a NoSolutionError where no angle
         matches or a wave is totally internally reflected.
         """
-        leg, terms_of, roots_of, out_of, out = _PROCESSES[process]
-        omega, spec, n_in = self.omega, self.spec, self._n_in
-        lam_out = wavelength_um(out_of(omega), spec)
-        inside = ~np.isnan(n_in) & _in_window(lam_out, spec)
-        at = np.flatnonzero(inside)
-        terms = getattr(self, terms_of)
-        theta_in = np.full(len(omega), np.nan)
-        theta_in[at] = _first_match(
-            leg, roots_of, _rows(terms, at),
-            0.999 * np.arcsin(np.minimum(1.0, 1.0 / n_in[at])), spec)
-        theta_out, residual = leg(terms, theta_in, spec)
-        # the first of the leg's wavelengths outside the window: the
-        # input's where its index is NaN
-        lam = np.where(np.isnan(n_in), wavelength_um(omega, spec), lam_out)
-        reasons = {k: _window_error(lam[k], spec)
-                   for k in np.flatnonzero(~inside).tolist()}
-        for k in np.flatnonzero(inside & np.isnan(theta_in)).tolist():
-            reasons[k] = NoSolutionError(
-                f"no {process}-conversion phase match at omega={omega[k]:g}")
-        theta = np.full((len(omega), 3), np.nan)
-        theta_ext = np.full((len(omega), 3), np.nan)
-        dk = np.full((2, len(omega)), np.nan)
-        theta[:, 0], theta[:, out], dk[out - 1] = theta_in, theta_out, residual
-        theta_ext[:, 0] = _refract(theta_in, n_in, reasons)
-        theta_ext[:, out] = _refract(
-            theta_out, self._n_out(process, slice(None), theta_out), reasons)
-        return Geometry.of(omega, theta, theta_ext, *dk, reasons)
+        theta, theta_ext, dk, reasons = self._solve(process)
+        return Geometry.of(self.omega, theta, theta_ext, *dk, reasons)
 
     def triples(self, process: str) -> Geometry:
         """The band's Geometry at the `process`-matched input angles: each
         frequency's refracted triple and both mismatches, or why there is
-        none.  The input and the process's own leg come from match, the
-        other leg from one pass over the matched frequencies."""
-        found = self.match(process)
+        none.  The other leg is one pass over match's matched frequencies."""
+        theta, theta_ext, dk, reasons = self._solve(process)
+        # the rows without a reason: _refract left NaN at every other one
+        at = np.flatnonzero(~np.isnan(theta_ext[:, _PROCESSES[process][-1]]))
         other = "up" if process == "down" else "down"
-        leg, terms_of, _, out_of, out = _PROCESSES[other]
-        at = np.flatnonzero(found.present)
-        theta, dk = leg(_rows(getattr(self, terms_of), at),
-                        found.theta_internal[at, 0], self.spec)
-        lam = wavelength_um(out_of(self.omega[at]), self.spec)
-        inside = _in_window(lam, self.spec)
-        reasons = {j: NoSolutionError("the conjugate or the up-converted "
-                                      "wave cannot balance the transverse "
-                                      "momentum")
-                   if inside[j] else _window_error(lam[j], self.spec)
-                   for j in np.flatnonzero(np.isnan(theta)).tolist()}
-        found.theta_external[at, out] = _refract(
-            theta, self._n_out(other, at, theta), reasons)
-        found.theta_internal[at, out] = theta
-        (found.dk_down if other == "down" else found.dk_up)[at] = dk
+        leg, terms_of, _, out = _PROCESSES[other]
+        theta_out, dk_out = leg(_rows(getattr(self, terms_of), at),
+                                theta[at, 0], self.spec)
+        lam, inside = (a[at] for a in self._waves[out][:2])
+        more = {j: NoSolutionError("the conjugate or the up-converted "
+                                   "wave cannot balance the transverse "
+                                   "momentum")
+                if inside[j] else _window_error(lam[j], self.spec)
+                for j in np.flatnonzero(np.isnan(theta_out)).tolist()}
+        theta_ext[at, out] = _refract(
+            theta_out, self._n_out(other, at, theta_out), more)
+        theta[at, out], dk[out - 1, at] = theta_out, dk_out
         return Geometry.of(
-            self.omega, found.theta_internal, found.theta_external,
-            found.dk_down, found.dk_up,
-            found.reasons | {int(at[j]): err for j, err in reasons.items()})
+            self.omega, theta, theta_ext, *dk,
+            reasons | {int(at[j]): err for j, err in more.items()})
 
 
 def match_band(process: str, omega, spec: CrystalSpec) -> Geometry:

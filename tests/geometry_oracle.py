@@ -6,7 +6,9 @@ and triples.  The functions here compute it one mode at a time, straight
 from the Sellmeier form and the index ellipsoid: a principal or
 extraordinary index, a refracted Mode, its wavevector, and the wavevector
 mismatch of a process.  The tests compare the legs, the band matcher and
-the built triples against them.
+the built triples against them.  check_window and effective_index, which
+the pipeline no longer calls (a Band slices its index squares from one
+stacked Sellmeier sum), live here too.
 """
 
 from __future__ import annotations
@@ -15,11 +17,31 @@ import math
 
 import numpy as np
 
-from zprainbow.dispersion import (CrystalSpec, _ellipse_index, _wavenumber,
-                                  check_window, effective_index,
+from zprainbow.dispersion import (CrystalSpec, _ellipse_index, _in_window,
+                                  _index_squares, _window_error,
                                   external_angle, wavelength_um)
 from zprainbow.errors import InvalidArgumentError
 from zprainbow.zpf import EXTRAORDINARY, ORDINARY, Mode
+
+
+def check_window(wavelength, spec: CrystalSpec) -> None:
+    """Raise DomainError naming the first wavelength outside the window."""
+    w = np.ravel(wavelength)
+    outside = w[~_in_window(w, spec)]
+    if len(outside):
+        raise _window_error(outside[0], spec)
+
+
+def effective_index(omega, theta_internal, pol: str, spec: CrystalSpec):
+    """Index seen by a wave at internal angle theta from the pump axis.
+
+    omega and theta broadcast; NaN where the wavelength is outside the
+    window.
+    """
+    no2, ne2 = _index_squares(omega, spec)[2:]
+    if pol == ORDINARY:
+        return np.sqrt(no2)
+    return _ellipse_index(no2, ne2, spec.cut_angle_rad + theta_internal)
 
 
 def refractive_index(wavelength_um: float, pol: str, spec: CrystalSpec) -> float:
@@ -54,7 +76,10 @@ def pump_mode(spec: CrystalSpec) -> Mode:
 
 def wavevector(mode: Mode, spec: CrystalSpec) -> tuple[float, float]:
     """(k_transverse, k_longitudinal) in 1/um for one mode."""
-    k = _wavenumber(mode.omega, mode.theta_internal, mode.polarization, spec)
+    k = (2.0 * math.pi
+         * effective_index(mode.omega, mode.theta_internal,
+                           mode.polarization, spec)
+         / wavelength_um(mode.omega, spec))
     return k * math.sin(mode.theta_internal), k * math.cos(mode.theta_internal)
 
 

@@ -927,6 +927,7 @@ class TestWriteTable:
             write_table(str(out), fmt, ("a", "b", "c"),
                         source(trial, values), workers)
             assert_same_text(out.read_bytes().decode(), expected)
+            out.unlink()
 
     def test_one_block_starts_no_pool(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

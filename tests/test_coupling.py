@@ -209,6 +209,24 @@ def rotating_generator(system):
                      [gu, 0.0, 1j * rl[2]]])
 
 
+def long_stack(n=240, seed=30):
+    """n systems drawn as wide_systems draws them, from a seeded generator:
+    a stack longer than Hypothesis draws, whose items need different
+    numbers of squarings in no particular order."""
+    rng = np.random.default_rng(seed)
+    length_mm = rng.uniform(0.01, 1.0, n)
+    g_up = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 30.0, n))
+    phases = rng.uniform(-math.pi, math.pi, (2, n))
+    dk = rng.uniform(-100.0 * math.pi, 100.0 * math.pi, (2, n)) / (1e3
+                                                                 * length_mm)
+    return [ThreeWaveSystem(g_down=g, g_up=u, phi_down=pd, phi_up=pu,
+                            dk_down=d, dk_up=e, length_mm=m)
+            for g, u, pd, pu, d, e, m in zip(
+                rng.uniform(0.0, 30.0, n).tolist(), g_up.tolist(),
+                *phases.tolist(), *dk.tolist(), length_mm.tolist())]
+
+
+LONG_STACK = long_stack()
 SAMPLED3 = sampled_state(3, 1000, seed=4)
 
 
@@ -217,6 +235,7 @@ class TestTransformStack:
     @given(stack=st.lists(wide_systems(), max_size=40),
            beyond_at=st.integers(0, 40))
     @example(stack=[], beyond_at=0)
+    @example(stack=LONG_STACK, beyond_at=117)
     def test_stack_equals_one_system_calls(self, stack, beyond_at):
         matrices = system_matrices(stack)
         assert matrices.shape == (len(stack), 6, 6)
@@ -241,6 +260,7 @@ class TestTransformStack:
 
     @PROPERTY
     @given(stack=st.lists(wide_systems(), min_size=1, max_size=40))
+    @example(stack=LONG_STACK)
     def test_exponential_matches_taylor_oracle(self, stack):
         # Paterson-Stockmeyer against the term-by-term sum of the same
         # series.  Over 10^6 random wide systems the worst item deviated by
@@ -251,6 +271,17 @@ class TestTransformStack:
         deviation = (np.abs(got - want).max(axis=(1, 2))
                      / np.abs(want).max(axis=(1, 2)))
         assert deviation.max() < 3e-11
+
+    def test_long_example_mixes_squarings(self):
+        # the long stack above takes _expm's squaring step on items spread
+        # through it, not on a prefix or a suffix
+        a = np.array([rotating_generator(system) for system in LONG_STACK])
+        squarings = np.maximum(
+            0, np.frexp(np.abs(a).sum(axis=1).max(axis=1))[1])
+        assert len(LONG_STACK) >= 200
+        assert len(set(squarings.tolist())) >= 4
+        assert np.any(np.diff(squarings) > 0) and np.any(np.diff(squarings)
+                                                         < 0)
 
 
 class TestPerturbative:

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from geometry_oracle import (extraordinary_index, make_mode, mismatch,
-                             pump_mode, refractive_index, wavevector)
-from zprainbow.dispersion import (CrystalSpec, PhaseMatchSolution,
-                                  SellmeierCoefficients, _conjugate,
-                                  _down_terms, _rows, _up, _up_terms,
-                                  conjugate_leg, effective_index,
-                                  external_angle, match_band, match_down,
-                                  match_up, triples, up_leg, wavelength_um)
+from geometry_oracle import (effective_index, extraordinary_index,
+                             make_mode, mismatch, pump_mode,
+                             refractive_index, wavevector)
+from zprainbow import dispersion
+from zprainbow.dispersion import (Band, CrystalSpec, PhaseMatchSolution,
+                                  SellmeierCoefficients, _conjugate, _rows,
+                                  _up, conjugate_leg, external_angle,
+                                  match_band, match_down, match_up, triples,
+                                  up_leg, wavelength_um)
 from zprainbow.errors import (DomainError, InvalidArgumentError,
                               NoSolutionError)
+from zprainbow.rainbow import sweep
 from zprainbow.zpf import EXTRAORDINARY, ORDINARY, Mode
 
 
@@ -544,8 +546,8 @@ class TestBandTerms:
     """match_band builds each leg's theta-free terms once per band and
     indexes them; the legs must not tell that from the one-call form."""
 
-    LEGS = {"down": (conjugate_leg, _conjugate, _down_terms),
-            "up": (up_leg, _up, _up_terms)}
+    LEGS = {"down": (conjugate_leg, _conjugate, "down_terms"),
+            "up": (up_leg, _up, "up_terms")}
 
     @pytest.mark.parametrize("process", ["down", "up"])
     @pytest.mark.parametrize("material", sorted(MATERIALS))
@@ -559,7 +561,7 @@ class TestBandTerms:
         spec = MATERIALS[material](crystal)
         public, leg, terms_of = self.LEGS[process]
         omega = np.linspace(0.18, 0.82, 23)
-        terms = terms_of(omega, spec)
+        terms = getattr(Band(omega, spec), terms_of)
         theta = np.linspace(-1.5, 1.5, 301)
         nan_seen = 0
         for start in range(0, len(omega), 8):
@@ -580,37 +582,76 @@ class TestBandTerms:
     def test_isotropic_up_terms_have_no_linear_coefficient(self, crystal):
         # n_o == n_e, so the isotropic crystal above takes the up
         # quadratic's case with no tan-linear term (1/n_o^2 - 1/n_e^2 = 0)
-        terms = _up_terms(np.linspace(0.40, 0.62, 12),
-                          MATERIALS["isotropic"](crystal))
+        terms = Band(np.linspace(0.40, 0.62, 12),
+                     MATERIALS["isotropic"](crystal)).up_terms
         assert np.array_equal(terms.no2, terms.ne2)
 
     def test_birefringent_up_nan_inside_window(self, crystal):
         # every wavelength is inside the window, so the terms are finite,
         # yet no up wave carries the transverse momentum of a steep input
         spec = MATERIALS["birefringent"](crystal)
-        terms = _up_terms(np.linspace(0.60, 0.82, 12), spec)
+        terms = Band(np.linspace(0.60, 0.82, 12), spec).up_terms
         assert all(np.all(np.isfinite(a)) for a in terms)
         theta_up = _up(_rows(terms, (slice(None), None)),
                        np.linspace(0.0, 1.5, 301), spec)[0]
         assert 0.0 < np.isnan(theta_up).mean() < 1.0
 
     @pytest.mark.parametrize("process", ["down", "up"])
-    def test_sellmeier_sums_per_band_not_per_step(self, crystal, process,
+    def test_sellmeier_sums_per_band_not_per_step(self, crystal, detector,
+                                                  couplings, process,
                                                   monkeypatch):
         # one triples call takes the same number of Sellmeier sums on a
         # 30-step as on a 1000-step band: none per frequency or per
-        # candidate angle
+        # candidate angle.  A whole covariance sweep, both processes on
+        # one Band, takes one sum per polarisation and one wavelength_um
+        # call, on the stacked frequencies
         calls = []
         n_squared = SellmeierCoefficients.n_squared
+        wavelengths = []
 
         def counted(self, wavelength_um):
             calls.append(1)
             return n_squared(self, wavelength_um)
 
+        def counted_wavelength(omega, spec):
+            wavelengths.append(1)
+            return wavelength_um(omega, spec)
+
         monkeypatch.setattr(SellmeierCoefficients, "n_squared", counted)
+        monkeypatch.setattr(dispersion, "wavelength_um", counted_wavelength)
         counts = []
         for steps in (30, 1000):
             calls.clear()
             triples(process, np.linspace(0.44, 0.58, steps), crystal)
             counts.append(len(calls))
+            calls.clear()
+            wavelengths.clear()
+            sweep(0.44, 0.58, steps, crystal, detector, engine="covariance",
+                  couplings=couplings)
+            assert (len(calls), len(wavelengths)) == (2, 1)
         assert counts[0] == counts[1]
+
+    def test_each_leg_raises_only_when_used(self, crystal):
+        # a Band sums the stacked frequencies at once, yet each leg keeps
+        # its own errors: the conjugate of omega >= 1 has no wavelength,
+        # so the down leg raises, while the up leg is defined there (NaN
+        # outside the window); omega = 1 makes 1 - omega = 0 with no
+        # RuntimeWarning, which the suite turns into an error
+        for omega in (1.2, 1.0):
+            assert np.all(np.isnan(up_leg(omega, 0.1, crystal)))
+            with pytest.raises(InvalidArgumentError):
+                conjugate_leg(omega, 0.1, crystal)
+        with pytest.raises(DomainError, match="0.18182 um outside window"):
+            match_up(1.2, crystal)
+        with pytest.raises(InvalidArgumentError):
+            triples("up", [0.5, 1.2], crystal)
+        found = match_band("up", [0.5, 1.2], crystal)
+        assert {k: type(err) for k, err in found.reasons.items()} == {
+            1: DomainError, 0: NoSolutionError}
+        for omega in (0.0, -0.3):
+            for call in (lambda: up_leg(omega, 0.1, crystal),
+                         lambda: conjugate_leg(omega, 0.1, crystal),
+                         lambda: match_band("up", [0.5, omega], crystal),
+                         lambda: triples("down", [omega], crystal)):
+                with pytest.raises(InvalidArgumentError):
+                    call()
