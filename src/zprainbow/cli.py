@@ -1,12 +1,13 @@
 """Configuration loading, command dispatch and output formats.
 
-The configuration is one JSON file with nested sections mirroring the
-domain types (crystal, detector, couplings, sweep, ...); every physical
-constant, including the default crystal's Sellmeier data, lives there.
-All validation happens at load time with field-level diagnostics; an
-unknown key is an error, so a misspelt field never runs on its default,
-and so is a NaN, infinite or beyond-float-range number, or a pair gain
-whose amplified vacuum over the crystal length would leave float range.
+The configuration is one JSON file of sections mirroring the domain types;
+every physical constant lives there.  One table, _SCHEMA, has a row per key
+(dotted path, JSON type, default, range check, RunConfig field and flag)
+that drives reading, unknown-key rejection, range checks and the flags.  A
+config is fully checked at load time, a flag's value when it is applied:
+an unknown key, so a misspelt one never runs on its default, a NaN,
+infinite or beyond-float-range number and a pair gain whose amplified
+vacuum over the crystal would leave float range are errors.
 
 Output files are written to a short random .part name beside the output,
 created with mode 0o666 (the kernel gives it open()'s mode) and renamed
@@ -45,9 +46,10 @@ import shutil
 import sys
 import tempfile
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import MISSING as REQUIRED, make_dataclass, replace
 from importlib import resources
 from itertools import islice
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,97 +71,148 @@ EXIT_STATISTICAL = 4
 FORMATS = ("csv", "json")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    crystal: dp.CrystalSpec
-    detector: DetectorSpec
-    engine: str
-    trials: int
-    seed: int
-    workers: int
-    sweep_band: tuple
-    couplings: Couplings
-    ratios_omega: float
-    ratios_trials: int
-    darkrate_windows: tuple
-    output_path: str
-    output_format: str
+class Kind(NamedTuple):
+    """A key's JSON types (a bool never; None takes any value), the maker of
+    its field value (whose TypeError, ValueError or InvalidArgumentError is
+    a ConfigError of the key) and its flag's argparse keywords."""
 
-    def __post_init__(self):
-        # dataclasses.replace runs this again for the command-line flags
-        if self.engine not in ENGINES:
-            raise ConfigError("engine", f"unknown engine {self.engine!r}")
-        if self.output_format not in FORMATS:
-            raise ConfigError("output.format",
-                              f"unknown format {self.output_format!r}")
-        for name, value, least in (("trials", self.trials, 1),
-                                   ("seed", self.seed, 0),
-                                   ("workers", self.workers, 1),
-                                   ("ratios.trials", self.ratios_trials, 1)):
-            if value < least:
-                raise ConfigError(name, f"must be >= {least}")
-        if not 0.0 < self.ratios_omega < 1.0:
-            raise ConfigError("ratios.omega", "must lie in (0, 1)")
-        if not self.darkrate_windows or any(
-                isinstance(w, bool) or not isinstance(w, int) or w < 1
-                for w in self.darkrate_windows):
-            raise ConfigError("darkrate.windows", "must be integers >= 1")
+    types: type | tuple | None
+    convert: Callable | None = None
+    parse: dict = {}
+
+
+def _gain(value):
+    """couplings.g_up: null (the crystal's gain) or a number >= 0."""
+    if value is None or type(value) in (int, float) and value >= 0:
+        return None if value is None else float(value)
+    raise InvalidArgumentError("must be a number >= 0")
+
+
+NUMBER = Kind((int, float), float, dict(type=float))
+INTEGER = Kind(int, parse=dict(type=int))
+INTEGERS = Kind(list, tuple, dict(type=int, nargs="+"))
+TEXT, LIST = Kind(str), Kind(list)
+SELLMEIER, GAIN = Kind(list, dp.SellmeierCoefficients), Kind(None, _gain)
+ENGINE = Kind(None, parse=dict(choices=ENGINES))
+FORMAT = Kind(str, parse=dict(choices=FORMATS))
+
+
+def _at_least(least):
+    return (lambda value: value >= least), f"must be >= {least}"
+
+
+def _one_of(choices, noun):
+    return choices.__contains__, f"unknown {noun} {{!r}}"
+
+
+class Key(NamedTuple):
+    """A config key: dotted path, kind, default (REQUIRED, a value or a
+    function of the fields read before it), RunConfig field, check and flag.
+    A field that _SPECS makes takes its keys as keyword arguments, by their
+    last part.  A plain field's check (holds, message) runs on every
+    RunConfig made, and rejects a value as message.format(value)."""
+
+    key: str
+    kind: Kind
+    default: object
+    field: str
+    check: tuple | None = None
+    flag: str | None = None
+    section = property(lambda self: self.key.rpartition(".")[0])
+    name = property(lambda self: self.key.rpartition(".")[2])
+
+
+_SCHEMA = (
+    Key("crystal.sellmeier_o", SELLMEIER, REQUIRED, "crystal"),
+    Key("crystal.sellmeier_e", SELLMEIER, REQUIRED, "crystal"),
+    Key("crystal.cut_angle_deg", NUMBER, REQUIRED, "crystal"),
+    Key("crystal.length_mm", NUMBER, REQUIRED, "crystal"),
+    Key("crystal.pump_wavelength_nm", NUMBER, REQUIRED, "crystal"),
+    Key("crystal.gain_per_mm", NUMBER, REQUIRED, "crystal"),
+    Key("crystal.pump_polarization", TEXT, dp.CrystalSpec.pump_polarization, "crystal"),
+    Key("crystal.window_um", LIST, REQUIRED, "crystal"),
+    Key("detector.threshold", NUMBER, DetectorSpec.threshold, "detector"),
+    Key("detector.window_samples", INTEGER, DetectorSpec.window_samples, "detector"),
+    Key("detector.efficiency", NUMBER, DetectorSpec.efficiency, "detector"),
+    Key("engine", ENGINE, "covariance", "engine", _one_of(ENGINES, "engine"), "--engine"),
+    Key("trials", INTEGER, DEFAULT_TRIALS, "trials", _at_least(1), "--trials"),
+    Key("seed", INTEGER, DEFAULT_SEED, "seed", _at_least(0), "--seed"),
+    Key("workers", INTEGER, lambda fields: len(os.sched_getaffinity(0)), "workers",
+        _at_least(1), "--workers"),
+    Key("sweep.omega_min", NUMBER, REQUIRED, "sweep_band"),
+    Key("sweep.omega_max", NUMBER, REQUIRED, "sweep_band"),
+    Key("sweep.steps", INTEGER, REQUIRED, "sweep_band"),
+    Key("couplings.g_up", GAIN, Couplings.g_up, "couplings"),
+    Key("couplings.phi_down", NUMBER, Couplings.phi_down, "couplings"),
+    Key("couplings.phi_up", NUMBER, Couplings.phi_up, "couplings"),
+    Key("ratios.omega", NUMBER, 0.5, "ratios_omega",
+        (lambda omega: 0.0 < omega < 1.0, "must lie in (0, 1)"), "--omega"),
+    Key("ratios.trials", INTEGER, lambda fields: fields["trials"], "ratios_trials",
+        _at_least(1), "--trials"),
+    Key("darkrate.windows", INTEGERS, [1, 10, 100], "darkrate_windows",
+        (lambda windows: bool(windows) and all(type(w) is int and w >= 1 for w in windows),
+         "must be integers >= 1"), "--windows"),
+    Key("output.path", TEXT, "zprainbow_out.csv", "output_path", None, "--output"),
+    Key("output.format", FORMAT, "csv", "output_format", _one_of(FORMATS, "format"),
+        "--format"),
+)
+_REQUIRED_SECTIONS = ("crystal", "detector", "sweep")
+
+
+# RunConfig field -> the maker of its value from its keys, which share a
+# section; its InvalidArgumentError is a ConfigError of the section
+_SPECS = {"crystal": dp.CrystalSpec, "detector": DetectorSpec,
+          "sweep_band": lambda **band: tuple(band.values()),   # table order
+          "couplings": Couplings}
+_CHECKS = [(key.key, key.field, key.check) for key in _SCHEMA if key.check]
+# section -> its keys, each with its last part; "" holds the top level
+_SECTIONS = {section: [(k.name, k) for k in _SCHEMA if k.section == section]
+             for section in dict.fromkeys(key.section for key in _SCHEMA)}
+
+
+def _check(config) -> None:
+    for key, field, (holds, message) in _CHECKS:
+        if not holds(value := getattr(config, field)):
+            raise ConfigError(key, message.format(value))
+
+
+RunConfig = make_dataclass(
+    "RunConfig", list(dict.fromkeys(key.field for key in _SCHEMA)),
+    frozen=True, namespace=dict(__module__=__name__, __post_init__=_check,
+                                __doc__="A run's settings, _SCHEMA's fields."))
 
 
 def default_config_path() -> str:
     return str(resources.files("zprainbow").joinpath("configs/default.json"))
 
 
-def _section(raw, name, optional=False):
-    value = raw.pop(name, {} if optional else None)
-    if not isinstance(value, dict):
-        raise ConfigError(name, "missing or not a dict")
-    return value
-
-
-def _path(section_path, name):
-    """The dotted path of a field; top-level fields have no section."""
-    return f"{section_path}.{name}" if section_path else name
-
-
-def _field(section, path, name, types, default=None, required=False):
-    """Take `name` out of `section`, checked against `types`."""
-    if name not in section:
-        if required:
-            raise ConfigError(_path(path, name), "missing required field")
-        return default
-    value = section.pop(name)
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(_path(path, name),
-                          f"expected {types}, got {value!r}")
-    return value
-
-
-def _number(section, path, name, default=None, required=False) -> float:
-    return float(_field(section, path, name, (int, float), default, required))
-
-
-def _reject_unknown(section, path):
-    """A key no read took out is unknown: a misspelt key must fail."""
-    for key in section:
-        raise ConfigError(_path(path, key), "unknown key")
-
-
-def _sellmeier(section, path, name):
-    terms = _field(section, path, name, list, required=True)
+def _value(section, name, key, fields):
+    """`key`'s field value, from `name` in its section or its default."""
+    types, convert, _ = key.kind
+    if name in section:
+        value = section.pop(name)
+        if types and (not isinstance(value, types) or isinstance(value, bool)):
+            raise ConfigError(key.key, f"expected {types}, got {value!r}")
+    elif key.default is REQUIRED:
+        raise ConfigError(key.key, "missing required field")
+    else:
+        value = key.default(fields) if callable(key.default) else key.default
     try:
-        return dp.SellmeierCoefficients(tuple((float(b), float(c))
-                                              for b, c in terms))
+        return convert(value) if convert else value
     except (TypeError, ValueError, InvalidArgumentError) as e:
-        raise ConfigError(f"{path}.{name}", str(e)) from None
+        raise ConfigError(key.key, str(e)) from None
 
 
 def _finite(text, kind=float):
-    """JSON number hook: NaN, Infinity and numbers beyond float range
-    are errors."""
-    if not math.isfinite(float(text)):
+    """JSON number hook: NaN, Infinity and beyond float range are errors."""
+    if not math.isfinite(value := float(text)):
         raise ConfigError("config", f"number out of range: {text[:20]}")
-    return kind(text)
+    return value if kind is float else kind(text)
+
+
+# made once: a JSONDecoder costs about a fifth of a config's parse
+_JSON = json.JSONDecoder(parse_float=_finite, parse_constant=_finite,
+                         parse_int=lambda text: _finite(text, int))
 
 
 def load_config(path: str | None = None) -> RunConfig:
@@ -167,82 +220,47 @@ def load_config(path: str | None = None) -> RunConfig:
     cfg_path = path or default_config_path()
     try:
         with open(cfg_path, "rb") as fh:
-            raw = json.load(fh, parse_float=_finite, parse_constant=_finite,
-                            parse_int=lambda text: _finite(text, int))
+            data = fh.read()   # decoded as json.load decodes it
+        raw = _JSON.decode(data.decode(json.detect_encoding(data),
+                                       "surrogatepass"))
     except OSError as e:
         raise ConfigError("config", f"cannot read {cfg_path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError("config", f"invalid JSON in {cfg_path}: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
-
-    c = _section(raw, "crystal")
-    try:
-        crystal = dp.CrystalSpec(
-            sellmeier_o=_sellmeier(c, "crystal", "sellmeier_o"),
-            sellmeier_e=_sellmeier(c, "crystal", "sellmeier_e"),
-            cut_angle_deg=_number(c, "crystal", "cut_angle_deg",
-                                  required=True),
-            length_mm=_number(c, "crystal", "length_mm", required=True),
-            pump_wavelength_nm=_number(c, "crystal", "pump_wavelength_nm",
-                                       required=True),
-            gain_per_mm=_number(c, "crystal", "gain_per_mm", required=True),
-            pump_polarization=_field(c, "crystal", "pump_polarization", str,
-                                     default="extraordinary"),
-            window_um=tuple(_field(c, "crystal", "window_um", list,
-                                   required=True)),
-        )
-    except InvalidArgumentError as e:
-        raise ConfigError("crystal", str(e)) from None
-    _reject_unknown(c, "crystal")
+    fields = {}
+    for title, keys in _SECTIONS.items():
+        section = raw.pop(title, None if title in _REQUIRED_SECTIONS else {}) \
+            if title else raw
+        if not isinstance(section, dict):
+            raise ConfigError(title, "missing or not a dict")
+        spec = {}
+        for name, key in keys:
+            value = _value(section, name, key, fields)
+            if key.field in _SPECS:
+                spec[name] = value
+            else:
+                fields[key.field] = value
+        # a key no read took out is unknown: a misspelt key must fail
+        for name in section if title else ():
+            raise ConfigError(f"{title}.{name}", "unknown key")
+        if spec:
+            try:
+                fields[key.field] = _SPECS[key.field](**spec)
+            except InvalidArgumentError as e:
+                raise ConfigError(title, str(e)) from None
+    crystal, band = fields["crystal"], fields["sweep_band"]
     if not math.isfinite(crystal.length_um):
         raise ConfigError("crystal.length_mm",
                           f"{crystal.length_mm:g} mm exceeds the float range "
                           f"in micrometres")
-
-    d = _section(raw, "detector")
-    try:
-        detector = DetectorSpec(
-            threshold=_number(d, "detector", "threshold",
-                              default=DetectorSpec.threshold),
-            window_samples=_field(d, "detector", "window_samples", int,
-                                  default=DetectorSpec.window_samples),
-            efficiency=_number(d, "detector", "efficiency",
-                               default=DetectorSpec.efficiency),
-        )
-    except InvalidArgumentError as e:
-        raise ConfigError("detector", str(e)) from None
-    _reject_unknown(d, "detector")
-
-    engine = raw.pop("engine", "covariance")
-    trials = _field(raw, "", "trials", int, default=DEFAULT_TRIALS)
-    seed = _field(raw, "", "seed", int, default=DEFAULT_SEED)
-    workers = _field(raw, "", "workers", int,
-                     default=len(os.sched_getaffinity(0)))
-
-    s = _section(raw, "sweep")
-    band = (_number(s, "sweep", "omega_min", required=True),
-            _number(s, "sweep", "omega_max", required=True),
-            _field(s, "sweep", "steps", int, required=True))
-    _reject_unknown(s, "sweep")
     if not 0.0 < band[0] < band[1] < 1.0:
         raise ConfigError("sweep", "need 0 < omega_min < omega_max < 1")
     try:
         sweep_grid(*band)
     except InvalidArgumentError as e:
         raise ConfigError("sweep.steps", str(e)) from None
-
-    k = _section(raw, "couplings", optional=True)
-    g_up = k.pop("g_up", None)
-    if g_up is not None and (isinstance(g_up, bool) or not isinstance(
-            g_up, (int, float)) or g_up < 0):
-        raise ConfigError("couplings.g_up", "must be a number >= 0")
-    couplings = Couplings(
-        g_up=None if g_up is None else float(g_up),
-        phi_down=_number(k, "couplings", "phi_down",
-                         default=Couplings.phi_down),
-        phi_up=_number(k, "couplings", "phi_up", default=Couplings.phi_up))
-    _reject_unknown(k, "couplings")
     # the pair gain amplifies the vacuum intensity like exp(2 g L); a
     # quarter of the float exponent range keeps intensities, their
     # products and sampled vacuum fluctuations finite
@@ -250,29 +268,9 @@ def load_config(path: str | None = None) -> RunConfig:
     if crystal.gain_per_mm * crystal.length_mm > max_gain_length:
         raise ConfigError("crystal.gain_per_mm", f"times crystal.length_mm "
                           f"must not exceed {max_gain_length:.6g}")
-
-    r = _section(raw, "ratios", optional=True)
-    ratios_omega = _number(r, "ratios", "omega", default=0.5)
-    ratios_trials = _field(r, "ratios", "trials", int, default=trials)
-    _reject_unknown(r, "ratios")
-
-    dk = _section(raw, "darkrate", optional=True)
-    windows = tuple(_field(dk, "darkrate", "windows", list,
-                           default=[1, 10, 100]))
-    _reject_unknown(dk, "darkrate")
-
-    o = _section(raw, "output", optional=True)
-    out_path = _field(o, "output", "path", str, default="zprainbow_out.csv")
-    out_format = _field(o, "output", "format", str, default="csv")
-    _reject_unknown(o, "output")
-    _reject_unknown(raw, "")
-
-    return RunConfig(crystal=crystal, detector=detector, engine=engine,
-                     trials=trials, seed=seed, workers=workers,
-                     sweep_band=band, couplings=couplings,
-                     ratios_omega=ratios_omega, ratios_trials=ratios_trials,
-                     darkrate_windows=windows, output_path=out_path,
-                     output_format=out_format)
+    for name in raw:
+        raise ConfigError(name, "unknown key")
+    return RunConfig(**fields)
 
 
 def _fmt(value) -> str:
@@ -658,21 +656,13 @@ def cmd_simulate(config: RunConfig, raw_vacuum: bool) -> int:
     return EXIT_OK
 
 
-# flag -> (the RunConfig fields it overrides, its argparse keywords); a flag
+# flag -> (the RunConfig fields it sets, its argparse keywords); a flag
 # with no field goes to the command's run function as a keyword argument
-_FLAGS = {
-    "--seed": (("seed",), dict(type=int)),
-    "--trials": (("trials", "ratios_trials"), dict(type=int)),
-    "--engine": (("engine",), dict(choices=ENGINES)),
-    "--workers": (("workers",), dict(type=int)),
-    "--omega": (("ratios_omega",), dict(type=float)),
-    "--windows": (("darkrate_windows",), dict(type=int, nargs="+")),
-    "--output": (("output_path",), {}),
-    "--format": (("output_format",), dict(choices=FORMATS)),
-    "--theta-low-deg": ((), dict(type=float)),
-    "--theta-high-deg": ((), dict(type=float)),
-    "--raw-vacuum": ((), dict(action="store_true")),
-}
+_FLAGS = {key.flag: (tuple(k.field for k in _SCHEMA if k.flag == key.flag),
+                     key.kind.parse) for key in _SCHEMA if key.flag}
+_FLAGS.update({"--theta-low-deg": ((), dict(type=float)),
+               "--theta-high-deg": ((), dict(type=float)),
+               "--raw-vacuum": ((), dict(action="store_true"))})
 
 _OUTPUT = ("--output", "--format")
 _SAMPLED = ("--seed", "--trials", "--engine", "--workers") + _OUTPUT

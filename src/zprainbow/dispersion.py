@@ -116,12 +116,12 @@ class CrystalSpec:
             raise InvalidArgumentError("pump wavelength outside window")
         if self.pump_polarization not in (ORDINARY, EXTRAORDINARY):
             raise InvalidArgumentError("unknown pump polarization")
+        grid = np.linspace(lo, hi, 257)
         for sell in (self.sellmeier_o, self.sellmeier_e):
             for _, c in sell.terms:
                 if lo * lo <= c <= hi * hi:
                     raise InvalidArgumentError(
                         f"Sellmeier pole at {math.sqrt(c):.4f} um inside window")
-            grid = np.linspace(lo, hi, 257)
             # vacuum-like media (all B_j = 0, n = 1) stay legal
             if np.any(sell.n_squared(grid) < 1.0 - 1e-12):
                 raise InvalidArgumentError("n^2 < 1 inside transparency window")

@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -274,14 +275,20 @@ def evaluate(omegas, crystal: dp.CrystalSpec, couplings: Couplings,
 def sweep_grid(omega_min: float, omega_max: float, steps: int) -> np.ndarray:
     """The sweep's frequencies: `steps` evenly spaced from omega_min to
     omega_max.  Raises InvalidArgumentError unless 0 < omega_min <
-    omega_max < 1, steps >= 2 and the float grid is strictly increasing
-    (a band a few ulp wide cannot hold many distinct frequencies)."""
+    omega_max < 1, steps >= 2 and the float grid fits in memory and is
+    strictly increasing (a few ulp of band hold few distinct floats)."""
     if not 0.0 < omega_min < omega_max < 1.0:
         raise InvalidArgumentError("need 0 < omega_min < omega_max < 1")
     if steps < 2:
         raise InvalidArgumentError("steps must be >= 2")
-    omegas = np.linspace(omega_min, omega_max, steps)
-    if not (np.diff(omegas) > 0).all():
+    # the band holds as many floats as their bit patterns span
+    lo, hi = struct.unpack("<2q", struct.pack("<2d", omega_min, omega_max))
+    try:
+        omegas = (np.linspace(omega_min, omega_max, steps)
+                  if steps <= hi - lo + 1 else None)
+    except MemoryError:
+        raise InvalidArgumentError(f"{steps} steps exceed memory") from None
+    if omegas is None or not (np.diff(omegas) > 0).all():
         raise InvalidArgumentError(f"{steps} steps repeat a frequency of "
                                    f"[{omega_min!r}, {omega_max!r}]")
     return omegas
