@@ -55,13 +55,13 @@ import numpy as np
 
 from . import coupling as cp
 from . import dispersion as dp
-from .detection import ChannelRate, DetectorSpec, dark_rate_curve, ratio_down
+from .detection import DetectorSpec, dark_rate_curve, down_ratios, rates
 from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
                      NoSolutionError, StatisticalError, present)
 from .rainbow import (DEFAULT_SEED, DEFAULT_TRIALS, ENGINES, Couplings,
-                      POINT_FIELDS, evaluate, mean_intensities, pdc_system,
-                      satellite_summary, sweep, sweep_grid)
-from .zpf import Mode, ORDINARY, TRIAL_BLOCK, vacuum_rows
+                      POINT_FIELDS, RainbowPoint, columns, mean_intensities,
+                      pdc_system, satellite_summary, sweep, sweep_grid)
+from .zpf import TRIAL_BLOCK, vacuum_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -225,6 +225,8 @@ def load_config(path: str | None = None) -> RunConfig:
                                        "surrogatepass"))
     except OSError as e:
         raise ConfigError("config", f"cannot read {cfg_path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError("config", f"cannot decode {cfg_path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError("config", f"invalid JSON in {cfg_path}: {e}") from None
     if not isinstance(raw, dict):
@@ -548,19 +550,17 @@ def forced_angle_report(config: RunConfig, theta_low_deg: float,
                           "--theta-high-deg must lie in (-90, 90) degrees")
     th_lo, th_hi = math.radians(theta_low_deg), math.radians(theta_high_deg)
     gl = config.crystal.gain_per_mm * config.crystal.length_mm
-    modes = (Mode(0.5, th_lo, th_lo, ORDINARY, "input"),
-             Mode(0.5, -th_hi, -th_hi, ORDINARY, "signal"))
     t = cp.squeeze_pair(gl, config.couplings.phi_down)
     means = mean_intensities(t.matrix[None], config.engine,
                              config.ratios_trials, config.seed,
                              config.workers)[0]
-    rate_lo = ChannelRate.from_mean(modes[0], means[0])
-    rate_hi = ChannelRate.from_mean(modes[1], means[1])
+    low, high = (rates(mean, theta)
+                 for mean, theta in zip(means, (th_lo, -th_hi)))
     return {
         "theta_low_deg": theta_low_deg,
         "theta_high_deg": theta_high_deg,
         "engine": config.engine,
-        "rate_ratio": ratio_down(rate_lo, rate_hi),
+        "rate_ratio": float(down_ratios(low, high)),
         "cosine_ratio": math.cos(th_hi) / math.cos(th_lo),
         "photon_theory_ratio": 1.0,
     }
@@ -573,22 +573,24 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
     up-conversion entry reports the signed above-zeropoint value of the
     upper channel, its clamped rate, and the signed ratio.
     """
-    [(point, main, satellite)] = evaluate(
-        [omega], config.crystal, config.couplings, config.engine,
-        config.ratios_trials, config.seed, config.workers, per_point=False)
-    low, high, _ = present(main)
+    found = columns([omega], config.crystal, config.couplings, config.engine,
+                    config.ratios_trials, config.seed, config.workers,
+                    per_point=False)
+    present(found.main.reasons.get(0))
+    point = RainbowPoint(*found.table[0].tolist())
+    main, sat = (g.theta_external[0].tolist()
+                 for g in (found.main, found.satellite))
     lower = upper_rate = eq2_cosine = math.nan
     if point.has_satellite:
-        q_w, _, q_u = satellite
-        lower, upper_rate = q_w.above_zeropoint, q_u.photon_rate
-        eq2_cosine = -(math.cos(q_u.mode.theta_external)
-                       / math.cos(q_w.mode.theta_external))
+        # the satellite's lower channel w and its upper channel w0 + w
+        above, rate, _ = rates(found.means[0, 2], sat)
+        lower, upper_rate = float(above[0]), float(rate[2])
+        eq2_cosine = -(math.cos(sat[2]) / math.cos(sat[0]))
     return {
         "omega": omega,
         "engine": config.engine,
         "eq1_ratio": point.eq1_ratio,
-        "eq1_cosine_ratio": (math.cos(high.mode.theta_external)
-                             / math.cos(low.mode.theta_external)),
+        "eq1_cosine_ratio": math.cos(main[1]) / math.cos(main[0]),
         "photon_theory_ratio": 1.0,
         "lower_above_zeropoint": lower,
         "upper_above_zeropoint": point.upper_above_zeropoint,

@@ -13,6 +13,11 @@ the threshold; window averaging is what suppresses vacuum dark counts.
 long integration time, many light oscillations per decision.)  Mean-rate
 quantities use expectation values directly and never threshold.
 
+rates, down_ratios and up_ratios work on arrays of channels; the sweep
+and the ratios report take every rate from them.  ChannelRate, ratio_down
+and ratio_up are their public one-channel calls and the tests'
+per-system reference; no command calls them.
+
 The `darkrate` command takes its window sizes from `darkrate.windows` (or
 `--windows`), one DetectorSpec per size.  The config's
 `detector.window_samples` is read, validated and fingerprinted with the

@@ -22,9 +22,9 @@ each absent point with the error that says why: that point is absent
 systems' coupling columns are stacked straight from those records into
 one coupling.three_wave_matrices call, and every rate and ratio column
 comes from their means by detection.rates, down_ratios and up_ratios.
+The CLI's ratios report reads the same columns at its one frequency.
 No Mode, ThreeWaveSystem or ChannelRate is built on that path; only the
-one-frequency calls build them: pdc_system and puc_system, and
-evaluate's ChannelRates for the CLI's ratios report.
+one-frequency calls pdc_system and puc_system build them.
 Both engines share one path from the vacuum to the means,
 mean_intensities.  The engines differ only in the input covariances:
 `covariance` takes the exact vacuum (zpf.vacuum_state) for every
@@ -51,8 +51,7 @@ import numpy as np
 
 from . import coupling as cp
 from . import dispersion as dp
-from .detection import (ChannelRate, DetectorSpec, Rates, down_ratios, rates,
-                        up_ratios)
+from .detection import DetectorSpec, Rates, down_ratios, rates, up_ratios
 from .errors import (BandError, InvalidArgumentError, NoSolutionError,
                      present)
 from .zpf import mode_intensities, sampled_states, vacuum_state
@@ -192,8 +191,10 @@ def mean_intensities(matrices, engine: str, trials: int, seed: int,
     return mode_intensities(cp.propagate_covariances(matrices, covariances))
 
 
-class _Columns(NamedTuple):
-    """evaluate's columns over a band of N frequencies."""
+class Columns(NamedTuple):
+    """The sweep's columns over a band of N frequencies.  main.reasons
+    and satellite.reasons say why a process has no triple at a point; a
+    satellite also needs the main rainbow."""
 
     main: dp.Geometry        # the down-matched triples
     satellite: dp.Geometry   # the up-matched triples
@@ -202,10 +203,12 @@ class _Columns(NamedTuple):
     table: np.ndarray        # (N, 9): the RainbowPoint columns
 
 
-def _columns(omegas, crystal, couplings, engine, trials, seed, workers,
-             per_point) -> _Columns:
+def columns(omegas, crystal, couplings, engine, trials, seed, workers,
+            per_point) -> Columns:
     """The sweep of omegas as columns, with one stack of transforms and
-    one mean_intensities call for every present system."""
+    one mean_intensities call for every present system.  per_point
+    gives point i's main and pair-only systems the vacuum (i, 0) and its
+    satellite (i, 1); without it all share seed's vacuum."""
     band = dp.Band(omegas, crystal)
     omegas, n = band.omega, len(band.omega)
     main = _triples("down", band, couplings)
@@ -241,35 +244,7 @@ def _columns(omegas, crystal, couplings, engine, trials, seed, workers,
         main_r.photon_rate[:, 0, 0], main_r.photon_rate[:, 0, 1],
         sat_w.photon_rate, sat_u.above_zeropoint,
         down_ratios(pair_w, pair_s), up_ratios(sat_w, sat_u)], axis=1)
-    return _Columns(main, sat, means, table)
-
-
-def evaluate(omegas, crystal: dp.CrystalSpec, couplings: Couplings,
-             engine: str, trials: int, seed: int, workers: int = 1,
-             per_point: bool = True) -> list[tuple]:
-    """(RainbowPoint, main rates, satellite rates) per frequency, a rates
-    entry being the system's ChannelRates or the error saying why it is
-    absent; a satellite needs the main rainbow, else takes its reason.
-    per_point gives point i's main and pair-only systems the vacuum
-    (i, 0) and its satellite (i, 1); without it all share seed's vacuum.
-    The sweep's column pass, with the ChannelRates of each present system
-    built from its means."""
-    columns = _columns(omegas, crystal, couplings, engine, trials, seed,
-                       workers, per_point)
-    evaluated = []
-    for k, row in enumerate(columns.table.tolist()):
-        main = columns.main.reasons.get(k)
-        sat = columns.satellite.reasons.get(k)
-        if main is None:
-            main = [ChannelRate.from_mean(m, v) for m, v in
-                    zip(columns.main.modes(k), columns.means[k, 0])]
-            if sat is None:
-                sat = [ChannelRate.from_mean(m, v) for m, v in
-                       zip(columns.satellite.modes(k), columns.means[k, 2])]
-        elif sat is None:
-            sat = main
-        evaluated.append((RainbowPoint(*row), main, sat))
-    return evaluated
+    return Columns(main, sat, means, table)
 
 
 def sweep_grid(omega_min: float, omega_max: float, steps: int) -> np.ndarray:
@@ -313,14 +288,14 @@ def sweep(omega_min: float, omega_max: float, steps: int,
         crystal=crystal, detector=detector, engine=engine,
         trials=trials, seed=seed, couplings=couplings))
 
-    columns = _columns(omegas, crystal, couplings, engine, trials, seed,
-                       workers, per_point=True)
-    if not columns.main.present.any():
+    found = columns(omegas, crystal, couplings, engine, trials, seed,
+                    workers, per_point=True)
+    if not found.main.present.any():
         raise BandError(
             f"no phase-matched frequency in [{omega_min}, {omega_max}]; "
             "check the crystal dispersion and pump settings")
     return RainbowTable(
-        points=tuple(RainbowPoint(*row) for row in columns.table.tolist()),
+        points=tuple(RainbowPoint(*row) for row in found.table.tolist()),
         config_fingerprint=fingerprint)
 
 

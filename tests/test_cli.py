@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -708,6 +709,39 @@ class TestSimulateCommand:
     # more than one block, and not a whole number of blocks
     TRIALS = 2 * _BLOCK_ROWS + 3
 
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """expected_table(fmt, ...) of the shipped config's dump of any
+        trial count up to fmt's longest STREAMED one.  A shorter dump is a
+        bitwise prefix of a longer one, so each (fmt, raw) table is built
+        once, at that longest count, and cut at a row boundary; the mapped
+        one-row dump, whose lone row is mapped on its own, is built
+        alone."""
+        longest = {fmt: max(n for n, f in self.STREAMED if f == fmt)
+                   for _, fmt in self.STREAMED}
+        # a row's text ends with its newline, or a JSON object's "\n  }"
+        row_end = {"csv": "\n", "json": "\n  }"}
+        tail = {"csv": "", "json": "\n]\n"}
+        tables = {}
+
+        def build(fmt, raw, trials):
+            config = replace(load_config(), trials=trials)
+            return expected_table(fmt, SIMULATE_HEADER,
+                                  simulate_reference_rows(config, raw))
+
+        def expected(fmt, raw, trials):
+            if trials == 1 and not raw:
+                return build(fmt, raw, 1)
+            if (fmt, raw) not in tables:
+                text = build(fmt, raw, longest[fmt])
+                # the end offset of each row, the CSV header line skipped
+                ends = [m.end() for m in re.finditer(row_end[fmt], text)]
+                tables[fmt, raw] = text, ends[fmt == "csv":]
+            text, ends = tables[fmt, raw]
+            return text[:ends[trials - 1]] + tail[fmt]
+
+        return expected
+
     # the CPU count sets the default workers; --workers 2 forks share
     # writers on any host
     CASES = [pytest.param(raw, [], id=f"raw{r}")
@@ -716,24 +750,24 @@ class TestSimulateCommand:
         for w in ("1", "2") for r, raw in enumerate([[], ["--raw-vacuum"]])]
 
     @pytest.mark.parametrize("raw, workers", CASES)
-    def test_csv_bytes_match_per_cell_rule(self, tmp_path, raw, workers):
+    def test_csv_bytes_match_per_cell_rule(self, tmp_path, reference, raw,
+                                           workers):
         path = write_config(tmp_path, trials=self.TRIALS)
         out = tmp_path / "sim.csv"
         assert main(["--config", path, "simulate", *raw, *workers,
                      "--output", str(out)]) == EXIT_OK
-        rows = simulate_reference_rows(load_config(path), bool(raw))
         assert_same_text(out.read_bytes().decode(),
-                         expected_table("csv", SIMULATE_HEADER, rows))
+                         reference("csv", bool(raw), self.TRIALS))
 
     @pytest.mark.parametrize("raw, workers", CASES)
-    def test_json_bytes_match_whole_dump(self, tmp_path, raw, workers):
+    def test_json_bytes_match_whole_dump(self, tmp_path, reference, raw,
+                                         workers):
         path = write_config(tmp_path, trials=self.TRIALS)
         out = tmp_path / "sim.json"
         assert main(["--config", path, "simulate", *raw, *workers,
                      "--format", "json", "--output", str(out)]) == EXIT_OK
-        rows = simulate_reference_rows(load_config(path), bool(raw))
         text = out.read_bytes().decode()
-        assert_same_text(text, expected_table("json", SIMULATE_HEADER, rows))
+        assert_same_text(text, reference("json", bool(raw), self.TRIALS))
         trials = [row["trial"] for row in json.loads(text)]
         assert trials == list(range(self.TRIALS))
         assert all(type(t) is int for t in trials)
@@ -784,12 +818,10 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("raw", [[], ["--raw-vacuum"]],
                              ids=["mapped", "raw"])
     @pytest.mark.parametrize("trials, fmt", STREAMED)
-    def test_streamed_bytes_match_whole_table(self, tmp_path, trials, fmt,
-                                              raw):
+    def test_streamed_bytes_match_whole_table(self, tmp_path, reference,
+                                              trials, fmt, raw):
         path = write_config(tmp_path, trials=trials)
-        expected = expected_table(
-            fmt, SIMULATE_HEADER,
-            simulate_reference_rows(load_config(path), bool(raw)))
+        expected = reference(fmt, bool(raw), trials)
         for workers in ("1", "2", "3"):
             out = tmp_path / f"sim{workers}"
             assert main(["--config", path, "simulate", *raw, "--workers",
@@ -854,7 +886,8 @@ class TestSimulateCommand:
             out.unlink()
         assert peaks["json"] < peaks["csv"] + 2 * 2 ** 20
 
-    def test_share_writers_fork_after_blas_threads(self, tmp_path):
+    def test_share_writers_fork_after_blas_threads(self, tmp_path,
+                                                  reference):
         # a Monte Carlo rainbow wakes BLAS's threads (x.T @ x of whole
         # trial blocks) and runs the sampling thread pool; the share
         # writers forked after it draw Philox and map through BLAS
@@ -874,9 +907,8 @@ class TestSimulateCommand:
         thread.join(timeout=60)
         assert not thread.is_alive(), "simulate hung after the fork"
         assert codes == [EXIT_OK]
-        rows = simulate_reference_rows(load_config(path), False)
         assert_same_text(out.read_bytes().decode(),
-                         expected_table("csv", SIMULATE_HEADER, rows))
+                         reference("csv", False, trials))
 
     def test_dump(self, tmp_path):
         path = write_config(tmp_path, trials=500)
@@ -1137,8 +1169,8 @@ def drop_key(key):
 
 def case(edits, message, argv=("angles",), id=None):
     """A config error: the shipped config with `edits` (mutate's edits, or
-    the whole file text, None for no file), run as `argv`, and the message
-    it prints; {path} stands for the config file's path."""
+    the whole file as text or bytes, None for no file), run as `argv`, and
+    the message it prints; {path} stands for the config file's path."""
     return pytest.param(edits, list(argv), message, id=id or message)
 
 
@@ -1181,6 +1213,9 @@ CONFIG_ERRORS = [
     case("{not json", "config: invalid JSON in {path}: Expecting property "
                       "name enclosed in double quotes: line 1 column 2 "
                       "(char 1)", id="invalid-json"),
+    case(b'{"engine": "cov\xffariance"}', "config: cannot decode {path}: "
+         "'utf-8' codec can't decode byte 0xff in position 15: invalid "
+         "start byte", id="not-utf-8"),
     case("[]", "config: top level must be an object"),
     case([set_key("crystal.gain_per_mm", math.nan)],
          "config: number out of range: NaN"),
@@ -1286,6 +1321,8 @@ class TestConfigErrorMessages:
         if isinstance(edits, list):
             path.write_text(json.dumps(mutate(SHIPPED, edits))
                             .replace('"1e400"', "1e400"))
+        elif isinstance(edits, bytes):
+            path.write_bytes(edits)
         elif edits is not None:
             path.write_text(edits)
         out = tmp_path / "x.csv"

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -49,3 +50,39 @@ def test_readme_command_table_lists_each_commands_flags():
         cell = rows[command]
         assert sorted(re.findall(r"--[\w-]+", cell)) == want, command
         assert (cell == "none") == (not want), command
+
+
+# public src names that no src code uses, that zprainbow does not export
+# and that the acceptance suite does not call: only the other tests use
+# them.  The set may shrink; a new unused name fails the check.
+UNUSED = {"system_matrices", "quadrature_matrix", "ratio_down", "ratio_up",
+          "conjugate_leg", "up_leg"}
+
+
+def _parse(path):
+    """A module's syntax tree and every name it reads or imports."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return tree, names
+
+
+def test_every_public_src_name_is_used():
+    src = os.path.dirname(zprainbow.__file__)
+    modules = [_parse(os.path.join(src, name))
+               for name in sorted(os.listdir(src)) if name.endswith(".py")]
+    _, acceptance = _parse(os.path.join(os.path.dirname(__file__),
+                                        "test_acceptance.py"))
+    used = set(zprainbow.__all__).union(acceptance,
+                                        *(names for _, names in modules))
+    defined = {node.name for tree, _ in modules for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    assert defined - used == UNUSED

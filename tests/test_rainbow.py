@@ -7,12 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from geometry_oracle import make_mode, mismatch, pump_mode
 from rate_oracle import channel_rates
+from zprainbow.cli import forced_angle_report, physical_ratio_report
 from zprainbow.detection import ChannelRate, ratio_down, ratio_up
 from zprainbow.dispersion import PhaseMatchSolution, match_down
 from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
-                               _point_seed, evaluate, mean_intensities,
+                               _point_seed, columns, mean_intensities,
                                pdc_system, puc_system, satellite_summary,
                                sweep)
 from zprainbow import coupling as cp, rainbow, zpf
@@ -80,7 +81,7 @@ class TestSweepStructure:
                                                        detector, monkeypatch):
         # one ulp of band cannot hold three distinct frequencies
         calls = []
-        monkeypatch.setattr(rainbow, "_columns",
+        monkeypatch.setattr(rainbow, "columns",
                             lambda *a, **k: calls.append(a))
         with pytest.raises(InvalidArgumentError):
             sweep(0.5, 0.5000000000000001, 3, crystal, detector,
@@ -264,7 +265,8 @@ class TestOneCovariancePass:
 
 
 class TestEvaluate:
-    """evaluate's per-system entries: rates, or why the system is absent."""
+    """How the column pass evaluates each system: its triple, or why the
+    system is absent."""
 
     @staticmethod
     def reason(geometry, spec, omega, couplings):
@@ -281,34 +283,47 @@ class TestEvaluate:
         spec = dataclasses.replace(crystal, window_um=(0.27, 1.02))
         couplings = dataclasses.replace(couplings, g_up=g_up)
         omegas = np.linspace(0.44, 0.58, 15).tolist()
-        evaluated = evaluate(omegas, spec, couplings, "covariance", 1, 0)
-        assert {isinstance(main, list) for _, main, _ in evaluated} \
-            == {True, False}
-        for omega, (point, main, sat) in zip(omegas, evaluated):
-            for geometry, entry in ((pdc_system, main), (puc_system, sat)):
+        found = columns(omegas, spec, couplings, "covariance", 1, 0, 1,
+                        per_point=True)
+        assert set(found.main.present.tolist()) == {True, False}
+        for k, omega in enumerate(omegas):
+            point = RainbowPoint(*found.table[k].tolist())
+            for geometry, triples in ((pdc_system, found.main),
+                                      (puc_system, found.satellite)):
                 want = self.reason(geometry, spec, omega, couplings)
+                entry = triples.reasons.get(k)
                 if want is None:
-                    assert [r.mode for r in entry] == list(
+                    assert entry is None and triples.present[k]
+                    assert list(triples.modes(k)) == list(
                         geometry(spec, omega, couplings).modes)
                 else:
                     assert type(entry) is type(want)
                     assert str(entry) == str(want)
-            assert point.has_main == isinstance(main, list)
-            assert point.has_satellite == isinstance(sat, list)
+            assert point.has_main == (k not in found.main.reasons)
+            assert point.has_satellite == (
+                point.has_main and k not in found.satellite.reasons)
             if g_up == 0.0:
+                sat = found.satellite.reasons[k]
                 assert type(sat) is NoSolutionError
                 assert str(sat) == "no up-conversion: its coupling g_up is 0"
 
-    def test_satellite_without_main_takes_its_reason(self, crystal,
+    def test_satellite_without_main_takes_its_reason(self, config, crystal,
                                                      couplings):
         # at 0.6 only up conversion matches: the satellite needs the main
-        # rainbow, so it is absent for the main's reason
+        # rainbow, so it is absent, and the ratios report raises the
+        # main's reason
         puc_system(crystal, 0.6, couplings)
-        [(point, main, sat)] = evaluate([0.6], crystal, couplings,
-                                        "covariance", 1, 0)
+        found = columns([0.6], crystal, couplings, "covariance", 1, 0, 1,
+                        per_point=False)
+        main = found.main.reasons[0]
         assert isinstance(main, NoSolutionError)
-        assert sat is main
-        assert not point.has_satellite
+        assert found.satellite.present[0]
+        assert not RainbowPoint(*found.table[0].tolist()).has_satellite
+        with pytest.raises(NoSolutionError) as raised:
+            physical_ratio_report(
+                dataclasses.replace(config, engine="covariance"), 0.6)
+        assert type(raised.value) is type(main)
+        assert str(raised.value) == str(main)
 
 
 class TestSatelliteSummary:
@@ -483,10 +498,12 @@ class TestBandMatchesOnePoint:
                 got = getattr(p, name)
                 assert got == value or (math.isnan(got) and math.isnan(value))
 
-    def test_sweep_builds_no_per_frequency_object(self, crystal, detector,
-                                                  couplings, monkeypatch):
+    def test_sweep_builds_no_per_frequency_object(self, config, crystal,
+                                                  detector, couplings,
+                                                  monkeypatch):
         # the sweep works on columns: a 30-step band, with present and
-        # absent points alike, builds none of the one-frequency objects
+        # absent points alike, builds none of the one-frequency objects,
+        # nor do the ratios reports, which read the same columns
         built = []
         for cls in (Mode, cp.ThreeWaveSystem, PhaseMatchSolution,
                     ChannelRate):
@@ -498,6 +515,10 @@ class TestBandMatchesOnePoint:
         table = sweep(0.44, 0.62, 30, crystal, detector, engine="covariance",
                       couplings=couplings)
         assert {p.has_satellite for p in table.points} == {True, False}
+        exact = dataclasses.replace(config, engine="covariance")
+        for omega in (0.54, 0.5):
+            physical_ratio_report(exact, omega)
+        forced_angle_report(exact, 10.0, 12.0)
         assert built == []
         # the counters see the objects of a one-frequency caller
         pdc_system(crystal, 0.5, couplings)
