@@ -24,10 +24,10 @@ matrix exponential, with no step count.  three_wave_matrices builds the
 transforms of many systems (a whole band) in one array pass from their
 coupling columns, over one stacked exponential in which every item keeps
 its own number of squarings; integrate_three_wave is its one-system
-call, and system_matrices its call on a list of ThreeWaveSystems.  Likewise
-propagate_covariances moves a covariance, one for the whole stack or one
-per transform, through a whole stack of transforms in one product, and
-propagate_covariance is its one-transform call on a GaussianState.
+call.  Likewise propagate_covariances moves a covariance, one for the
+whole stack or one per transform, through a whole stack of transforms in
+one product, and propagate_covariance is its one-transform call on a
+GaussianState.
 apply maps a Monte Carlo amplitude table in fixed row blocks, into a new
 table or in place, so a caller that holds one table needs only one
 block's temporaries beside it.  The generator is a valid Bogoliubov
@@ -45,7 +45,7 @@ mismatches 1/um.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,10 +175,6 @@ class ThreeWaveSystem:
     def length_um(self) -> float:
         return self.length_mm * 1e3
 
-    def pair_only(self) -> "ThreeWaveSystem":
-        """The same triple with the up-conversion leg switched off."""
-        return replace(self, g_up=0.0, phi_up=0.0, dk_up=0.0)
-
 
 # 1/k!, the coefficients of _expm's degree-20 Taylor polynomial
 _TAYLOR = [1.0 / math.factorial(k) for k in range(21)]
@@ -274,14 +270,6 @@ def three_wave_matrices(g_down, g_up, phi_down, phi_up, dk_down, dk_up,
     m[:, w_s_u[:, None], w_s_u] = e
     m[:, conjugates[:, None], conjugates] = e.conj()
     return m
-
-
-def system_matrices(systems) -> np.ndarray:
-    """three_wave_matrices of a list of ThreeWaveSystems: the adapter that
-    reads their columns."""
-    return three_wave_matrices(*(
-        np.array([getattr(s, name) for s in systems], dtype=float)
-        for name in _COLUMNS))
 
 
 def integrate_three_wave(system: ThreeWaveSystem) -> BogoliubovTransform:

@@ -7,21 +7,22 @@ rates divide that excess by the cosine of the external propagation angle
 below the zeropoint is simply dark.
 
 Click statistics model the finite detector time window by averaging the
-intensity of `window_samples` independent trials before comparing against
+intensity of a window of independent trials before comparing against
 the threshold; window averaging is what suppresses vacuum dark counts.
 (The averaged-intensity window is a concrete stand-in for the detector's
 long integration time, many light oscillations per decision.)  Mean-rate
 quantities use expectation values directly and never threshold.
 
 rates, down_ratios and up_ratios work on arrays of channels; the sweep
-and the ratios report take every rate from them.  ChannelRate, ratio_down
-and ratio_up are their public one-channel calls and the tests'
-per-system reference; no command calls them.
+and the ratios report take every rate from them.  ChannelRate is their
+public one-channel summary and the tests' per-system reference; no
+command builds one.  down_ratios and up_ratios of two ChannelRates are
+one pair's ratio.
 
 The `darkrate` command takes its window sizes from `darkrate.windows` (or
-`--windows`), one DetectorSpec per size.  The config's
-`detector.window_samples` is read, validated and fingerprinted with the
-rainbow table, but no command uses it.
+`--windows`) and passes each to threshold_counts.  The config's
+`detector.window_samples` is only validated and fingerprinted with the
+rainbow table; no command uses it.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ ZEROPOINT = 0.5
 class DetectorSpec:
     """Threshold detector parameters, intensities in zeropoint units.
 
-    dark_rate_curve sets window_samples for each of its window sizes; the
-    config's detector.window_samples reaches no command's output.
+    threshold_counts takes the window size as an argument, so
+    window_samples (the config's detector.window_samples) is only
+    validated and fingerprinted; it reaches no command's output.
     """
 
     threshold: float = ZEROPOINT
@@ -135,33 +137,25 @@ def up_ratios(low, high) -> np.ndarray:
                         low_rate / high_rate)
 
 
-def ratio_down(rate_low: ChannelRate, rate_high: ChannelRate) -> float:
-    """down_ratios of one pair of ChannelRates."""
-    return float(down_ratios(rate_low, rate_high))
-
-
-def ratio_up(rate_low: ChannelRate, rate_high: ChannelRate) -> float:
-    """up_ratios of one pair of ChannelRates."""
-    return float(up_ratios(rate_low, rate_high))
-
-
 def threshold_counts(intensities: np.ndarray, spec: DetectorSpec,
-                     rng_seed: int) -> tuple[int, int]:
+                     window: int, rng_seed: int) -> tuple[int, int]:
     """Windowed threshold clicks on per-trial intensities |alpha|^2:
     (clicks, windows).
 
-    Trials are grouped into consecutive windows of `window_samples`, the
-    window-averaged intensity is compared against the threshold, and
-    clicks are thinned independently with probability `efficiency`.
+    Trials are grouped into consecutive windows of `window` samples, the
+    window-averaged intensity is compared against spec's threshold, and
+    clicks are thinned independently with probability spec.efficiency.
     The click probability estimate is clicks / windows.
     """
-    m = spec.window_samples
-    n_windows = len(intensities) // m
+    if window < 1:
+        raise InvalidArgumentError("window must be >= 1")
+    n_windows = len(intensities) // window
     if n_windows < 1:
         raise InvalidArgumentError(
-            f"need at least {m} trials for one window, "
+            f"need at least {window} trials for one window, "
             f"got {len(intensities)}")
-    averaged = intensities[:n_windows * m].reshape(n_windows, m).mean(axis=1)
+    averaged = intensities[:n_windows * window].reshape(
+        n_windows, window).mean(axis=1)
     raw = averaged > spec.threshold
     # uniform draws lie in [0, 1): efficiency 1 keeps every click, 0 none
     rng = np.random.Generator(np.random.Philox(
@@ -178,6 +172,7 @@ def dark_rate_curve(spec_base: DetectorSpec, window_list, trials: int,
     intensities of one sampled vacuum mode feed every window size, so the
     M = 1 row is exactly threshold_counts at M = 1.  `workers` threads
     sample the vacuum; the rows are bit-identical for any worker count.
+    More trials than memory holds raise ConfigError on `trials`.
     """
     if spec_base.threshold <= ZEROPOINT:
         raise ConfigError("detector.threshold",
@@ -188,14 +183,16 @@ def dark_rate_curve(spec_base: DetectorSpec, window_list, trials: int,
     if trials < max(window_list):
         raise StatisticalError(
             f"{trials} trials cannot fill a window of {max(window_list)}")
-    a = sample_vacuum(1, trials, seed, workers)[:, 0]
-    intensities = a.real ** 2 + a.imag ** 2
-    rows = []
-    for m in window_list:
-        spec = DetectorSpec(threshold=spec_base.threshold, window_samples=int(m),
-                            efficiency=spec_base.efficiency)
-        clicks, windows = threshold_counts(intensities, spec, rng_seed=seed)
-        p = clicks / windows
-        stderr = math.sqrt(max(p * (1.0 - p), 1.0 / windows) / windows)
-        rows.append((int(m), p, stderr))
+    try:
+        a = sample_vacuum(1, trials, seed, workers)[:, 0]
+        intensities = a.real ** 2 + a.imag ** 2
+        rows = []
+        for m in window_list:
+            clicks, windows = threshold_counts(intensities, spec_base,
+                                               int(m), rng_seed=seed)
+            p = clicks / windows
+            stderr = math.sqrt(max(p * (1.0 - p), 1.0 / windows) / windows)
+            rows.append((int(m), p, stderr))
+    except MemoryError:
+        raise ConfigError("trials", f"{trials} trials exceed memory") from None
     return rows

@@ -14,17 +14,17 @@ angles follow Snell's law at a flat exit face, sin(theta_ext) =
 n * sin(theta_int).  Walk-off is ignored throughout.
 
 An ordinary input at frequency omega and internal angle theta fixes both
-legs of its (omega, 1 - omega, 1 + omega) triple.  conjugate_leg gives the
-ordinary conjugate of down conversion, which splits a pump photon's
-wavevector across the pair (opposite transverse sides, Fig. 2 geometry);
-up_leg gives the extraordinary output of up conversion, which adds the
-input to the pump (same side).  Each balances the transverse momentum
-exactly and returns the output angle and the longitudinal mismatch in
-1/um, broadcast over arrays of omega and theta; both are NaN where a
-wavelength of the leg is outside the transparency window or the output
-cannot carry the transverse momentum.  The up wave's extraordinary index
-depends on its own angle, so its balance is a quadratic in tan(theta_up),
-solved in closed form.
+legs of its (omega, 1 - omega, 1 + omega) triple.  The down leg,
+_conjugate, gives the ordinary conjugate of down conversion, which splits
+a pump photon's wavevector across the pair (opposite transverse sides,
+Fig. 2 geometry); the up leg, _up, gives the extraordinary output of up
+conversion, which adds the input to the pump (same side).  Each balances
+the transverse momentum exactly and returns the output angle and the
+longitudinal mismatch in 1/um, broadcast over arrays of omega and theta;
+both are NaN where a wavelength of the leg is outside the transparency
+window or the output cannot carry the transverse momentum.  The up wave's
+extraordinary index depends on its own angle, so its balance is a
+quadratic in tan(theta_up), solved in closed form.
 
 A Band phase-matches a whole band of frequencies at once, in closed
 form.  What the legs take from omega alone is computed once per band and
@@ -36,16 +36,15 @@ only when it is used.  From these each leg gives its candidate input
 angles: down conversion's momentum triangle fixes one, up conversion's
 index ellipse gives the roots of a quartic in tan(theta/2).  The
 smallest candidate at which the leg has no mismatch is the match, and
-the leg's output angle and mismatch there come from the same evaluation;
-conjugate_leg and up_leg are the same legs in one call.
+the leg's output angle and mismatch there come from the same evaluation.
 A band's result is one Geometry record of columns: each frequency's
 internal and external angles, both mismatches and a present mask, and
 for each absent frequency only, the error that says why it has none.
 Refraction stays scalar math.asin per matched item, as in
-external_angle.  Band.match (match_band) fills in the process's own leg,
-Band.triples (triples) adds the other leg to each match.  match_down and
-match_up are its one-frequency calls and the only place a
-PhaseMatchSolution is built; Geometry.modes builds one frequency's Modes.
+external_angle.  Band.match fills in the process's own leg, Band.triples
+adds the other leg to each match.  match_down and match_up are match's
+one-frequency calls and the only place a PhaseMatchSolution is built;
+Geometry.modes builds one frequency's Modes.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ def external_angle(theta_internal: float, n: float) -> float:
 
 
 class _DownTerms(NamedTuple):
-    """conjugate_leg's theta-free terms: the pump wavenumber and, per
+    """_conjugate's theta-free terms: the pump wavenumber and, per
     frequency, the input's and the conjugate's (ordinary, angle-free)."""
 
     k_pump: float
@@ -212,7 +211,7 @@ class _DownTerms(NamedTuple):
 
 
 class _UpTerms(NamedTuple):
-    """up_leg's theta-free terms: the pump wavenumber and, per frequency,
+    """_up's theta-free terms: the pump wavenumber and, per frequency,
     the input's wavenumber and the 1 + omega wave's wavelength, n_o^2 and
     n_e^2."""
 
@@ -238,6 +237,16 @@ def _conjugate(terms, theta, spec):
 
 
 def _up(terms, theta, spec):
+    """The up leg at input angles theta, on its _UpTerms.
+
+    The balance sin(t) k_e(t) = k_t, with 1/n_e(t)^2 = cos(cut + t)^2/n_o^2
+    + sin(cut + t)^2/n_e^2, is a homogeneous quadratic in (cos t, sin t),
+    so a quadratic a tan(t)^2 + b tan(t) + c = 0 with c <= 0.  Of its roots
+    on the input's side the one nearest the pump axis is taken, from the
+    stable form of the quadratic formula: where a > 0 there is one root on
+    each side; where a < 0 (the up wave's index falls fast towards grazing
+    incidence) both lie on one side, or there are none.
+    """
     k_pump, k_in, lam_up, no2, ne2 = terms
     kt = k_in * np.sin(theta)
     k0 = 2.0 * math.pi / lam_up
@@ -256,40 +265,6 @@ def _up(terms, theta, spec):
     k_up = (2.0 * math.pi
             * _ellipse_index(no2, ne2, spec.cut_angle_rad + theta_up) / lam_up)
     return theta_up, k_pump + k_in * np.cos(theta) - k_up * np.cos(theta_up)
-
-
-def conjugate_leg(omega, theta, spec: CrystalSpec):
-    """The ordinary conjugate at 1 - omega of an input at internal angle theta.
-
-    omega and theta broadcast.  Returns (theta_conj, dk_z): the conjugate's
-    angle, on the opposite side with the transverse momentum balanced, and
-    the longitudinal mismatch k_p - k_z(omega) - k_z(1 - omega) in 1/um.
-    Both are NaN where the conjugate cannot carry the transverse momentum
-    or a wavelength of the leg is outside the window.
-    """
-    return _conjugate(Band(omega, spec).down_terms,
-                      np.asarray(theta, dtype=float), spec)
-
-
-def up_leg(omega, theta, spec: CrystalSpec):
-    """The extraordinary up-converted wave at 1 + omega of an input at theta.
-
-    omega and theta broadcast.  Returns (theta_up, dk_z): the output angle,
-    on the input's side with the transverse momentum balanced, and the
-    longitudinal mismatch k_p + k_z(omega) - k_z(1 + omega) in 1/um.  Both
-    are NaN where the up-converted wave cannot carry the transverse
-    momentum or a wavelength of the leg is outside the window.
-
-    The balance sin(t) k_e(t) = k_t, with 1/n_e(t)^2 = cos(cut + t)^2/n_o^2
-    + sin(cut + t)^2/n_e^2, is a homogeneous quadratic in (cos t, sin t),
-    so a quadratic a tan(t)^2 + b tan(t) + c = 0 with c <= 0.  Of its roots
-    on the input's side the one nearest the pump axis is taken, from the
-    stable form of the quadratic formula: where a > 0 there is one root on
-    each side; where a < 0 (the up wave's index falls fast towards grazing
-    incidence) both lie on one side, or there are none.
-    """
-    return _up(Band(omega, spec).up_terms, np.asarray(theta, dtype=float),
-               spec)
 
 
 def _down_roots(terms, spec):
@@ -549,19 +524,9 @@ class Band:
             reasons | {int(at[j]): err for j, err in more.items()})
 
 
-def match_band(process: str, omega, spec: CrystalSpec) -> Geometry:
-    """Band(omega, spec).match(process): one process on its own band."""
-    return Band(omega, spec).match(process)
-
-
-def triples(process: str, omega, spec: CrystalSpec) -> Geometry:
-    """Band(omega, spec).triples(process): one process on its own band."""
-    return Band(omega, spec).triples(process)
-
-
 def _solution(process, omega, spec):
-    """match_band at one frequency, as a PhaseMatchSolution."""
-    found = match_band(process, [omega], spec)
+    """Band.match at one frequency, as a PhaseMatchSolution."""
+    found = Band([omega], spec).match(process)
     present(found.reasons.get(0))
     out = _PROCESSES[process][-1]
     return PhaseMatchSolution(
@@ -576,7 +541,7 @@ def match_down(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
 
     Finds the input angle theta such that the pump wavevector equals the
     sum over the conjugate pair (omega, 1 - omega), the conjugate emerging
-    on the opposite transverse side.  One frequency of match_band.
+    on the opposite transverse side.  One frequency of Band.match.
     """
     if not 0.0 < omega < 1.0:
         raise InvalidArgumentError("down conversion needs 0 < omega < 1")
@@ -588,7 +553,7 @@ def match_up(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
 
     Finds the input angle such that pump plus input match the extraordinary
     output at 1 + omega, whose transverse component keeps the input's sign.
-    One frequency of match_band.
+    One frequency of Band.match.
     """
     if omega <= 0.0:
         raise InvalidArgumentError("up conversion needs omega > 0")

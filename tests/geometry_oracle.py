@@ -1,14 +1,15 @@
 """Per-mode scalar geometry: the reference for dispersion's array legs.
 
 The pipeline computes the phase-matching geometry one way only, over
-arrays: dispersion.conjugate_leg and dispersion.up_leg behind match_band
-and triples.  The functions here compute it one mode at a time, straight
-from the Sellmeier form and the index ellipsoid: a principal or
-extraordinary index, a refracted Mode, its wavevector, and the wavevector
-mismatch of a process.  The tests compare the legs, the band matcher and
-the built triples against them.  check_window and effective_index, which
-the pipeline no longer calls (a Band slices its index squares from one
-stacked Sellmeier sum), live here too.
+arrays: dispersion's legs, _conjugate and _up, on a Band's terms behind
+Band.match and Band.triples.  The functions here compute it one mode at a
+time, straight from the Sellmeier form and the index ellipsoid: a
+principal or extraordinary index, a refracted Mode, its wavevector, and
+the wavevector mismatch of a process.  The tests compare the legs, the
+band matcher and the built triples against them.  check_window and
+effective_index, which the pipeline no longer calls (a Band slices its
+index squares from one stacked Sellmeier sum), live here too, and so do
+conjugate_leg and up_leg, each leg in one call on a fresh Band's terms.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import math
 
 import numpy as np
 
-from zprainbow.dispersion import (CrystalSpec, _ellipse_index, _in_window,
-                                  _index_squares, _window_error,
-                                  external_angle, wavelength_um)
+from zprainbow.dispersion import (Band, CrystalSpec, _conjugate,
+                                  _ellipse_index, _in_window, _index_squares,
+                                  _up, _window_error, external_angle,
+                                  wavelength_um)
 from zprainbow.errors import InvalidArgumentError
 from zprainbow.zpf import EXTRAORDINARY, ORDINARY, Mode
 
@@ -95,3 +97,29 @@ def mismatch(modes_in, modes_out, spec: CrystalSpec) -> tuple[float, float]:
         kt, kz = wavevector(m, spec)
         dkt, dkz = dkt - kt, dkz - kz
     return dkt, dkz
+
+
+def conjugate_leg(omega, theta, spec: CrystalSpec):
+    """The ordinary conjugate at 1 - omega of an input at internal angle theta.
+
+    omega and theta broadcast.  Returns (theta_conj, dk_z): the conjugate's
+    angle, on the opposite side with the transverse momentum balanced, and
+    the longitudinal mismatch k_p - k_z(omega) - k_z(1 - omega) in 1/um.
+    Both are NaN where the conjugate cannot carry the transverse momentum
+    or a wavelength of the leg is outside the window.
+    """
+    return _conjugate(Band(omega, spec).down_terms,
+                      np.asarray(theta, dtype=float), spec)
+
+
+def up_leg(omega, theta, spec: CrystalSpec):
+    """The extraordinary up-converted wave at 1 + omega of an input at theta.
+
+    omega and theta broadcast.  Returns (theta_up, dk_z): the output angle,
+    on the input's side with the transverse momentum balanced, and the
+    longitudinal mismatch k_p + k_z(omega) - k_z(1 + omega) in 1/um.  Both
+    are NaN where the up-converted wave cannot carry the transverse
+    momentum or a wavelength of the leg is outside the window.
+    """
+    return _up(Band(omega, spec).up_terms, np.asarray(theta, dtype=float),
+               spec)

@@ -6,6 +6,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -23,7 +25,7 @@ from zprainbow.cli import (EXIT_CONFIG, EXIT_NO_SOLUTION, EXIT_OK,
                            forced_angle_report, load_config, main,
                            physical_ratio_report, write_table)
 from zprainbow.coupling import apply, integrate_three_wave
-from zprainbow.detection import DetectorSpec, ratio_down, ratio_up
+from zprainbow.detection import DetectorSpec, down_ratios, up_ratios
 from zprainbow.errors import ConfigError, DomainError, NoSolutionError
 from zprainbow.rainbow import (DEFAULT_TRIALS, Couplings, pdc_system,
                                puc_system, sweep)
@@ -620,7 +622,7 @@ class TestRatiosCommand:
         cfg = replace(config, engine="montecarlo", ratios_trials=trials,
                       workers=workers)
         a = pdc_system(cfg.crystal, omega, cfg.couplings)
-        systems = [a, a.pair_only()]
+        systems = [a, replace(a, g_up=0.0, phi_up=0.0, dk_up=0.0)]
         try:
             systems.append(puc_system(cfg.crystal, omega, cfg.couplings))
         except (NoSolutionError, DomainError):
@@ -628,7 +630,7 @@ class TestRatiosCommand:
         assert (len(systems) == 3) == (omega == 0.54)
         _, (p_w, p_s, _), *satellite = channel_rates(
             systems, "montecarlo", trials, cfg.seed, workers)
-        want = dict(eq1_ratio=ratio_down(p_w, p_s),
+        want = dict(eq1_ratio=float(down_ratios(p_w, p_s)),
                     lower_above_zeropoint=math.nan,
                     upper_above_zeropoint=math.nan,
                     upper_clamped_rate=math.nan, eq2_ratio=math.nan)
@@ -636,7 +638,7 @@ class TestRatiosCommand:
             want.update(lower_above_zeropoint=q_w.above_zeropoint,
                         upper_above_zeropoint=q_u.above_zeropoint,
                         upper_clamped_rate=q_u.photon_rate,
-                        eq2_ratio=ratio_up(q_w, q_u))
+                        eq2_ratio=float(up_ratios(q_w, q_u)))
         report = physical_ratio_report(cfg, omega)
         for name, value in want.items():
             got = report[name]
@@ -667,6 +669,28 @@ class TestDarkrateCommand:
         out = str(tmp_path / "dark.csv")
         assert main(["--config", path, "darkrate",
                      "--output", out]) == EXIT_CONFIG
+
+    def test_trials_beyond_memory_exit_config(self, tmp_path):
+        # 10**10 trials need a 149 GiB vacuum table.  The child caps its
+        # address space at 3 GiB before numpy loads, so the table is
+        # refused at once; uncapped, overcommit could admit a smaller
+        # beyond-memory table and the machine would run out filling it
+        out = tmp_path / "dark.csv"
+        cap = 3 << 30
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+                "from zprainbow.cli import main\n"
+                "sys.exit(main(['darkrate', '--trials', '10000000000', "
+                f"'--output', {str(out)!r}]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == EXIT_CONFIG
+        assert run.stderr == ("config error: trials: 10000000000 trials "
+                              "exceed memory\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 SIMULATE_HEADER = ("trial", "w_re", "w_im", "s_re", "s_im", "u_re", "u_im")

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+from rate_oracle import system_matrices
 from transform_oracle import (int_exp, int_nested, perturbative_transform,
                               rk4_oracle, rotating_frame_oracle,
                               taylor_expm_oracle)
 from zprainbow.coupling import (BogoliubovTransform, ThreeWaveSystem, _expm,
                                 apply, convert_pair, integrate_three_wave,
                                 propagate_covariance, propagate_covariances,
-                                quadrature_matrix, squeeze_pair,
-                                system_matrices)
+                                quadrature_matrix, squeeze_pair)
 from zprainbow.errors import InvalidArgumentError
 from zprainbow.zpf import (mode_intensities, sample_vacuum, sampled_state,
                            vacuum_state)

@@ -6,7 +6,7 @@ from scipy.special import gammaincc
 
 from zprainbow.coupling import propagate_covariance, squeeze_pair
 from zprainbow.detection import (ChannelRate, DetectorSpec, dark_rate_curve,
-                                 ratio_down, ratio_up, threshold_counts)
+                                 down_ratios, threshold_counts, up_ratios)
 from zprainbow.errors import ConfigError, InvalidArgumentError
 from zprainbow.zpf import Mode, sample_vacuum, vacuum_state
 
@@ -83,37 +83,38 @@ class TestRatioDown:
     def test_symmetric_degenerate(self):
         a = fixed_rate(10.0, 0.51)
         b = fixed_rate(-10.0, 0.51)
-        assert ratio_down(a, b) == pytest.approx(1.0, abs=1e-15)
+        assert float(down_ratios(a, b)) == pytest.approx(1.0, abs=1e-15)
 
     def test_cosine_asymmetry(self):
         # equal excess at 10 and 12 degrees: cos(12) / cos(10)
         a = fixed_rate(10.0, 0.51)
         b = fixed_rate(12.0, 0.51)
         expect = math.cos(math.radians(12)) / math.cos(math.radians(10))
-        assert ratio_down(a, b) == pytest.approx(expect, abs=1e-15)
-        assert ratio_down(a, b) == pytest.approx(0.9932371, abs=1e-7)
+        assert float(down_ratios(a, b)) == pytest.approx(expect, abs=1e-15)
+        assert float(down_ratios(a, b)) == pytest.approx(0.9932371, abs=1e-7)
 
     def test_undetected_channel_is_nan(self):
-        assert math.isnan(
-            ratio_down(fixed_rate(10.0, 0.51), fixed_rate(12.0, 0.499)))
+        assert math.isnan(float(
+            down_ratios(fixed_rate(10.0, 0.51), fixed_rate(12.0, 0.499))))
 
 
 class TestRatioUp:
     def test_negative_when_upper_below_zeropoint(self):
         low = fixed_rate(10.0, 0.51)
-        assert ratio_up(low, fixed_rate(25.0, 0.495)) < 0.0
+        assert float(up_ratios(low, fixed_rate(25.0, 0.495))) < 0.0
 
     def test_sign_bookkeeping(self):
         low = fixed_rate(10.0, 0.51)
-        assert ratio_up(low, fixed_rate(25.0, 0.505)) > 0.0
+        assert float(up_ratios(low, fixed_rate(25.0, 0.505))) > 0.0
 
     def test_zeropoint_denominator_is_nan(self):
-        assert math.isnan(ratio_up(fixed_rate(10.0, 0.5),
-                                   fixed_rate(math.degrees(0.3), 0.5)))
+        assert math.isnan(float(up_ratios(fixed_rate(10.0, 0.5),
+                                          fixed_rate(math.degrees(0.3),
+                                                     0.5))))
 
     def test_value(self):
         low = fixed_rate(0.0, 0.51)
-        got = ratio_up(low, fixed_rate(0.0, 0.49))
+        got = float(up_ratios(low, fixed_rate(0.0, 0.49)))
         assert got == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -122,7 +123,7 @@ class TestThresholdCounts:
         # P(|alpha|^2 > 0.6) for exponential intensity of mean 1/2
         clicks, windows = threshold_counts(
             vacuum_intensities(400_000, seed=9), DetectorSpec(threshold=0.6),
-            rng_seed=1)
+            1, rng_seed=1)
         p_hat = clicks / windows
         expect = math.exp(-1.2)
         sigma = math.sqrt(expect * (1 - expect) / windows)
@@ -132,14 +133,14 @@ class TestThresholdCounts:
     def test_brute_force_cross_check(self):
         a = sample_vacuum(1, 50_000, seed=10)[:, 0]
         clicks, windows = threshold_counts(
-            intensities(a), DetectorSpec(threshold=0.6), rng_seed=1)
+            intensities(a), DetectorSpec(threshold=0.6), 1, rng_seed=1)
         brute = int(np.sum(np.abs(a) ** 2 > 0.6))
         assert clicks == brute
 
     def test_window_averaging_suppresses(self):
-        spec = DetectorSpec(threshold=0.6, window_samples=100)
+        spec = DetectorSpec(threshold=0.6)
         clicks, windows = threshold_counts(
-            vacuum_intensities(400_000, seed=12), spec, rng_seed=1)
+            vacuum_intensities(400_000, seed=12), spec, 100, rng_seed=1)
         p_hat = clicks / windows
         expect = gamma_tail(100, 0.6)
         sigma = math.sqrt(expect * (1 - expect) / windows)
@@ -149,20 +150,21 @@ class TestThresholdCounts:
     def test_zero_efficiency_never_clicks(self):
         i = vacuum_intensities(10_000, seed=13)
         spec = DetectorSpec(threshold=0.6, efficiency=0.0)
-        assert threshold_counts(i, spec, rng_seed=1)[0] == 0
+        assert threshold_counts(i, spec, 1, rng_seed=1)[0] == 0
 
     def test_thinning_scales_clicks(self):
         i = vacuum_intensities(400_000, seed=14)
-        full, _ = threshold_counts(i, DetectorSpec(threshold=0.6), rng_seed=2)
+        full, _ = threshold_counts(i, DetectorSpec(threshold=0.6), 1,
+                                   rng_seed=2)
         half, _ = threshold_counts(
-            i, DetectorSpec(threshold=0.6, efficiency=0.5), rng_seed=2)
+            i, DetectorSpec(threshold=0.6, efficiency=0.5), 1, rng_seed=2)
         sigma = math.sqrt(full * 0.25)
         assert abs(half - 0.5 * full) < 5 * sigma
 
     def test_too_few_trials_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            threshold_counts(vacuum_intensities(5, seed=0),
-                             DetectorSpec(window_samples=10), rng_seed=0)
+            threshold_counts(vacuum_intensities(5, seed=0), DetectorSpec(),
+                             10, rng_seed=0)
 
 
 class TestDarkRateCurve:
@@ -186,7 +188,7 @@ class TestDarkRateCurve:
         rows = dark_rate_curve(DetectorSpec(threshold=0.6), [1], trials, seed)
         clicks, windows = threshold_counts(
             vacuum_intensities(trials, seed), DetectorSpec(threshold=0.6),
-            rng_seed=seed)
+            1, rng_seed=seed)
         assert rows[0][1] == clicks / windows
 
     def test_more_trials_shrink_stderr(self):
@@ -199,6 +201,10 @@ class TestDarkRateCurve:
     def test_threshold_at_zeropoint_rejected(self):
         with pytest.raises(ConfigError):
             dark_rate_curve(DetectorSpec(threshold=0.5), [1, 10], 1000, 0)
+
+    def test_window_below_one_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="window must be >= 1"):
+            dark_rate_curve(DetectorSpec(threshold=0.6), [0, 10], 1000, 0)
 
 
 class TestDetectorSpec:

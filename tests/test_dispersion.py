@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from geometry_oracle import (effective_index, extraordinary_index,
-                             make_mode, mismatch, pump_mode,
-                             refractive_index, wavevector)
+from geometry_oracle import (conjugate_leg, effective_index,
+                             extraordinary_index, make_mode, mismatch,
+                             pump_mode, refractive_index, up_leg, wavevector)
 from zprainbow import dispersion
 from zprainbow.dispersion import (Band, CrystalSpec, PhaseMatchSolution,
                                   SellmeierCoefficients, _conjugate, _rows,
-                                  _up, conjugate_leg, external_angle,
-                                  match_band, match_down, match_up, triples,
-                                  up_leg, wavelength_um)
+                                  _up, external_angle, match_down, match_up,
+                                  wavelength_um)
 from zprainbow.errors import (DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.rainbow import sweep
@@ -424,14 +423,14 @@ class TestGeometryProperties:
             spec = replace(crystal, window_um=window)
             for process, match in (("down", match_down), ("up", match_up)):
                 out = 1 if process == "down" else 2
-                found = match_band(process, omegas, spec)
-                built = triples(process, omegas, spec)
+                found = Band(omegas, spec).match(process)
+                built = Band(omegas, spec).triples(process)
                 for k, omega in enumerate(omegas):
                     try:
                         want = match(float(omega), spec)
                     except (DomainError, NoSolutionError) as err:
                         want = err
-                    one = triples(process, [omega], spec)
+                    one = Band([omega], spec).triples(process)
                     for band, one in ((band_solution(found, k, out), want),
                                       (band_row(built, k), band_row(one, 0))):
                         kinds.add(type(band))
@@ -460,7 +459,7 @@ def band_row(geometry, k):
 
 
 def band_solution(geometry, k, out):
-    """Frequency k of match_band's Geometry, in the layout of a
+    """Frequency k of Band.match's Geometry, in the layout of a
     PhaseMatchSolution whose output is wave `out` of the triple."""
     row = band_row(geometry, k)
     if isinstance(row, Exception):
@@ -543,7 +542,7 @@ class TestClosedFormUpAngle:
 
 
 class TestBandTerms:
-    """match_band builds each leg's theta-free terms once per band and
+    """A Band builds each leg's theta-free terms once per band and
     indexes them; the legs must not tell that from the one-call form."""
 
     LEGS = {"down": (conjugate_leg, _conjugate, "down_terms"),
@@ -554,7 +553,7 @@ class TestBandTerms:
     def test_indexed_terms_equal_one_call_form(self, crystal, material,
                                                process):
         # the band reaches past both ends of the window; rows are indexed
-        # as match_band indexes them, a span of rows against a row of
+        # as Band.match indexes them, a span of rows against a row of
         # angles ([span, None]) and an index array with one angle per row,
         # and must equal the one-call form on the same arrays bit for bit,
         # NaN positions included
@@ -600,7 +599,7 @@ class TestBandTerms:
     def test_sellmeier_sums_per_band_not_per_step(self, crystal, detector,
                                                   couplings, process,
                                                   monkeypatch):
-        # one triples call takes the same number of Sellmeier sums on a
+        # one Band.triples call takes the same number of Sellmeier sums on a
         # 30-step as on a 1000-step band: none per frequency or per
         # candidate angle.  A whole covariance sweep, both processes on
         # one Band, takes one sum per polarisation and one wavelength_um
@@ -622,7 +621,7 @@ class TestBandTerms:
         counts = []
         for steps in (30, 1000):
             calls.clear()
-            triples(process, np.linspace(0.44, 0.58, steps), crystal)
+            Band(np.linspace(0.44, 0.58, steps), crystal).triples(process)
             counts.append(len(calls))
             calls.clear()
             wavelengths.clear()
@@ -644,14 +643,14 @@ class TestBandTerms:
         with pytest.raises(DomainError, match="0.18182 um outside window"):
             match_up(1.2, crystal)
         with pytest.raises(InvalidArgumentError):
-            triples("up", [0.5, 1.2], crystal)
-        found = match_band("up", [0.5, 1.2], crystal)
+            Band([0.5, 1.2], crystal).triples("up")
+        found = Band([0.5, 1.2], crystal).match("up")
         assert {k: type(err) for k, err in found.reasons.items()} == {
             1: DomainError, 0: NoSolutionError}
         for omega in (0.0, -0.3):
             for call in (lambda: up_leg(omega, 0.1, crystal),
                          lambda: conjugate_leg(omega, 0.1, crystal),
-                         lambda: match_band("up", [0.5, omega], crystal),
-                         lambda: triples("down", [omega], crystal)):
+                         lambda: Band([0.5, omega], crystal).match("up"),
+                         lambda: Band([omega], crystal).triples("down")):
                 with pytest.raises(InvalidArgumentError):
                     call()

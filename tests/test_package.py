@@ -52,37 +52,45 @@ def test_readme_command_table_lists_each_commands_flags():
         assert (cell == "none") == (not want), command
 
 
-# public src names that no src code uses, that zprainbow does not export
-# and that the acceptance suite does not call: only the other tests use
-# them.  The set may shrink; a new unused name fails the check.
-UNUSED = {"system_matrices", "quadrature_matrix", "ratio_down", "ratio_up",
-          "conjugate_leg", "up_leg"}
-
-
-def _parse(path):
-    """A module's syntax tree and every name it reads or imports."""
+def _parse(path, modules):
+    """A file's syntax tree and every name it uses: a bare name, a name it
+    imports with `from ... import`, or an attribute of a package module it
+    imported (dp.x, zprainbow.cli.x), so a method's name is not a use."""
     with open(path) as fh:
         tree = ast.parse(fh.read())
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names
+             if alias.name.rpartition(".")[2] in modules}
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute)
+              and ast.unparse(node.value) in bound):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
     return tree, names
 
 
 def test_every_public_src_name_is_used():
+    # every public module-level name of src is used by src code, exported
+    # by zprainbow, or used by the acceptance suite or perfbench; one that
+    # only the other tests use belongs in their oracle modules
     src = os.path.dirname(zprainbow.__file__)
-    modules = [_parse(os.path.join(src, name))
-               for name in sorted(os.listdir(src)) if name.endswith(".py")]
-    _, acceptance = _parse(os.path.join(os.path.dirname(__file__),
-                                        "test_acceptance.py"))
-    used = set(zprainbow.__all__).union(acceptance,
-                                        *(names for _, names in modules))
-    defined = {node.name for tree, _ in modules for node in tree.body
+    files = sorted(name for name in os.listdir(src) if name.endswith(".py"))
+    modules = {name[:-3] for name in files}
+    parsed = [_parse(os.path.join(src, name), modules) for name in files]
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    callers = [os.path.join(root, "tests", "test_acceptance.py")] + [
+        os.path.join(root, "perfbench", name)
+        for name in sorted(os.listdir(os.path.join(root, "perfbench")))
+        if name.endswith(".py")]
+    used = set(zprainbow.__all__).union(
+        *(names for _, names in parsed),
+        *(_parse(path, modules)[1] for path in callers))
+    defined = {node.name for tree, _ in parsed for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")}
-    assert defined - used == UNUSED
+    assert defined - used == set()

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geometry_oracle import make_mode, mismatch, pump_mode
-from rate_oracle import channel_rates
+from rate_oracle import channel_rates, system_matrices
 from zprainbow.cli import forced_angle_report, physical_ratio_report
-from zprainbow.detection import ChannelRate, ratio_down, ratio_up
+from zprainbow.detection import ChannelRate, down_ratios, up_ratios
 from zprainbow.dispersion import PhaseMatchSolution, match_down
 from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
@@ -188,8 +188,9 @@ class TestMonteCarloReducer:
 
         monkeypatch.setattr(zpf, "ThreadPoolExecutor", CountingPool)
         a = pdc_system(crystal, 0.52, couplings)
-        matrices = cp.system_matrices(
-            [a, a.pair_only(), puc_system(crystal, 0.52, couplings),
+        matrices = system_matrices(
+            [a, dataclasses.replace(a, g_up=0.0, phi_up=0.0, dk_up=0.0),
+             puc_system(crystal, 0.52, couplings),
              pdc_system(crystal, 0.54, couplings)])
         means = mean_intensities(matrices, "montecarlo", 70_000, seed=5,
                                  workers=2,
@@ -204,7 +205,8 @@ class TestMonteCarloReducer:
         # 150_001 trials end in a short final block
         system = geometry(crystal, 0.54, couplings)
         transforms = [cp.integrate_three_wave(system),
-                      cp.integrate_three_wave(system.pair_only())]
+                      cp.integrate_three_wave(dataclasses.replace(
+                          system, g_up=0.0, phi_up=0.0, dk_up=0.0))]
         means = mean_intensities(np.array([t.matrix for t in transforms]),
                                  "montecarlo", 150_001, seed=13)
         vacuum = sample_vacuum(len(system.modes), 150_001, seed=13)
@@ -217,8 +219,9 @@ class TestMonteCarloReducer:
 def four_transforms(crystal, couplings):
     """A main system, its pair-only twin, a satellite and a second main."""
     a = pdc_system(crystal, 0.52, couplings)
-    return cp.system_matrices(
-        [a, a.pair_only(), puc_system(crystal, 0.52, couplings),
+    return system_matrices(
+        [a, dataclasses.replace(a, g_up=0.0, phi_up=0.0, dk_up=0.0),
+         puc_system(crystal, 0.52, couplings),
          pdc_system(crystal, 0.54, couplings)])
 
 
@@ -469,11 +472,12 @@ class TestBandMatchesOnePoint:
             except (NoSolutionError, DomainError):
                 continue
             (r_w, r_s, _), (p_w, p_s, _) = channel_rates(
-                [a, a.pair_only()], engine, trials, _point_seed(seed, i, 0))
+                [a, dataclasses.replace(a, g_up=0.0, phi_up=0.0, dk_up=0.0)],
+                engine, trials, _point_seed(seed, i, 0))
             point.update(theta_d_ext=a.modes[0].theta_external,
                          main_rate=r_w.photon_rate,
                          conjugate_rate=r_s.photon_rate,
-                         eq1_ratio=ratio_down(p_w, p_s))
+                         eq1_ratio=float(down_ratios(p_w, p_s)))
             try:
                 b = puc_system(spec, omega, couplings)
             except (NoSolutionError, DomainError):
@@ -483,7 +487,7 @@ class TestBandMatchesOnePoint:
             point.update(theta_u_ext=b.modes[0].theta_external,
                          satellite_rate=q_w.photon_rate,
                          upper_above_zeropoint=q_u.above_zeropoint,
-                         eq2_ratio=ratio_up(q_w, q_u))
+                         eq2_ratio=float(up_ratios(q_w, q_u)))
         try:
             table = sweep(omega_min, omega_max, steps, spec, detector,
                           engine=engine, trials=trials, seed=seed,
