@@ -9,7 +9,7 @@ run the same pipelines and cross-validate each other.
 from .coupling import (BogoliubovTransform, ThreeWaveSystem, apply,
                        convert_pair, integrate_three_wave,
                        propagate_covariance, squeeze_pair)
-from .detection import ChannelRate, DetectorSpec, dark_rate_curve
+from .detection import DetectorSpec, dark_rate_curve, rates
 from .dispersion import (CrystalSpec, PhaseMatchSolution,
                          SellmeierCoefficients, match_down, match_up)
 from .rainbow import Couplings, RainbowPoint, RainbowTable, satellite_summary, sweep
@@ -19,11 +19,11 @@ from .zpf import (GaussianState, Mode, sample_vacuum, sampled_state,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BogoliubovTransform", "ChannelRate", "Couplings", "CrystalSpec",
-    "DetectorSpec", "GaussianState", "Mode", "PhaseMatchSolution",
-    "RainbowPoint", "RainbowTable", "SellmeierCoefficients", "ThreeWaveSystem",
-    "apply", "convert_pair", "dark_rate_curve", "integrate_three_wave",
-    "match_down", "match_up", "propagate_covariance", "sample_vacuum",
+    "BogoliubovTransform", "Couplings", "CrystalSpec", "DetectorSpec",
+    "GaussianState", "Mode", "PhaseMatchSolution", "RainbowPoint",
+    "RainbowTable", "SellmeierCoefficients", "ThreeWaveSystem", "apply",
+    "convert_pair", "dark_rate_curve", "integrate_three_wave", "match_down",
+    "match_up", "propagate_covariance", "rates", "sample_vacuum",
     "sampled_state", "satellite_summary", "squeeze_pair", "sweep",
     "vacuum_state",
 ]

@@ -30,9 +30,9 @@ an unnamed temp file beside the output, and the shares are copied into it
 in order, so the bytes do not depend on the worker count and no process
 holds the whole table.
 
-Exit codes: 0 success, 2 invalid configuration, 3 no phase-matching
-solution / empty band / a wavelength outside the transparency window,
-4 unmet statistical precondition.
+Exit codes: 0 success, 2 invalid configuration or a run beyond memory,
+3 no phase-matching solution / empty band / a wavelength outside the
+transparency window, 4 unmet statistical precondition.
 """
 
 from __future__ import annotations
@@ -571,7 +571,8 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
 
     The down-conversion ratio uses the pair process alone; the
     up-conversion entry reports the signed above-zeropoint value of the
-    upper channel, its clamped rate, and the signed ratio.
+    upper channel, its clamped rate, and the signed ratio, each NaN where
+    the satellite is absent.
     """
     found = columns([omega], config.crystal, config.couplings, config.engine,
                     config.ratios_trials, config.seed, config.workers,
@@ -580,22 +581,17 @@ def physical_ratio_report(config: RunConfig, omega: float) -> dict:
     point = RainbowPoint(*found.table[0].tolist())
     main, sat = (g.theta_external[0].tolist()
                  for g in (found.main, found.satellite))
-    lower = upper_rate = eq2_cosine = math.nan
-    if point.has_satellite:
-        # the satellite's lower channel w and its upper channel w0 + w
-        above, rate, _ = rates(found.means[0, 2], sat)
-        lower, upper_rate = float(above[0]), float(rate[2])
-        eq2_cosine = -(math.cos(sat[2]) / math.cos(sat[0]))
+    above, rate, _ = found.satellite_rates   # modes w, w0 - w, w0 + w
     return {
         "omega": omega,
         "engine": config.engine,
         "eq1_ratio": point.eq1_ratio,
         "eq1_cosine_ratio": math.cos(main[1]) / math.cos(main[0]),
         "photon_theory_ratio": 1.0,
-        "lower_above_zeropoint": lower,
+        "lower_above_zeropoint": float(above[0, 0]),
         "upper_above_zeropoint": point.upper_above_zeropoint,
-        "upper_clamped_rate": upper_rate,
-        "eq2_cosine_ratio": eq2_cosine,
+        "upper_clamped_rate": float(rate[0, 2]),
+        "eq2_cosine_ratio": -(math.cos(sat[2]) / math.cos(sat[0])),
         "eq2_ratio": point.eq2_ratio,
     }
 
@@ -725,6 +721,11 @@ def main(argv=None) -> int:
     except StatisticalError as e:
         print(f"statistical precondition: {e}", file=sys.stderr)
         return EXIT_STATISTICAL
+    except MemoryError:  # sampled vacua raise ConfigError on their trials
+        key = ("sweep.steps" if args["command"] in ("angles", "rainbow")
+               else "trials")
+        print(f"config error: {key}: the run exceeds memory", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

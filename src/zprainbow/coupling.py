@@ -171,10 +171,6 @@ class ThreeWaveSystem:
         if self.length_mm <= 0:
             raise InvalidArgumentError("length_mm must be > 0")
 
-    @property
-    def length_um(self) -> float:
-        return self.length_mm * 1e3
-
 
 # 1/k!, the coefficients of _expm's degree-20 Taylor polynomial
 _TAYLOR = [1.0 / math.factorial(k) for k in range(21)]

@@ -13,11 +13,9 @@ the threshold; window averaging is what suppresses vacuum dark counts.
 long integration time, many light oscillations per decision.)  Mean-rate
 quantities use expectation values directly and never threshold.
 
-rates, down_ratios and up_ratios work on arrays of channels; the sweep
-and the ratios report take every rate from them.  ChannelRate is their
-public one-channel summary and the tests' per-system reference; no
-command builds one.  down_ratios and up_ratios of two ChannelRates are
-one pair's ratio.
+rates, down_ratios and up_ratios work on arrays of channels, or on one
+channel as 0-d arrays; rates is the only rule from mean |alpha|^2 to
+rate.  The sweep and the ratios report take every rate from them.
 
 The `darkrate` command takes its window sizes from `darkrate.windows` (or
 `--windows`) and passes each to threshold_counts.  The config's
@@ -34,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, StatisticalError
-from .zpf import Mode, sample_vacuum
+from .zpf import sample_vacuum
 
 ZEROPOINT = 0.5
 
@@ -85,35 +83,10 @@ def rates(mean_intensity, theta_external) -> Rates:
     return Rates(above, np.maximum(above, 0.0) / cos, above / cos)
 
 
-@dataclass(frozen=True)
-class ChannelRate:
-    """Mean-rate summary of one output channel."""
-
-    mode: Mode
-    mean_intensity: float
-    above_zeropoint: float
-    photon_rate: float
-    detected: bool
-
-    @classmethod
-    def from_mean(cls, mode: Mode, mean_intensity: float) -> "ChannelRate":
-        """Summary of a channel with the given mean |alpha|^2: one channel
-        of rates."""
-        above, rate, _ = rates(mean_intensity, mode.theta_external)
-        return cls(mode=mode, mean_intensity=float(mean_intensity),
-                   above_zeropoint=float(above), photon_rate=float(rate),
-                   detected=bool(above > 0.0))
-
-    @property
-    def signed_rate(self) -> float:
-        """Unclamped above-zeropoint flux, negative below the vacuum."""
-        return self.above_zeropoint / math.cos(self.mode.theta_external)
-
-
 def down_ratios(low, high) -> np.ndarray:
     """Down-conversion photon-rate ratio between the conjugate channels
-    low and high (Rates, or ChannelRates): per pair, low's photon rate over
-    high's, NaN unless both are above the zeropoint.
+    low and high (Rates): per pair, low's photon rate over high's, NaN
+    unless both are above the zeropoint.
 
     For equal above-zeropoint intensities this equals
     cos(theta_high) / cos(theta_low): the rate asymmetry is pure geometry.
@@ -127,9 +100,9 @@ def down_ratios(low, high) -> np.ndarray:
 
 
 def up_ratios(low, high) -> np.ndarray:
-    """Signed up-conversion rate ratio, lower channel over upper (Rates,
-    or ChannelRates): both signed rates, so the ratio carries the sign of
-    the upper channel's excess; NaN where that excess is exactly 0."""
+    """Signed up-conversion rate ratio, lower channel over upper (Rates):
+    both signed rates, so the ratio carries the sign of the upper
+    channel's excess; NaN where that excess is exactly 0."""
     low_rate, high_rate = (np.asarray(c.signed_rate, dtype=float)
                            for c in (low, high))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,10 +1,10 @@
 """Typed errors shared by all modules.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, missing phase-matching solutions (or an empty matched band) and
-wavelengths outside the transparency window with 3, and unmet statistical
-preconditions with 4.  Everything else is a plain
-Python error and exits 1.
+The CLI maps these onto process exit codes: configuration problems, and
+runs that do not fit in memory, exit with 2, missing phase-matching
+solutions (or an empty matched band) and wavelengths outside the
+transparency window with 3, and unmet statistical preconditions with 4.
+Everything else is a plain Python error and exits 1.
 """
 
 

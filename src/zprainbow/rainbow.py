@@ -23,8 +23,8 @@ systems' coupling columns are stacked straight from those records into
 one coupling.three_wave_matrices call, and every rate and ratio column
 comes from their means by detection.rates, down_ratios and up_ratios.
 The CLI's ratios report reads the same columns at its one frequency.
-No Mode, ThreeWaveSystem or ChannelRate is built on that path; only the
-one-frequency calls pdc_system and puc_system build them.
+No Mode or ThreeWaveSystem is built on that path; only the one-frequency
+calls pdc_system and puc_system build them.
 Both engines share one path from the vacuum to the means,
 mean_intensities.  The engines differ only in the input covariances:
 `covariance` takes the exact vacuum (zpf.vacuum_state) for every
@@ -52,8 +52,8 @@ import numpy as np
 from . import coupling as cp
 from . import dispersion as dp
 from .detection import DetectorSpec, Rates, down_ratios, rates, up_ratios
-from .errors import (BandError, InvalidArgumentError, NoSolutionError,
-                     present)
+from .errors import (BandError, ConfigError, InvalidArgumentError,
+                     NoSolutionError, present)
 from .zpf import mode_intensities, sampled_states, vacuum_state
 
 ENGINES = ("covariance", "montecarlo")
@@ -175,7 +175,8 @@ def mean_intensities(matrices, engine: str, trials: int, seed: int,
     point key (index, slot) whose vacuum is drawn from the per-point seed
     _point_seed(seed, index, slot); transforms with equal keys share one
     vacuum.  Without vacua every transform shares the vacuum drawn from
-    `seed` itself.  Any other engine is an InvalidArgumentError.
+    `seed` itself.  Any other engine is an InvalidArgumentError; more
+    trials than memory holds raise ConfigError on `trials`.
     """
     if engine not in ENGINES:
         raise InvalidArgumentError(f"unknown engine {engine!r}")
@@ -185,9 +186,13 @@ def mean_intensities(matrices, engine: str, trials: int, seed: int,
     else:
         keys = vacua or [None] * len(matrices)
         rows = {key: row for row, key in enumerate(dict.fromkeys(keys))}
-        covariances = sampled_states(n_modes, trials, [
-            seed if key is None else _point_seed(seed, *key) for key in rows],
-            workers)[[rows[key] for key in keys]]
+        try:
+            covariances = sampled_states(n_modes, trials, [
+                seed if key is None else _point_seed(seed, *key)
+                for key in rows], workers)[[rows[key] for key in keys]]
+        except MemoryError:
+            raise ConfigError("trials",
+                              f"{trials} trials exceed memory") from None
     return mode_intensities(cp.propagate_covariances(matrices, covariances))
 
 
@@ -198,8 +203,8 @@ class Columns(NamedTuple):
 
     main: dp.Geometry        # the down-matched triples
     satellite: dp.Geometry   # the up-matched triples
-    means: np.ndarray        # (N, 3, 3): mean |alpha|^2 of each point's
-    # main, pair-only and satellite system, by mode; NaN where absent
+    satellite_rates: Rates   # (N, 3) each: the satellite system's rates
+    # by mode (w, w0 - w, w0 + w); NaN where the satellite is absent
     table: np.ndarray        # (N, 9): the RainbowPoint columns
 
 
@@ -244,7 +249,7 @@ def columns(omegas, crystal, couplings, engine, trials, seed, workers,
         main_r.photon_rate[:, 0, 0], main_r.photon_rate[:, 0, 1],
         sat_w.photon_rate, sat_u.above_zeropoint,
         down_ratios(pair_w, pair_s), up_ratios(sat_w, sat_u)], axis=1)
-    return Columns(main, sat, means, table)
+    return Columns(main, sat, sat_r, table)
 
 
 def sweep_grid(omega_min: float, omega_max: float, steps: int) -> np.ndarray:

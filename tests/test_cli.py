@@ -429,6 +429,39 @@ class TestExitCodes:
         assert main(["angles", "--output", out]) == 0
         assert os.path.exists(out)
 
+    @pytest.mark.parametrize("argv, cap_mib, line", [
+        # the 10**8-point grid passes load_config's check, and the band's
+        # columns then outgrow the cap
+        (["--config", "{steps}", "angles"], 2048,
+         "config error: sweep.steps: the run exceeds memory\n"),
+        # the 1.5e8 trial blocks' bookkeeping outgrows the cap
+        (["ratios", "--engine", "montecarlo", "--trials", "10000000000000",
+          "--workers", "1"], 1024,
+         "config error: trials: 10000000000000 trials exceed memory\n"),
+    ], ids=["angles-steps", "ratios-trials"])
+    def test_run_beyond_memory_exit_config(self, tmp_path, argv, cap_mib,
+                                           line):
+        # each run is refused in a child whose address space is capped
+        # before numpy loads; uncapped, these runs need tens of GiB
+        steps = write_config(tmp_path, **{"sweep.steps": 10 ** 8})
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        cap = cap_mib << 20
+        argv = [a.format(steps=steps) for a in argv]
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+                "from zprainbow.cli import main\n"
+                f"sys.exit(main({argv!r} + "
+                f"['--output', {str(out_dir / 'x.csv')!r}]))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == EXIT_CONFIG
+        assert run.stderr == line
+        assert list(out_dir.iterdir()) == []
+
 
 class TestAnglesCommand:
     def test_residuals_below_tolerance(self, tmp_path):
@@ -1171,7 +1204,7 @@ def mutate(raw, mutations):
             continue
         key = path[-1]
         if op == "set":
-            parent[key] = value
+            parent[key] = copy.deepcopy(value)
         elif op == "delete":
             parent.pop(key, None)
         elif isinstance(parent.get(key), (int, float)) \

@@ -202,7 +202,8 @@ def rotating_generator(system):
     its couplings and centred frame phases r L over the crystal."""
     gd = system.g_down * system.length_mm * np.exp(1j * system.phi_down)
     gu = system.g_up * system.length_mm * np.exp(1j * system.phi_up)
-    rl = np.array([0.0, system.dk_down, -system.dk_up]) * system.length_um
+    rl = (np.array([0.0, system.dk_down, -system.dk_up])
+          * (system.length_mm * 1e3))
     rl -= 0.5 * (rl.max() + rl.min())
     return np.array([[1j * rl[0], gd, -np.conj(gu)],
                      [np.conj(gd), 1j * rl[1], 0.0],

@@ -5,8 +5,9 @@ import pytest
 from scipy.special import gammaincc
 
 from zprainbow.coupling import propagate_covariance, squeeze_pair
-from zprainbow.detection import (ChannelRate, DetectorSpec, dark_rate_curve,
-                                 down_ratios, threshold_counts, up_ratios)
+from zprainbow.detection import (DetectorSpec, Rates, dark_rate_curve,
+                                 down_ratios, rates, threshold_counts,
+                                 up_ratios)
 from zprainbow.errors import ConfigError, InvalidArgumentError
 from zprainbow.zpf import Mode, sample_vacuum, vacuum_state
 
@@ -29,11 +30,10 @@ def mode_at(theta_ext_deg, omega=0.5):
 
 
 def fixed_rate(theta_ext_deg, mean):
-    mode = mode_at(theta_ext_deg)
+    cos = math.cos(mode_at(theta_ext_deg).theta_external)
     above = mean - 0.5
-    return ChannelRate(mode=mode, mean_intensity=mean, above_zeropoint=above,
-                       photon_rate=max(above, 0.0) / math.cos(mode.theta_external),
-                       detected=above > 0.0)
+    return Rates(above_zeropoint=above, photon_rate=max(above, 0.0) / cos,
+                 signed_rate=above / cos)
 
 
 def gamma_tail(m, threshold):
@@ -42,10 +42,12 @@ def gamma_tail(m, threshold):
 
 
 class TestChannelRate:
+    """detection.rates at one channel."""
+
     def test_vacuum_state_is_dark(self):
-        rate = ChannelRate.from_mean(PROBE, vacuum_state(1).mode_intensity(0))
+        rate = rates(vacuum_state(1).mode_intensity(0), PROBE.theta_external)
         assert rate.photon_rate == 0.0
-        assert not rate.detected
+        assert not rate.above_zeropoint > 0
         assert rate.above_zeropoint == 0.0
 
     def test_cosine_flux_conversion(self):
@@ -58,7 +60,7 @@ class TestChannelRate:
     def test_below_zeropoint_clamps(self):
         rate = channel_rate_from_mean(0.49, 10.0)
         assert rate.photon_rate == 0.0
-        assert not rate.detected
+        assert not rate.above_zeropoint > 0
         assert rate.above_zeropoint == pytest.approx(-0.01, abs=1e-15)
         assert rate.signed_rate < 0.0
 
@@ -68,15 +70,16 @@ class TestChannelRate:
         from zprainbow.coupling import apply
         modes = (mode_at(4.0), mode_at(-6.0))
         amp = apply(t, sample_vacuum(2, 10 ** 6, seed=5))
-        exact = ChannelRate.from_mean(modes[0], state.mode_intensity(0))
-        sampled = ChannelRate.from_mean(modes[0],
-                                        np.mean(intensities(amp[:, 0])))
-        sigma = exact.mean_intensity / 1000.0
-        assert abs(sampled.mean_intensity - exact.mean_intensity) < 5 * sigma
+        exact_mean = state.mode_intensity(0)
+        exact = rates(exact_mean, modes[0].theta_external)
+        sampled = rates(np.mean(intensities(amp[:, 0])),
+                        modes[0].theta_external)
+        sigma = exact_mean / 1000.0
+        assert abs(sampled.above_zeropoint - exact.above_zeropoint) < 5 * sigma
 
 
 def channel_rate_from_mean(mean, theta_deg):
-    return fixed_rate(theta_deg, mean)
+    return rates(mean, mode_at(theta_deg).theta_external)
 
 
 class TestRatioDown:

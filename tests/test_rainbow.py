@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from geometry_oracle import make_mode, mismatch, pump_mode
 from rate_oracle import channel_rates, system_matrices
 from zprainbow.cli import forced_angle_report, physical_ratio_report
-from zprainbow.detection import ChannelRate, down_ratios, up_ratios
+from zprainbow.detection import down_ratios, up_ratios
 from zprainbow.dispersion import PhaseMatchSolution, match_down
 from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
@@ -452,7 +452,7 @@ class TestBandMatchesOnePoint:
                                             steps, engine, g_up, phi_down,
                                             phi_up):
         # the sweep's columns (pair-only, zero up coupling and phases
-        # included) against per-system ChannelRates, bit for bit
+        # included) against per-system rates, bit for bit
         spec = dataclasses.replace(crystal, cut_angle_deg=cut_deg,
                                    pump_wavelength_nm=pump_nm,
                                    window_um=(window_lo, window_hi))
@@ -509,8 +509,7 @@ class TestBandMatchesOnePoint:
         # absent points alike, builds none of the one-frequency objects,
         # nor do the ratios reports, which read the same columns
         built = []
-        for cls in (Mode, cp.ThreeWaveSystem, PhaseMatchSolution,
-                    ChannelRate):
+        for cls in (Mode, cp.ThreeWaveSystem, PhaseMatchSolution):
             def counted(self, *args, _init=cls.__init__, **kwargs):
                 built.append(type(self).__name__)
                 _init(self, *args, **kwargs)

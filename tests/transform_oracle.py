@@ -102,7 +102,7 @@ def perturbative_transform(system: ThreeWaveSystem, order: int) -> BogoliubovTra
     if order not in (1, 2):
         raise InvalidArgumentError("order must be 1 or 2")
     terms = term_matrices(system)
-    length = system.length_um
+    length = system.length_mm * 1e3
     m = np.eye(6, dtype=complex)
     for k, c in terms:
         m = m + c * int_exp(k, length)
@@ -123,7 +123,7 @@ def rotating_frame_oracle(system: ThreeWaveSystem) -> BogoliubovTransform:
     """
     gd = system.g_down * 1e-3 * np.exp(1j * system.phi_down)
     gu = system.g_up * 1e-3 * np.exp(1j * system.phi_up)
-    kd, ku, length = system.dk_down, system.dk_up, system.length_um
+    kd, ku, length = system.dk_down, system.dk_up, system.length_mm * 1e3
     a = np.zeros((6, 6), dtype=complex)
     # frame rotation part
     a[1, 1], a[2, 2] = -1j * kd, -1j * ku
@@ -154,7 +154,7 @@ def rk4_oracle(system: ThreeWaveSystem, n_steps=2000) -> BogoliubovTransform:
     def s_of_z(z_um):
         return sum(m * np.exp(1j * k * z_um) for k, m in terms)
 
-    h = system.length_um / n_steps
+    h = system.length_mm * 1e3 / n_steps
     m = np.eye(6, dtype=complex)
     for i in range(n_steps):
         z = i * h
