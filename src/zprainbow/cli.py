@@ -143,8 +143,6 @@ _SCHEMA = (
     Key("sweep.omega_max", NUMBER, REQUIRED, "sweep_band"),
     Key("sweep.steps", INTEGER, REQUIRED, "sweep_band"),
     Key("couplings.g_up", GAIN, Couplings.g_up, "couplings"),
-    Key("couplings.phi_down", NUMBER, Couplings.phi_down, "couplings"),
-    Key("couplings.phi_up", NUMBER, Couplings.phi_up, "couplings"),
     Key("ratios.omega", NUMBER, 0.5, "ratios_omega",
         (lambda omega: 0.0 < omega < 1.0, "must lie in (0, 1)"), "--omega"),
     Key("ratios.trials", INTEGER, lambda fields: fields["trials"], "ratios_trials",
@@ -709,10 +707,15 @@ def main(argv=None) -> int:
             options[dest] = args[dest]
         elif args[dest] is not None:
             overrides.update(dict.fromkeys(_FLAGS[flag][0], args[dest]))
+    trials = "trials"   # the key that sized the run's vacuum
     try:
         config = replace(load_config(args["config"]), **overrides)
+        if run is cmd_ratios and config.ratios_trials != config.trials:
+            trials = "ratios.trials"
         return run(config, **options)
     except (ConfigError, InvalidArgumentError) as e:
+        if getattr(e, "field", None) == "trials":
+            e = str(e).replace("trials", trials, 1)
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoSolutionError, DomainError) as e:
@@ -723,7 +726,7 @@ def main(argv=None) -> int:
         return EXIT_STATISTICAL
     except MemoryError:  # sampled vacua raise ConfigError on their trials
         key = ("sweep.steps" if args["command"] in ("angles", "rainbow")
-               else "trials")
+               else trials)
         print(f"config error: {key}: the run exceeds memory", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -66,7 +66,13 @@ DEFAULT_SEED = 0
 @dataclass(frozen=True)
 class Couplings:
     """Effective three-wave couplings beside the pair gain, which is the
-    crystal's gain_per_mm; g_up None means auto from that gain."""
+    crystal's gain_per_mm; g_up None means auto from that gain.
+
+    The phases are a gauge: they conjugate every transform by a constant
+    diagonal phase, which leaves the vacuum and so every mean intensity
+    unchanged, and the config sets neither.  They are kept for library
+    transforms and for picking Monte Carlo realisations, as the same
+    seed maps through a rotated transform to another draw."""
 
     g_up: float | None = None
     phi_down: float = 0.0

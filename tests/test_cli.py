@@ -438,16 +438,22 @@ class TestExitCodes:
         (["ratios", "--engine", "montecarlo", "--trials", "10000000000000",
           "--workers", "1"], 1024,
          "config error: trials: 10000000000000 trials exceed memory\n"),
-    ], ids=["angles-steps", "ratios-trials"])
+        # the config's ratios.trials sized the run, so the line names it
+        (["--config", "{ratios}", "ratios", "--workers", "1"], 1024,
+         "config error: ratios.trials: 10000000000000 trials exceed "
+         "memory\n"),
+    ], ids=["angles-steps", "ratios-trials", "ratios-trials-config"])
     def test_run_beyond_memory_exit_config(self, tmp_path, argv, cap_mib,
                                            line):
         # each run is refused in a child whose address space is capped
         # before numpy loads; uncapped, these runs need tens of GiB
         steps = write_config(tmp_path, **{"sweep.steps": 10 ** 8})
+        ratios = write_config(tmp_path, "ratios.json", engine="montecarlo",
+                              ratios={"trials": 10 ** 13})
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         cap = cap_mib << 20
-        argv = [a.format(steps=steps) for a in argv]
+        argv = [a.format(steps=steps, ratios=ratios) for a in argv]
         code = ("import resource, sys\n"
                 f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
                 "from zprainbow.cli import main\n"
@@ -1249,8 +1255,6 @@ TYPE_ERRORS = [
     ("sweep.omega_min", "x", "(<class 'int'>, <class 'float'>)"),
     ("sweep.omega_max", None, "(<class 'int'>, <class 'float'>)"),
     ("sweep.steps", 15.0, "<class 'int'>"),
-    ("couplings.phi_down", "x", "(<class 'int'>, <class 'float'>)"),
-    ("couplings.phi_up", True, "(<class 'int'>, <class 'float'>)"),
     ("ratios.omega", "0.5", "(<class 'int'>, <class 'float'>)"),
     ("ratios.trials", 1e3, "<class 'int'>"),
     ("darkrate.windows", 10, "<class 'list'>"),
@@ -1305,6 +1309,11 @@ CONFIG_ERRORS = [
     *[case([set_key(f"{section}.extra", 1)], f"{section}.extra: unknown key")
       for section in SECTIONS],
     case([set_key("extra", 1)], "extra: unknown key"),
+    # the coupling phases are a gauge that no output depends on, so the
+    # config has no key for them
+    case([set_key("couplings.phi_down", "x")],
+         "couplings.phi_down: unknown key"),
+    case([set_key("couplings.phi_up", True)], "couplings.phi_up: unknown key"),
     # range checks, each through the config and through its flag
     case([set_key("engine", "exact")], "engine: unknown engine 'exact'"),
     case([set_key("engine", 5)], "engine: unknown engine 5"),

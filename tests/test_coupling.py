@@ -14,7 +14,8 @@ from transform_oracle import (int_exp, int_nested, perturbative_transform,
 from zprainbow.coupling import (BogoliubovTransform, ThreeWaveSystem, _expm,
                                 apply, convert_pair, integrate_three_wave,
                                 propagate_covariance, propagate_covariances,
-                                quadrature_matrix, squeeze_pair)
+                                quadrature_matrix, squeeze_pair,
+                                three_wave_matrices)
 from zprainbow.errors import InvalidArgumentError
 from zprainbow.zpf import (mode_intensities, sample_vacuum, sampled_state,
                            vacuum_state)
@@ -180,6 +181,24 @@ class TestTransformProperties:
         t = integrate_three_wave(system)
         p2 = perturbative_transform(system, 2)
         assert np.max(np.abs(t.matrix - p2.matrix)) < gl ** 3
+
+
+class TestPhaseGauge:
+    @PROPERTY
+    @given(systems(max_gl=4.0))
+    def test_phases_conjugate_the_zero_phase_transform(self, system):
+        # a_s -> a_s e^{i phi_d}, a_u -> a_u e^{i phi_u} removes the phases
+        # from the three-wave equations, so T(phi) = P T(0) P^-1 with
+        # P = diag(1, e^{i phi_d}, e^{i phi_u}, 1, e^{-i phi_d}, e^{-i phi_u})
+        phased, plain = three_wave_matrices(
+            system.g_down, system.g_up, [system.phi_down, 0.0],
+            [system.phi_up, 0.0], system.dk_down, system.dk_up,
+            system.length_mm)
+        p = np.exp(1j * np.array([0.0, system.phi_down, system.phi_up]))
+        p = np.concatenate([p, p.conj()])
+        gauged = p[:, None] * plain * p.conj()
+        assert np.max(np.abs(phased - gauged)) <= 1e-14 * np.max(
+            np.abs(phased))
 
 
 @st.composite

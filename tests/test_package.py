@@ -52,45 +52,78 @@ def test_readme_command_table_lists_each_commands_flags():
         assert (cell == "none") == (not want), command
 
 
-def _parse(path, modules):
-    """A file's syntax tree and every name it uses: a bare name, a name it
-    imports with `from ... import`, or an attribute of a package module it
-    imported (dp.x, zprainbow.cli.x), so a method's name is not a use."""
-    with open(path) as fh:
-        tree = ast.parse(fh.read())
+def _parse(text, modules):
+    """A source's syntax tree, every name it uses and every member name it
+    reads.  A name is a bare name, a name imported with `from ... import`,
+    or an attribute of a package module it imported (dp.x,
+    zprainbow.cli.x), so a method's name is not a use.  A member name is
+    any attribute read (x.name) or any string constant, as getattr reaches
+    Band.down_terms through the string "down_terms"."""
+    tree = ast.parse(text)
     bound = {alias.asname or alias.name for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names
              if alias.name.rpartition(".")[2] in modules}
-    names = set()
+    names, members = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
-        elif (isinstance(node, ast.Attribute)
-              and ast.unparse(node.value) in bound):
-            names.add(node.attr)
-    return tree, names
+        elif isinstance(node, ast.Attribute):
+            members.add(node.attr)
+            if ast.unparse(node.value) in bound:
+                names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            members.add(node.value)
+    return tree, names, members
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _methods(tree):
+    """The public methods and properties of a module's classes: each def
+    in a class body, and each `name = property(...)` there."""
+    for node in tree.body:
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef):
+                yield item.name
+            elif (isinstance(item, ast.Assign)
+                  and isinstance(item.value, ast.Call)
+                  and ast.unparse(item.value.func) == "property"):
+                yield from (target.id for target in item.targets)
 
 
 def test_every_public_src_name_is_used():
     # every public module-level name of src is used by src code, exported
     # by zprainbow, or used by the acceptance suite or perfbench; one that
-    # only the other tests use belongs in their oracle modules
+    # only the other tests use belongs in their oracle modules.  Likewise
+    # every public method and property of a src class is read as an
+    # attribute, or named in a string, by src code, the acceptance suite,
+    # perfbench or the README's library example
     src = os.path.dirname(zprainbow.__file__)
     files = sorted(name for name in os.listdir(src) if name.endswith(".py"))
     modules = {name[:-3] for name in files}
-    parsed = [_parse(os.path.join(src, name), modules) for name in files]
+    parsed = [_parse(_read(os.path.join(src, name)), modules)
+              for name in files]
     root = os.path.join(os.path.dirname(__file__), os.pardir)
-    callers = [os.path.join(root, "tests", "test_acceptance.py")] + [
+    callers = [_parse(_read(path), modules) for path in [
+        os.path.join(root, "tests", "test_acceptance.py")] + [
         os.path.join(root, "perfbench", name)
         for name in sorted(os.listdir(os.path.join(root, "perfbench")))
-        if name.endswith(".py")]
+        if name.endswith(".py")]]
     used = set(zprainbow.__all__).union(
-        *(names for _, names in parsed),
-        *(_parse(path, modules)[1] for path in callers))
-    defined = {node.name for tree, _ in parsed for node in tree.body
+        *(names for _, names, _ in parsed + callers))
+    defined = {node.name for tree, _, _ in parsed for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")}
     assert defined - used == set()
+    [example] = re.findall(r"```python\n(.*?)```", _read(README), re.S)
+    read = set().union(*(members for _, _, members
+                         in parsed + callers + [_parse(example, modules)]))
+    methods = {name for tree, _, _ in parsed for name in _methods(tree)
+               if not name.startswith("_")}
+    assert methods - read == set()

@@ -15,7 +15,7 @@ from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
                                _point_seed, columns, mean_intensities,
                                pdc_system, puc_system, satellite_summary,
-                               sweep)
+                               sweep, sweep_grid)
 from zprainbow import coupling as cp, rainbow, zpf
 from zprainbow.zpf import Mode, sample_vacuum
 
@@ -528,6 +528,31 @@ class TestBandMatchesOnePoint:
         match_down(0.5, crystal)
         assert sorted(built) == ["Mode"] * 3 + ["PhaseMatchSolution",
                                                  "ThreeWaveSystem"]
+
+
+class TestPhaseGauge:
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(phi_down=PHASE, phi_up=PHASE)
+    @example(phi_down=0.7, phi_up=-1.3)
+    def test_covariance_columns_do_not_see_the_phases(self, config,
+                                                      phi_down, phi_up):
+        # the phases conjugate every transform by a constant diagonal phase
+        # (tests/test_coupling.py), which leaves the vacuum, and so every
+        # mean intensity, as it is
+        omegas = sweep_grid(*config.sweep_band)
+        want, got = (columns(omegas, config.crystal, couplings, "covariance",
+                             1, 0, 1, per_point=True).table
+                     for couplings in (Couplings(), Couplings(
+                         phi_down=phi_down, phi_up=phi_up)))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        # a rate is an excess over the zeropoint 1/2, known to a few ulp of
+        # 1/2; eq2_ratio carries that error relative to the upper channel's
+        # excess (upper_above_zeropoint, about 1e-6 on the shipped band)
+        floor = np.full(want.shape, 1e-15)
+        floor[:, 8] *= np.abs(want[:, 8] / want[:, 6])
+        close = np.abs(got - want) <= 1e-11 * np.abs(want) + floor
+        assert close[~np.isnan(want)].all()
 
 
 class TestCrossEngineEqOne:
