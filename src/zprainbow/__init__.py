@@ -10,8 +10,7 @@ from .coupling import (BogoliubovTransform, ThreeWaveSystem, apply,
                        convert_pair, integrate_three_wave,
                        propagate_covariance, squeeze_pair)
 from .detection import DetectorSpec, dark_rate_curve, rates
-from .dispersion import (CrystalSpec, PhaseMatchSolution,
-                         SellmeierCoefficients, match_down, match_up)
+from .dispersion import CrystalSpec, SellmeierCoefficients
 from .rainbow import Couplings, RainbowPoint, RainbowTable, satellite_summary, sweep
 from .zpf import (GaussianState, Mode, sample_vacuum, sampled_state,
                   vacuum_state)
@@ -20,10 +19,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BogoliubovTransform", "Couplings", "CrystalSpec", "DetectorSpec",
-    "GaussianState", "Mode", "PhaseMatchSolution", "RainbowPoint",
-    "RainbowTable", "SellmeierCoefficients", "ThreeWaveSystem", "apply",
-    "convert_pair", "dark_rate_curve", "integrate_three_wave", "match_down",
-    "match_up", "propagate_covariance", "rates", "sample_vacuum",
-    "sampled_state", "satellite_summary", "squeeze_pair", "sweep",
-    "vacuum_state",
+    "GaussianState", "Mode", "RainbowPoint", "RainbowTable",
+    "SellmeierCoefficients", "ThreeWaveSystem", "apply", "convert_pair",
+    "dark_rate_curve", "integrate_three_wave", "propagate_covariance",
+    "rates", "sample_vacuum", "sampled_state", "satellite_summary",
+    "squeeze_pair", "sweep", "vacuum_state",
 ]

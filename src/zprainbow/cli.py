@@ -208,9 +208,19 @@ def _finite(text, kind=float):
     return value if kind is float else kind(text)
 
 
+def _object(pairs):
+    """JSON object hook: a key given twice is an error."""
+    if len(obj := dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ConfigError("config", f"duplicate key {key!r}")
+    return obj
+
+
 # made once: a JSONDecoder costs about a fifth of a config's parse
 _JSON = json.JSONDecoder(parse_float=_finite, parse_constant=_finite,
-                         parse_int=lambda text: _finite(text, int))
+                         parse_int=lambda text: _finite(text, int),
+                         object_pairs_hook=_object)
 
 
 def load_config(path: str | None = None) -> RunConfig:

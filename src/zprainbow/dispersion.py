@@ -42,9 +42,9 @@ internal and external angles, both mismatches and a present mask, and
 for each absent frequency only, the error that says why it has none.
 Refraction stays scalar math.asin per matched item, as in
 external_angle.  Band.match fills in the process's own leg, Band.triples
-adds the other leg to each match.  match_down and match_up are match's
-one-frequency calls and the only place a PhaseMatchSolution is built;
-Geometry.modes builds one frequency's Modes.
+adds the other leg to each match.  One frequency's geometry is
+Band([omega], spec).match(process), with reasons[0] saying why it is
+absent; Geometry.modes builds one frequency's Modes.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DomainError, InvalidArgumentError, NoSolutionError,
-                     present)
+from .errors import DomainError, InvalidArgumentError, NoSolutionError
 from .zpf import EXTRAORDINARY, ORDINARY, Mode
 
 @dataclass(frozen=True)
@@ -136,23 +135,6 @@ class CrystalSpec:
     @property
     def length_um(self) -> float:
         return self.length_mm * 1e3
-
-
-@dataclass(frozen=True)
-class PhaseMatchSolution:
-    """Converged matching geometry for one frequency.
-
-    Angles are signed; for the down branch the output (conjugate) side is
-    opposite to the input, for the up branch it is on the same side.
-    residual_dk is the longitudinal mismatch that rounding leaves at the
-    matched angle, in 1/um (transverse balance is exact by construction).
-    """
-
-    theta_in_internal: float
-    theta_in_external: float
-    theta_out_internal: float
-    theta_out_external: float
-    residual_dk: float
 
 
 def wavelength_um(omega, spec: CrystalSpec):
@@ -523,38 +505,3 @@ class Band:
             self.omega, theta, theta_ext, *dk,
             reasons | {int(at[j]): err for j, err in more.items()})
 
-
-def _solution(process, omega, spec):
-    """Band.match at one frequency, as a PhaseMatchSolution."""
-    found = Band([omega], spec).match(process)
-    present(found.reasons.get(0))
-    out = _PROCESSES[process][-1]
-    return PhaseMatchSolution(
-        float(found.theta_internal[0, 0]), float(found.theta_external[0, 0]),
-        float(found.theta_internal[0, out]),
-        float(found.theta_external[0, out]),
-        float((found.dk_down, found.dk_up)[out - 1][0]))
-
-
-def match_down(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
-    """Phase-match parametric down conversion at frequency omega.
-
-    Finds the input angle theta such that the pump wavevector equals the
-    sum over the conjugate pair (omega, 1 - omega), the conjugate emerging
-    on the opposite transverse side.  One frequency of Band.match.
-    """
-    if not 0.0 < omega < 1.0:
-        raise InvalidArgumentError("down conversion needs 0 < omega < 1")
-    return _solution("down", omega, spec)
-
-
-def match_up(omega: float, spec: CrystalSpec) -> PhaseMatchSolution:
-    """Phase-match parametric up conversion at frequency omega.
-
-    Finds the input angle such that pump plus input match the extraordinary
-    output at 1 + omega, whose transverse component keeps the input's sign.
-    One frequency of Band.match.
-    """
-    if omega <= 0.0:
-        raise InvalidArgumentError("up conversion needs omega > 0")
-    return _solution("up", omega, spec)

@@ -13,7 +13,9 @@ geometries:
 
 The eq1_ratio column isolates the pair process (up-conversion coupling
 off) so it reflects the pure geometric cosine asymmetry; main_rate and
-conjugate_rate keep the full three-wave physics.
+conjugate_rate keep the triple's three waves, w, w0 - w and w0 + w, with
+both the pair process and the input's up conversion.  The conjugate's
+own up conversion, to 2 w0 - w, is outside the triple and not modelled.
 
 The sweep works on columns from start to end.  One dispersion.Band
 gives both processes' matched triples as Geometry records of columns,

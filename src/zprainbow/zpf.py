@@ -44,7 +44,7 @@ from queue import SimpleQueue
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotFoundError
+from .errors import ConfigError, InvalidArgumentError, NotFoundError
 
 ORDINARY = "ordinary"
 EXTRAORDINARY = "extraordinary"
@@ -187,8 +187,14 @@ def _block_map(fn, tasks, workers: int, shapes) -> list:
         raise InvalidArgumentError("workers must be >= 1")
     threads = min(workers, len(tasks))
     free = SimpleQueue()
-    for _ in range(threads):
-        free.put([np.empty(shape) for shape in shapes])
+    try:
+        for _ in range(threads):
+            free.put([np.empty(shape) for shape in shapes])
+    except MemoryError:
+        if threads <= 1:
+            raise
+        raise ConfigError("workers", f"{workers} workers' block buffers "
+                          "exceed memory") from None
 
     def run(task):
         buffers = free.get()

@@ -19,7 +19,7 @@ from transform_oracle import perturbative_transform
 from zprainbow import coupling as cp
 from zprainbow.cli import forced_angle_report, physical_ratio_report
 from zprainbow.detection import DetectorSpec, dark_rate_curve
-from zprainbow.dispersion import match_down, match_up
+from zprainbow.dispersion import Band
 from zprainbow.rainbow import (mean_intensities, puc_system,
                                satellite_summary, sweep)
 from zprainbow.zpf import Mode, sample_vacuum, vacuum_state
@@ -137,31 +137,26 @@ def test_criterion_4_decoupled_and_perturbative(crystal):
 
 
 def test_criterion_5_phase_matching(crystal):
-    degenerate = match_down(0.5, crystal)
-    assert math.radians(5.0) <= degenerate.theta_in_external <= math.radians(15.0)
+    degenerate = float(Band([0.5], crystal).match("down").theta_external[0, 0])
+    assert math.radians(5.0) <= degenerate <= math.radians(15.0)
 
-    worst_res = 0.0
-    for omega in np.linspace(0.44, 0.58, 15):
-        sol = match_down(float(omega), crystal)
-        worst_res = max(worst_res, abs(sol.residual_dk))
-        try:
-            worst_res = max(worst_res,
-                            abs(match_up(float(omega), crystal).residual_dk))
-        except Exception:
-            pass
+    # every frequency has its down match (an absent one is NaN, which
+    # fails the bound); up conversion matches only part of the band
+    band = Band(np.linspace(0.44, 0.58, 15), crystal)
+    down, up = band.match("down"), band.match("up")
+    worst_res = float(max(np.max(np.abs(down.dk_down)),
+                          np.max(np.abs(up.dk_up[up.present]), initial=0.0)))
     assert worst_res < 1e-9
 
-    worst_mirror = 0.0
-    for omega in (0.44, 0.48, 0.52, 0.56):
-        a = match_down(omega, crystal)
-        b = match_down(1.0 - omega, crystal)
-        worst_mirror = max(
-            worst_mirror,
-            abs(a.theta_in_internal - abs(b.theta_out_internal)),
-            abs(abs(a.theta_out_internal) - b.theta_in_internal))
+    # columns 0 and 1 of theta_internal: the input and its conjugate
+    ws = np.array([0.44, 0.48, 0.52, 0.56])
+    a = Band(ws, crystal).match("down").theta_internal
+    b = Band(1.0 - ws, crystal).match("down").theta_internal
+    worst_mirror = float(max(np.max(np.abs(a[:, 0] - np.abs(b[:, 1]))),
+                             np.max(np.abs(np.abs(a[:, 1]) - b[:, 0]))))
     assert worst_mirror < 1e-9
     ok(5, f"degenerate rainbow at "
-          f"{math.degrees(degenerate.theta_in_external):.2f} deg external; "
+          f"{math.degrees(degenerate):.2f} deg external; "
           f"residuals < {worst_res:.1e}/um; conjugacy mirror to "
           f"{worst_mirror:.1e} rad")
 

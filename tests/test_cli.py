@@ -442,7 +442,13 @@ class TestExitCodes:
         (["--config", "{ratios}", "ratios", "--workers", "1"], 1024,
          "config error: ratios.trials: 10000000000000 trials exceed "
          "memory\n"),
-    ], ids=["angles-steps", "ratios-trials", "ratios-trials-config"])
+        # 352 threads' block buffers of about 4 MiB each outgrow the cap,
+        # which holds the run at --workers 2
+        (["rainbow", "--workers", "480"], 1024,
+         "config error: workers: 480 workers' block buffers exceed "
+         "memory\n"),
+    ], ids=["angles-steps", "ratios-trials", "ratios-trials-config",
+            "rainbow-workers"])
     def test_run_beyond_memory_exit_config(self, tmp_path, argv, cap_mib,
                                            line):
         # each run is refused in a child whose address space is capped
@@ -1309,6 +1315,12 @@ CONFIG_ERRORS = [
     *[case([set_key(f"{section}.extra", 1)], f"{section}.extra: unknown key")
       for section in SECTIONS],
     case([set_key("extra", 1)], "extra: unknown key"),
+    # a key given twice, even with the same value, in any object
+    case(json.dumps(SHIPPED).replace('"seed": 3', '"seed": 3, "seed": 5'),
+         "config: duplicate key 'seed'", id="duplicate-key"),
+    case(json.dumps(SHIPPED).replace('"steps": 15',
+                                     '"steps": 15, "steps": 15'),
+         "config: duplicate key 'steps'", id="duplicate-section-key"),
     # the coupling phases are a gauge that no output depends on, so the
     # config has no key for them
     case([set_key("couplings.phi_down", "x")],

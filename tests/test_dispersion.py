@@ -9,9 +9,8 @@ from geometry_oracle import (conjugate_leg, effective_index,
                              extraordinary_index, make_mode, mismatch,
                              pump_mode, refractive_index, up_leg, wavevector)
 from zprainbow import dispersion
-from zprainbow.dispersion import (Band, CrystalSpec, PhaseMatchSolution,
-                                  SellmeierCoefficients, _conjugate, _rows,
-                                  _up, external_angle, match_down, match_up,
+from zprainbow.dispersion import (Band, CrystalSpec, SellmeierCoefficients,
+                                  _conjugate, _rows, _up, external_angle,
                                   wavelength_um)
 from zprainbow.errors import (DomainError, InvalidArgumentError,
                               NoSolutionError)
@@ -108,11 +107,11 @@ class TestMismatch:
         assert mismatch(modes, modes, crystal) == (0.0, 0.0)
 
     def test_converged_solution_closes(self, crystal):
-        sol = match_down(0.5, crystal)
+        theta_in, theta_out, _ = Band([0.5], crystal).match(
+            "down").theta_internal[0].tolist()
         pump = pump_mode(crystal)
-        m_in = make_mode(crystal, 0.5, sol.theta_in_internal, ORDINARY, "input")
-        m_out = make_mode(crystal, 0.5, sol.theta_out_internal, ORDINARY,
-                          "signal")
+        m_in = make_mode(crystal, 0.5, theta_in, ORDINARY, "input")
+        m_out = make_mode(crystal, 0.5, theta_out, ORDINARY, "signal")
         dkt, dkz = mismatch([pump], [m_in, m_out], crystal)
         assert abs(dkt) < 1e-9
         assert abs(dkz) < 1e-9
@@ -131,82 +130,84 @@ class TestMismatch:
 
 
 class TestMatchDown:
+    """Band.match("down"): columns 0 and 1 of its angles are the input and
+    the conjugate; an absent frequency is NaN, which fails every bound."""
+
     def test_degenerate_angle_in_band(self, crystal):
         # paper regime: external rainbow angle around ten degrees
-        sol = match_down(0.5, crystal)
-        assert math.radians(5.0) <= sol.theta_in_external <= math.radians(15.0)
+        theta = Band([0.5], crystal).match("down").theta_external[0, 0]
+        assert math.radians(5.0) <= theta <= math.radians(15.0)
 
     def test_residuals_across_band(self, crystal):
-        for omega in np.linspace(0.42, 0.58, 9):
-            sol = match_down(float(omega), crystal)
-            assert abs(sol.residual_dk) < 1e-9
+        found = Band(np.linspace(0.42, 0.58, 9), crystal).match("down")
+        assert np.all(np.abs(found.dk_down) < 1e-9)
 
     def test_opposite_sides(self, crystal):
-        sol = match_down(0.46, crystal)
-        assert sol.theta_in_internal > 0.0
-        assert sol.theta_out_internal < 0.0
-        assert sol.theta_out_external < 0.0
+        found = Band([0.46], crystal).match("down")
+        assert found.theta_internal[0, 0] > 0.0
+        assert found.theta_internal[0, 1] < 0.0
+        assert found.theta_external[0, 1] < 0.0
 
     def test_flat_dispersion_is_collinear(self):
-        sol = match_down(0.5, flat_crystal())
-        assert sol.theta_in_internal == pytest.approx(0.0, abs=1e-9)
+        found = Band([0.5], flat_crystal()).match("down")
+        assert found.theta_internal[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_conjugacy_mirror(self, crystal):
-        for omega in (0.44, 0.47, 0.55):
-            a = match_down(omega, crystal)
-            b = match_down(1.0 - omega, crystal)
-            assert abs(a.theta_in_internal - abs(b.theta_out_internal)) < 1e-9
-            assert abs(abs(a.theta_out_internal) - b.theta_in_internal) < 1e-9
+        omegas = np.array([0.44, 0.47, 0.55])
+        a = Band(omegas, crystal).match("down").theta_internal
+        b = Band(1.0 - omegas, crystal).match("down").theta_internal
+        assert np.all(np.abs(a[:, 0] - np.abs(b[:, 1])) < 1e-9)
+        assert np.all(np.abs(np.abs(a[:, 1]) - b[:, 0]) < 1e-9)
 
     def test_continuity(self, crystal):
         omegas = np.linspace(0.45, 0.55, 1000)
-        thetas = np.array([match_down(float(w), crystal).theta_in_external
-                           for w in omegas])
+        thetas = Band(omegas, crystal).match("down").theta_external[:, 0]
         jumps = np.abs(np.diff(thetas))
         slope = np.median(jumps)
         assert np.max(jumps) < 10.0 * max(slope, 1e-9)
 
     def test_no_solution_reported(self, crystal):
-        with pytest.raises(NoSolutionError):
-            match_down(0.605, crystal)
+        found = Band([0.605], crystal).match("down")
+        assert isinstance(found.reasons[0], NoSolutionError)
 
     def test_domain_error_outside_window(self, crystal):
-        with pytest.raises(DomainError):
-            match_down(0.62, crystal)  # conjugate wavelength leaves window
+        # the conjugate's wavelength leaves the window
+        found = Band([0.62], crystal).match("down")
+        assert isinstance(found.reasons[0], DomainError)
 
     def test_precondition(self, crystal):
         with pytest.raises(InvalidArgumentError):
-            match_down(1.2, crystal)
+            Band([1.2], crystal).match("down")
 
 
 class TestMatchUp:
+    """Band.match("up"): columns 0 and 2 of its angles are the input and
+    the up-converted wave."""
+
     def test_angle_ratio_band(self, crystal):
         # paper: the up-conversion angle is about 2.5 times the main one
-        ratios = []
-        for omega in np.linspace(0.52, 0.58, 7):
-            d = match_down(float(omega), crystal)
-            u = match_up(float(omega), crystal)
-            ratios.append(u.theta_in_external / d.theta_in_external)
+        band = Band(np.linspace(0.52, 0.58, 7), crystal)
+        ratios = (band.match("up").theta_external[:, 0]
+                  / band.match("down").theta_external[:, 0])
         assert 2.0 <= np.mean(ratios) <= 3.0
 
     def test_residual_postcondition(self, crystal):
-        sol = match_up(0.54, crystal)
-        assert abs(sol.residual_dk) < 1e-9
+        assert abs(Band([0.54], crystal).match("up").dk_up[0]) < 1e-9
 
     def test_same_side_convention(self, crystal):
-        sol = match_up(0.54, crystal)
-        assert sol.theta_in_internal > 0.0
-        assert sol.theta_out_internal > 0.0
-        assert math.copysign(1.0, sol.theta_out_external) == \
-            math.copysign(1.0, sol.theta_in_external)
+        found = Band([0.54], crystal).match("up")
+        assert found.theta_internal[0, 0] > 0.0
+        assert found.theta_internal[0, 2] > 0.0
+        assert math.copysign(1.0, found.theta_external[0, 2]) == \
+            math.copysign(1.0, found.theta_external[0, 0])
 
     def test_no_solution_reported(self, crystal):
-        with pytest.raises(NoSolutionError):
-            match_up(0.45, crystal)
+        found = Band([0.45], crystal).match("up")
+        assert isinstance(found.reasons[0], NoSolutionError)
 
     def test_precondition(self, crystal):
         with pytest.raises(InvalidArgumentError):
-            match_up(-0.1, crystal)
+            Band([-0.1], crystal).match("up")
 
 
 class TestExternalAngle:
@@ -222,8 +223,7 @@ class TestExternalAngle:
 class TestContinuity:
     def test_up_branch_continuous(self, crystal):
         omegas = np.linspace(0.525, 0.575, 1000)
-        thetas = np.array([match_up(float(w), crystal).theta_in_external
-                           for w in omegas])
+        thetas = Band(omegas, crystal).match("up").theta_external[:, 0]
         jumps = np.abs(np.diff(thetas))
         slope = np.median(jumps)
         assert np.max(jumps) < 10.0 * max(slope, 1e-9)
@@ -347,13 +347,13 @@ MATERIALS = {
 }
 
 
-# (solver, leg, oracle mismatch, output frequency, output polarization,
-# incoming and outgoing modes from (pump, input, output))
+# (leg, oracle mismatch, output frequency, output polarization, incoming
+# and outgoing modes from (pump, input, output))
 PROCESSES = {
-    "down": (match_down, conjugate_leg, _delta_kz_down, lambda w: 1.0 - w,
-             ORDINARY, lambda p, i, o: ([p], [i, o])),
-    "up": (match_up, up_leg, _delta_kz_up, lambda w: 1.0 + w,
-           EXTRAORDINARY, lambda p, i, o: ([p, i], [o])),
+    "down": (conjugate_leg, _delta_kz_down, lambda w: 1.0 - w, ORDINARY,
+             lambda p, i, o: ([p], [i, o])),
+    "up": (up_leg, _delta_kz_up, lambda w: 1.0 + w, EXTRAORDINARY,
+           lambda p, i, o: ([p, i], [o])),
 }
 
 
@@ -370,7 +370,9 @@ class TestGeometryProperties:
                                             pump_nm, omega, process):
         spec = replace(MATERIALS[material](crystal), cut_angle_deg=cut_deg,
                        pump_wavelength_nm=pump_nm)
-        match, leg, oracle, omega_out, pol_out, sides = PROCESSES[process]
+        leg, oracle, omega_out, pol_out, sides = PROCESSES[process]
+        found = Band([omega], spec).match(process)
+        reason = found.reasons.get(0)
         if (material, process) == ("birefringent", "up"):
             # the oracle's fixed point stalls in this crystal (see
             # test_balance_where_fixed_point_stalls), so the scan runs on
@@ -381,18 +383,17 @@ class TestGeometryProperties:
             theta_max = _max_input_angle(omega, spec)
             want = _scan_roots(lambda t: oracle(t, omega, spec), theta_max)
         except DomainError:
-            with pytest.raises(DomainError):
-                match(omega, spec)
+            assert isinstance(reason, DomainError)
             return
-        try:
-            sol = match(omega, spec)
-        except NoSolutionError:
+        if reason is not None:
+            assert isinstance(reason, NoSolutionError)
             assert not want
             return
-        if not want or sol.theta_in_internal < want[0] - 1e-11:
+        theta_in = float(found.theta_internal[0, 0])
+        if not want or theta_in < want[0] - 1e-11:
             # the closed form found a root that the scan missed: a
             # tangency, whose grid cell has no sign change to bracket
-            theta = sol.theta_in_internal
+            theta = theta_in
             grid = np.linspace(0.0, theta_max, _SCAN_POINTS)
             i = max(1, int(np.searchsorted(grid, theta, side="right")))
             cell = [oracle(t, omega, spec) for t in grid[i - 1:i + 1]]
@@ -400,9 +401,10 @@ class TestGeometryProperties:
                 f"a root at {theta} that the scan should have bracketed")
             event("the scan missed a root")
             want = [theta] + want
-        assert abs(sol.theta_in_internal - want[0]) <= 1e-11
-        assert abs(sol.residual_dk) < 1e-9
-        for theta in [sol.theta_in_internal] + want:
+        assert abs(theta_in - want[0]) <= 1e-11
+        assert abs((found.dk_down if process == "down"
+                    else found.dk_up)[0]) < 1e-9
+        for theta in [theta_in] + want:
             theta_out, dk = leg(omega, theta, spec)
             assert abs(dk) < 1e-9
             m_in = Mode(omega, 0.0, float(theta), ORDINARY, "input")
@@ -421,29 +423,24 @@ class TestGeometryProperties:
         kinds = set()
         for window in (crystal.window_um, (0.27, 1.02)):
             spec = replace(crystal, window_um=window)
-            for process, match in (("down", match_down), ("up", match_up)):
-                out = 1 if process == "down" else 2
+            for process in ("down", "up"):
                 found = Band(omegas, spec).match(process)
                 built = Band(omegas, spec).triples(process)
                 for k, omega in enumerate(omegas):
-                    try:
-                        want = match(float(omega), spec)
-                    except (DomainError, NoSolutionError) as err:
-                        want = err
-                    one = Band([omega], spec).triples(process)
-                    for band, one in ((band_solution(found, k, out), want),
-                                      (band_row(built, k), band_row(one, 0))):
+                    one = Band([omega], spec)
+                    for geometry, alone in ((found, one.match(process)),
+                                            (built, one.triples(process))):
+                        band, want = band_row(geometry, k), band_row(alone, 0)
                         kinds.add(type(band))
-                        if isinstance(one, Exception):
-                            assert type(band) is type(one)
-                            assert str(band) == str(one)
+                        if isinstance(want, Exception):
+                            assert type(band) is type(want)
+                            assert str(band) == str(want)
                         else:
-                            assert band == one
-                    for geometry in (found, built):
+                            # match leaves the other output's columns NaN
+                            assert np.array_equal(band, want, equal_nan=True)
                         assert geometry.present[k] == (k not in
                                                        geometry.reasons)
-        assert {DomainError, NoSolutionError, PhaseMatchSolution,
-                tuple} <= kinds
+        assert {DomainError, NoSolutionError, tuple} <= kinds
 
 
 def band_row(geometry, k):
@@ -456,16 +453,6 @@ def band_row(geometry, k):
         assert all(math.isnan(x) for x in row)
         return geometry.reasons[k]
     return row
-
-
-def band_solution(geometry, k, out):
-    """Frequency k of Band.match's Geometry, in the layout of a
-    PhaseMatchSolution whose output is wave `out` of the triple."""
-    row = band_row(geometry, k)
-    if isinstance(row, Exception):
-        return row
-    return PhaseMatchSolution(row[0], row[3], row[out], row[3 + out],
-                              row[5 + out])
 
 
 def assert_up_angles_match_fixed_point(omega, theta, spec):
@@ -640,13 +627,12 @@ class TestBandTerms:
             assert np.all(np.isnan(up_leg(omega, 0.1, crystal)))
             with pytest.raises(InvalidArgumentError):
                 conjugate_leg(omega, 0.1, crystal)
-        with pytest.raises(DomainError, match="0.18182 um outside window"):
-            match_up(1.2, crystal)
         with pytest.raises(InvalidArgumentError):
             Band([0.5, 1.2], crystal).triples("up")
         found = Band([0.5, 1.2], crystal).match("up")
         assert {k: type(err) for k, err in found.reasons.items()} == {
             1: DomainError, 0: NoSolutionError}
+        assert "0.18182 um outside window" in str(found.reasons[1])
         for omega in (0.0, -0.3):
             for call in (lambda: up_leg(omega, 0.1, crystal),
                          lambda: conjugate_leg(omega, 0.1, crystal),

@@ -98,12 +98,12 @@ def _methods(tree):
 
 
 def test_every_public_src_name_is_used():
-    # every public module-level name of src is used by src code, exported
-    # by zprainbow, or used by the acceptance suite or perfbench; one that
-    # only the other tests use belongs in their oracle modules.  Likewise
-    # every public method and property of a src class is read as an
-    # attribute, or named in a string, by src code, the acceptance suite,
-    # perfbench or the README's library example
+    # every public module-level name of src is named by src code, the
+    # acceptance suite, perfbench or the README's library example; one
+    # that only the other tests use belongs in their oracle modules, and
+    # exporting it from zprainbow is not a use.  Likewise every public
+    # method and property of a src class is read as an attribute, or
+    # named in a string, by src code or those callers
     src = os.path.dirname(zprainbow.__file__)
     files = sorted(name for name in os.listdir(src) if name.endswith(".py"))
     modules = {name[:-3] for name in files}
@@ -115,15 +115,16 @@ def test_every_public_src_name_is_used():
         os.path.join(root, "perfbench", name)
         for name in sorted(os.listdir(os.path.join(root, "perfbench")))
         if name.endswith(".py")]]
-    used = set(zprainbow.__all__).union(
-        *(names for _, names, _ in parsed + callers))
+    [example] = re.findall(r"```python\n(.*?)```", _read(README), re.S)
+    callers.append(_parse(example, modules))
+    used = set().union(*(names for name, (_, names, _) in zip(files, parsed)
+                         if name != "__init__.py"),
+                       *(names for _, names, _ in callers))
     defined = {node.name for tree, _, _ in parsed for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")}
     assert defined - used == set()
-    [example] = re.findall(r"```python\n(.*?)```", _read(README), re.S)
-    read = set().union(*(members for _, _, members
-                         in parsed + callers + [_parse(example, modules)]))
+    read = set().union(*(members for _, _, members in parsed + callers))
     methods = {name for tree, _, _ in parsed for name in _methods(tree)
                if not name.startswith("_")}
     assert methods - read == set()

@@ -9,7 +9,7 @@ from geometry_oracle import make_mode, mismatch, pump_mode
 from rate_oracle import channel_rates, system_matrices
 from zprainbow.cli import forced_angle_report, physical_ratio_report
 from zprainbow.detection import down_ratios, up_ratios
-from zprainbow.dispersion import PhaseMatchSolution, match_down
+from zprainbow.dispersion import Band
 from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
                               NoSolutionError)
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
@@ -417,10 +417,9 @@ class TestThreeWaveGeometry:
         assert built >= 4
 
     def test_sweep_angles_match_solver(self, crystal, default_table):
-        from zprainbow.dispersion import match_down
         mid = min(default_table.points, key=lambda p: abs(p.omega - 0.5))
-        sol = match_down(mid.omega, crystal)
-        assert mid.theta_d_ext == sol.theta_in_external
+        found = Band([mid.omega], crystal).match("down")
+        assert mid.theta_d_ext == found.theta_external[0, 0]
 
 
 class TestBandMatchesOnePoint:
@@ -509,7 +508,7 @@ class TestBandMatchesOnePoint:
         # absent points alike, builds none of the one-frequency objects,
         # nor do the ratios reports, which read the same columns
         built = []
-        for cls in (Mode, cp.ThreeWaveSystem, PhaseMatchSolution):
+        for cls in (Mode, cp.ThreeWaveSystem):
             def counted(self, *args, _init=cls.__init__, **kwargs):
                 built.append(type(self).__name__)
                 _init(self, *args, **kwargs)
@@ -525,9 +524,7 @@ class TestBandMatchesOnePoint:
         assert built == []
         # the counters see the objects of a one-frequency caller
         pdc_system(crystal, 0.5, couplings)
-        match_down(0.5, crystal)
-        assert sorted(built) == ["Mode"] * 3 + ["PhaseMatchSolution",
-                                                 "ThreeWaveSystem"]
+        assert sorted(built) == ["Mode"] * 3 + ["ThreeWaveSystem"]
 
 
 class TestPhaseGauge:
