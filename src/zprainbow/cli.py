@@ -211,8 +211,7 @@ def _finite(text, kind=float):
 def _object(pairs):
     """JSON object hook: a key given twice is an error."""
     if len(obj := dict(pairs)) < len(pairs):
-        keys = [key for key, _ in pairs]
-        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        key = next(k for k, _ in pairs if sum(k == j for j, _ in pairs) > 1)
         raise ConfigError("config", f"duplicate key {key!r}")
     return obj
 

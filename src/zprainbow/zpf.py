@@ -177,11 +177,11 @@ def trial_blocks(n_trials: int):
 def _block_map(fn, tasks, workers: int, shapes) -> list:
     """fn(*buffers, *task) for every task, results in task order.
 
-    min(workers, len(tasks)) threads share the tasks; when that is one,
-    the tasks run in the calling thread and no pool starts.  Each thread
-    holds one float64 buffer per shape, allocated in the calling thread
-    (glibc keeps a thread's allocations in its own arena) and returned
-    even when fn raises.
+    min(workers, len(tasks)) threads share the tasks; one runs them in the
+    calling thread, without a pool.  Each thread holds one float64 buffer
+    per shape, allocated in the calling thread (glibc keeps a thread's
+    allocations in its own arena) and returned even when fn raises.  If
+    only some threads' buffers fit, the error is a ConfigError on workers.
     """
     if workers < 1:
         raise InvalidArgumentError("workers must be >= 1")
@@ -191,7 +191,7 @@ def _block_map(fn, tasks, workers: int, shapes) -> list:
         for _ in range(threads):
             free.put([np.empty(shape) for shape in shapes])
     except MemoryError:
-        if threads <= 1:
+        if free.empty():
             raise
         raise ConfigError("workers", f"{workers} workers' block buffers "
                           "exceed memory") from None
