@@ -234,7 +234,7 @@ def load_config(path: str | None = None) -> RunConfig:
         raise ConfigError("config", f"cannot read {cfg_path}: {e}") from None
     except UnicodeDecodeError as e:
         raise ConfigError("config", f"cannot decode {cfg_path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:   # too deep a nest
         raise ConfigError("config", f"invalid JSON in {cfg_path}: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
@@ -429,11 +429,14 @@ def _write_columns(fh, fmt, header, rows, columns_of, workers,
     calling thread and no pool starts.  Otherwise each share is written
     by a forked process to its own unnamed temp file in `directory`, and
     the shares are copied into `fh` in order, so this process holds
-    neither the columns nor their text.  Fork passes columns_of to the
-    children without pickling; each child makes, formats and writes its
-    own rows.  A child that draws Philox and maps through BLAS uses its
-    own generators, and OpenBLAS shuts its thread pool down before a
-    fork (its own atfork handler) and starts it again when next needed.
+    neither the columns nor their text.  The files are made before the
+    pool, so an OSError making them (the open-file limit, say) is a
+    ConfigError on `workers` before any writer starts.  Fork passes
+    columns_of to the children without pickling; each child makes,
+    formats and writes its own rows.  A child that draws Philox and maps
+    through BLAS uses its own generators, and OpenBLAS shuts its thread
+    pool down before a fork (its own atfork handler) and starts it again
+    when next needed.
     """
     blocks = -(-rows // _BLOCK_ROWS)
     shares = min(workers, blocks)
@@ -447,8 +450,12 @@ def _write_columns(fh, fmt, header, rows, columns_of, workers,
     bounds = [min(rows, blocks * k // shares * _BLOCK_ROWS)
               for k in range(shares + 1)]
     with ExitStack() as stack:
-        parts = [stack.enter_context(tempfile.TemporaryFile(dir=directory))
-                 for _ in range(shares)]
+        try:
+            parts = [stack.enter_context(tempfile.TemporaryFile(
+                dir=directory)) for _ in range(shares)]
+        except OSError as e:
+            raise ConfigError("workers", f"{shares} share files: "
+                              f"{e.strerror}") from None
         fh.flush()   # a forked child must not inherit buffered text
         with ProcessPoolExecutor(
                 shares, mp_context=multiprocessing.get_context("fork"),
@@ -527,10 +534,9 @@ def cmd_angles(config: RunConfig) -> int:
 def cmd_rainbow(config: RunConfig) -> int:
     """Full rainbow synthesis (both rainbows, both engines)."""
     lo, hi, steps = config.sweep_band
-    table = sweep(lo, hi, steps, config.crystal, config.detector,
-                  engine=config.engine, trials=config.trials,
-                  seed=config.seed, couplings=config.couplings,
-                  workers=config.workers)
+    table = sweep(lo, hi, steps, config.crystal, engine=config.engine,
+                  trials=config.trials, seed=config.seed,
+                  couplings=config.couplings, workers=config.workers)
     rows = [[getattr(p, f) for f in POINT_FIELDS] for p in table.points]
     write_table(config.output_path, config.output_format, POINT_FIELDS, rows)
     print(f"rainbow: {len(rows)} points -> {config.output_path}")
@@ -557,7 +563,7 @@ def forced_angle_report(config: RunConfig, theta_low_deg: float,
                           "--theta-high-deg must lie in (-90, 90) degrees")
     th_lo, th_hi = math.radians(theta_low_deg), math.radians(theta_high_deg)
     gl = config.crystal.gain_per_mm * config.crystal.length_mm
-    t = cp.squeeze_pair(gl, config.couplings.phi_down)
+    t = cp.squeeze_pair(gl, 0.0)
     means = mean_intensities(t.matrix[None], config.engine,
                              config.ratios_trials, config.seed,
                              config.workers)[0]

@@ -19,8 +19,8 @@ rate.  The sweep and the ratios report take every rate from them.
 
 The `darkrate` command takes its window sizes from `darkrate.windows` (or
 `--windows`) and passes each to threshold_counts.  The config's
-`detector.window_samples` is only validated and fingerprinted with the
-rainbow table; no command uses it.
+`detector.window_samples` is only validated: no output or fingerprint
+reads it, and the sweep takes no detector at all.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class DetectorSpec:
 
     threshold_counts takes the window size as an argument, so
     window_samples (the config's detector.window_samples) is only
-    validated and fingerprinted; it reaches no command's output.
+    validated; no output or fingerprint reads it.
     """
 
     threshold: float = ZEROPOINT

@@ -350,9 +350,9 @@ class Geometry(NamedTuple):
         w = float(self.omega[k])
         (t_in, t_conj, t_up), (e_in, e_conj, e_up) = (
             self.theta_internal[k].tolist(), self.theta_external[k].tolist())
-        return (Mode(w, e_in, t_in, ORDINARY, "input"),
-                Mode(1.0 - w, e_conj, t_conj, ORDINARY, "signal"),
-                Mode(1.0 + w, e_up, t_up, EXTRAORDINARY, "signal"))
+        return (Mode(w, e_in, t_in, ORDINARY),
+                Mode(1.0 - w, e_conj, t_conj, ORDINARY),
+                Mode(1.0 + w, e_up, t_up, EXTRAORDINARY))
 
 
 def _refract(theta, n, reasons):

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import coupling as cp
 from . import dispersion as dp
-from .detection import DetectorSpec, Rates, down_ratios, rates, up_ratios
+from .detection import Rates, down_ratios, rates, up_ratios
 from .errors import (BandError, ConfigError, InvalidArgumentError,
                      NoSolutionError, present)
 from .zpf import mode_intensities, sampled_states, vacuum_state
@@ -70,15 +70,10 @@ class Couplings:
     """Effective three-wave couplings beside the pair gain, which is the
     crystal's gain_per_mm; g_up None means auto from that gain.
 
-    The phases are a gauge: they conjugate every transform by a constant
-    diagonal phase, which leaves the vacuum and so every mean intensity
-    unchanged, and the config sets neither.  They are kept for library
-    transforms and for picking Monte Carlo realisations, as the same
-    seed maps through a rotated transform to another draw."""
+    One crystal's coupling phases are a gauge that leaves every mean
+    intensity as it is, so the systems built from a crystal take phase 0."""
 
     g_up: float | None = None
-    phi_down: float = 0.0
-    phi_up: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,7 @@ def _system(process, crystal, omega, couplings):
     present(found.reasons.get(0))
     return cp.ThreeWaveSystem(
         g_down=crystal.gain_per_mm, g_up=_g_up(crystal, couplings),
-        phi_down=couplings.phi_down, phi_up=couplings.phi_up,
+        phi_down=0.0, phi_up=0.0,
         dk_down=float(found.dk_down[0]), dk_up=float(found.dk_up[0]),
         length_mm=crystal.length_mm, modes=found.modes(0))
 
@@ -234,8 +229,7 @@ def columns(omegas, crystal, couplings, engine, trials, seed, workers,
     pair, satellite = system == 1, system == 2
     g_up = _g_up(crystal, couplings)
     matrices = cp.three_wave_matrices(
-        crystal.gain_per_mm, np.where(pair, 0.0, g_up), couplings.phi_down,
-        np.where(pair, 0.0, couplings.phi_up),
+        crystal.gain_per_mm, np.where(pair, 0.0, g_up), 0.0, 0.0,
         np.where(satellite, sat.dk_down[point], main.dk_down[point]),
         np.where(satellite, sat.dk_up[point],
                  np.where(pair, 0.0, main.dk_up[point])),
@@ -283,9 +277,9 @@ def sweep_grid(omega_min: float, omega_max: float, steps: int) -> np.ndarray:
 
 
 def sweep(omega_min: float, omega_max: float, steps: int,
-          crystal: dp.CrystalSpec, detector: DetectorSpec,
-          engine: str = "covariance", trials: int = DEFAULT_TRIALS,
-          seed: int = DEFAULT_SEED, couplings: Couplings = Couplings(),
+          crystal: dp.CrystalSpec, engine: str = "covariance",
+          trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
+          couplings: Couplings = Couplings(),
           workers: int = 1) -> RainbowTable:
     """Sample the matched band and synthesize both rainbows.
 
@@ -298,8 +292,8 @@ def sweep(omega_min: float, omega_max: float, steps: int,
     omegas = sweep_grid(omega_min, omega_max, steps)
     fingerprint = config_fingerprint(dict(
         omega_min=omega_min, omega_max=omega_max, steps=steps,
-        crystal=crystal, detector=detector, engine=engine,
-        trials=trials, seed=seed, couplings=couplings))
+        crystal=crystal, engine=engine, trials=trials, seed=seed,
+        couplings=couplings))
 
     found = columns(omegas, crystal, couplings, engine, trials, seed,
                     workers, per_point=True)

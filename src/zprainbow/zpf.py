@@ -49,8 +49,6 @@ from .errors import ConfigError, InvalidArgumentError, NotFoundError
 ORDINARY = "ordinary"
 EXTRAORDINARY = "extraordinary"
 
-ROLES = ("input", "signal", "pump")
-
 # trials per RNG stream; fixed so block boundaries are part of the contract
 TRIAL_BLOCK = 1 << 16
 
@@ -59,27 +57,21 @@ TRIAL_BLOCK = 1 << 16
 class Mode:
     """One plane-wave mode of the field.
 
-    omega is the angular frequency as a fraction of the pump frequency
-    (pump modes have omega == 1), angles are in radians and signed by the
-    transverse direction, polarization is 'ordinary' or 'extraordinary'.
+    omega is the angular frequency as a fraction of the pump frequency,
+    in (0, 2), angles are in radians and signed by the transverse
+    direction, polarization is 'ordinary' or 'extraordinary'.
     """
 
     omega: float
     theta_external: float
     theta_internal: float
     polarization: str
-    role: str
 
     def __post_init__(self):
-        if self.role not in ROLES:
-            raise InvalidArgumentError(f"unknown mode role {self.role!r}")
         if self.polarization not in (ORDINARY, EXTRAORDINARY):
             raise InvalidArgumentError(
                 f"unknown polarization {self.polarization!r}")
-        if self.role == "pump":
-            if self.omega != 1.0:
-                raise InvalidArgumentError("pump modes must have omega == 1")
-        elif not 0.0 < self.omega < 2.0:
+        if not 0.0 < self.omega < 2.0:
             raise InvalidArgumentError(
                 f"omega must lie in (0, 2), got {self.omega}")
         for name in ("omega", "theta_external", "theta_internal"):

@@ -14,11 +14,6 @@ def crystal(config):
 
 
 @pytest.fixture(scope="session")
-def detector(config):
-    return config.detector
-
-
-@pytest.fixture(scope="session")
 def couplings(config):
     return config.couplings
 

@@ -63,17 +63,17 @@ def extraordinary_index(wavelength_um, psi, spec: CrystalSpec):
 
 
 def make_mode(spec: CrystalSpec, omega: float, theta_internal: float,
-              pol: str, role: str) -> Mode:
+              pol: str) -> Mode:
     """Build a Mode with its external angle filled in by refraction."""
     check_window(wavelength_um(omega, spec), spec)
     n = float(effective_index(omega, theta_internal, pol, spec))
     return Mode(omega=omega, theta_external=external_angle(theta_internal, n),
-                theta_internal=theta_internal, polarization=pol, role=role)
+                theta_internal=theta_internal, polarization=pol)
 
 
 def pump_mode(spec: CrystalSpec) -> Mode:
     return Mode(omega=1.0, theta_external=0.0, theta_internal=0.0,
-                polarization=spec.pump_polarization, role="pump")
+                polarization=spec.pump_polarization)
 
 
 def wavevector(mode: Mode, spec: CrystalSpec) -> tuple[float, float]:

@@ -25,9 +25,9 @@ from zprainbow.rainbow import (mean_intensities, puc_system,
 from zprainbow.zpf import Mode, sample_vacuum, vacuum_state
 
 SINH2_01 = math.sinh(0.1) ** 2
-MODES3 = (Mode(0.5, 0.10, 0.06, "ordinary", "input"),
-          Mode(0.5, -0.10, -0.06, "ordinary", "signal"),
-          Mode(1.5, 0.25, 0.15, "extraordinary", "signal"))
+MODES3 = (Mode(0.5, 0.10, 0.06, "ordinary"),
+          Mode(0.5, -0.10, -0.06, "ordinary"),
+          Mode(1.5, 0.25, 0.15, "extraordinary"))
 
 
 def ok(criterion, text):
@@ -162,8 +162,8 @@ def test_criterion_5_phase_matching(crystal):
 
 
 @pytest.fixture(scope="module")
-def default_sweep(crystal, detector, couplings):
-    return sweep(0.44, 0.58, 15, crystal, detector, engine="covariance",
+def default_sweep(crystal, couplings):
+    return sweep(0.44, 0.58, 15, crystal, engine="covariance",
                  couplings=couplings)
 
 
@@ -201,13 +201,13 @@ def test_criterion_8_eq2_sign(config):
     phase realize it reproducibly, and the clamped rate is exactly zero.
     """
     assert config.engine == "montecarlo"
-    assert config.couplings.phi_up == 0.0
     omega, trials, seed = config.ratios_omega, config.ratios_trials, config.seed
+    shipped = puc_system(config.crystal, omega, config.couplings)
+    assert shipped.phi_up == 0.0
 
     transforms = []
     for phi in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
-        system = puc_system(config.crystal, omega,
-                            replace(config.couplings, phi_up=phi))
+        system = replace(shipped, phi_up=phi)
         transforms.append(cp.integrate_three_wave(system))
     means = mean_intensities(np.array([t.matrix for t in transforms]),
                              "montecarlo", trials, seed, workers=4)
@@ -264,11 +264,11 @@ def test_criterion_10_dark_rate_suppression():
            f"5 sigma ({elapsed:.1f}s)")
 
 
-def test_criterion_11_determinism(crystal, detector, couplings):
+def test_criterion_11_determinism(crystal, couplings):
     kw = dict(engine="montecarlo", trials=60_000, seed=111,
               couplings=couplings)
-    a = sweep(0.50, 0.56, 4, crystal, detector, **kw)
-    b = sweep(0.50, 0.56, 4, crystal, detector, **kw)
+    a = sweep(0.50, 0.56, 4, crystal, **kw)
+    b = sweep(0.50, 0.56, 4, crystal, **kw)
     from test_rainbow import points_equal
     assert points_equal(a.points, b.points)
 

@@ -558,6 +558,35 @@ class TestRainbowCommand:
                      "--workers", "1"]) == 0
         assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
+    @pytest.mark.parametrize("engine", ["covariance", "montecarlo"])
+    def test_detector_reaches_neither_table_nor_fingerprint(self, tmp_path,
+                                                            capsys, engine):
+        # detection enters only darkrate's clicks: changing every
+        # detector key leaves the rainbow's bytes and fingerprint as they
+        # are, while the Monte Carlo seed still changes the fingerprint
+        band = {"sweep.steps": 3, "sweep.omega_min": 0.50,
+                "sweep.omega_max": 0.56}
+        configs = [write_config(tmp_path, f"{name}.json", engine=engine,
+                                trials=30_000, **band, **detector)
+                   for name, detector in (
+                       ("shipped", {}),
+                       ("detector", {"detector.threshold": 0.9,
+                                     "detector.window_samples": 7,
+                                     "detector.efficiency": 0.25}))]
+        runs = []
+        for path, seed in [(configs[0], "3"), (configs[1], "3"),
+                           (configs[0], "4")]:
+            out = tmp_path / "rb.csv"
+            assert main(["--config", path, "rainbow", "--seed", seed,
+                         "--output", str(out)]) == EXIT_OK
+            runs.append((out.read_bytes(), capsys.readouterr().out))
+        assert runs[1] == runs[0]
+        fingerprint = [re.findall(r"config fingerprint: \w+", stdout)
+                       for _, stdout in runs]
+        assert len(fingerprint[0]) == 1
+        if engine == "montecarlo":
+            assert fingerprint[2] != fingerprint[0]
+
     def test_collinear_band_exits_0(self, tmp_path, capsys):
         # the flat-dispersion band of test_flat_dispersion_collinear has
         # theta_d = 0 at every point, so theta_u/theta_d has no mean
@@ -646,8 +675,8 @@ class TestRatiosCommand:
         # absent, including where no up coupling makes one
         cfg = replace(config, engine="covariance",
                       couplings=replace(config.couplings, g_up=g_up))
-        table = sweep(*cfg.sweep_band, cfg.crystal, cfg.detector,
-                      engine="covariance", couplings=cfg.couplings)
+        table = sweep(*cfg.sweep_band, cfg.crystal, engine="covariance",
+                      couplings=cfg.couplings)
         assert all(p.has_main for p in table.points)
         assert any(p.has_satellite for p in table.points) == (g_up is None)
         for point in table.points:
@@ -998,6 +1027,30 @@ class TestSimulateCommand:
                      for r in rows) / len(rows)
         assert abs(mean_i - 0.5) < 5 * 0.5 / math.sqrt(len(rows))
 
+    def test_share_files_beyond_open_file_limit_exit_config(self, tmp_path):
+        # 600000 trials are 74 blocks, so 64 workers write 64 shares, one
+        # temp file each; a child capped at 40 open files cannot make them
+        # all.  The files are made before the pool, so no writer starts
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = ("import multiprocessing, resource, sys\n"
+                "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+                "resource.setrlimit(resource.RLIMIT_NOFILE, (40, hard))\n"
+                "from zprainbow.cli import main\n"
+                "code = main(['simulate', '--trials', '600000', '--workers', "
+                f"'64', '--output', {str(out_dir / 'sim.csv')!r}])\n"
+                "assert multiprocessing.active_children() == []\n"
+                "sys.exit(code)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == EXIT_CONFIG
+        assert run.stderr == ("config error: workers: 64 share files: Too "
+                              "many open files\n")
+        assert list(out_dir.iterdir()) == []
+
 
 class TestStatisticalExit:
     def test_darkrate_with_too_few_trials(self, tmp_path):
@@ -1283,6 +1336,11 @@ CONFIG_ERRORS = [
     case(b'{"engine": "cov\xffariance"}', "config: cannot decode {path}: "
          "'utf-8' codec can't decode byte 0xff in position 15: invalid "
          "start byte", id="not-utf-8"),
+    # nested past the parser's recursion limit
+    case('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "config: invalid JSON in {path}: maximum recursion depth exceeded "
+         "while decoding a JSON array from a unicode string",
+         id="nested-json"),
     case("[]", "config: top level must be an object"),
     case([set_key("crystal.gain_per_mm", math.nan)],
          "config: number out of range: NaN"),

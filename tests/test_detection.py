@@ -11,7 +11,7 @@ from zprainbow.detection import (DetectorSpec, Rates, dark_rate_curve,
 from zprainbow.errors import ConfigError, InvalidArgumentError
 from zprainbow.zpf import Mode, sample_vacuum, vacuum_state
 
-PROBE = Mode(0.5, 0.0, 0.0, "ordinary", "input")
+PROBE = Mode(0.5, 0.0, 0.0, "ordinary")
 
 
 def intensities(amplitudes):
@@ -26,7 +26,7 @@ def vacuum_intensities(trials, seed):
 
 def mode_at(theta_ext_deg, omega=0.5):
     th = math.radians(theta_ext_deg)
-    return Mode(omega, th, th, "ordinary", "input")
+    return Mode(omega, th, th, "ordinary")
 
 
 def fixed_rate(theta_ext_deg, mean):

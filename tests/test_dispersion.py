@@ -70,7 +70,7 @@ class TestSellmeier:
 
 class TestWavevector:
     def test_collinear_has_no_transverse(self, crystal):
-        mode = make_mode(crystal, 0.5, 0.0, ORDINARY, "input")
+        mode = make_mode(crystal, 0.5, 0.0, ORDINARY)
         kt, kz = wavevector(mode, crystal)
         assert kt == 0.0
         assert kz > 0.0
@@ -82,19 +82,19 @@ class TestWavevector:
                            cut_angle_deg=0.0, length_mm=1.0,
                            pump_wavelength_nm=500.0, gain_per_mm=0.1,
                            window_um=(0.3, 1.5))
-        mode = make_mode(spec, 0.5, 0.0, ORDINARY, "input")
+        mode = make_mode(spec, 0.5, 0.0, ORDINARY)
         kt, kz = wavevector(mode, spec)
         assert kz == pytest.approx(3.0 * math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("theta", [0.05, -0.05, 0.3, -0.3])
     def test_transverse_sign_follows_angle(self, crystal, theta):
-        mode = make_mode(crystal, 0.5, theta, ORDINARY, "input")
+        mode = make_mode(crystal, 0.5, theta, ORDINARY)
         kt, _ = wavevector(mode, crystal)
         assert math.copysign(1.0, kt) == math.copysign(1.0, theta)
 
     def test_refraction_consistency(self, crystal):
         # theta_external from the refraction law to 1e-12
-        mode = make_mode(crystal, 0.5, 0.07, ORDINARY, "input")
+        mode = make_mode(crystal, 0.5, 0.07, ORDINARY)
         n = refractive_index(0.8, ORDINARY, crystal)
         assert abs(math.sin(mode.theta_external)
                    - n * math.sin(mode.theta_internal)) < 1e-12
@@ -102,24 +102,24 @@ class TestWavevector:
 
 class TestMismatch:
     def test_identity(self, crystal):
-        modes = [make_mode(crystal, 0.5, 0.1, ORDINARY, "input"),
-                 make_mode(crystal, 0.4, -0.05, ORDINARY, "signal")]
+        modes = [make_mode(crystal, 0.5, 0.1, ORDINARY),
+                 make_mode(crystal, 0.4, -0.05, ORDINARY)]
         assert mismatch(modes, modes, crystal) == (0.0, 0.0)
 
     def test_converged_solution_closes(self, crystal):
         theta_in, theta_out, _ = Band([0.5], crystal).match(
             "down").theta_internal[0].tolist()
         pump = pump_mode(crystal)
-        m_in = make_mode(crystal, 0.5, theta_in, ORDINARY, "input")
-        m_out = make_mode(crystal, 0.5, theta_out, ORDINARY, "signal")
+        m_in = make_mode(crystal, 0.5, theta_in, ORDINARY)
+        m_out = make_mode(crystal, 0.5, theta_out, ORDINARY)
         dkt, dkz = mismatch([pump], [m_in, m_out], crystal)
         assert abs(dkt) < 1e-9
         assert abs(dkz) < 1e-9
 
     def test_small_tilt_transverse(self, crystal):
         delta = 1e-4
-        straight = make_mode(crystal, 0.5, 0.0, ORDINARY, "input")
-        tilted = make_mode(crystal, 0.5, delta, ORDINARY, "input")
+        straight = make_mode(crystal, 0.5, 0.0, ORDINARY)
+        tilted = make_mode(crystal, 0.5, delta, ORDINARY)
         dkt, _ = mismatch([straight], [tilted], crystal)
         k = wavevector(straight, crystal)[1]
         assert dkt == pytest.approx(-k * delta, rel=1e-7)
@@ -407,9 +407,8 @@ class TestGeometryProperties:
         for theta in [theta_in] + want:
             theta_out, dk = leg(omega, theta, spec)
             assert abs(dk) < 1e-9
-            m_in = Mode(omega, 0.0, float(theta), ORDINARY, "input")
-            m_out = Mode(omega_out(omega), 0.0, float(theta_out), pol_out,
-                         "signal")
+            m_in = Mode(omega, 0.0, float(theta), ORDINARY)
+            m_out = Mode(omega_out(omega), 0.0, float(theta_out), pol_out)
             dkt, dkz = mismatch(*sides(pump_mode(spec), m_in, m_out), spec)
             assert abs(dkt) < 1e-9
             assert abs(dkz) < 1e-9
@@ -594,9 +593,8 @@ class TestBandTerms:
         assert 0.0 < np.isnan(theta_up).mean() < 1.0
 
     @pytest.mark.parametrize("process", ["down", "up"])
-    def test_sellmeier_sums_per_band_not_per_step(self, crystal, detector,
-                                                  couplings, process,
-                                                  monkeypatch):
+    def test_sellmeier_sums_per_band_not_per_step(self, crystal, couplings,
+                                                  process, monkeypatch):
         # one Band.triples call takes the same number of Sellmeier sums on a
         # 30-step as on a 1000-step band: none per frequency or per
         # candidate angle.  A whole covariance sweep, both processes on
@@ -623,7 +621,7 @@ class TestBandTerms:
             counts.append(len(calls))
             calls.clear()
             wavelengths.clear()
-            sweep(0.44, 0.58, steps, crystal, detector, engine="covariance",
+            sweep(0.44, 0.58, steps, crystal, engine="covariance",
                   couplings=couplings)
             assert (len(calls), len(wavelengths)) == (2, 1)
         assert counts[0] == counts[1]

@@ -15,12 +15,11 @@ from zprainbow.errors import (BandError, DomainError, InvalidArgumentError,
 from zprainbow.rainbow import (Couplings, RainbowPoint, RainbowTable,
                                _point_seed, columns, mean_intensities,
                                pdc_system, puc_system, satellite_summary,
-                               sweep, sweep_grid)
+                               sweep)
 from zprainbow import coupling as cp, rainbow, zpf
 from zprainbow.zpf import Mode, sample_vacuum
 
 PAIR_ONLY = Couplings(g_up=0.0)
-PHASE = st.floats(-math.pi, math.pi)
 
 
 def points_equal(a, b):
@@ -37,8 +36,8 @@ def points_equal(a, b):
 
 
 @pytest.fixture(scope="module")
-def default_table(crystal, detector, couplings):
-    return sweep(0.44, 0.58, 15, crystal, detector, engine="covariance",
+def default_table(crystal, couplings):
+    return sweep(0.44, 0.58, 15, crystal, engine="covariance",
                  couplings=couplings)
 
 
@@ -52,8 +51,8 @@ class TestSweepStructure:
         mid = min(default_table.points, key=lambda p: abs(p.omega - 0.5))
         assert math.radians(5.0) < mid.theta_d_ext < math.radians(15.0)
 
-    def test_absent_points_are_nan_not_extrapolated(self, crystal, detector):
-        table = sweep(0.42, 0.62, 21, crystal, detector, engine="covariance")
+    def test_absent_points_are_nan_not_extrapolated(self, crystal):
+        table = sweep(0.42, 0.62, 21, crystal, engine="covariance")
         edge = [p for p in table.points if p.omega > 0.6]
         assert edge and all(not p.has_main for p in edge)
         assert all(math.isnan(p.main_rate) for p in edge)
@@ -65,33 +64,32 @@ class TestSweepStructure:
                 assert p.satellite_rate >= 0.0
                 assert p.main_rate >= 0.0
 
-    def test_band_error_when_nothing_matches(self, crystal, detector):
+    def test_band_error_when_nothing_matches(self, crystal):
         with pytest.raises(BandError):
-            sweep(0.601, 0.607, 3, crystal, detector, engine="covariance")
+            sweep(0.601, 0.607, 3, crystal, engine="covariance")
 
-    def test_argument_validation(self, crystal, detector):
+    def test_argument_validation(self, crystal):
         with pytest.raises(InvalidArgumentError):
-            sweep(0.6, 0.4, 5, crystal, detector)
+            sweep(0.6, 0.4, 5, crystal)
         with pytest.raises(InvalidArgumentError):
-            sweep(0.4, 0.6, 1, crystal, detector)
+            sweep(0.4, 0.6, 1, crystal)
         with pytest.raises(InvalidArgumentError):
-            sweep(0.4, 0.6, 5, crystal, detector, engine="tarot")
+            sweep(0.4, 0.6, 5, crystal, engine="tarot")
 
     def test_repeating_grid_rejected_before_evaluation(self, crystal,
-                                                       detector, monkeypatch):
+                                                       monkeypatch):
         # one ulp of band cannot hold three distinct frequencies
         calls = []
         monkeypatch.setattr(rainbow, "columns",
                             lambda *a, **k: calls.append(a))
         with pytest.raises(InvalidArgumentError):
-            sweep(0.5, 0.5000000000000001, 3, crystal, detector,
-                  engine="covariance")
+            sweep(0.5, 0.5000000000000001, 3, crystal, engine="covariance")
         assert calls == []
 
 
 class TestEqOneColumn:
-    def test_crosses_unity_at_degenerate(self, crystal, detector):
-        table = sweep(0.46, 0.54, 9, crystal, detector, engine="covariance")
+    def test_crosses_unity_at_degenerate(self, crystal):
+        table = sweep(0.46, 0.54, 9, crystal, engine="covariance")
         mid = table.points[4]
         assert mid.omega == pytest.approx(0.5, abs=1e-12)
         assert mid.eq1_ratio == pytest.approx(1.0, abs=1e-9)
@@ -100,9 +98,9 @@ class TestEqOneColumn:
         assert all(r > 1.0 for r in below)
         assert all(r < 1.0 for r in above)
 
-    def test_band_reciprocal_symmetry(self, crystal, detector):
+    def test_band_reciprocal_symmetry(self, crystal):
         # pure pair process: eq1(w) * eq1(1 - w) = 1 in covariance mode
-        table = sweep(0.44, 0.56, 13, crystal, detector, engine="covariance",
+        table = sweep(0.44, 0.56, 13, crystal, engine="covariance",
                       couplings=PAIR_ONLY)
         ratios = {round(p.omega, 6): p.eq1_ratio for p in table.points}
         for omega, r in ratios.items():
@@ -111,10 +109,10 @@ class TestEqOneColumn:
                 assert r * mirror == pytest.approx(1.0, abs=1e-9)
 
 class TestCrossEngine:
-    def test_rates_agree_within_noise(self, crystal, detector, couplings):
-        exact = sweep(0.50, 0.58, 5, crystal, detector, engine="covariance",
+    def test_rates_agree_within_noise(self, crystal, couplings):
+        exact = sweep(0.50, 0.58, 5, crystal, engine="covariance",
                       couplings=couplings)
-        sampled = sweep(0.50, 0.58, 5, crystal, detector, engine="montecarlo",
+        sampled = sweep(0.50, 0.58, 5, crystal, engine="montecarlo",
                         trials=10 ** 6, seed=31, couplings=couplings)
         bound = 5 * 0.52 / 1000.0  # intensity spread over sqrt(1e6)
         for pe, pm in zip(exact.points, sampled.points):
@@ -134,25 +132,25 @@ class TestCrossEngine:
 
 
 class TestDeterminism:
-    def test_covariance_reruns_identical(self, crystal, detector, couplings):
-        a = sweep(0.46, 0.54, 5, crystal, detector, engine="covariance",
+    def test_covariance_reruns_identical(self, crystal, couplings):
+        a = sweep(0.46, 0.54, 5, crystal, engine="covariance",
                   couplings=couplings)
-        b = sweep(0.46, 0.54, 5, crystal, detector, engine="covariance",
+        b = sweep(0.46, 0.54, 5, crystal, engine="covariance",
                   couplings=couplings)
         assert a.config_fingerprint == b.config_fingerprint
         assert points_equal(a.points, b.points)
 
-    def test_montecarlo_reruns_identical(self, crystal, detector, couplings):
+    def test_montecarlo_reruns_identical(self, crystal, couplings):
         kw = dict(engine="montecarlo", trials=50_000, seed=8,
                   couplings=couplings)
-        a = sweep(0.50, 0.56, 4, crystal, detector, **kw)
-        b = sweep(0.50, 0.56, 4, crystal, detector, **kw)
+        a = sweep(0.50, 0.56, 4, crystal, **kw)
+        b = sweep(0.50, 0.56, 4, crystal, **kw)
         assert points_equal(a.points, b.points)
 
-    def test_seed_matters(self, crystal, detector, couplings):
-        a = sweep(0.50, 0.56, 4, crystal, detector, engine="montecarlo",
+    def test_seed_matters(self, crystal, couplings):
+        a = sweep(0.50, 0.56, 4, crystal, engine="montecarlo",
                   trials=50_000, seed=8, couplings=couplings)
-        b = sweep(0.50, 0.56, 4, crystal, detector, engine="montecarlo",
+        b = sweep(0.50, 0.56, 4, crystal, engine="montecarlo",
                   trials=50_000, seed=9, couplings=couplings)
         assert not points_equal(a.points, b.points)
 
@@ -350,8 +348,8 @@ class TestSatelliteSummary:
         table = RainbowTable((RainbowPoint(**point), tilted), "")
         assert satellite_summary(table) == (0.05, 2.5)
 
-    def test_absent_without_up_coupling(self, crystal, detector):
-        table = sweep(0.50, 0.58, 5, crystal, detector, engine="covariance",
+    def test_absent_without_up_coupling(self, crystal):
+        table = sweep(0.50, 0.58, 5, crystal, engine="covariance",
                       couplings=PAIR_ONLY)
         with pytest.raises(BandError):
             satellite_summary(table)
@@ -406,7 +404,7 @@ class TestThreeWaveGeometry:
             # and the refraction against the one-mode reference
             assert system.modes == tuple(
                 make_mode(crystal, m.omega, m.theta_internal,
-                          m.polarization, m.role) for m in system.modes)
+                          m.polarization) for m in system.modes)
             dkt, dkz = mismatch([pump], [m_in, m_conj], crystal)
             assert abs(dkt) < 1e-12
             assert abs(system.dk_down - dkz) <= 1e-12
@@ -433,29 +431,26 @@ class TestBandMatchesOnePoint:
            omega_min=st.floats(0.30, 0.50), omega_max=st.floats(0.52, 0.70),
            steps=st.integers(2, 9),
            engine=st.sampled_from(["covariance", "montecarlo"]),
-           g_up=st.one_of(st.floats(0.1, 5.0), st.sampled_from([None, 0.0])),
-           phi_down=PHASE, phi_up=PHASE)
+           g_up=st.one_of(st.floats(0.1, 5.0), st.sampled_from([None, 0.0])))
     @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.27, window_hi=1.02,
              omega_min=0.44, omega_max=0.58, steps=15, engine="covariance",
-             g_up=None, phi_down=0.0, phi_up=0.0)
+             g_up=None)
     @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.215, window_hi=1.02,
              omega_min=0.38, omega_max=0.64, steps=9, engine="covariance",
-             g_up=None, phi_down=0.0, phi_up=0.0)
+             g_up=None)
     # every point present with a satellite: the per-point vacua are grouped
     @example(cut_deg=10.166, pump_nm=400.0, window_lo=0.215, window_hi=1.02,
              omega_min=0.52, omega_max=0.56, steps=3, engine="montecarlo",
-             g_up=None, phi_down=0.0, phi_up=0.0)
-    def test_sweep_equals_per_point_systems(self, crystal, detector,
-                                            cut_deg, pump_nm, window_lo,
-                                            window_hi, omega_min, omega_max,
-                                            steps, engine, g_up, phi_down,
-                                            phi_up):
-        # the sweep's columns (pair-only, zero up coupling and phases
-        # included) against per-system rates, bit for bit
+             g_up=None)
+    def test_sweep_equals_per_point_systems(self, crystal, cut_deg, pump_nm,
+                                            window_lo, window_hi, omega_min,
+                                            omega_max, steps, engine, g_up):
+        # the sweep's columns (pair-only and zero up coupling included)
+        # against per-system rates, bit for bit
         spec = dataclasses.replace(crystal, cut_angle_deg=cut_deg,
                                    pump_wavelength_nm=pump_nm,
                                    window_um=(window_lo, window_hi))
-        couplings = Couplings(g_up=g_up, phi_down=phi_down, phi_up=phi_up)
+        couplings = Couplings(g_up=g_up)
         trials, seed = 2000, 5
         omegas = np.linspace(omega_min, omega_max, steps).tolist()
         want = []
@@ -488,9 +483,8 @@ class TestBandMatchesOnePoint:
                          upper_above_zeropoint=q_u.above_zeropoint,
                          eq2_ratio=float(up_ratios(q_w, q_u)))
         try:
-            table = sweep(omega_min, omega_max, steps, spec, detector,
-                          engine=engine, trials=trials, seed=seed,
-                          couplings=couplings)
+            table = sweep(omega_min, omega_max, steps, spec, engine=engine,
+                          trials=trials, seed=seed, couplings=couplings)
         except BandError:
             assert all(math.isnan(p["theta_d_ext"]) for p in want)
             return
@@ -502,8 +496,7 @@ class TestBandMatchesOnePoint:
                 assert got == value or (math.isnan(got) and math.isnan(value))
 
     def test_sweep_builds_no_per_frequency_object(self, config, crystal,
-                                                  detector, couplings,
-                                                  monkeypatch):
+                                                  couplings, monkeypatch):
         # the sweep works on columns: a 30-step band, with present and
         # absent points alike, builds none of the one-frequency objects,
         # nor do the ratios reports, which read the same columns
@@ -514,7 +507,7 @@ class TestBandMatchesOnePoint:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counted)
-        table = sweep(0.44, 0.62, 30, crystal, detector, engine="covariance",
+        table = sweep(0.44, 0.62, 30, crystal, engine="covariance",
                       couplings=couplings)
         assert {p.has_satellite for p in table.points} == {True, False}
         exact = dataclasses.replace(config, engine="covariance")
@@ -527,36 +520,11 @@ class TestBandMatchesOnePoint:
         assert sorted(built) == ["Mode"] * 3 + ["ThreeWaveSystem"]
 
 
-class TestPhaseGauge:
-    @settings(max_examples=25, deadline=None, derandomize=True,
-              database=None)
-    @given(phi_down=PHASE, phi_up=PHASE)
-    @example(phi_down=0.7, phi_up=-1.3)
-    def test_covariance_columns_do_not_see_the_phases(self, config,
-                                                      phi_down, phi_up):
-        # the phases conjugate every transform by a constant diagonal phase
-        # (tests/test_coupling.py), which leaves the vacuum, and so every
-        # mean intensity, as it is
-        omegas = sweep_grid(*config.sweep_band)
-        want, got = (columns(omegas, config.crystal, couplings, "covariance",
-                             1, 0, 1, per_point=True).table
-                     for couplings in (Couplings(), Couplings(
-                         phi_down=phi_down, phi_up=phi_up)))
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        # a rate is an excess over the zeropoint 1/2, known to a few ulp of
-        # 1/2; eq2_ratio carries that error relative to the upper channel's
-        # excess (upper_above_zeropoint, about 1e-6 on the shipped band)
-        floor = np.full(want.shape, 1e-15)
-        floor[:, 8] *= np.abs(want[:, 8] / want[:, 6])
-        close = np.abs(got - want) <= 1e-11 * np.abs(want) + floor
-        assert close[~np.isnan(want)].all()
-
-
 class TestCrossEngineEqOne:
-    def test_eq1_column_within_noise(self, crystal, detector, couplings):
-        exact = sweep(0.48, 0.56, 5, crystal, detector, engine="covariance",
+    def test_eq1_column_within_noise(self, crystal, couplings):
+        exact = sweep(0.48, 0.56, 5, crystal, engine="covariance",
                       couplings=couplings)
-        sampled = sweep(0.48, 0.56, 5, crystal, detector, engine="montecarlo",
+        sampled = sweep(0.48, 0.56, 5, crystal, engine="montecarlo",
                         trials=10 ** 6, seed=37, couplings=couplings)
         for pe, pm in zip(exact.points, sampled.points):
             if not pe.has_main:

@@ -348,20 +348,14 @@ class TestMeanIntensity:
 
 
 class TestMode:
-    def test_pump_omega_pinned(self):
-        with pytest.raises(InvalidArgumentError):
-            Mode(0.9, 0.0, 0.0, "extraordinary", "pump")
-
     @pytest.mark.parametrize("omega", [0.0, -0.2, 2.0, 2.5])
     def test_omega_range(self, omega):
         with pytest.raises(InvalidArgumentError):
-            Mode(omega, 0.0, 0.0, "ordinary", "input")
+            Mode(omega, 0.0, 0.0, "ordinary")
 
     def test_bad_labels(self):
         with pytest.raises(InvalidArgumentError):
-            Mode(0.5, 0.0, 0.0, "diagonal", "input")
-        with pytest.raises(InvalidArgumentError):
-            Mode(0.5, 0.0, 0.0, "ordinary", "observer")
+            Mode(0.5, 0.0, 0.0, "diagonal")
 
     def test_nonfinite_rejected(self):
         # NaN and both infinities in each float field; a non-finite omega
@@ -370,7 +364,7 @@ class TestMode:
             for fields in ((value, 0.0, 0.0), (0.5, value, 0.0),
                            (0.5, 0.0, value)):
                 with pytest.raises(InvalidArgumentError):
-                    Mode(*fields, "ordinary", "input")
+                    Mode(*fields, "ordinary")
             with pytest.raises(InvalidArgumentError, match="finite"):
-                Mode(0.5, 0.0, np.float64(value), "ordinary", "input")
+                Mode(0.5, 0.0, np.float64(value), "ordinary")
 

@@ -12,7 +12,9 @@ stderr and exit code, and the output file of a command that takes
 or different, with its first differing lines, then a total.  The
 --allow FILE lists, one per line, the file names expected to differ,
 such as `rainbow-montecarlo.stdout` after a fingerprinted key changes.
-The exit code is 1 when a file that is not allowed differs, else 0.
+The exit code is 1 when a file that is not allowed differs, or when an
+allowed name turns out identical or names no file of the matrix (a
+stale or misspelt entry), each printed; else 0.
 
 The matrix: `angles`; `rainbow` on both engines; `ratios` on both
 engines (Monte Carlo at 10**6 trials) at omega 0.54, 0.5 and 0.6 and
@@ -144,6 +146,7 @@ def main(argv=None) -> int:
             allowed = {line.strip() for line in fh if line.strip()}
     start = time.perf_counter()
     different = failed = 0
+    identical = set()
     with tempfile.TemporaryDirectory() as work:
         parent, change = (os.path.join(work, side)
                           for side in ("parent", "change"))
@@ -154,6 +157,7 @@ def main(argv=None) -> int:
             a, b = os.path.join(parent, name), os.path.join(change, name)
             if filecmp.cmp(a, b, shallow=False):
                 print(f"identical  {name}")
+                identical.add(name)
                 continue
             different += 1
             failed += name not in allowed
@@ -164,7 +168,12 @@ def main(argv=None) -> int:
     print(f"{len(names)} files: {len(names) - different} identical, "
           f"{different} different ({different - failed} allowed); "
           f"{time.perf_counter() - start:.1f} s")
-    return 1 if failed else 0
+    # an allowed name that matched nothing would hide a later difference
+    stale = [(name, "identical" if name in identical else "not in the matrix")
+             for name in sorted(allowed - set(names) | allowed & identical)]
+    for name, why in stale:
+        print(f"allowed but {why}: {name}")
+    return 1 if failed or stale else 0
 
 
 if __name__ == "__main__":
