@@ -24,11 +24,12 @@ rule cell by cell.  A source's CSV text comes from one numpy kernel
 from its bits; a row with a cell it cannot write (exponent form,
 subnormal, NaN or infinite) goes through _fmt in its place.  A source's
 finite JSON rows are one %-operation on a repeated row layout.  Its rows
-split into up to `workers` contiguous shares of whole _BLOCK_ROWS blocks:
-each share is made, span by span, and formatted by a forked process into
-an unnamed temp file beside the output, and the shares are copied into it
-in order, so the bytes do not depend on the worker count and no process
-holds the whole table.
+split into up to `workers` contiguous shares of whole _BLOCK_ROWS blocks,
+each made and formatted span by span: the calling process writes the
+first share straight into the output while a forked process writes each
+later one into an unnamed temp file beside it, and those files are then
+copied into the output in order, so the bytes do not depend on the
+worker count and no process holds the whole table.
 
 Exit codes: 0 success, 2 invalid configuration or a run beyond memory,
 3 no phase-matching solution / empty band / a wavelength outside the
@@ -346,21 +347,20 @@ def _csv_lines(columns) -> str:
                                           out).all(axis=1)
     slots[:, :, -1] = ord(",")
     slots[:, -1, -1] = ord("\n")
-    undecided = np.flatnonzero(~decided).tolist()
-    slots[undecided] = 0
-    text = slots.ravel()
-    text = np.compress(text != 0, text).tobytes().decode("ascii")
-    if not undecided:
-        return text
-    # each undecided row is empty in text: splice its _fmt line in there
-    ends = np.count_nonzero(slots.reshape(rows, -1), axis=1).cumsum()
+
+    def text(first, stop):
+        """The kernel's text of rows [first, stop), their NULs dropped."""
+        cells = slots[first:stop].ravel()
+        return np.compress(cells != 0, cells).tobytes().decode("ascii")
+
+    # each undecided row's _fmt line goes between the decided stretches
     pieces, done = [], 0
-    for row in undecided:
-        pieces += [text[done:ends[row]],
+    for row in np.flatnonzero(~decided).tolist():
+        pieces += [text(done, row),
                    ",".join(_fmt(v) for c in columns for v in c[row].tolist())
                    + "\n"]
-        done = ends[row]
-    pieces.append(text[done:])
+        done = row + 1
+    pieces.append(text(done, rows))
     return "".join(pieces)
 
 
@@ -413,7 +413,7 @@ def _start_share_writer(*table) -> None:
 
 
 def _pool_share(index, start, stop) -> None:
-    """Write share `index`, rows [start, stop), to its own file."""
+    """Write rows [start, stop) to share file `index`."""
     fmt, header, columns_of, fds = _share_table
     with open(fds[index], "w", newline="", closefd=False) as fh:
         _write_share(fh, fmt, header, columns_of, start, stop)
@@ -425,18 +425,19 @@ def _write_columns(fh, fmt, header, rows, columns_of, workers,
     processes.
 
     The rows split into min(workers, blocks) contiguous shares of whole
-    _BLOCK_ROWS blocks.  With one share it is written to `fh` in the
-    calling thread and no pool starts.  Otherwise each share is written
-    by a forked process to its own unnamed temp file in `directory`, and
-    the shares are copied into `fh` in order, so this process holds
-    neither the columns nor their text.  The files are made before the
-    pool, so an OSError making them (the open-file limit, say) is a
-    ConfigError on `workers` before any writer starts.  Fork passes
-    columns_of to the children without pickling; each child makes,
-    formats and writes its own rows.  A child that draws Philox and maps
-    through BLAS uses its own generators, and OpenBLAS shuts its thread
-    pool down before a fork (its own atfork handler) and starts it again
-    when next needed.
+    _BLOCK_ROWS blocks.  The calling thread writes share 0 to `fh`; with
+    one share no pool starts.  Otherwise each later share is written by
+    a forked process to its own unnamed temp file in `directory` while
+    this thread writes share 0, and the files are then copied into `fh`
+    in order, so no process holds the whole columns or their text.  The
+    files are made before the pool, so an OSError making them (the
+    open-file limit, say) is a ConfigError on `workers` before any
+    writer starts.  Fork passes columns_of to the children without
+    pickling; each child makes, formats and writes its own rows.  The
+    pool forks all its writers at the first submit, before this thread
+    writes.  A child that draws Philox and maps through BLAS uses its
+    own generators, and OpenBLAS shuts its thread pool down before a
+    fork (its own atfork handler) and starts it again when next needed.
     """
     blocks = -(-rows // _BLOCK_ROWS)
     shares = min(workers, blocks)
@@ -452,18 +453,20 @@ def _write_columns(fh, fmt, header, rows, columns_of, workers,
     with ExitStack() as stack:
         try:
             parts = [stack.enter_context(tempfile.TemporaryFile(
-                dir=directory)) for _ in range(shares)]
+                dir=directory)) for _ in range(shares - 1)]
         except OSError as e:
             raise ConfigError("workers", f"{shares} share files: "
                               f"{e.strerror}") from None
         fh.flush()   # a forked child must not inherit buffered text
         with ProcessPoolExecutor(
-                shares, mp_context=multiprocessing.get_context("fork"),
+                shares - 1, mp_context=multiprocessing.get_context("fork"),
                 initializer=_start_share_writer,
                 initargs=(fmt, header, columns_of,
                           [part.fileno() for part in parts])) as pool:
-            for done in [pool.submit(_pool_share, k, *bounds[k:k + 2])
-                         for k in range(shares)]:
+            pending = [pool.submit(_pool_share, k, *bounds[k + 1:k + 3])
+                       for k in range(shares - 1)]
+            _write_share(fh, fmt, header, columns_of, 0, bounds[1])
+            for done in pending:
                 done.result()
         for part in parts:
             part.seek(0)

@@ -290,10 +290,12 @@ def sweep(omega_min: float, omega_max: float, steps: int,
     when no frequency in the requested range matches at all.
     """
     omegas = sweep_grid(omega_min, omega_max, steps)
-    fingerprint = config_fingerprint(dict(
-        omega_min=omega_min, omega_max=omega_max, steps=steps,
-        crystal=crystal, engine=engine, trials=trials, seed=seed,
-        couplings=couplings))
+    # only the Monte Carlo engine reads trials and seed
+    payload = dict(omega_min=omega_min, omega_max=omega_max, steps=steps,
+                   crystal=crystal, engine=engine, couplings=couplings)
+    if engine == "montecarlo":
+        payload.update(trials=trials, seed=seed)
+    fingerprint = config_fingerprint(payload)
 
     found = columns(omegas, crystal, couplings, engine, trials, seed,
                     workers, per_point=True)

@@ -28,11 +28,11 @@ that overlap them (sample_vacuum is its whole-table call; simulate's
 share writers draw their rows span by span), sampled_states
 reduces each block to its second moments, one covariance per seed in a
 plain (seeds, 2M, 2M) array, all seeds' blocks in one pass on up to
-`workers` threads.  Each worker reuses a caller-allocated (2**16 x 2)
-float64 scratch for one mode-block draw and, in sampled_states, a
-(2**16 x 2M) block buffer (3 MiB for M = 3 modes).
-Each mode-draw moves from the scratch into the block as one complex128
-column, its (Re, Im) pair.
+`workers` threads.  Each worker reuses a caller-allocated (2**14 x 2)
+float64 scratch (256 KiB), which a mode's stream fills piece by piece,
+and, in sampled_states, a (2**16 x 2M) block buffer (3 MiB for M = 3
+modes).  Each piece moves from the scratch into the block as one
+complex128 column, its (Re, Im) pair.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ EXTRAORDINARY = "extraordinary"
 
 # trials per RNG stream; fixed so block boundaries are part of the contract
 TRIAL_BLOCK = 1 << 16
+# rows of a stream drawn per standard_normal call; any size gives the same
+# draws
+_DRAW_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -142,20 +145,26 @@ def _fill_block(out, scratch, seed: int, block_index: int,
     `out` is a C-contiguous (length, 2M) float64 array, (Re, Im)
     interleaved per mode: columns 2m and 2m + 1 take mode m's Philox
     stream row by row.  A short block is a prefix of the full one, so each
-    stream is drawn up to row first + length, whole into the contiguous
-    (>= first + length, 2) `scratch` that standard_normal(out=) needs, and
-    its rows before `first` are dropped.  Each draw moves into the block
-    as one complex128 column of `out` viewed as (length, M) complex128:
-    the same bytes as the 2-wide strided float64 column pair, which numpy
-    copies element by element at several times the cost.
+    stream is drawn up to row first + length, len(scratch) rows at a time
+    into the contiguous (rows, 2) `scratch` that standard_normal(out=)
+    needs; the generator carries its stream on from call to call, and the
+    rows before `first` are drawn and dropped.  Each piece moves into the
+    block as one complex128 column of `out` viewed as (length, M)
+    complex128: the same bytes as the 2-wide strided float64 column pair,
+    which numpy copies element by element at several times the cost.
     """
-    draws = scratch[:first + len(out)]
-    drawn = draws.view(np.complex128)[first:, 0]
+    stop, step = first + len(out), len(scratch)
+    drawn = scratch.view(np.complex128)[:, 0]
     pairs = out.view(np.complex128)
     for m in range(pairs.shape[1]):
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            seed, spawn_key=(m, block_index)))).standard_normal(out=draws)
-        pairs[:, m] = drawn
+        stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            seed, spawn_key=(m, block_index))))
+        for lo in range(0, stop, step):
+            hi = min(stop, lo + step)
+            stream.standard_normal(out=scratch[:hi - lo])
+            if hi > first:
+                skip = max(first - lo, 0)
+                pairs[lo + skip - first:hi - first, m] = drawn[skip:hi - lo]
 
 
 def trial_blocks(n_trials: int):
@@ -228,8 +237,7 @@ def vacuum_rows(n_modes: int, n_trials: int, seed: int, start: int,
         # Re/Im std 1/2 <=> quadrature variance 1/2
         out *= 0.5
 
-    longest = max((last - lo for _, lo, _, last in blocks), default=0)
-    _block_map(fill, blocks, workers, [(longest, 2)])
+    _block_map(fill, blocks, workers, [(_DRAW_ROWS, 2)])
     return rows
 
 
@@ -264,11 +272,13 @@ def sampled_states(n_modes: int, trials: int, seeds,
     def moments(buffer, scratch, seed, b, start, stop):
         x = buffer[:stop - start]
         _fill_block(x, scratch, seed, b)
-        return x.T @ x
+        # x.T @ x's bits, but np.dot lets go of the GIL in BLAS, where
+        # matmul holds it and stalls the other threads' draws
+        return np.dot(x.T, x)
 
     parts = _block_map(
         moments, [(seed, *block) for seed in seeds for block in blocks],
-        workers, [(longest, 2 * n_modes), (longest, 2)])
+        workers, [(longest, 2 * n_modes), (_DRAW_ROWS, 2)])
     # columns (Re a_1, Im a_1, ...) -> xxpp; the amplitude parts are half
     # the raw draws and x = sqrt(2) Re a, so the quadrature moments are
     # half the raw-draw moments (both scales are powers of two: exact)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import csv
+import hashlib
 import json
 import math
 import multiprocessing
@@ -587,6 +588,22 @@ class TestRainbowCommand:
         if engine == "montecarlo":
             assert fingerprint[2] != fingerprint[0]
 
+    def test_covariance_fingerprint_ignores_trials_and_seed(self, tmp_path,
+                                                            capsys):
+        path = write_config(tmp_path, engine="covariance",
+                            **{"sweep.steps": 3, "sweep.omega_min": 0.50,
+                               "sweep.omega_max": 0.56})
+        out = str(tmp_path / "rb.csv")
+        lines = []
+        for flag, value in (("--seed", "3"), ("--seed", "4"),
+                            ("--trials", "5"), ("--trials", "7")):
+            assert main(["--config", path, "rainbow", flag, value,
+                         "--output", out]) == EXIT_OK
+            lines += re.findall(r"config fingerprint: \w+\n",
+                                capsys.readouterr().out)
+        assert len(lines) == 4
+        assert len(set(lines)) == 1
+
     def test_collinear_band_exits_0(self, tmp_path, capsys):
         # the flat-dispersion band of test_flat_dispersion_collinear has
         # theta_d = 0 at every point, so theta_u/theta_d has no mean
@@ -1008,6 +1025,75 @@ class TestSimulateCommand:
         assert_same_text(out.read_bytes().decode(),
                          reference("csv", False, trials))
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_caller_writes_the_first_share(self, tmp_path, monkeypatch,
+                                           reference, workers):
+        # TRIALS rows are three blocks: `workers` shares, the first of one
+        # block; the calling process writes it, so the pool has a writer
+        # fewer than the shares
+        pool_class, sizes, written = (
+            concurrent.futures.ProcessPoolExecutor, [], [])
+
+        class RecordingPool(pool_class):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        write_share = cli._write_share
+
+        def record(fh, fmt, header, columns_of, start, stop):
+            # a forked writer appends to its own copy of the list
+            written.append((start, stop))
+            write_share(fh, fmt, header, columns_of, start, stop)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(cli, "_write_share", record)
+        path = write_config(tmp_path, trials=self.TRIALS)
+        out = tmp_path / "sim.csv"
+        assert main(["--config", path, "simulate", "--workers",
+                     str(workers), "--output", str(out)]) == EXIT_OK
+        assert sizes == [workers - 1]
+        assert written == [(0, _BLOCK_ROWS)]
+        assert multiprocessing.active_children() == []
+        assert_same_text(out.read_bytes().decode(),
+                         reference("csv", False, self.TRIALS))
+
+    @pytest.mark.parametrize("failing", ["writer", "caller"])
+    def test_failed_share_exits_config(self, tmp_path, monkeypatch, capsys,
+                                       failing):
+        # a forked writer's MemoryError reaches the caller as its own
+        write_share = cli._write_share
+
+        def fail(fh, fmt, header, columns_of, start, stop):
+            if (start == 0) == (failing == "caller"):
+                raise MemoryError
+            write_share(fh, fmt, header, columns_of, start, stop)
+
+        monkeypatch.setattr(cli, "_write_share", fail)
+        path = write_config(tmp_path, trials=self.TRIALS)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["--config", path, "simulate", "--workers", "2",
+                     "--output", str(out_dir / "sim.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: trials: the run exceeds memory\n"
+        assert list(out_dir.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("trials", [TRIALS, 3 * TRIAL_BLOCK + 5])
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, trials, fmt):
+        path = write_config(tmp_path, trials=trials)
+        digests = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"sim{workers}"
+            assert main(["--config", path, "simulate", "--workers", workers,
+                         "--format", fmt, "--output", str(out)]) == EXIT_OK
+            digests.append(hashlib.sha256(out.read_bytes()).digest())
+            out.unlink()
+        assert digests[1:] == digests[:1] * 2
+
     def test_dump(self, tmp_path):
         path = write_config(tmp_path, trials=500)
         out = str(tmp_path / "sim.csv")
@@ -1219,6 +1305,21 @@ class TestCsvKernel:
         assert decided.tolist() == [
             [math.isfinite(v) and "e" not in _fmt(v) for v in row[1:]]
             for row in rows]
+
+
+    @pytest.mark.parametrize("undecided", [
+        [0], [9], [4, 5], [0, 1, 8, 9], list(range(10))],
+        ids=["first", "last", "adjacent", "both-ends", "every"])
+    def test_undecided_rows_splice_in_place(self, undecided):
+        ints = np.arange(10, dtype=np.int64)[:, None]
+        floats = np.random.default_rng(len(undecided)).standard_normal(
+            (10, 3))
+        cells = (1e-7, -3e-300, 5e-324, math.nan, -math.inf)
+        for k, row in enumerate(undecided):
+            floats[row, k % 3] = cells[k % len(cells)]
+        lines = _csv_lines([ints, floats]).splitlines(keepends=True)
+        assert lines == [",".join(map(_fmt, [i, *row])) + "\n"
+                         for i, row in zip(range(10), floats.tolist())]
 
 
 class TestAtomicWrites:

@@ -147,6 +147,18 @@ class TestDeterminism:
         b = sweep(0.50, 0.56, 4, crystal, **kw)
         assert points_equal(a.points, b.points)
 
+    def test_fingerprint_hashes_trials_and_seed_on_montecarlo_only(
+            self, crystal, couplings):
+        # the covariance engine reads neither trials nor seed; the Monte
+        # Carlo payload keeps both
+        band = dict(omega_min=0.50, omega_max=0.56, steps=4,
+                    crystal=crystal, couplings=couplings)
+        for engine, sampled in (("covariance", {}),
+                                ("montecarlo", dict(trials=2000, seed=8))):
+            table = sweep(**band, engine=engine, trials=2000, seed=8)
+            assert table.config_fingerprint == rainbow.config_fingerprint(
+                dict(band, engine=engine, **sampled))
+
     def test_seed_matters(self, crystal, couplings):
         a = sweep(0.50, 0.56, 4, crystal, engine="montecarlo",
                   trials=50_000, seed=8, couplings=couplings)

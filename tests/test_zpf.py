@@ -333,6 +333,17 @@ class TestBlockAmplitudes:
         ref = philox_block(3, seed, b, length)
         assert np.array_equal(amp.view(np.uint64), ref.view(np.uint64))
 
+    @pytest.mark.parametrize("scratch_rows", [1, 3, 1000, 1 << 14])
+    @pytest.mark.parametrize("first", [0, 7, 2500])
+    def test_scratch_size_keeps_the_draws(self, scratch_rows, first):
+        # a stream drawn piece by piece through any scratch carries on
+        # from call to call: the rows are the whole stream's, bit for bit
+        seed, b, length = 17, 3, 1500
+        out = np.empty((length, 6))
+        zpf._fill_block(out, np.empty((scratch_rows, 2)), seed, b, first)
+        ref = 2 * philox_block(3, seed, b, first + length)[first:]
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
 
 class TestMeanIntensity:
     def test_fresh_vacuum(self):
