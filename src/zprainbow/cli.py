@@ -12,20 +12,21 @@ vacuum over the crystal would leave float range are errors.
 Output files are written to a short random .part name beside the output,
 created with mode 0o666 (the kernel gives it open()'s mode) and renamed
 onto the output: a failed run leaves no partial table, and an output that
-is a directory or cannot be created or renamed is a ConfigError.  CSV
-numbers carry 17 significant digits and round-trip exactly.  Tables are
-written a bounded number of rows at a time, CSV and JSON alike, so memory
-stays bounded at any trial count.  A table is a list of rows or a column
-source, a row count and a function that makes the numpy columns of any row
-range (the `simulate` dump); either gives the bytes of the per-cell rule
-(_fmt, or json.dump of the whole table).  A list of rows goes through that
-rule cell by cell.  A source's CSV text comes from one numpy kernel
+is a directory, a FIFO, a device or a socket, or cannot be created or
+renamed, is a ConfigError.  CSV numbers carry 17 significant digits and
+round-trip exactly.  Tables are written a bounded number of rows at a
+time, CSV and JSON alike, so memory stays bounded at any trial count.  A
+table is a list of rows or a column source, a row count and a function
+that yields the numpy columns of any row range piece by piece (the
+`simulate` dump); either gives the bytes of the per-cell rule (_fmt, or
+json.dump of the whole table).  A list of rows goes through that rule
+cell by cell.  A source's CSV text comes from one numpy kernel
 (digits), which writes every int and every fixed-notation float exactly
 from its bits; a row with a cell it cannot write (exponent form,
 subnormal, NaN or infinite) goes through _fmt in its place.  A source's
 finite JSON rows are one %-operation on a repeated row layout.  Its rows
 split into up to `workers` contiguous shares of whole _BLOCK_ROWS blocks,
-each made and formatted span by span: the calling process writes the
+each made and formatted piece by piece: the calling process writes the
 first share straight into the output while a forked process writes each
 later one into an unnamed temp file beside it, and those files are then
 copied into the output in order, so the bytes do not depend on the
@@ -44,6 +45,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from contextlib import ExitStack
@@ -62,7 +64,7 @@ from .errors import (BandError, ConfigError, DomainError, InvalidArgumentError,
 from .rainbow import (DEFAULT_SEED, DEFAULT_TRIALS, ENGINES, Couplings,
                       POINT_FIELDS, RainbowPoint, columns, mean_intensities,
                       pdc_system, satellite_summary, sweep, sweep_grid)
-from .zpf import TRIAL_BLOCK, vacuum_rows
+from .zpf import vacuum_pieces
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -379,30 +381,27 @@ def _write_rows(fh, fmt, header, rows) -> int:
     return written
 
 
-def _write_share(fh, fmt, header, columns_of, start, stop) -> None:
+def _write_share(fh, fmt, header, pieces_of, start, stop) -> None:
     """The text of rows [start, stop) of a column source.
 
-    The rows are asked of columns_of in spans cut on the vacuum's
-    TRIAL_BLOCK grid, so a source that draws the vacuum draws each trial
-    block at most once per share; each span is formatted, _FORMAT_ROWS rows
-    at a time, and dropped before the next.  A JSON chunk follows ",\n",
-    or "\n" when it holds row 0.
+    pieces_of(start, stop) yields the rows' columns piece by piece; each
+    piece is formatted _FORMAT_ROWS rows at a time.  A JSON chunk follows
+    ",\n", or "\n" when it holds row 0.
     """
-    while start < stop:
-        end = min(stop, (start // TRIAL_BLOCK + 1) * TRIAL_BLOCK)
-        columns = [c[:, None] if c.ndim == 1 else c
-                   for c in columns_of(start, end)]
-        for first in range(0, end - start, _FORMAT_ROWS):
+    for piece in pieces_of(start, stop):
+        columns = [c[:, None] if c.ndim == 1 else c for c in piece]
+        rows = len(columns[0])
+        for first in range(0, rows, _FORMAT_ROWS):
             chunk = [c[first:first + _FORMAT_ROWS] for c in columns]
             if fmt == "json":
                 fh.write(("\n" if start + first == 0 else ",\n")
                          + _json_lines(header, chunk))
             else:
                 fh.write(_csv_lines(chunk))
-        start = end
+        start += rows
 
 
-# a share-writer process's table: (fmt, header, columns_of, share file
+# a share-writer process's table: (fmt, header, pieces_of, share file
 # descriptors), set by _start_share_writer in the forked child only
 _share_table = None
 
@@ -414,12 +413,12 @@ def _start_share_writer(*table) -> None:
 
 def _pool_share(index, start, stop) -> None:
     """Write rows [start, stop) to share file `index`."""
-    fmt, header, columns_of, fds = _share_table
+    fmt, header, pieces_of, fds = _share_table
     with open(fds[index], "w", newline="", closefd=False) as fh:
-        _write_share(fh, fmt, header, columns_of, start, stop)
+        _write_share(fh, fmt, header, pieces_of, start, stop)
 
 
-def _write_columns(fh, fmt, header, rows, columns_of, workers,
+def _write_columns(fh, fmt, header, rows, pieces_of, workers,
                    directory) -> None:
     """Write the `rows` rows of a column source on up to `workers`
     processes.
@@ -432,7 +431,7 @@ def _write_columns(fh, fmt, header, rows, columns_of, workers,
     in order, so no process holds the whole columns or their text.  The
     files are made before the pool, so an OSError making them (the
     open-file limit, say) is a ConfigError on `workers` before any
-    writer starts.  Fork passes columns_of to the children without
+    writer starts.  Fork passes pieces_of to the children without
     pickling; each child makes, formats and writes its own rows.  The
     pool forks all its writers at the first submit, before this thread
     writes.  A child that draws Philox and maps through BLAS uses its
@@ -442,7 +441,7 @@ def _write_columns(fh, fmt, header, rows, columns_of, workers,
     blocks = -(-rows // _BLOCK_ROWS)
     shares = min(workers, blocks)
     if shares <= 1:
-        _write_share(fh, fmt, header, columns_of, 0, rows)
+        _write_share(fh, fmt, header, pieces_of, 0, rows)
         return
     # imported here: ~8 ms of start-up that only a table of several
     # shares needs
@@ -461,13 +460,14 @@ def _write_columns(fh, fmt, header, rows, columns_of, workers,
         with ProcessPoolExecutor(
                 shares - 1, mp_context=multiprocessing.get_context("fork"),
                 initializer=_start_share_writer,
-                initargs=(fmt, header, columns_of,
+                initargs=(fmt, header, pieces_of,
                           [part.fileno() for part in parts])) as pool:
             pending = [pool.submit(_pool_share, k, *bounds[k + 1:k + 3])
                        for k in range(shares - 1)]
-            _write_share(fh, fmt, header, columns_of, 0, bounds[1])
+            _write_share(fh, fmt, header, pieces_of, 0, bounds[1])
             for done in pending:
                 done.result()
+        fh.flush()   # share 0's last text must precede the share files
         for part in parts:
             part.seek(0)
             shutil.copyfileobj(part, fh.buffer)
@@ -477,16 +477,26 @@ def write_table(path: str, fmt: str, header, rows, workers: int = 1) -> None:
     """Serialize a table atomically (.part file + rename).
 
     `rows` is a list of rows, or a column source, the tuple (n_rows,
-    columns_of): columns_of(start, stop) gives rows [start, stop) as
-    integer and float numpy arrays side by side (a 1-D array is one
-    column, a 2-D array one per array column), made and formatted in up
-    to `workers` processes, one contiguous share each (_write_columns).
-    Both give the same bytes.  The .part file is created beside `path`
-    with mode 0o666, as open(path, "w") creates a file; ConfigError when
-    `path` is a directory or the file cannot be created or renamed onto it.
+    pieces_of): pieces_of(start, stop) yields rows [start, stop) as
+    consecutive pieces, each a list of integer and float numpy arrays side
+    by side (a 1-D array is one column, a 2-D array one per array column),
+    made and formatted in up to `workers` processes, one contiguous share
+    each (_write_columns).  Both give the same bytes.  The .part file is
+    created beside `path` with mode 0o666, as open(path, "w") creates a
+    file; ConfigError when `path` is a directory, a FIFO, a device or a
+    socket, or the file cannot be created or renamed onto it.  `path` is
+    checked with os.stat, never opened: opening a FIFO for writing would
+    wait for a reader.  A symlink is replaced by the new file and its
+    target left as it was; one to a FIFO, device or socket is refused.
     """
     if os.path.isdir(os.path.abspath(path)):  # "", a directory or "dir/"
         raise ConfigError("output.path", f"Is a directory: {path!r}")
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:   # nothing there yet: created below, or refused there
+        mode = stat.S_IFREG
+    if not stat.S_ISREG(mode):
+        raise ConfigError("output.path", f"not a regular file: {path!r}")
     directory = os.path.dirname(os.path.abspath(path))
     # a short name: a long output name cannot push it past NAME_MAX
     tmp = os.path.join(directory, f".zprainbow-{os.urandom(6).hex()}.part")
@@ -645,27 +655,31 @@ def cmd_simulate(config: RunConfig, raw_vacuum: bool) -> int:
     """Dump the per-trial amplitudes of the matched three-wave triple.
 
     No process holds the table: each share writer draws its rows' vacuum
-    (vacuum_rows), maps it in place and formats it, span by span.
+    piece by piece (vacuum_pieces), maps each piece in place and formats
+    it.
     """
     system = pdc_system(config.crystal, config.ratios_omega, config.couplings)
     t = None if raw_vacuum else cp.integrate_three_wave(system)
 
-    def columns_of(start, stop):
-        amplitudes = vacuum_rows(len(system.modes), config.trials,
-                                 config.seed, start, stop)
-        if t is not None and start > 0 and stop == start + 1:
-            # a one-row map (gemv) misses the whole-table product's last
-            # bits: a lone row of a longer table is mapped stacked with itself
-            amplitudes = cp.apply(t, np.repeat(amplitudes, 2, axis=0))[:1]
-        elif t is not None:
-            cp.apply(t, amplitudes, out=amplitudes)
-        # the float view of the (rows x 3) complex table is its re, im
-        # columns in header order, with no copy
-        return np.arange(start, stop), amplitudes.view(np.float64)
+    def pieces_of(start, stop):
+        for amplitudes in vacuum_pieces(len(system.modes), config.trials,
+                                        config.seed, start, stop):
+            if t is not None and start > 0 and len(amplitudes) == 1:
+                # a one-row map (gemv) misses the whole-table product's
+                # last bits: a lone row of a longer table is mapped stacked
+                # with itself
+                amplitudes = cp.apply(t, np.repeat(amplitudes, 2, axis=0))[:1]
+            elif t is not None:
+                cp.apply(t, amplitudes, out=amplitudes)
+            rows = len(amplitudes)
+            # the float view of the (rows x 3) complex piece is its re, im
+            # columns in header order, with no copy
+            yield np.arange(start, start + rows), amplitudes.view(np.float64)
+            start += rows
 
     header = ("trial", "w_re", "w_im", "s_re", "s_im", "u_re", "u_im")
     write_table(config.output_path, config.output_format, header,
-                (config.trials, columns_of), config.workers)
+                (config.trials, pieces_of), config.workers)
     print(f"simulate: {config.trials} trials -> {config.output_path}")
     return EXIT_OK
 

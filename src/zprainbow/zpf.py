@@ -22,17 +22,35 @@ is a.real**2 + a.imag**2.  It uses one counter-based Philox stream per
 are tiled into fixed blocks of 2**16, so the amplitude table depends only on
 (seed, n_modes, n_trials) - never on scheduling, worker count, or the
 order in which blocks are filled, and any rows of it can be drawn on
-their own.  One block fill serves both Monte Carlo products: vacuum_rows
-fills rows [start, stop) of the amplitude table in place from the blocks
-that overlap them (sample_vacuum is its whole-table call; simulate's
-share writers draw their rows span by span), sampled_states
-reduces each block to its second moments, one covariance per seed in a
-plain (seeds, 2M, 2M) array, all seeds' blocks in one pass on up to
-`workers` threads.  Each worker reuses a caller-allocated (2**14 x 2)
-float64 scratch (256 KiB), which a mode's stream fills piece by piece,
-and, in sampled_states, a (2**16 x 2M) block buffer (3 MiB for M = 3
-modes).  Each piece moves from the scratch into the block as one
-complex128 column, its (Re, Im) pair.
+their own.  A block is drawn in two steps: its M streams are opened
+(_open_block), then each is drawn on from where it stopped (_draw).
+
+One block fill (_fill_block, both steps at once) serves two products:
+vacuum_rows fills rows [start, stop) of the amplitude table in place from
+the blocks that overlap them (sample_vacuum is its whole-table call), and
+sampled_states reduces each block to its second moments, one covariance
+per seed in a plain (seeds, 2M, 2M) array, all seeds' blocks in one pass
+on up to `workers` threads.  Each worker reuses a caller-allocated
+(2**14 x 2) float64 scratch (256 KiB), which a mode's stream fills again
+and again, and, in sampled_states, a (2**16 x 2M) block buffer (3 MiB for
+M = 3 modes).  Each scratch fill moves into the block as one complex128
+column, its (Re, Im) pair.
+
+The piece stream, vacuum_pieces, yields rows [start, stop) in pieces of
+at most 2**15 rows, half a block (1.5 MiB at M = 3); a piece never
+crosses a block, and each block's streams are opened once and carried
+from piece to piece.  simulate's share writers draw, map and format their
+rows piece by piece from it: a writer holds one piece while it formats,
+and the one before as well while it draws the next.  Each piece is a new
+array, since a caller may keep a piece while it asks for the next.  The
+piece size and that overlap keep glibc's malloc from handing a piece's
+pages back to the kernel and faulting them in again for the next one.
+Minor page faults per perfbench simulate-csv pass, in the calling
+process and in the forked writer (2 vCPU, glibc's default malloc
+settings): 2.4k and 2.6k with 2**15-row pieces, as with whole 2**16-row
+spans (2.7k and 2.5k); 4.1k and 4.4k when each piece was let go before
+the next was allocated; 25-29k each with 2**13- or 2**14-row pieces,
+whose passes took 1.2x as long.
 """
 
 from __future__ import annotations
@@ -54,6 +72,9 @@ TRIAL_BLOCK = 1 << 16
 # rows of a stream drawn per standard_normal call; any size gives the same
 # draws
 _DRAW_ROWS = 1 << 14
+# the most rows in one piece of vacuum_pieces: half a trial block, 1.5 MiB
+# at 3 modes; not below 2**15 (see the module docstring)
+_PIECE_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -137,34 +158,46 @@ def vacuum_state(n_modes: int) -> GaussianState:
     return GaussianState(0.5 * np.eye(2 * n_modes))
 
 
-def _fill_block(out, scratch, seed: int, block_index: int,
-                first: int = 0) -> None:
-    """Write rows [first, first + length) of one trial block's raw N(0, 1)
-    draws into `out`.
+def _open_block(seed: int, n_modes: int, block_index: int) -> list:
+    """One trial block's n_modes Philox streams, each at its row 0."""
+    return [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        seed, spawn_key=(m, block_index)))) for m in range(n_modes)]
+
+
+def _draw(streams, out, scratch, first: int = 0) -> None:
+    """Draw the next first + len(out) rows of each stream, dropping the
+    first `first`, into `out`.
 
     `out` is a C-contiguous (length, 2M) float64 array, (Re, Im)
-    interleaved per mode: columns 2m and 2m + 1 take mode m's Philox
-    stream row by row.  A short block is a prefix of the full one, so each
-    stream is drawn up to row first + length, len(scratch) rows at a time
-    into the contiguous (rows, 2) `scratch` that standard_normal(out=)
-    needs; the generator carries its stream on from call to call, and the
-    rows before `first` are drawn and dropped.  Each piece moves into the
-    block as one complex128 column of `out` viewed as (length, M)
-    complex128: the same bytes as the 2-wide strided float64 column pair,
-    which numpy copies element by element at several times the cost.
+    interleaved per mode: columns 2m and 2m + 1 take stream m row by row.
+    Each stream is drawn len(scratch) rows at a time into the contiguous
+    (rows, 2) `scratch` that standard_normal(out=) needs; a generator
+    carries its stream on from call to call, so the rows do not depend on
+    the scratch size or on how a block's rows are split between calls.
+    Each scratch fill moves into `out` as one complex128 column of it
+    viewed as (length, M) complex128: the same bytes as the 2-wide strided
+    float64 column pair, which numpy copies element by element at several
+    times the cost.
     """
     stop, step = first + len(out), len(scratch)
     drawn = scratch.view(np.complex128)[:, 0]
     pairs = out.view(np.complex128)
-    for m in range(pairs.shape[1]):
-        stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            seed, spawn_key=(m, block_index))))
+    for m, stream in enumerate(streams):
         for lo in range(0, stop, step):
             hi = min(stop, lo + step)
             stream.standard_normal(out=scratch[:hi - lo])
             if hi > first:
                 skip = max(first - lo, 0)
                 pairs[lo + skip - first:hi - first, m] = drawn[skip:hi - lo]
+
+
+def _fill_block(out, scratch, seed: int, block_index: int,
+                first: int = 0) -> None:
+    """Write rows [first, first + len(out)) of one trial block's raw
+    N(0, 1) draws into `out`, laid out as _draw lays it out; a short block
+    is a prefix of the full one."""
+    _draw(_open_block(seed, out.shape[1] // 2, block_index), out, scratch,
+          first)
 
 
 def trial_blocks(n_trials: int):
@@ -210,6 +243,20 @@ def _block_map(fn, tasks, workers: int, shapes) -> list:
         return list(pool.map(run, tasks))
 
 
+def _overlapping_blocks(n_modes: int, n_trials: int, start: int,
+                        stop: int) -> list:
+    """The blocks that overlap rows [start, stop) of the vacuum table:
+    (block_index, block start, first row, stop row) tuples."""
+    if n_modes < 1:
+        raise InvalidArgumentError("n_modes must be >= 1")
+    grid = trial_blocks(n_trials)
+    if not 0 <= start <= stop <= n_trials:
+        raise InvalidArgumentError(
+            f"rows [{start}, {stop}) are not within {n_trials} trials")
+    return [(b, lo, max(lo, start), min(hi, stop))
+            for b, lo, hi in grid if start < hi and lo < stop]
+
+
 def vacuum_rows(n_modes: int, n_trials: int, seed: int, start: int,
                 stop: int, workers: int = 1) -> np.ndarray:
     """Rows [start, stop) of the vacuum table of n_trials trials, byte for
@@ -220,14 +267,7 @@ def vacuum_rows(n_modes: int, n_trials: int, seed: int, start: int,
     before `start` drops its rows before it.  The rows do not depend on
     the range they are drawn in, nor on the worker count.
     """
-    if n_modes < 1:
-        raise InvalidArgumentError("n_modes must be >= 1")
-    grid = trial_blocks(n_trials)
-    if not 0 <= start <= stop <= n_trials:
-        raise InvalidArgumentError(
-            f"rows [{start}, {stop}) are not within {n_trials} trials")
-    blocks = [(b, lo, max(lo, start), min(hi, stop))
-              for b, lo, hi in grid if start < hi and lo < stop]
+    blocks = _overlapping_blocks(n_modes, n_trials, start, stop)
     rows = np.empty((stop - start, n_modes), dtype=np.complex128)
     parts = rows.view(np.float64)
 
@@ -239,6 +279,31 @@ def vacuum_rows(n_modes: int, n_trials: int, seed: int, start: int,
 
     _block_map(fill, blocks, workers, [(_DRAW_ROWS, 2)])
     return rows
+
+
+def vacuum_pieces(n_modes: int, n_trials: int, seed: int, start: int,
+                  stop: int):
+    """Rows [start, stop) of the vacuum table of n_trials trials, byte for
+    byte, as consecutive (rows, n_modes) complex128 pieces of at most
+    _PIECE_ROWS rows: joined in order they are vacuum_rows(n_modes,
+    n_trials, seed, start, stop).
+
+    A piece never crosses a trial block.  Each overlapping block's
+    streams are opened once and carried from piece to piece, so no row is
+    drawn twice; the first block drops its rows before `start`.  Each
+    piece is a new array; the generator lets go of a piece once the next
+    one is allocated.
+    """
+    blocks = _overlapping_blocks(n_modes, n_trials, start, stop)
+    scratch = np.empty((_DRAW_ROWS, 2))
+    for b, lo, first, last in blocks:
+        streams, dropped = _open_block(seed, n_modes, b), first - lo
+        for at in range(first, last, _PIECE_ROWS):
+            parts = np.empty((min(last, at + _PIECE_ROWS) - at, 2 * n_modes))
+            _draw(streams, parts, scratch, dropped)
+            parts *= 0.5
+            dropped = 0
+            yield parts.view(np.complex128)
 
 
 def sample_vacuum(n_modes: int, n_trials: int, seed: int,

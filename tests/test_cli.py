@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -222,10 +223,13 @@ class TestExitCodes:
                      "--output", out]) == EXIT_NO_SOLUTION
         assert "4e+299 um outside window" in capsys.readouterr().err
 
-    # a directory that does not exist, one that is the output, and no
-    # name at all; each is refused before a simulate row is made
-    @pytest.mark.parametrize("name", ["missing/x.csv", "existing", ""],
-                             ids=["missing-dir", "directory", "empty"])
+    # a directory that does not exist, one that is the output, no name at
+    # all, and a FIFO, which a rename would replace by a regular file;
+    # each is refused before a simulate row is made
+    @pytest.mark.parametrize("name", ["missing/x.csv", "existing", "",
+                                      "out.fifo"],
+                             ids=["missing-dir", "directory", "empty",
+                                  "fifo"])
     @pytest.mark.parametrize("argv", [
         ["angles"],
         ["simulate", "--trials", str(_BLOCK_ROWS + 1), "--workers", "2"]],
@@ -234,6 +238,8 @@ class TestExitCodes:
                                     argv, name):
         # "" lies in the working directory's parent, tmp_path
         (tmp_path / "work" / "existing").mkdir(parents=True)
+        fifo = tmp_path / "work" / "out.fifo"
+        os.mkfifo(fifo)
         monkeypatch.chdir(tmp_path / "work")
         tables = []
         monkeypatch.setattr(cli, "_write_columns",
@@ -242,6 +248,7 @@ class TestExitCodes:
         assert "output.path" in capsys.readouterr().err
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
         assert tables == []
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
     @pytest.mark.parametrize("key,value", [
         ("crystal.window_um", [1.0]),
@@ -953,13 +960,13 @@ class TestSimulateCommand:
                                          raw):
         # a lone last row is mapped stacked with itself; drawn with the
         # row before it, it would redraw the whole previous block
-        fill, drawn = zpf._fill_block, []
+        open_block, drawn = zpf._open_block, []
 
-        def record(out, scratch, seed, block_index, first=0):
+        def record(seed, n_modes, block_index):
             drawn.append(block_index)
-            fill(out, scratch, seed, block_index, first)
+            return open_block(seed, n_modes, block_index)
 
-        monkeypatch.setattr(zpf, "_fill_block", record)
+        monkeypatch.setattr(zpf, "_open_block", record)
         path = write_config(tmp_path, trials=trials)
         out = tmp_path / "sim.csv"
         assert main(["--config", path, "simulate", *raw, "--workers", "1",
@@ -982,6 +989,28 @@ class TestSimulateCommand:
             tracemalloc.stop()
         assert peak < trials * 3 * np.dtype(np.complex128).itemsize
         out.unlink()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writer_peak_below_one_block(self, tmp_path, fmt):
+        # a writer holds 2**15-row vacuum pieces (two while it draws) and
+        # a chunk's text, so its peak stays below one trial block's
+        # amplitudes plus 2 MiB.  A first run, untraced, makes the lazy
+        # imports (digits' tables among them), which no writer holds
+        trials = 4 * (1 << 16) + 3
+        path = write_config(tmp_path, trials=trials)
+        out = tmp_path / "sim"
+        argv = ["--config", path, "simulate", "--workers", "1",
+                "--format", fmt, "--output", str(out)]
+        assert main([*argv, "--trials", "2"]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out.unlink()
+        block = TRIAL_BLOCK * 3 * np.dtype(np.complex128).itemsize
+        assert peak < block + 2 * 2 ** 20
 
     def test_json_memory_matches_csv(self, tmp_path):
         # a finite JSON chunk is one %-operation on a repeated row layout,
@@ -1041,10 +1070,10 @@ class TestSimulateCommand:
 
         write_share = cli._write_share
 
-        def record(fh, fmt, header, columns_of, start, stop):
+        def record(fh, fmt, header, pieces_of, start, stop):
             # a forked writer appends to its own copy of the list
             written.append((start, stop))
-            write_share(fh, fmt, header, columns_of, start, stop)
+            write_share(fh, fmt, header, pieces_of, start, stop)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
@@ -1065,10 +1094,10 @@ class TestSimulateCommand:
         # a forked writer's MemoryError reaches the caller as its own
         write_share = cli._write_share
 
-        def fail(fh, fmt, header, columns_of, start, stop):
+        def fail(fh, fmt, header, pieces_of, start, stop):
             if (start == 0) == (failing == "caller"):
                 raise MemoryError
-            write_share(fh, fmt, header, columns_of, start, stop)
+            write_share(fh, fmt, header, pieces_of, start, stop)
 
         monkeypatch.setattr(cli, "_write_share", fail)
         path = write_config(tmp_path, trials=self.TRIALS)
@@ -1148,8 +1177,14 @@ class TestStatisticalExit:
 
 
 def source(*arrays):
-    """The column source of whole arrays, the source of their row slices."""
-    return len(arrays[0]), lambda start, stop: [c[start:stop] for c in arrays]
+    """The column source of whole arrays: their row slices, in pieces of
+    at most 3000 rows, so piece edges fall inside the writer's chunks and
+    shares."""
+    def pieces_of(start, stop):
+        for first in range(start, stop, 3000):
+            yield [c[first:min(stop, first + 3000)] for c in arrays]
+
+    return len(arrays[0]), pieces_of
 
 
 class ExplodingColumn(np.ndarray):

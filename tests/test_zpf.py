@@ -5,13 +5,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zprainbow import zpf
 from zprainbow.coupling import apply, squeeze_pair
 from zprainbow.errors import InvalidArgumentError
-from zprainbow.zpf import (GaussianState, Mode, sample_vacuum, sampled_state,
-                           sampled_states, trial_blocks, vacuum_rows,
-                           vacuum_state)
+from zprainbow.zpf import (TRIAL_BLOCK, GaussianState, Mode, sample_vacuum,
+                           sampled_state, sampled_states, trial_blocks,
+                           vacuum_pieces, vacuum_rows, vacuum_state)
 
 # short single blocks of 1, 4095 and 4097 trials, a full 2**16 block, and
 # one trial into the second block (a one-row prefix of the reused buffers)
@@ -249,6 +250,44 @@ class TestVacuumRows:
     def test_rows_outside_the_table_rejected(self, start, stop):
         with pytest.raises(InvalidArgumentError):
             vacuum_rows(3, self.TRIALS, 9, start, stop)
+
+
+# a row anywhere in the table, or within two rows of a half-block edge
+NEAR_EDGES = st.builds(lambda k, d: k * (1 << 15) + d,
+                       st.integers(0, 6), st.integers(-2, 2))
+
+
+@st.composite
+def row_ranges(draw):
+    """(n_modes, n_trials, start, stop) with 0 <= start <= stop <=
+    n_trials <= 3 * 2**16 + 5."""
+    trials = min(max(draw(st.integers(1, 3 * TRIAL_BLOCK + 5) | NEAR_EDGES),
+                     1), 3 * TRIAL_BLOCK + 5)
+    start, stop = sorted(min(max(draw(st.integers(0, trials) | NEAR_EDGES),
+                                 0), trials) for _ in range(2))
+    return draw(st.integers(1, 3)), trials, start, stop
+
+
+class TestVacuumPieces:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(row_ranges())
+    # starts mid-block and ends at the table's end; ends with a lone row
+    @example((3, 3 * TRIAL_BLOCK + 5, 70_000, 3 * TRIAL_BLOCK + 5))
+    @example((3, 3 * TRIAL_BLOCK + 5, 5, (1 << 15) + 6))
+    def test_pieces_join_to_the_rows(self, case):
+        n_modes, trials, start, stop = case
+        pieces = list(vacuum_pieces(n_modes, trials, 9, start, stop))
+        at = start
+        for piece in pieces:
+            # at most half a trial block, and within one block
+            assert 1 <= len(piece) <= 1 << 15
+            assert at // TRIAL_BLOCK == (at + len(piece) - 1) // TRIAL_BLOCK
+            at += len(piece)
+        joined = np.concatenate([np.empty((0, n_modes), np.complex128),
+                                 *pieces])
+        rows = vacuum_rows(n_modes, trials, 9, start, stop)
+        assert joined.shape == rows.shape
+        assert np.array_equal(joined.view(np.uint64), rows.view(np.uint64))
 
 
 class TestWorkerThreads:
